@@ -39,7 +39,7 @@ func BenchmarkTable1PerfectMemory(b *testing.B) {
 			var res resim.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = resim.SimulateWorkload(cfg, w.Name, benchInstrs)
+				res, err = mustSession(b, resim.WithConfig(cfg)).RunWorkload(context.Background(), w.Name, benchInstrs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -59,7 +59,7 @@ func BenchmarkTable1CacheConfig(b *testing.B) {
 			cfg := resim.FASTComparisonConfig()
 			for i := 0; i < b.N; i++ {
 				cfg = resim.FASTComparisonConfig() // fresh cache state per run
-				res, err = resim.SimulateWorkload(cfg, w.Name, benchInstrs)
+				res, err = mustSession(b, resim.WithConfig(cfg)).RunWorkload(context.Background(), w.Name, benchInstrs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -145,7 +145,7 @@ func BenchmarkTable3TraceThroughput(b *testing.B) {
 			b.ReportMetric(bpi, "bits_per_instr")
 			// Table 3 pairs bits/instr with the V4 throughput including
 			// wrong-path instructions; reuse the Table 1 IPC model.
-			res, err := resim.SimulateWorkload(resim.DefaultConfig(), w.Name, benchInstrs)
+			res, err := mustSession(b).RunWorkload(context.Background(), w.Name, benchInstrs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,11 +206,12 @@ func BenchmarkFigure4OptimizedPipeline(b *testing.B) {
 	impr := resim.DefaultConfig()
 	impr.Organization = resim.OrgImproved
 	opt := resim.DefaultConfig()
-	a, err := resim.SimulateWorkload(impr, "vpr", 20_000)
+	ctx := context.Background()
+	a, err := mustSession(b, resim.WithConfig(impr)).RunWorkload(ctx, "vpr", 20_000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := resim.SimulateWorkload(opt, "vpr", 20_000)
+	c, err := mustSession(b, resim.WithConfig(opt)).RunWorkload(ctx, "vpr", 20_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func BenchmarkExtensionMulticore(b *testing.B) {
 	var res resim.MulticoreResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+		res, err = mustSession(b, resim.WithConfig(cfg)).Multicore(context.Background(), resim.MulticoreOptions{
 			Workloads: []string{"gzip", "bzip2"},
 			Limit:     20_000,
 		})

@@ -1,6 +1,5 @@
 // Command resim-bench regenerates the paper's evaluation artifacts: every
 // table (1-4) and figure (2-4), plus the §IV serial-vs-parallel ablation.
-// EXPERIMENTS.md is produced from this tool's -all output.
 //
 // Usage:
 //

@@ -22,7 +22,9 @@ type Config struct {
 
 // L1Config32K returns the 32 KB, 8-way, 64-byte-block configuration used for
 // the FAST comparison (Table 1, right portion). The paper does not state the
-// miss latency; 20 cycles is used and documented in DESIGN.md.
+// miss latency; 20 cycles is an assumed flat penalty standing in for the
+// unmodeled next level, so the right portion reproduces in shape rather
+// than in absolute miss cost.
 func L1Config32K(name string) Config {
 	return Config{Name: name, SizeBytes: 32 << 10, Assoc: 8, BlockBytes: 64,
 		HitLatency: 1, MissLatency: 20}

@@ -350,9 +350,9 @@ func (e *Engine) checkWatchdog() error {
 }
 
 // stepFast is the run-loop step RunContext drives: it advances the
-// simulation until the next control boundary (context-poll cadence,
-// observer/checkpoint interval, cycle budget, completion), bulk-skipping
-// provably idle regions on the way. When fetch is serving a penalty or
+// simulation until the next control boundary (the earliest pending hook
+// boundary, cycle budget, completion), bulk-skipping provably idle regions
+// on the way. When fetch is serving a penalty or
 // miss (or is starved or out of records), nothing can commit, broadcast or
 // issue before a known future cycle — every skipped cycle would only have
 // incremented Cycles, the fetch idle/starved counters and the occupancy
@@ -361,8 +361,8 @@ func (e *Engine) checkWatchdog() error {
 // the drive loop's per-step bookkeeping amortizes over thousands of
 // cycles. Per-cycle callers (Engine.Cycle, the lockstep multicore cluster)
 // are unaffected.
-func (e *Engine) stepFast() error {
-	limit := e.stepLimit()
+func (e *Engine) stepFast(hooks []hook) error {
+	limit := e.stepLimit(hooks)
 	for {
 		if n := e.idleCycles(limit); n >= 1 {
 			e.skipIdle(n)
@@ -379,37 +379,13 @@ func (e *Engine) stepFast() error {
 }
 
 // stepLimit returns the absolute Cycles count at which stepFast must hand
-// control back to the drive loop: the next context-poll boundary, capped to
-// the next observer/checkpoint/telemetry boundary (so hook cadence stays on
-// absolute interval multiples as Drive documents) and the MaxCycles budget.
-func (e *Engine) stepLimit() uint64 {
-	limit := nextBoundary(e.c.Cycles, CtxCheckInterval)
-	if e.cfg.Observer != nil {
-		iv := e.cfg.ObserverInterval
-		if iv == 0 {
-			iv = DefaultObserverInterval
-		}
-		if b := nextBoundary(e.c.Cycles, iv); b < limit {
-			limit = b
-		}
-	}
-	if e.cfg.CheckpointSink != nil {
-		iv := e.cfg.CheckpointEvery
-		if iv == 0 {
-			iv = DefaultObserverInterval
-		}
-		if b := nextBoundary(e.c.Cycles, iv); b < limit {
-			limit = b
-		}
-	}
-	if e.cfg.TelemetrySink != nil {
-		iv := e.cfg.TelemetryEvery
-		if iv == 0 {
-			iv = DefaultObserverInterval
-		}
-		if b := nextBoundary(e.c.Cycles, iv); b < limit {
-			limit = b
-		}
+// control back to the drive loop: the earliest pending hook boundary (so
+// hook cadence stays on absolute interval multiples as Drive documents),
+// capped to the MaxCycles budget.
+func (e *Engine) stepLimit(hooks []hook) uint64 {
+	limit := uint64(math.MaxUint64)
+	for i := range hooks {
+		limit = min(limit, hooks[i].next)
 	}
 	if e.cfg.MaxCycles != 0 && e.cfg.MaxCycles < limit {
 		limit = e.cfg.MaxCycles
@@ -456,8 +432,8 @@ func (e *Engine) idleCycles(limit uint64) int64 {
 	if n < 1 {
 		return 0
 	}
-	// Stop exactly at the control boundary (context poll, observer or
-	// checkpoint interval, cycle budget — stepLimit folded them all in).
+	// Stop exactly at the control boundary (the next hook boundary or the
+	// cycle budget — stepLimit folded them all in).
 	if left := int64(limit - e.c.Cycles); left < n {
 		n = left
 	}
@@ -493,8 +469,9 @@ func (e *Engine) skipIdle(n int64) {
 // enough that the cycle loop stays fast.
 const CtxCheckInterval = 8192
 
-// DefaultObserverInterval is the Progress callback period (major cycles)
-// when Config.ObserverInterval is zero.
+// DefaultObserverInterval is the period (major cycles) of every interval
+// hook — Observer, CheckpointSink, TelemetrySink — whose Config interval is
+// zero.
 const DefaultObserverInterval = 65536
 
 // Run simulates until the trace drains (or cfg.MaxCycles elapse) and returns
@@ -503,54 +480,51 @@ func (e *Engine) Run() (Result, error) {
 	return e.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: the context is polled
-// every CtxCheckInterval major cycles, and a cancelled run returns the
-// statistics accumulated so far together with ctx.Err(). When cfg.Observer
-// is set it receives a Progress callback at every cfg.ObserverInterval
-// cycle boundary, a final one when the run drains, and a last non-Final
-// snapshot when the run is cancelled or fails. When cfg.CheckpointSink is
-// set the engine additionally serializes its complete state at every
-// cfg.CheckpointEvery boundary (0 = DefaultObserverInterval) and hands the
-// Checkpoint to the sink. When cfg.TelemetrySink is set the engine emits
-// per-interval IntervalSnapshot window deltas at every cfg.TelemetryEvery
-// boundary (0 = DefaultObserverInterval); see IntervalSnapshot for the
-// delivery contract.
+// RunContext is Run with cooperative cancellation and the per-run hooks the
+// Config enables, each at absolute multiples of its interval
+// (0 = DefaultObserverInterval) and, at a shared boundary, in this order:
+//
+//  1. the context poll every CtxCheckInterval cycles; a cancelled run
+//     returns the statistics accumulated so far together with ctx.Err();
+//  2. CheckpointSink, handed the engine's complete serialized state every
+//     CheckpointEvery cycles;
+//  3. TelemetrySink, handed an IntervalSnapshot window delta every
+//     TelemetryEvery cycles and a Final one covering the last partial
+//     window when the run drains;
+//  4. Observer, handed a Progress every ObserverInterval cycles and a Final
+//     one when the run drains.
+//
+// When the step or a hook fails, telemetry and observer — the hooks with a
+// final call — each get one last non-Final call instead (the failing hook
+// excepted), so streamed windows sum to and observers see exactly the
+// statistics the run returns.
 func (e *Engine) RunContext(ctx context.Context) (Result, error) {
-	var ckptEvery uint64
-	var ckpt func() error
-	if e.cfg.CheckpointSink != nil {
-		ckptEvery = e.cfg.CheckpointEvery
-		if ckptEvery == 0 {
-			ckptEvery = DefaultObserverInterval
-		}
-		ckpt = func() error {
+	var sinks []hook
+	if sink := e.cfg.CheckpointSink; sink != nil {
+		sinks = append(sinks, hook{every: e.cfg.CheckpointEvery, fn: func(bool) error {
 			cp, err := e.Checkpoint()
 			if err != nil {
 				return err
 			}
-			return e.cfg.CheckpointSink(cp)
-		}
+			return sink(cp)
+		}})
 	}
-	var telEvery uint64
-	var tel func(final bool) error
-	var telRun *telemetryRun
+	var tel *telemetryRun
 	if e.cfg.TelemetrySink != nil {
-		telEvery = e.cfg.TelemetryEvery
-		if telEvery == 0 {
-			telEvery = DefaultObserverInterval
-		}
-		telRun = e.startTelemetry()
-		tel = telRun.emit
+		tel = e.startTelemetry()
+		sinks = append(sinks, hook{every: e.cfg.TelemetryEvery, fn: tel.emit, final: true})
 	}
-	err := drive(ctx, e.cfg.Observer, e.cfg.ObserverInterval, ckptEvery, ckpt, telEvery, tel,
-		func() uint64 { return e.c.Cycles },
-		func() bool {
-			return e.Done() || (e.cfg.MaxCycles != 0 && e.c.Cycles >= e.cfg.MaxCycles)
-		},
-		e.stepFast,
-		e.progress)
-	if telRun != nil {
-		telRun.stop() // restore the pipe-trace hook before result() copies Config
+	hooks, err := runHooks(ctx, e.cfg.Observer, e.cfg.ObserverInterval, e.progress, sinks...)
+	if err == nil {
+		err = drive(hooks,
+			func() uint64 { return e.c.Cycles },
+			func() bool {
+				return e.Done() || (e.cfg.MaxCycles != 0 && e.c.Cycles >= e.cfg.MaxCycles)
+			},
+			func() error { return e.stepFast(hooks) })
+	}
+	if tel != nil {
+		tel.stop() // restore the pipe-trace hook before result() copies Config
 	}
 	return e.result(), err
 }
@@ -562,117 +536,103 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 // plus a final one on completion, so cancellation cadence and observer
 // semantics live in exactly one place.
 //
-// Callback boundaries are absolute multiples of the interval (cycle N fires
-// the callback covering boundary N when N % interval == 0, or the first
-// cycle at or past it for step functions that advance more than one cycle),
-// not offsets from wherever the previous poll happened to land — so the
+// Hook boundaries are absolute multiples of their interval (cycle N fires
+// the hook covering boundary N when N % interval == 0, or the first cycle at
+// or past it for step functions that advance more than one cycle), not
+// offsets from wherever the previous call happened to land — so the
 // callback cycle sequence is deterministic across runs and, for a resumed
 // run starting at a boundary, identical to the uninterrupted run's.
 //
 // Cancellation and step errors deliver one last non-Final progress snapshot
 // (so observers see the state the returned statistics describe) and end the
-// loop; the Final callback marks successful completion only.
+// loop; the Final callback marks successful completion only. RunContext
+// documents the full hook order and interruption rule.
 func Drive(ctx context.Context, obs Observer, interval uint64,
 	cycles func() uint64, done func() bool, step func() error,
 	progress func(final bool) Progress) error {
-	return drive(ctx, obs, interval, 0, nil, 0, nil, cycles, done, step, progress)
+	hooks, err := runHooks(ctx, obs, interval, progress)
+	if err != nil {
+		return err
+	}
+	return drive(hooks, cycles, done, step)
 }
 
-// DriveCheckpointed is Drive with a checkpoint hook: when checkpoint is
-// non-nil it is additionally invoked between steps at every ckptEvery-cycle
-// boundary (absolute multiples, like observer callbacks, so checkpoint
-// cycles are deterministic across runs). A checkpoint error ends the loop
-// like a step error.
-func DriveCheckpointed(ctx context.Context, obs Observer, interval, ckptEvery uint64,
-	checkpoint func() error,
-	cycles func() uint64, done func() bool, step func() error,
-	progress func(final bool) Progress) error {
-	return drive(ctx, obs, interval, ckptEvery, checkpoint, 0, nil, cycles, done, step, progress)
+// hook is one interval callback of the run loop: fn runs between steps at
+// every absolute multiple of every cycles. A final hook also runs once with
+// final=true when the run completes, and once with final=false when the
+// step or another hook fails.
+type hook struct {
+	every uint64
+	fn    func(final bool) error
+	final bool
+	next  uint64 // the pending boundary: drive advances it, stepLimit stops at it
 }
 
-// drive is the loop behind Drive, DriveCheckpointed and RunContext's
-// telemetry path. telemetry, when non-nil, is invoked at every
-// telEvery-cycle boundary with final=false, once with final=true on
-// successful completion (covering the last partial window), and once with
-// final=false when cancellation or a step/checkpoint error interrupts the
-// run — so the windows it emits always sum to the run's final statistics.
-// A telemetry error ends the loop like a step error.
-func drive(ctx context.Context, obs Observer, interval, ckptEvery uint64,
-	checkpoint func() error, telEvery uint64, telemetry func(final bool) error,
-	cycles func() uint64, done func() bool, step func() error,
-	progress func(final bool) Progress) error {
+// runHooks builds a run's hook list in RunContext's order — the context
+// poll, then sinks, then the observer when one is set — with zero intervals
+// defaulted, or returns the context's error when it is already done.
+func runHooks(ctx context.Context, obs Observer, interval uint64,
+	progress func(final bool) Progress, sinks ...hook) ([]hook, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	hooks := append(make([]hook, 0, len(sinks)+2),
+		hook{every: CtxCheckInterval, fn: func(bool) error { return ctx.Err() }})
+	hooks = append(hooks, sinks...)
+	if obs != nil {
+		hooks = append(hooks, hook{every: interval, final: true, fn: func(final bool) error {
+			obs.Progress(progress(final))
+			return nil
+		}})
+	}
+	for i := range hooks {
+		if hooks[i].every == 0 {
+			hooks[i].every = DefaultObserverInterval
+		}
+	}
+	return hooks, nil
+}
+
+// drive is the loop behind Drive and RunContext: after every step it calls
+// each hook whose boundary the step reached, in list order; on completion
+// it calls the final hooks with final=true. When the step or hook k fails,
+// every final hook other than k gets fn(false), in list order, and the
+// loop returns the error.
+func drive(hooks []hook, cycles func() uint64, done func() bool, step func() error) error {
+	for i := range hooks {
+		hooks[i].next = nextBoundary(cycles(), hooks[i].every)
+	}
+	interrupt := func(failed int, err error) error {
+		for i := range hooks {
+			if hooks[i].final && i != failed {
+				hooks[i].fn(false) //nolint:errcheck // the run is already ending
+			}
+		}
 		return err
-	}
-	if interval == 0 {
-		interval = DefaultObserverInterval
-	}
-	// snapshot delivers the last non-Final callback of an interrupted run.
-	snapshot := func() {
-		if obs != nil {
-			obs.Progress(progress(false))
-		}
-	}
-	// interrupted additionally flushes the partial telemetry window, so
-	// streamed deltas sum to the statistics the interrupted run returns.
-	interrupted := func() {
-		if telemetry != nil {
-			telemetry(false) //nolint:errcheck // the run is already ending
-		}
-		snapshot()
-	}
-	nextCheck := cycles() + CtxCheckInterval
-	nextObs := nextBoundary(cycles(), interval)
-	var nextCkpt, nextTel uint64
-	if checkpoint != nil && ckptEvery > 0 {
-		nextCkpt = nextBoundary(cycles(), ckptEvery)
-	}
-	if telemetry != nil && telEvery > 0 {
-		nextTel = nextBoundary(cycles(), telEvery)
 	}
 	for !done() {
 		if err := step(); err != nil {
-			interrupted()
-			return err
+			return interrupt(-1, err)
 		}
 		c := cycles()
-		if c >= nextCheck {
-			nextCheck = c + CtxCheckInterval
-			if err := ctx.Err(); err != nil {
-				interrupted()
-				return err
+		for i := range hooks {
+			if h := &hooks[i]; c >= h.next {
+				h.next = nextBoundary(c, h.every)
+				if err := h.fn(false); err != nil {
+					return interrupt(i, err)
+				}
 			}
-		}
-		if checkpoint != nil && ckptEvery > 0 && c >= nextCkpt {
-			nextCkpt = nextBoundary(c, ckptEvery)
-			if err := checkpoint(); err != nil {
-				interrupted()
-				return err
-			}
-		}
-		if telemetry != nil && telEvery > 0 && c >= nextTel {
-			nextTel = nextBoundary(c, telEvery)
-			if err := telemetry(false); err != nil {
-				snapshot()
-				return err
-			}
-		}
-		if obs != nil && c >= nextObs {
-			nextObs = nextBoundary(c, interval)
-			obs.Progress(progress(false))
 		}
 	}
-	if telemetry != nil {
-		if err := telemetry(true); err != nil {
-			snapshot()
-			return err
+	for i := range hooks {
+		if hooks[i].final {
+			if err := hooks[i].fn(true); err != nil {
+				return interrupt(i, err)
+			}
 		}
-	}
-	if obs != nil {
-		obs.Progress(progress(true))
 	}
 	return nil
 }

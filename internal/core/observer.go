@@ -34,6 +34,9 @@ type Progress struct {
 // callback happened to land — so the callback cycle sequence is
 // deterministic across runs and, for a run resumed from a checkpoint taken
 // at a boundary, identical to the uninterrupted run's tail (see Drive).
+// At a boundary shared with other hooks the observer runs last, after the
+// context poll, checkpoint and telemetry; when any of them or the step
+// fails it gets the last non-Final snapshot instead (see RunContext).
 // Implementations must be fast; they execute on the simulation path.
 type Observer interface {
 	Progress(Progress)

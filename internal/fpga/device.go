@@ -3,7 +3,7 @@
 // minor-cycle clock and simulation MIPS, and a per-stage area estimator
 // calibrated against Table 4.
 //
-// This is the substitution for the real FPGA implementation (see DESIGN.md):
+// This model substitutes for the real FPGA implementation:
 // ReSim's simulated-processor timing is defined at major-cycle granularity,
 // so the hardware only determines (a) wall-clock throughput, MIPS =
 // f_minor / K × IPC, and (b) resource cost. Both are modeled here and

@@ -18,7 +18,7 @@ import (
 // Memory layout constants. The machine uses a single power-of-two arena;
 // addresses are masked into it. Synthetic programs and their data live well
 // inside the arena; masking keeps wrong-path (garbage) addresses in range
-// while preserving the locality the caches see (DESIGN.md, substitutions).
+// while preserving the locality the caches see.
 const (
 	// DefaultMemBits sizes the arena at 8 MiB.
 	DefaultMemBits = 23

@@ -61,7 +61,7 @@ func streamAll(t *testing.T, p *Platform, tenant, id string, n int) []*sweepd.Wi
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	wrs := make([]*sweepd.WireResult, n)
-	state, errStr, err := p.StreamResults(ctx, tenant, id, func(wr *sweepd.WireResult) error {
+	state, errStr, err := follow(ctx, p, resultStream, tenant, id, func(wr *sweepd.WireResult) error {
 		wrs[wr.Index] = wr
 		return nil
 	})

@@ -3,7 +3,6 @@
 package jobd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -126,21 +125,30 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
+// newRequest builds an authenticated API request; a non-nil body is JSON.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.Server+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.Token != "" {
+		req.Header.Set("Authorization", "Bearer "+c.Token)
+	}
+	return req, nil
+}
+
 // doOnce issues a single attempt.
 func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, hasBody bool, out any) error {
 	var rd io.Reader
 	if hasBody {
 		rd = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Server+path, rd)
+	req, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
 		return err
-	}
-	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -231,164 +239,23 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Results follows the job's NDJSON result stream, calling fn per completed
-// point in completion order, and returns the job's terminal state. It
-// blocks until the job finishes (cancel via ctx). A stream that ends
-// without the terminal line reports an error — the caller cannot know the
-// job finished.
+// Results follows the job's result stream, calling fn per completed point
+// in completion order, and returns the job's terminal state (see
+// readStream).
 func (c *Client) Results(ctx context.Context, id string, fn func(*sweepd.WireResult) error) (State, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Server+"/v1/jobs/"+id+"/results", nil)
-	if err != nil {
-		return "", err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var line struct {
-			Result *sweepd.WireResult `json:"result"`
-			Done   bool               `json:"done"`
-			State  State              `json:"state"`
-			Err    string             `json:"err"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return "", fmt.Errorf("jobd: corrupt stream line: %w", err)
-		}
-		switch {
-		case line.Result != nil:
-			if fn != nil {
-				if err := fn(line.Result); err != nil {
-					return "", err
-				}
-			}
-		case line.Done:
-			// A failure reason is an error; a cancellation note is just
-			// color on a state the caller inspects anyway.
-			if line.State == StateFailed && line.Err != "" {
-				return line.State, fmt.Errorf("jobd: job %s failed: %s", id, line.Err)
-			}
-			return line.State, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("jobd: result stream for %s ended without a terminal line", id)
+	return readStream(ctx, c, resultStream, id, fn)
 }
 
-// Telemetry follows the job's NDJSON telemetry stream, calling fn per live
-// interval snapshot, and returns the job's terminal state. A client
-// attaching mid-job first replays the server's buffered snapshot ring, then
-// follows live until the job finishes (cancel via ctx). Snapshots the
-// server's ring wrapped past while this client was slow are simply absent
-// from the stream; Seq gaps within one point reveal the loss.
+// Telemetry follows the job's telemetry stream, calling fn per interval
+// snapshot from the oldest the server still buffers; Seq gaps within one
+// point reveal snapshots the bounded buffer dropped.
 func (c *Client) Telemetry(ctx context.Context, id string, fn func(core.IntervalSnapshot) error) (State, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Server+"/v1/jobs/"+id+"/telemetry", nil)
-	if err != nil {
-		return "", err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var line struct {
-			Telemetry *core.IntervalSnapshot `json:"telemetry"`
-			Done      bool                   `json:"done"`
-			State     State                  `json:"state"`
-			Err       string                 `json:"err"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return "", fmt.Errorf("jobd: corrupt telemetry line: %w", err)
-		}
-		switch {
-		case line.Telemetry != nil:
-			if fn != nil {
-				if err := fn(*line.Telemetry); err != nil {
-					return "", err
-				}
-			}
-		case line.Done:
-			if line.State == StateFailed && line.Err != "" {
-				return line.State, fmt.Errorf("jobd: job %s failed: %s", id, line.Err)
-			}
-			return line.State, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("jobd: telemetry stream for %s ended without a terminal line", id)
+	return readStream(ctx, c, telemetryStream, id, fn)
 }
 
-// Trace follows the job's NDJSON lifecycle-trace stream, calling fn per
-// recorded span, and returns the job's terminal state. A client attaching
-// mid-job first replays the server's buffered span log, then follows live
-// until the job finishes (cancel via ctx). Spans the bounded log evicted
-// before this client attached are simply absent; Seq gaps reveal the loss.
+// Trace follows the job's lifecycle-trace stream, calling fn per recorded
+// span from the oldest the server still buffers; Seq gaps reveal evicted
+// spans.
 func (c *Client) Trace(ctx context.Context, id string, fn func(TraceSpan) error) (State, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Server+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return "", err
-	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return "", apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var line struct {
-			Span  *TraceSpan `json:"span"`
-			Done  bool       `json:"done"`
-			State State      `json:"state"`
-			Err   string     `json:"err"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return "", fmt.Errorf("jobd: corrupt trace line: %w", err)
-		}
-		switch {
-		case line.Span != nil:
-			if fn != nil {
-				if err := fn(*line.Span); err != nil {
-					return "", err
-				}
-			}
-		case line.Done:
-			if line.State == StateFailed && line.Err != "" {
-				return line.State, fmt.Errorf("jobd: job %s failed: %s", id, line.Err)
-			}
-			return line.State, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("jobd: trace stream for %s ended without a terminal line", id)
+	return readStream(ctx, c, traceStream, id, fn)
 }

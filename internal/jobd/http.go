@@ -1,6 +1,6 @@
 // HTTP/JSON front door for the job platform. Deliberately plain net/http:
-// bearer-token tenant auth, JSON request/response bodies, NDJSON result
-// streaming, and a Prometheus-style text /metrics. The route set:
+// bearer-token tenant auth, JSON request/response bodies, NDJSON job
+// streams (stream.go), and a Prometheus-style text /metrics. The route set:
 //
 //	POST   /v1/jobs                submit (201; 400/401/429 on rejection)
 //	GET    /v1/jobs                list the tenant's jobs
@@ -21,9 +21,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/sweepd"
 )
 
 // maxSubmitBytes bounds one submission body; a thousand-point sweep is
@@ -35,23 +32,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// streamEnd is the final NDJSON line of a results or telemetry stream.
-type streamEnd struct {
-	Done  bool   `json:"done"`
-	State State  `json:"state"`
-	Err   string `json:"err,omitempty"`
-}
-
-// telemetryLine is one NDJSON line of a telemetry stream.
-type telemetryLine struct {
-	Telemetry *core.IntervalSnapshot `json:"telemetry"`
-}
-
-// traceLine is one NDJSON line of a lifecycle trace stream.
-type traceLine struct {
-	Span *TraceSpan `json:"span"`
-}
-
 // Handler returns the platform's HTTP front door.
 func (p *Platform) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -60,9 +40,9 @@ func (p *Platform) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", p.withTenant(p.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs", p.withTenant(p.handleList))
 	mux.HandleFunc("GET /v1/jobs/{id}", p.withTenant(p.handleStatus))
-	mux.HandleFunc("GET /v1/jobs/{id}/results", p.withTenant(p.handleResults))
-	mux.HandleFunc("GET /v1/jobs/{id}/telemetry", p.withTenant(p.handleTelemetry))
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", p.withTenant(p.handleTrace))
+	mux.HandleFunc("GET /v1/jobs/{id}/"+resultStream.path, p.withTenant(serveStream(p, resultStream)))
+	mux.HandleFunc("GET /v1/jobs/{id}/"+telemetryStream.path, p.withTenant(serveStream(p, telemetryStream)))
+	mux.HandleFunc("GET /v1/jobs/{id}/"+traceStream.path, p.withTenant(serveStream(p, traceStream)))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", p.withTenant(p.handleCancel))
 	return mux
 }
@@ -169,98 +149,6 @@ func (p *Platform) handleCancel(w http.ResponseWriter, r *http.Request, tenant s
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleResults streams the job's results as NDJSON — one WireResult line
-// per completed point in completion order, flushed as they land, then a
-// terminal {"done":true,...} line. A client connecting mid-job first
-// catches up, then follows.
-func (p *Platform) handleResults(w http.ResponseWriter, r *http.Request, tenant string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	wrote := false
-	state, errStr, err := p.StreamResults(r.Context(), tenant, r.PathValue("id"),
-		func(wr *sweepd.WireResult) error {
-			if err := enc.Encode(resultLine{Result: wr}); err != nil {
-				return err
-			}
-			wrote = true
-			return rc.Flush()
-		})
-	if err != nil {
-		if !wrote && errors.Is(err, ErrUnknownJob) {
-			writePlatformError(w, err)
-		}
-		// Mid-stream failure (client went away, platform closing): the
-		// stream just ends without its terminal line, which tells the
-		// client it must reconnect.
-		return
-	}
-	enc.Encode(streamEnd{Done: true, State: state, Err: errStr})
-	rc.Flush()
-}
-
-// handleTelemetry streams the job's live interval snapshots as NDJSON —
-// one {"telemetry":{...}} line per snapshot, flushed as they land, then a
-// terminal {"done":true,...} line. A client connecting mid-job first
-// replays the buffered ring, then follows live; a client too slow to keep
-// up loses wrapped-past snapshots (counted in /metrics) rather than ever
-// stalling the simulation.
-func (p *Platform) handleTelemetry(w http.ResponseWriter, r *http.Request, tenant string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	wrote := false
-	state, errStr, err := p.StreamTelemetry(r.Context(), tenant, r.PathValue("id"),
-		func(snap core.IntervalSnapshot) error {
-			if err := enc.Encode(telemetryLine{Telemetry: &snap}); err != nil {
-				return err
-			}
-			wrote = true
-			return rc.Flush()
-		})
-	if err != nil {
-		if !wrote && errors.Is(err, ErrUnknownJob) {
-			writePlatformError(w, err)
-		}
-		// Mid-stream failure: the stream ends without its terminal line,
-		// telling the client it must reconnect.
-		return
-	}
-	enc.Encode(streamEnd{Done: true, State: state, Err: errStr})
-	rc.Flush()
-}
-
-// handleTrace streams the job's lifecycle spans as NDJSON — one
-// {"span":{...}} line per recorded event, flushed as they land, then a
-// terminal {"done":true,...} line. Same auth and ownership rules as the
-// result stream; same catch-up-then-follow contract as telemetry. Traces
-// are ephemeral: spans evicted from the bounded per-job log (or lost to a
-// restart) are absent, and Seq gaps reveal it.
-func (p *Platform) handleTrace(w http.ResponseWriter, r *http.Request, tenant string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	wrote := false
-	state, errStr, err := p.StreamTrace(r.Context(), tenant, r.PathValue("id"),
-		func(s TraceSpan) error {
-			if err := enc.Encode(traceLine{Span: &s}); err != nil {
-				return err
-			}
-			wrote = true
-			return rc.Flush()
-		})
-	if err != nil {
-		if !wrote && errors.Is(err, ErrUnknownJob) {
-			writePlatformError(w, err)
-		}
-		// Mid-stream failure: the stream ends without its terminal line,
-		// telling the client it must reconnect.
-		return
-	}
-	enc.Encode(streamEnd{Done: true, State: state, Err: errStr})
-	rc.Flush()
 }
 
 func (p *Platform) handleHealthz(w http.ResponseWriter, r *http.Request) {

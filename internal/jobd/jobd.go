@@ -170,7 +170,7 @@ type Options struct {
 	// TelemetryEvery is the cadence (major cycles) at which running jobs'
 	// engines emit live interval snapshots (0 = core.DefaultObserverInterval).
 	// Snapshots are ephemeral — buffered in a per-job ring for watchers
-	// (StreamTelemetry, GET /v1/jobs/{id}/telemetry), never journaled.
+	// (GET /v1/jobs/{id}/telemetry), never journaled.
 	TelemetryEvery uint64
 	// TelemetryRing is the per-job snapshot ring capacity
 	// (0 = DefaultTelemetryRing). Watchers slower than the emission rate
@@ -303,26 +303,20 @@ type job struct {
 	groups    []*groupState
 	groupOf   map[int]*groupState // point index -> owning group
 
-	state          State
-	err            string
-	results        []*sweepd.WireResult
-	completedOrder []int
-	completed      int
-	ckpts          *sweepd.CheckpointStore
+	state     State
+	err       string
+	results   []*sweepd.WireResult
+	completed int
+	ckpts     *sweepd.CheckpointStore
 
-	// telRing holds the job's most recent interval snapshots, oldest
-	// first, capped at Options.TelemetryRing; telSeq counts every snapshot
-	// ever appended, so telSeq-len(telRing) is the ring's oldest retained
-	// global sequence number. Guarded by the platform mutex.
-	telRing []core.IntervalSnapshot
-	telSeq  uint64
-
-	// spans is the job's bounded lifecycle span log (trace.go), same ring
-	// discipline as telRing. ckptSeen marks points whose first checkpoint
-	// receipt was already recorded, firstDispatch/firstResult gate the
-	// one-shot latency observations. Guarded by the platform mutex.
-	spans         []TraceSpan
-	spanSeq       uint64
+	// The job's streams (stream.go): results in completion order, the
+	// most recent interval snapshots and the lifecycle span log (trace.go).
+	// ckptSeen marks points whose first checkpoint receipt was already
+	// recorded, firstDispatch/firstResult gate the one-shot latency
+	// observations. Guarded by the platform mutex.
+	resultLog     seqLog[*sweepd.WireResult]
+	telemetry     seqLog[core.IntervalSnapshot]
+	spans         seqLog[TraceSpan]
 	ckptSeen      map[int]bool
 	firstDispatch time.Time
 	firstResult   bool
@@ -372,10 +366,12 @@ type Platform struct {
 	recoveredCkpts  int
 	rejected        uint64
 
-	telemetrySnaps   uint64
-	telemetryDropped uint64
-	telemetryClients int
+	// watchers counts the readers attached to each stream and missed the
+	// entries readers lost to eviction, keyed by stream path (stream.go).
+	watchers map[string]int
+	missed   map[string]uint64
 
+	telemetrySnaps  uint64
 	traceSpansTotal uint64
 	traceDropped    uint64
 
@@ -407,22 +403,30 @@ func New(opts Options) (*Platform, error) {
 	if opts.TelemetryRing <= 0 {
 		opts.TelemetryRing = DefaultTelemetryRing
 	}
+	if opts.TraceSpans <= 0 {
+		opts.TraceSpans = DefaultTraceSpans
+	}
+	if opts.TelemetryEvery == 0 {
+		opts.TelemetryEvery = core.DefaultObserverInterval
+	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Platform{
-		opts:    opts,
-		ctx:     ctx,
-		cancel:  cancel,
-		kick:    make(chan struct{}, 1),
-		jobs:    make(map[string]*job),
-		tenants: make(map[string]*tenantState),
-		tokens:  make(map[string]string),
-		workers: make(map[sweepd.Worker]*workerState),
-		reg:     reg,
-		metrics: RegisterMetrics(reg),
+		opts:     opts,
+		ctx:      ctx,
+		cancel:   cancel,
+		kick:     make(chan struct{}, 1),
+		jobs:     make(map[string]*job),
+		tenants:  make(map[string]*tenantState),
+		tokens:   make(map[string]string),
+		workers:  make(map[sweepd.Worker]*workerState),
+		watchers: make(map[string]int),
+		missed:   make(map[string]uint64),
+		reg:      reg,
+		metrics:  RegisterMetrics(reg),
 	}
 	p.auth = len(opts.Tenants) > 0
 	for _, t := range opts.Tenants {
@@ -564,7 +568,7 @@ func (p *Platform) materialize(req SubmitRequest) (*sweepd.WireJob, *sweepd.Job,
 	sj.CheckpointBudget = p.opts.CheckpointBudget
 	// The platform, not the submission, owns the telemetry cadence: every
 	// admitted job streams at the same interval into its bounded ring.
-	sj.TelemetryEvery = p.telemetryEvery()
+	sj.TelemetryEvery = p.opts.TelemetryEvery
 	return wj, sj, nil
 }
 
@@ -644,10 +648,12 @@ func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, sub
 	j := &job{
 		id: id, tenant: tenant, priority: priority, seq: seq, submitted: submitted,
 		wire: wj, sj: sj,
-		state:   StateQueued,
-		results: make([]*sweepd.WireResult, len(sj.Points)),
-		ckpts:   sweepd.NewCheckpointStore(p.opts.CheckpointBudget),
-		ctx:     jctx, cancel: jcancel,
+		state:     StateQueued,
+		results:   make([]*sweepd.WireResult, len(sj.Points)),
+		ckpts:     sweepd.NewCheckpointStore(p.opts.CheckpointBudget),
+		telemetry: seqLog[core.IntervalSnapshot]{max: p.opts.TelemetryRing},
+		spans:     seqLog[TraceSpan]{max: p.opts.TraceSpans},
+		ctx:       jctx, cancel: jcancel,
 		done:     make(chan struct{}),
 		change:   make(chan struct{}),
 		groupOf:  make(map[int]*groupState, len(sj.Points)),
@@ -768,8 +774,8 @@ func (p *Platform) Snapshot() Metrics {
 		RecoveredCkpts:   p.recoveredCkpts,
 		Rejected:         p.rejected,
 		TelemetrySnaps:   p.telemetrySnaps,
-		TelemetryDropped: p.telemetryDropped,
-		TelemetryClients: p.telemetryClients,
+		TelemetryDropped: p.missed[telemetryStream.path],
+		TelemetryClients: p.watchers[telemetryStream.path],
 		TraceSpans:       p.traceSpansTotal,
 		TraceDropped:     p.traceDropped,
 	}
@@ -796,49 +802,6 @@ func (p *Platform) Snapshot() Metrics {
 		}
 	}
 	return m
-}
-
-// StreamResults calls fn once per completed point, in completion order,
-// blocking for new results until the job reaches a terminal state (which it
-// returns with the job's error string). fn runs without the platform lock;
-// its error aborts the stream.
-func (p *Platform) StreamResults(ctx context.Context, tenant, id string, fn func(*sweepd.WireResult) error) (State, string, error) {
-	p.mu.Lock()
-	j := p.lookupLocked(tenant, id)
-	p.mu.Unlock()
-	if j == nil {
-		return "", "", ErrUnknownJob
-	}
-	sent := 0
-	for {
-		p.mu.Lock()
-		batch := make([]*sweepd.WireResult, 0, len(j.completedOrder)-sent)
-		for _, idx := range j.completedOrder[sent:] {
-			batch = append(batch, j.results[idx])
-		}
-		sent += len(batch)
-		state, errStr := j.state, j.err
-		change := j.change
-		p.mu.Unlock()
-		for _, wr := range batch {
-			if err := fn(wr); err != nil {
-				return state, errStr, err
-			}
-		}
-		// state and completedOrder were snapshotted under one lock: a
-		// terminal state means the order was final, so the batch above was
-		// the last of it.
-		if state.Terminal() {
-			return state, errStr, nil
-		}
-		select {
-		case <-ctx.Done():
-			return state, errStr, ctx.Err()
-		case <-p.ctx.Done():
-			return state, errStr, ErrClosed
-		case <-change:
-		}
-	}
 }
 
 // broadcastLocked wakes every waiter watching the job.
@@ -1109,7 +1072,7 @@ func (p *Platform) onResult(j *job, gs *groupState, worker string, pr sweepd.Poi
 		wr.Res = sweepd.WireRunResultOf(pr.Result.Res)
 	}
 	j.results[idx] = wr
-	j.completedOrder = append(j.completedOrder, idx)
+	j.resultLog.append(wr)
 	j.completed++
 	j.ckpts.Drop(idx)
 	p.spanLocked(j, TraceSpan{Event: SpanPointDone, Point: idx, Worker: worker, Detail: wr.Err})
@@ -1214,7 +1177,7 @@ func (p *Platform) recover() error {
 			continue
 		}
 		sj.CheckpointBudget = p.opts.CheckpointBudget
-		sj.TelemetryEvery = p.telemetryEvery()
+		sj.TelemetryEvery = p.opts.TelemetryEvery
 		j := p.newJobLocked(rec.spec.ID, rec.spec.Tenant, rec.spec.Priority,
 			rec.spec.Seq, rec.spec.Submitted, rec.spec.Job, sj)
 		for _, wr := range rec.results {
@@ -1224,7 +1187,7 @@ func (p *Platform) recover() error {
 			gs := j.groupOf[wr.Index]
 			gs.done[wr.Index] = true
 			j.results[wr.Index] = wr
-			j.completedOrder = append(j.completedOrder, wr.Index)
+			j.resultLog.append(wr)
 			j.completed++
 		}
 		p.registerLocked(j)

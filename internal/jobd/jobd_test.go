@@ -402,7 +402,7 @@ func TestCrashRecoveryResumesMidRun(t *testing.T) {
 	var wrs []*sweepd.WireResult
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	state, errStr, err := p2.StreamResults(ctx, "alice", st.ID, func(wr *sweepd.WireResult) error {
+	state, errStr, err := follow(ctx, p2, resultStream, "alice", st.ID, func(wr *sweepd.WireResult) error {
 		wrs = append(wrs, wr)
 		return nil
 	})

@@ -197,7 +197,7 @@ func TestTelemetrySlowClientDrops(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		p.StreamTelemetry(ctx, "default", st.ID, func(s core.IntervalSnapshot) error {
+		follow(ctx, p, telemetryStream, "default", st.ID, func(s core.IntervalSnapshot) error {
 			mu.Lock()
 			fast = append(fast, s.Seq)
 			mu.Unlock()
@@ -206,7 +206,7 @@ func TestTelemetrySlowClientDrops(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		p.StreamTelemetry(ctx, "default", st.ID, func(s core.IntervalSnapshot) error {
+		follow(ctx, p, telemetryStream, "default", st.ID, func(s core.IntervalSnapshot) error {
 			mu.Lock()
 			slow = append(slow, s.Seq)
 			first := !blocked

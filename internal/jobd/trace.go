@@ -12,12 +12,11 @@
 // Like telemetry they are ephemeral: never journaled, bounded per job
 // (oldest spans drop when the log wraps, counted in Metrics.TraceDropped),
 // and a recovered job's trace restarts at its "recovered" span. Watchers
-// stream them via StreamTrace / GET /v1/jobs/{id}/trace with the same
-// catch-up-then-follow contract as results and telemetry.
+// stream them via GET /v1/jobs/{id}/trace, one of the job streams
+// (stream.go) alongside results and telemetry.
 package jobd
 
 import (
-	"context"
 	"encoding/json"
 	"time"
 )
@@ -75,27 +74,14 @@ type TraceSpan struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// traceSpans returns the effective per-job span log capacity.
-func (p *Platform) traceSpans() int {
-	if p.opts.TraceSpans > 0 {
-		return p.opts.TraceSpans
-	}
-	return DefaultTraceSpans
-}
-
 // spanLocked stamps and appends one span to the job's log, evicting the
 // oldest past the cap, and wakes stream waiters. Callers hold p.mu.
 func (p *Platform) spanLocked(j *job, s TraceSpan) {
 	now := time.Now()
-	j.spanSeq++
-	s.Seq = j.spanSeq
+	s.Seq = j.spans.end + 1
 	s.Time = now
 	s.ElapsedMS = float64(now.Sub(j.submitted)) / float64(time.Millisecond)
-	j.spans = append(j.spans, s)
-	if over := len(j.spans) - p.traceSpans(); over > 0 {
-		j.spans = append(j.spans[:0], j.spans[over:]...)
-		p.traceDropped += uint64(over)
-	}
+	p.traceDropped += uint64(j.spans.append(s))
 	p.traceSpansTotal++
 	p.broadcastLocked(j)
 }
@@ -112,51 +98,4 @@ func checkpointCycles(data []byte) uint64 {
 		return 0
 	}
 	return v.Counters.Cycles
-}
-
-// StreamTrace calls fn for every lifecycle span the job records, starting
-// from the oldest span still buffered (a late joiner replays the log, then
-// follows live), until the job reaches a terminal state (which it returns
-// with the job's error string). fn runs without the platform lock; its
-// error aborts the stream. Spans the bounded log evicted before this
-// client read them are absent; Seq gaps reveal the loss.
-func (p *Platform) StreamTrace(ctx context.Context, tenant, id string, fn func(TraceSpan) error) (State, string, error) {
-	p.mu.Lock()
-	j := p.lookupLocked(tenant, id)
-	if j == nil {
-		p.mu.Unlock()
-		return "", "", ErrUnknownJob
-	}
-	next := j.spanSeq - uint64(len(j.spans))
-	p.mu.Unlock()
-	for {
-		p.mu.Lock()
-		start := j.spanSeq - uint64(len(j.spans))
-		if next < start {
-			next = start
-		}
-		batch := append([]TraceSpan(nil), j.spans[next-start:]...)
-		next = j.spanSeq
-		state, errStr := j.state, j.err
-		change := j.change
-		p.mu.Unlock()
-		for _, s := range batch {
-			if err := fn(s); err != nil {
-				return state, errStr, err
-			}
-		}
-		// state and the span log were snapshotted under one lock: the
-		// terminal span records before the state flips, so a terminal state
-		// means the batch above ended with it.
-		if state.Terminal() {
-			return state, errStr, nil
-		}
-		select {
-		case <-ctx.Done():
-			return state, errStr, ctx.Err()
-		case <-p.ctx.Done():
-			return state, errStr, ErrClosed
-		case <-change:
-		}
-	}
 }

@@ -5,7 +5,7 @@ import "fmt"
 // The five SPECINT CPU2000 stand-ins of the paper's evaluation. Each profile
 // encodes the benchmark's timing-relevant character; the kernel weights were
 // calibrated so the resulting IPC ordering and rough magnitudes match the
-// ones implied by the paper's Table 1 (see DESIGN.md and EXPERIMENTS.md):
+// ones implied by the paper's Table 1:
 //
 //   - 4-wide, perfect memory, 2-level BP: bzip2 highest IPC (~2.3), vortex
 //     and gzip close (~1.95), then vpr, parser lowest (~1.65).

@@ -4,7 +4,7 @@
 // so each profile builds a real program for the internal ISA out of kernels
 // that reproduce the benchmark's timing-relevant character — instruction
 // mix, exploitable ILP, branch predictability, call depth, memory footprint
-// and access pattern (see DESIGN.md, substitutions). The functional
+// and access pattern. The functional
 // simulator executes these programs to produce ReSim traces, so the branch
 // predictor, caches, LSQ and reorder buffer all see realistic, correlated
 // dynamic streams rather than i.i.d. synthetic records.

@@ -34,14 +34,10 @@
 //
 // The cmd/resim, cmd/tracegen, cmd/resim-bench and cmd/resimd tools and
 // the examples/ directory exercise this API; internal packages carry the
-// implementation. The pre-Session free functions (SimulateWorkload,
-// RunSweep, ...) remain as deprecated wrappers over a Session.
+// implementation.
 package resim
 
 import (
-	"context"
-	"io"
-
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -152,9 +148,9 @@ func NewL1Cache(cfg CacheConfig) (CacheModel, error) {
 // budget, no spill) is not what you want.
 func NewTraceCache(cfg TraceCacheConfig) *TraceCache { return tracecache.New(cfg) }
 
-// SharedTraceCache returns the process-wide trace cache every Session (and
-// the deprecated free functions) uses by default, so mixed old- and
-// new-style callers in one process share one set of generated traces.
+// SharedTraceCache returns the process-wide trace cache every Session uses
+// by default, so all sessions in one process share one set of generated
+// traces.
 func SharedTraceCache() *TraceCache { return tracecache.Shared() }
 
 // Workloads returns the five SPECINT CPU2000 stand-in profiles in Table 1
@@ -179,70 +175,6 @@ type traceSink interface {
 	Records() uint64
 	BitsWritten() uint64
 	BitsPerRecord() float64
-}
-
-// sessionFor wraps an already-composed configuration for the deprecated
-// free functions, validating it the way New does.
-func sessionFor(cfg Config) (*Session, error) { return New(WithConfig(cfg)) }
-
-// SimulateWorkload generates the named workload's trace on the fly and
-// simulates up to limit correct-path instructions through the engine.
-//
-// Deprecated: use New and (*Session).RunWorkload, which add cancellation
-// and progress observation.
-func SimulateWorkload(cfg Config, name string, limit uint64) (Result, error) {
-	s, err := sessionFor(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunWorkload(context.Background(), name, limit)
-}
-
-// Simulate runs the engine over an arbitrary record source starting at
-// startPC.
-//
-// Deprecated: use New and (*Session).RunSource.
-func Simulate(cfg Config, src Source, startPC uint32) (Result, error) {
-	s, err := sessionFor(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunSource(context.Background(), src, startPC)
-}
-
-// WriteWorkloadTrace generates a ReSim trace for the named workload into w
-// (container format: header + bit-packed B/M/O records). The predictor
-// configuration of cfg drives wrong-path block generation, mirroring
-// sim-bpred.
-//
-// Deprecated: use New and (*Session).WriteTrace.
-func WriteWorkloadTrace(w io.Writer, cfg Config, name string, limit uint64) (TraceStats, error) {
-	// Historical behavior: only the trace-generation fields of cfg are
-	// consumed; engine-side fields are not validated. Routed through the
-	// shared trace cache so mixed old/new callers never double-generate.
-	return writeTrace(context.Background(), w, tracecache.Shared(), cfg.TraceConfig(), name, limit, false)
-}
-
-// WriteCompressedWorkloadTrace is WriteWorkloadTrace with the delta-coded
-// container (see internal/trace): typically ~1.4x smaller, bringing the
-// paper's trace-bandwidth demand under gigabit Ethernet.
-//
-// Deprecated: use New and (*Session).WriteTrace with compress = true.
-func WriteCompressedWorkloadTrace(w io.Writer, cfg Config, name string, limit uint64) (TraceStats, error) {
-	return writeTrace(context.Background(), w, tracecache.Shared(), cfg.TraceConfig(), name, limit, true)
-}
-
-// SimulateTraceFile opens a trace container previously produced by
-// WriteWorkloadTrace, WriteCompressedWorkloadTrace or cmd/tracegen — the
-// format is auto-detected — and simulates it.
-//
-// Deprecated: use New and (*Session).RunTrace.
-func SimulateTraceFile(cfg Config, path string) (Result, error) {
-	s, err := sessionFor(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunTrace(context.Background(), path)
 }
 
 // SimulationMIPS converts a result's IPC into modeled wall-clock simulation
@@ -279,20 +211,6 @@ func SweepGrid(prefix string, base Config, values []int, apply func(*Config, int
 	return sweep.Grid(prefix, base, values, apply)
 }
 
-// RunSweep simulates every design point over the named workload in parallel
-// across host cores; results come back in point order, deterministic
-// regardless of parallelism.
-//
-// Deprecated: use New and (*Session).Sweep, which add cancellation and
-// per-point progress observation.
-func RunSweep(workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
-	s, err := New()
-	if err != nil {
-		return nil, err
-	}
-	return s.Sweep(context.Background(), workloadName, instructions, points)
-}
-
 // MulticoreResult is the outcome of a lockstep multi-instance simulation.
 type MulticoreResult = multicore.Result
 
@@ -308,20 +226,6 @@ type MulticoreOptions struct {
 	SharedL2 *CacheConfig
 	// L1 is the private data-cache geometry used with SharedL2.
 	L1 *CacheConfig
-}
-
-// SimulateMulticore runs one ReSim instance per workload in lockstep major
-// cycles (§VI). Every core uses cfg (width, predictor, organization).
-// Unlike the historical implementation, cfg.MaxCycles now bounds the
-// lockstep run (previously it was silently ignored here).
-//
-// Deprecated: use New and (*Session).Multicore.
-func SimulateMulticore(cfg Config, opts MulticoreOptions) (MulticoreResult, error) {
-	s, err := sessionFor(cfg)
-	if err != nil {
-		return MulticoreResult{}, err
-	}
-	return s.Multicore(context.Background(), opts)
 }
 
 // AggregateMIPS models a lockstep cluster's simulation throughput on dev

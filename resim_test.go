@@ -1,6 +1,7 @@
 package resim_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,9 +10,20 @@ import (
 	resim "repro"
 )
 
+// mustSession builds a Session from opts, failing the test on a
+// validation error.
+func mustSession(tb testing.TB, opts ...resim.Option) *resim.Session {
+	tb.Helper()
+	ses, err := resim.New(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ses
+}
+
 func TestSimulateWorkloadQuickstart(t *testing.T) {
 	cfg := resim.DefaultConfig()
-	res, err := resim.SimulateWorkload(cfg, "gzip", 30_000)
+	res, err := mustSession(t, resim.WithConfig(cfg)).RunWorkload(context.Background(), "gzip", 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +45,7 @@ func TestSimulateWorkloadQuickstart(t *testing.T) {
 }
 
 func TestUnknownWorkloadRejected(t *testing.T) {
-	if _, err := resim.SimulateWorkload(resim.DefaultConfig(), "mcf", 1000); err == nil {
+	if _, err := mustSession(t).RunWorkload(context.Background(), "mcf", 1000); err == nil {
 		t.Error("unknown workload accepted")
 	}
 	if _, err := resim.WorkloadByName("nope"); err == nil {
@@ -54,13 +66,14 @@ func TestWorkloadsRoster(t *testing.T) {
 func TestTraceFileRoundTripThroughPublicAPI(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vpr.trace")
-	cfg := resim.DefaultConfig()
+	ses := mustSession(t)
+	ctx := context.Background()
 
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := resim.WriteWorkloadTrace(f, cfg, "vpr", 20_000)
+	st, err := ses.WriteTrace(ctx, f, "vpr", 20_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +88,11 @@ func TestTraceFileRoundTripThroughPublicAPI(t *testing.T) {
 	}
 
 	// Off-line simulation of the file must equal on-the-fly simulation.
-	offline, err := resim.SimulateTraceFile(cfg, path)
+	offline, err := ses.RunTrace(ctx, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := resim.SimulateWorkload(cfg, "vpr", 20_000)
+	online, err := ses.RunWorkload(ctx, "vpr", 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +104,8 @@ func TestTraceFileRoundTripThroughPublicAPI(t *testing.T) {
 
 func TestCompressedTraceFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := resim.DefaultConfig()
+	ses := mustSession(t)
+	ctx := context.Background()
 	rawPath := filepath.Join(dir, "raw.trace")
 	compPath := filepath.Join(dir, "comp.trace")
 
@@ -99,7 +113,7 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawStats, err := resim.WriteWorkloadTrace(fr, cfg, "gzip", 15_000)
+	rawStats, err := ses.WriteTrace(ctx, fr, "gzip", 15_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +122,7 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compStats, err := resim.WriteCompressedWorkloadTrace(fc, cfg, "gzip", 15_000)
+	compStats, err := ses.WriteTrace(ctx, fc, "gzip", 15_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +135,11 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 		t.Errorf("compression did not shrink the trace: %d >= %d bits", compStats.Bits, rawStats.Bits)
 	}
 	// Both containers simulate identically (format auto-detected).
-	a, err := resim.SimulateTraceFile(cfg, rawPath)
+	a, err := ses.RunTrace(ctx, rawPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := resim.SimulateTraceFile(cfg, compPath)
+	b, err := ses.RunTrace(ctx, compPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +158,7 @@ func TestCustomCacheConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.DCache = dl1
-	res, err := resim.SimulateWorkload(cfg, "parser", 20_000)
+	res, err := mustSession(t, resim.WithConfig(cfg)).RunWorkload(context.Background(), "parser", 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +197,9 @@ func TestRenderPipelinePublicAPI(t *testing.T) {
 
 func TestSimulateMulticoreFacade(t *testing.T) {
 	cfg := resim.DefaultConfig()
-	res, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	ses := mustSession(t, resim.WithConfig(cfg))
+	ctx := context.Background()
+	res, err := ses.Multicore(ctx, resim.MulticoreOptions{
 		Workloads: []string{"gzip", "vpr"},
 		Limit:     10_000,
 	})
@@ -200,7 +216,7 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 		t.Errorf("aggregate MIPS = %v", mips)
 	}
 	// Shared-L2 variant runs and interferes.
-	shared, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	shared, err := ses.Multicore(ctx, resim.MulticoreOptions{
 		Workloads: []string{"gzip", "bzip2"},
 		Limit:     10_000,
 		L1: &resim.CacheConfig{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
@@ -215,10 +231,10 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 		t.Error("shared-L2 cluster saw no D-cache traffic")
 	}
 	// Error paths.
-	if _, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{}); err == nil {
+	if _, err := ses.Multicore(ctx, resim.MulticoreOptions{}); err == nil {
 		t.Error("empty workload list accepted")
 	}
-	if _, err := resim.SimulateMulticore(cfg, resim.MulticoreOptions{
+	if _, err := ses.Multicore(ctx, resim.MulticoreOptions{
 		Workloads: []string{"gzip"},
 		SharedL2:  &resim.CacheConfig{Name: "l2", SizeBytes: 32 << 10, Assoc: 8, BlockBytes: 64, HitLatency: 6, MissLatency: 40},
 	}); err == nil {
@@ -227,7 +243,7 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 }
 
 func TestResultReport(t *testing.T) {
-	res, err := resim.SimulateWorkload(resim.DefaultConfig(), "bzip2", 10_000)
+	res, err := mustSession(t).RunWorkload(context.Background(), "bzip2", 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,27 +229,6 @@ func TestNilContextRunsLikeBackground(t *testing.T) {
 	}
 }
 
-// TestWrapperSessionEquivalence pins the deprecated free functions to the
-// Session they delegate to: identical counters on a fixed workload.
-func TestWrapperSessionEquivalence(t *testing.T) {
-	cfg := resim.DefaultConfig()
-	old, err := resim.SimulateWorkload(cfg, "gzip", 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := resim.New(resim.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := ses.RunWorkload(context.Background(), "gzip", 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Counters != now.Counters {
-		t.Errorf("wrapper and Session results differ:\nold %+v\nnew %+v", old.Counters, now.Counters)
-	}
-}
-
 func TestRunWorkloadCancellation(t *testing.T) {
 	ses, err := resim.New()
 	if err != nil {
@@ -861,33 +840,5 @@ func TestSweepThroughSessionSharesCache(t *testing.T) {
 	}
 	if priv.Generations() != 1 {
 		t.Errorf("generations = %d, want still 1 after second sweep", priv.Generations())
-	}
-}
-
-// TestDeprecatedWrappersShareProcessCache: old free-function callers and
-// Session callers meet in the process-wide cache, so mixed code never
-// double-generates. The wrapper run may itself hit an entry cached by an
-// earlier test (or a previous -count iteration), so the assertion is that
-// the session run adds no generation beyond the wrapper's, not an absolute
-// count.
-func TestDeprecatedWrappersShareProcessCache(t *testing.T) {
-	const limit = 7321
-	before := resim.SharedTraceCache().Generations()
-	if _, err := resim.SimulateWorkload(resim.DefaultConfig(), "gzip", limit); err != nil {
-		t.Fatal(err)
-	}
-	afterWrapper := resim.SharedTraceCache().Generations()
-	if d := afterWrapper - before; d > 1 {
-		t.Errorf("wrapper run generated %d traces, want at most 1", d)
-	}
-	ses, err := resim.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.RunWorkload(context.Background(), "gzip", limit); err != nil {
-		t.Fatal(err)
-	}
-	if got := resim.SharedTraceCache().Generations(); got != afterWrapper {
-		t.Errorf("session run after the wrapper added %d generations, want 0 (shared cache)", got-afterWrapper)
 	}
 }
