@@ -128,7 +128,7 @@ func main() {
 			Traces:          traces,
 			Observer:        progressLogger(*verbose, lg),
 			CheckpointEvery: *ckptEvery,
-			Logf:            lg.Component("worker").Logf,
+			Log:             lg.Component("worker"),
 		}, *retry, lg.Component("resimd"))
 	default:
 		fmt.Fprintln(os.Stderr, "resimd: -role must be coordinator or worker")
@@ -185,7 +185,7 @@ func runCoordinator(ctx context.Context, listen string, traces *tracecache.Cache
 	registry := obs.NewRegistry()
 	coord := sweepd.NewCoordinator()
 	coord.Traces = traces
-	coord.Logf = lg.Component("sweepd").Logf
+	coord.Log = lg.Component("sweepd")
 	coord.CheckpointBudget = ckptBudget
 	coord.Metrics = sweepd.RegisterCoordinatorMetrics(registry)
 	tracecache.RegisterMetrics(registry, traces)
@@ -219,7 +219,7 @@ func runCoordinator(ctx context.Context, listen string, traces *tracecache.Cache
 			CheckpointBudget:  ckptBudget,
 			TelemetryEvery:    jp.telemetryEvery,
 			TelemetryRing:     jp.telemetryRing,
-			Logf:              lg.Component("jobd").Logf,
+			Log:               lg.Component("jobd"),
 			Metrics:           registry,
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -53,6 +54,19 @@ func assembleJSON(t *testing.T, sj *sweepd.Job, wrs []*sweepd.WireResult) string
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// sweepResultsOf converts a completed job's wire results back to scheduler
+// results, for comparison against local sweep references.
+func sweepResultsOf(j *sweepd.Job, wrs []*sweepd.WireResult) ([]sweep.Result, error) {
+	out := make([]sweep.Result, len(wrs))
+	for i, wr := range wrs {
+		if wr == nil {
+			return nil, fmt.Errorf("jobd: point %d has no result", i)
+		}
+		out[i] = wr.Result(j.Points[i])
+	}
+	return out, nil
 }
 
 // streamAll streams a job to completion, collecting results by index.

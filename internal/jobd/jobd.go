@@ -43,7 +43,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/sweep"
 	"repro/internal/sweepd"
 	"repro/internal/workload"
 )
@@ -186,9 +185,8 @@ type Options struct {
 	// tracecache) to serve them all from one /metrics. nil gives the
 	// platform a private registry, so GET /metrics always works.
 	Metrics *obs.Registry
-	// Logf receives service log lines (key=value structured; see
-	// sweepd.KV). nil discards.
-	Logf func(format string, args ...any)
+	// Log receives service log events. nil discards.
+	Log *obs.Logger
 	// JournalSync makes every journal append and atomic rename fsync
 	// before reporting success (resimd -journal-sync): power-loss
 	// durability at a per-write latency cost. Off, the journal still
@@ -284,13 +282,6 @@ func (t *tenantState) weight() float64 {
 	return 1
 }
 
-// groupState tracks one key-group through dispatch, completion and requeue.
-type groupState struct {
-	g        sweepd.Group
-	done     map[int]bool
-	assigned bool
-}
-
 // job is one admitted job.
 type job struct {
 	id        string
@@ -300,14 +291,15 @@ type job struct {
 	submitted time.Time
 	wire      *sweepd.WireJob
 	sj        *sweepd.Job
-	groups    []*groupState
-	groupOf   map[int]*groupState // point index -> owning group
+	// ledger holds the job's group bookkeeping (which points have a result,
+	// resume checkpoints); assigned marks the groups a worker holds.
+	ledger   *sweepd.Ledger
+	assigned []bool
 
 	state     State
 	err       string
 	results   []*sweepd.WireResult
 	completed int
-	ckpts     *sweepd.CheckpointStore
 
 	// The job's streams (stream.go): results in completion order, the
 	// most recent interval snapshots and the lifecycle span log (trace.go).
@@ -397,9 +389,6 @@ func New(opts Options) (*Platform, error) {
 	if opts.SlotsPerWorker <= 0 {
 		opts.SlotsPerWorker = 1
 	}
-	if opts.CheckpointBudget == 0 {
-		opts.CheckpointBudget = sweepd.DefaultCheckpointBudget
-	}
 	if opts.TelemetryRing <= 0 {
 		opts.TelemetryRing = DefaultTelemetryRing
 	}
@@ -455,7 +444,7 @@ func New(opts Options) (*Platform, error) {
 		}
 		jn.sync = opts.JournalSync
 		jn.inj = opts.Faults
-		jn.log = func(line string) { p.logf(line) }
+		jn.log = opts.Log
 		p.jn = jn
 		if err := p.recover(); err != nil {
 			cancel()
@@ -491,12 +480,6 @@ func (p *Platform) Kick() {
 	select {
 	case p.kick <- struct{}{}:
 	default:
-	}
-}
-
-func (p *Platform) logf(line string) {
-	if p.opts.Logf != nil {
-		p.opts.Logf("%s", line)
 	}
 }
 
@@ -618,7 +601,7 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 	j := p.newJobLocked(id, tenant, req.Priority, p.seq, time.Now(), wj, sj)
 	p.spanLocked(j, TraceSpan{Event: SpanSubmit, State: StateQueued, Point: -1,
 		Points: len(sj.Points),
-		Detail: fmt.Sprintf("%s n=%d groups=%d", sj.Profile.Name, sj.Instructions, len(j.groups))})
+		Detail: fmt.Sprintf("%s n=%d groups=%d", sj.Profile.Name, sj.Instructions, len(j.assigned))})
 	if p.jn != nil {
 		if err := p.jn.writeSpec(&specRecord{ID: id, Tenant: tenant, Priority: req.Priority,
 			Seq: j.seq, Submitted: j.submitted, Job: wj}); err != nil {
@@ -635,9 +618,9 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 	st := p.statusLocked(j, true)
 	p.mu.Unlock()
 
-	p.logf(sweepd.KV("jobd.job_submitted", "job", id, "tenant", tenant,
-		"priority", req.Priority, "points", len(sj.Points), "groups", len(j.groups),
-		"workload", sj.Profile.Name, "instructions", sj.Instructions))
+	p.opts.Log.Event("jobd.job_submitted", "job", id, "tenant", tenant,
+		"priority", req.Priority, "points", len(sj.Points), "groups", len(j.assigned),
+		"workload", sj.Profile.Name, "instructions", sj.Instructions)
 	p.Kick()
 	return st, nil
 }
@@ -645,28 +628,21 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 // newJobLocked builds the in-memory job structure (not yet registered).
 func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, submitted time.Time, wj *sweepd.WireJob, sj *sweepd.Job) *job {
 	jctx, jcancel := context.WithCancel(p.ctx)
-	j := &job{
+	ledger := sweepd.NewLedger(sj)
+	return &job{
 		id: id, tenant: tenant, priority: priority, seq: seq, submitted: submitted,
 		wire: wj, sj: sj,
+		ledger:    ledger,
+		assigned:  make([]bool, len(ledger.Groups())),
 		state:     StateQueued,
 		results:   make([]*sweepd.WireResult, len(sj.Points)),
-		ckpts:     sweepd.NewCheckpointStore(p.opts.CheckpointBudget),
 		telemetry: seqLog[core.IntervalSnapshot]{max: p.opts.TelemetryRing},
 		spans:     seqLog[TraceSpan]{max: p.opts.TraceSpans},
 		ctx:       jctx, cancel: jcancel,
 		done:     make(chan struct{}),
 		change:   make(chan struct{}),
-		groupOf:  make(map[int]*groupState, len(sj.Points)),
 		ckptSeen: make(map[int]bool),
 	}
-	for _, g := range sj.Groups() {
-		gs := &groupState{g: g, done: make(map[int]bool, len(g.Indices))}
-		j.groups = append(j.groups, gs)
-		for _, idx := range g.Indices {
-			j.groupOf[idx] = gs
-		}
-	}
-	return j
 }
 
 func (p *Platform) registerLocked(j *job) {
@@ -833,12 +809,12 @@ func (p *Platform) finalizeLocked(j *job, to State, errStr string) {
 	p.broadcastLocked(j)
 	if p.jn != nil {
 		if err := p.jn.appendLine(j.id, resultLine{Terminal: to, Err: errStr}); err != nil {
-			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "terminal", "err", err))
+			p.opts.Log.Event("jobd.journal_error", "job", j.id, "op", "terminal", "err", err)
 		}
 		p.jn.clearCheckpoints(j.id)
 	}
-	p.logf(sweepd.KV("jobd.job_finished", "job", j.id, "tenant", j.tenant,
-		"state", to, "completed", j.completed, "total", len(j.sj.Points), "err", errStr))
+	p.opts.Log.Event("jobd.job_finished", "job", j.id, "tenant", j.tenant,
+		"state", to, "completed", j.completed, "total", len(j.sj.Points), "err", errStr)
 }
 
 // --- dispatcher -------------------------------------------------------------
@@ -870,11 +846,11 @@ func (p *Platform) dispatch() {
 		if w == nil {
 			return
 		}
-		j, gs := p.pickGroupLocked()
+		j, g := p.pickGroupLocked()
 		if j == nil {
 			return
 		}
-		p.startGroupLocked(j, gs, w, ws)
+		p.startGroupLocked(j, g, w, ws)
 	}
 }
 
@@ -921,10 +897,11 @@ func (p *Platform) pickWorkerLocked() (sweepd.Worker, *workerState) {
 // pickGroupLocked selects the next group to dispatch: highest job priority
 // first; within a priority, the tenant with the lowest virtual time
 // (weighted fair share); within a tenant, oldest submission; within a job,
-// first dispatchable group. Returns nil when nothing is dispatchable.
-func (p *Platform) pickGroupLocked() (*job, *groupState) {
+// first dispatchable group. Returns a nil job when nothing is
+// dispatchable.
+func (p *Platform) pickGroupLocked() (*job, int) {
 	var bestJob *job
-	var bestGS *groupState
+	var bestG int
 	var bestT *tenantState
 	for _, j := range p.order {
 		if j.state != StateQueued && j.state != StateRunning {
@@ -933,22 +910,22 @@ func (p *Platform) pickGroupLocked() (*job, *groupState) {
 		if j.ctx.Err() != nil {
 			continue
 		}
-		var gs *groupState
-		for _, g := range j.groups {
-			if !g.assigned && len(g.done) < len(g.g.Indices) {
-				gs = g
+		g := -1
+		for i, assigned := range j.assigned {
+			if !assigned && j.ledger.Left(i) > 0 {
+				g = i
 				break
 			}
 		}
-		if gs == nil {
+		if g < 0 {
 			continue
 		}
 		t := p.tenantLocked(j.tenant)
 		if bestJob == nil || betterCandidate(j, t, bestJob, bestT) {
-			bestJob, bestGS, bestT = j, gs, t
+			bestJob, bestG, bestT = j, g, t
 		}
 	}
-	return bestJob, bestGS
+	return bestJob, bestG
 }
 
 // betterCandidate reports whether (a, ta) should dispatch before (b, tb).
@@ -962,9 +939,10 @@ func betterCandidate(a *job, ta *tenantState, b *job, tb *tenantState) bool {
 	return a.seq < b.seq
 }
 
-// startGroupLocked assigns gs to w and launches the run goroutine.
-func (p *Platform) startGroupLocked(j *job, gs *groupState, w sweepd.Worker, ws *workerState) {
-	gs.assigned = true
+// startGroupLocked assigns group g of j to w and launches the run
+// goroutine.
+func (p *Platform) startGroupLocked(j *job, g int, w sweepd.Worker, ws *workerState) {
+	j.assigned[g] = true
 	ws.busy++
 	t := p.tenantLocked(j.tenant)
 	if j.state == StateQueued {
@@ -988,51 +966,31 @@ func (p *Platform) startGroupLocked(j *job, gs *groupState, w sweepd.Worker, ws 
 	t.vtime = start + 1/t.weight()
 	p.vclock = start
 
-	rem := remainingLocked(gs)
-	gr := sweepd.GroupRun{
-		Indices:     rem,
-		Checkpoints: make(map[int][]byte),
-		OnCheckpoint: func(index int, data []byte) {
-			p.onCheckpoint(j, index, data)
-		},
-		OnTelemetry: func(index int, snap core.IntervalSnapshot) {
-			p.onTelemetry(j, index, snap)
-		},
-	}
+	gr := j.ledger.Assign(g)
+	gr.OnCheckpoint = func(index int, data []byte) { p.onCheckpoint(j, index, data) }
+	gr.OnTelemetry = func(index int, snap core.IntervalSnapshot) { p.onTelemetry(j, index, snap) }
+	key := j.ledger.Groups()[g].KeyID
 	wl := workerLabel(w)
 	p.spanLocked(j, TraceSpan{Event: SpanDispatch, State: j.state, Point: -1,
-		Group: gs.g.KeyID, Worker: wl, Points: len(rem)})
-	resume := 0
-	for _, i := range rem {
-		if data := j.ckpts.Get(i); len(data) > 0 {
-			gr.Checkpoints[i] = data
-			resume++
+		Group: key, Worker: wl, Points: len(gr.Indices)})
+	for _, i := range gr.Indices {
+		if data, ok := gr.Checkpoints[i]; ok {
 			p.spanLocked(j, TraceSpan{Event: SpanResume, Point: i,
-				Group: gs.g.KeyID, Worker: wl, Cycle: checkpointCycles(data)})
+				Group: key, Worker: wl, Cycle: checkpointCycles(data)})
 		}
 	}
-	p.resumePoints += uint64(resume)
-	p.logf(sweepd.KV("jobd.group_dispatched", "job", j.id, "tenant", j.tenant,
-		"group", gs.g.KeyID, "points", len(rem), "resume_points", resume,
-		"worker", wl))
+	p.resumePoints += uint64(len(gr.Checkpoints))
+	p.opts.Log.Event("jobd.group_dispatched", "job", j.id, "tenant", j.tenant,
+		"group", key, "points", len(gr.Indices), "resume_points", len(gr.Checkpoints),
+		"worker", wl)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		err := w.RunGroup(j.ctx, j.sj, gr, func(pr sweepd.PointResult) {
-			p.onResult(j, gs, wl, pr)
+			p.onResult(j, wl, pr)
 		})
-		p.groupDone(j, gs, w, err)
+		p.groupDone(j, g, w, err)
 	}()
-}
-
-func remainingLocked(gs *groupState) []int {
-	rem := make([]int, 0, len(gs.g.Indices)-len(gs.done))
-	for _, i := range gs.g.Indices {
-		if !gs.done[i] {
-			rem = append(rem, i)
-		}
-	}
-	return rem
 }
 
 // workerLabel renders a worker identity for logs.
@@ -1043,21 +1001,16 @@ func workerLabel(w sweepd.Worker) string {
 	return fmt.Sprintf("%T(%p)", w, w)
 }
 
-// onResult records one completed point: in memory, in the journal, and to
-// every stream waiter. Duplicates (a requeued group rerunning a point whose
-// result was lost in flight) drop — engines are deterministic, first write
-// wins. worker attributes the result's origin in the job's trace.
-func (p *Platform) onResult(j *job, gs *groupState, worker string, pr sweepd.PointResult) {
+// onResult records one completed point the ledger accepted: in memory, in
+// the journal, and to every stream waiter. worker attributes the result's
+// origin in the job's trace.
+func (p *Platform) onResult(j *job, worker string, pr sweepd.PointResult) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idx := pr.Index
-	if j.state.Terminal() || j.ctx.Err() != nil {
+	if j.state.Terminal() || j.ctx.Err() != nil || !j.ledger.Record(idx) {
 		return
 	}
-	if idx < 0 || idx >= len(j.results) || j.results[idx] != nil || gs.done[idx] {
-		return
-	}
-	gs.done[idx] = true
 	if !j.firstResult {
 		j.firstResult = true
 		p.spanLocked(j, TraceSpan{Event: SpanFirstResult, Point: idx, Worker: worker})
@@ -1065,39 +1018,31 @@ func (p *Platform) onResult(j *job, gs *groupState, worker string, pr sweepd.Poi
 			p.metrics.FirstResult.With(j.tenant).Observe(time.Since(j.firstDispatch).Seconds())
 		}
 	}
-	wr := &sweepd.WireResult{Index: idx, Name: pr.Result.Point.Name}
-	if pr.Result.Err != nil {
-		wr.Err = pr.Result.Err.Error()
-	} else {
-		wr.Res = sweepd.WireRunResultOf(pr.Result.Res)
-	}
+	wr := sweepd.WireResultOf(idx, pr.Result)
 	j.results[idx] = wr
 	j.resultLog.append(wr)
 	j.completed++
-	j.ckpts.Drop(idx)
 	p.spanLocked(j, TraceSpan{Event: SpanPointDone, Point: idx, Worker: worker, Detail: wr.Err})
 	if p.jn != nil {
 		if err := p.jn.appendLine(j.id, resultLine{Result: wr}); err != nil {
 			// A result that failed to journal is still served from memory;
 			// after a crash the point reruns — deterministic, so recovery
 			// degrades to recomputation, never to a wrong or missing result.
-			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "result", "point", idx, "err", err))
+			p.opts.Log.Event("jobd.journal_error", "job", j.id, "op", "result", "point", idx, "err", err)
 		}
 		p.jn.dropCheckpoint(j.id, idx)
 	}
 	p.broadcastLocked(j)
 }
 
-// onCheckpoint retains a shipped checkpoint in the job's budgeted store and
-// persists it (latest-wins) for crash recovery.
+// onCheckpoint persists (latest-wins) a shipped checkpoint the job's
+// ledger retained, for crash recovery.
 func (p *Platform) onCheckpoint(j *job, index int, data []byte) {
 	p.mu.Lock()
-	if j.state.Terminal() || index < 0 || index >= len(j.results) ||
-		j.results[index] != nil || len(data) == 0 {
+	if j.state.Terminal() || !j.ledger.Checkpoint(index, data) {
 		p.mu.Unlock()
 		return
 	}
-	j.ckpts.Put(index, data)
 	if !j.ckptSeen[index] {
 		// One span per point, on its first checkpoint: the point now has
 		// resume state. Per-interval shipments stay quiet, like the logs.
@@ -1109,39 +1054,31 @@ func (p *Platform) onCheckpoint(j *job, index int, data []byte) {
 	p.mu.Unlock()
 	if p.jn != nil {
 		if err := p.jn.saveCheckpoint(j.id, index, data); err != nil {
-			p.logf(sweepd.KV("jobd.journal_error", "job", j.id, "op", "checkpoint", "point", index, "err", err))
+			p.opts.Log.Event("jobd.journal_error", "job", j.id, "op", "checkpoint", "point", index, "err", err)
 		}
 	}
 }
 
 // groupDone handles a RunGroup return: clean completion, worker death with
 // requeue, or cancellation.
-func (p *Platform) groupDone(j *job, gs *groupState, w sweepd.Worker, err error) {
+func (p *Platform) groupDone(j *job, g int, w sweepd.Worker, err error) {
 	p.mu.Lock()
 	if ws := p.workers[w]; ws != nil {
 		ws.busy--
 	}
-	gs.assigned = false
-	ctxErr := j.ctx.Err()
-	complete := len(gs.done) == len(gs.g.Indices)
-	if err == nil && !complete && ctxErr == nil {
-		// Same contract as the one-job scheduler: a worker either finishes
-		// its group or reports failure; silently returning early is death,
-		// so a buggy worker cannot requeue-loop forever.
-		err = errors.New("jobd: worker returned without completing its group")
-	}
-	if err != nil && ctxErr == nil {
+	j.assigned[g] = false
+	left, err := j.ledger.Returned(g, err)
+	if err != nil && j.ctx.Err() == nil {
 		if ws := p.workers[w]; ws != nil {
 			ws.dead = true
 		}
-		if !complete {
+		if left > 0 {
+			key := j.ledger.Groups()[g].KeyID
 			p.requeues++
 			p.spanLocked(j, TraceSpan{Event: SpanRequeue, Point: -1,
-				Group: gs.g.KeyID, Worker: workerLabel(w),
-				Points: len(gs.g.Indices) - len(gs.done), Detail: err.Error()})
-			p.logf(sweepd.KV("jobd.group_requeued", "job", j.id, "tenant", j.tenant,
-				"group", gs.g.KeyID, "remaining", len(gs.g.Indices)-len(gs.done),
-				"worker", workerLabel(w), "err", err))
+				Group: key, Worker: workerLabel(w), Points: left, Detail: err.Error()})
+			p.opts.Log.Event("jobd.group_requeued", "job", j.id, "tenant", j.tenant,
+				"group", key, "remaining", left, "worker", workerLabel(w), "err", err)
 		}
 	}
 	if !j.state.Terminal() && j.completed == len(j.sj.Points) {
@@ -1173,7 +1110,7 @@ func (p *Platform) recover() error {
 			// A journaled job this build cannot materialize (schema drift,
 			// hand-edited journal) is surfaced as failed, not silently
 			// dropped and not a crash loop.
-			p.logf(sweepd.KV("jobd.recover_failed", "job", rec.spec.ID, "err", err))
+			p.opts.Log.Event("jobd.recover_failed", "job", rec.spec.ID, "err", err)
 			continue
 		}
 		sj.CheckpointBudget = p.opts.CheckpointBudget
@@ -1181,11 +1118,9 @@ func (p *Platform) recover() error {
 		j := p.newJobLocked(rec.spec.ID, rec.spec.Tenant, rec.spec.Priority,
 			rec.spec.Seq, rec.spec.Submitted, rec.spec.Job, sj)
 		for _, wr := range rec.results {
-			if wr.Index < 0 || wr.Index >= len(j.results) || j.results[wr.Index] != nil {
+			if !j.ledger.Record(wr.Index) {
 				continue
 			}
-			gs := j.groupOf[wr.Index]
-			gs.done[wr.Index] = true
 			j.results[wr.Index] = wr
 			j.resultLog.append(wr)
 			j.completed++
@@ -1203,11 +1138,9 @@ func (p *Platform) recover() error {
 		p.recoveredJobs++
 		p.recoveredPoints += j.completed
 		for idx, data := range rec.ckpts {
-			if idx < 0 || idx >= len(j.results) || j.results[idx] != nil {
-				continue
+			if j.ledger.Checkpoint(idx, data) {
+				p.recoveredCkpts++
 			}
-			j.ckpts.Put(idx, data)
-			p.recoveredCkpts++
 		}
 		// The trace is ephemeral: a recovered job's span log restarts here,
 		// its pre-crash spans gone with the process that recorded them.
@@ -1219,27 +1152,9 @@ func (p *Platform) recover() error {
 			p.finalizeLocked(j, StateDone, "")
 			continue
 		}
-		p.logf(sweepd.KV("jobd.job_recovered", "job", j.id, "tenant", j.tenant,
+		p.opts.Log.Event("jobd.job_recovered", "job", j.id, "tenant", j.tenant,
 			"completed", j.completed, "total", len(j.sj.Points),
-			"checkpoints", len(rec.ckpts)))
+			"checkpoints", len(rec.ckpts))
 	}
 	return nil
-}
-
-// sweepResultsOf converts a completed job's wire results back to scheduler
-// results (tests compare them against local sweep references).
-func sweepResultsOf(j *sweepd.Job, wrs []*sweepd.WireResult) ([]sweep.Result, error) {
-	out := make([]sweep.Result, len(wrs))
-	for i, wr := range wrs {
-		if wr == nil {
-			return nil, fmt.Errorf("jobd: point %d has no result", i)
-		}
-		out[i] = sweep.Result{Point: j.Points[i]}
-		if wr.Err != "" {
-			out[i].Err = errors.New(wr.Err)
-		} else if wr.Res != nil {
-			out[i].Res = wr.Res.Result(j.Points[i].Config)
-		}
-	}
-	return out, nil
 }

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sweepd"
 )
 
@@ -95,9 +96,9 @@ type journal struct {
 	sync bool
 	// inj, when non-nil, arms the journal's fault-injection sites.
 	inj *faults.Injector
-	// log, when non-nil, receives one preformatted line per tolerated
-	// recovery blemish.
-	log func(line string)
+	// log, when non-nil, receives one event per tolerated recovery
+	// blemish.
+	log *obs.Logger
 
 	// Recovery degradation tallies, written while load replays the
 	// directory (single-threaded, before the platform serves) and read by
@@ -112,12 +113,6 @@ func openJournal(dir string) (*journal, error) {
 		return nil, fmt.Errorf("jobd: open journal: %w", err)
 	}
 	return &journal{dir: dir}, nil
-}
-
-func (jn *journal) logf(line string) {
-	if jn.log != nil {
-		jn.log(line)
-	}
 }
 
 func (jn *journal) jobDir(id string) string { return filepath.Join(jn.dir, id) }
@@ -284,7 +279,7 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 		for _, e := range ents {
 			if strings.HasPrefix(e.Name(), ".tmp-") {
 				jn.degraded++
-				jn.logf(sweepd.KV("jobd.journal_degraded", "job", id, "reason", "tmp_leftover", "name", e.Name()))
+				jn.log.Event("jobd.journal_degraded", "job", id, "reason", "tmp_leftover", "name", e.Name())
 				os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
@@ -319,8 +314,8 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 		}
 		if good < len(data) {
 			jn.tornTails++
-			jn.logf(sweepd.KV("jobd.journal_torn_tail", "job", id,
-				"kept_bytes", good, "dropped_bytes", len(data)-good))
+			jn.log.Event("jobd.journal_torn_tail", "job", id,
+				"kept_bytes", good, "dropped_bytes", len(data)-good)
 			os.Truncate(file, int64(good))
 		}
 	}
@@ -336,7 +331,7 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 				idx, err := strconv.Atoi(ce.Name())
 				if err != nil {
 					jn.degraded++
-					jn.logf(sweepd.KV("jobd.journal_degraded", "job", id, "reason", "foreign_ckpt", "name", ce.Name()))
+					jn.log.Event("jobd.journal_degraded", "job", id, "reason", "foreign_ckpt", "name", ce.Name())
 					if strings.HasPrefix(ce.Name(), ".tmp-") {
 						os.Remove(filepath.Join(ckdir, ce.Name()))
 					}
@@ -348,7 +343,7 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 				}
 				if len(data) == 0 {
 					jn.degraded++
-					jn.logf(sweepd.KV("jobd.journal_degraded", "job", id, "reason", "empty_ckpt", "point", idx))
+					jn.log.Event("jobd.journal_degraded", "job", id, "reason", "empty_ckpt", "point", idx)
 					continue
 				}
 				rec.ckpts[idx] = data
@@ -376,7 +371,7 @@ func (jn *journal) decodeResultLine(id string, raw []byte) (resultLine, bool) {
 	}
 	if crc32.Checksum(env.Line, crcTable) != env.CRC {
 		jn.crcErrors++
-		jn.logf(sweepd.KV("jobd.journal_crc_error", "job", id, "bytes", len(raw)))
+		jn.log.Event("jobd.journal_crc_error", "job", id, "bytes", len(raw))
 		return line, false
 	}
 	if err := json.Unmarshal(env.Line, &line); err != nil {

@@ -64,7 +64,7 @@ func TestStreamWireFormat(t *testing.T) {
 			j := p.jobs[st.ID]
 			p.mu.Unlock()
 			p.onTelemetry(j, 0, core.IntervalSnapshot{Seq: 0, StartCycle: 0, EndCycle: 100})
-			p.onResult(j, j.groupOf[0], "w0", sweepd.PointResult{Index: 0,
+			p.onResult(j, "w0", sweepd.PointResult{Index: 0,
 				Result: sweep.Result{Point: j.sj.Points[0], Err: errors.New("boom")}})
 			p.mu.Lock()
 			p.finalizeLocked(j, tc.state, tc.errStr)

@@ -20,14 +20,12 @@ const DefaultTelemetryRing = 256
 
 // onTelemetry is the GroupRun sink for one job: it stamps the job-wide
 // point index, appends the snapshot to the job's telemetry stream (evicting
-// the oldest when full) and wakes stream waiters. Snapshots for points that
-// already have a result are duplicates from a requeued group rerunning
-// finished work and drop here, exactly like duplicate results.
+// the oldest when full) and wakes stream waiters. Snapshots for points the
+// ledger already holds a result for drop here, like duplicate results.
 func (p *Platform) onTelemetry(j *job, index int, snap core.IntervalSnapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if j.state.Terminal() || j.ctx.Err() != nil ||
-		index < 0 || index >= len(j.results) || j.results[index] != nil {
+	if j.state.Terminal() || j.ctx.Err() != nil || !j.ledger.Pending(index) {
 		return
 	}
 	snap.Core = index

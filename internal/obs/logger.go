@@ -1,22 +1,18 @@
-// Structured logging for the service stack. The layers (coordinator,
-// workers, job platform) expose one hook — Logf(format, args ...any) — and
-// render their events through KV, so every line is already
-// "event key=value ...". Logger bridges that to log/slog without changing a
-// single call site: Logf re-parses the KV rendering into slog attributes,
-// so `resimd -log-format json` emits real structured records while tests
-// and embedders keep plugging plain printf-style functions.
+// Structured logging for the service stack. Every layer (coordinator,
+// workers, job platform) takes a Log *Logger and reports events through
+// Event(name, key, value, ...): the event name becomes the record's message
+// and the pairs its typed attributes, so `resimd -log-format json` emits
+// numbers as numbers. A nil *Logger discards, so wiring is optional at
+// every layer.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
-	"strings"
 )
 
-// Logger wraps a slog.Logger behind the stack's Logf hooks. A nil *Logger
-// discards everything, so wiring is optional at every layer.
+// Logger wraps a slog.Logger. A nil *Logger discards everything.
 type Logger struct {
 	s *slog.Logger
 }
@@ -50,15 +46,6 @@ func (l *Logger) Component(name string) *Logger {
 	return &Logger{s: l.s.With("component", name)}
 }
 
-// With returns a derived logger with extra key-value attributes (per-job,
-// per-tenant).
-func (l *Logger) With(kvs ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(kvs...)}
-}
-
 // Event logs one structured event at info level.
 func (l *Logger) Event(event string, kvs ...any) {
 	if l == nil {
@@ -73,114 +60,4 @@ func (l *Logger) Warn(event string, kvs ...any) {
 		return
 	}
 	l.s.Warn(event, kvs...)
-}
-
-// Logf is the printf-compatible bridge the layers' Logf hooks plug into.
-// A message that renders as a KV line (see KV) is decomposed back into a
-// structured record — event name as the message, fields as attributes;
-// anything else logs as a plain message. Safe on a nil Logger.
-func (l *Logger) Logf(format string, args ...any) {
-	if l == nil {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	if event, attrs, ok := ParseKV(msg); ok {
-		l.s.Info(event, attrs...)
-		return
-	}
-	l.s.Info(msg)
-}
-
-// ParseKV parses a KV-rendered line back into its event name and
-// alternating key/value pairs (values unquoted). ok is false when the line
-// is not a well-formed KV rendering — no event token, or a field without
-// '=' — in which case the line should be logged as-is.
-func ParseKV(line string) (event string, kvs []any, ok bool) {
-	fields, ok := splitKVFields(line)
-	if !ok || len(fields) == 0 || strings.Contains(fields[0], "=") {
-		return "", nil, false
-	}
-	event = fields[0]
-	for _, f := range fields[1:] {
-		k, v, found := strings.Cut(f, "=")
-		if !found || k == "" {
-			return "", nil, false
-		}
-		if len(v) >= 2 && v[0] == '"' {
-			if uq, err := strconv.Unquote(v); err == nil {
-				v = uq
-			}
-		}
-		kvs = append(kvs, k, v)
-	}
-	return event, kvs, true
-}
-
-// splitKVFields splits on spaces, keeping quoted segments (as produced by
-// KV's %q quoting) intact. ok is false on an unterminated quote.
-func splitKVFields(line string) ([]string, bool) {
-	var fields []string
-	var b strings.Builder
-	inQuote := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case inQuote:
-			b.WriteByte(c)
-			if c == '\\' && i+1 < len(line) {
-				i++
-				b.WriteByte(line[i])
-			} else if c == '"' {
-				inQuote = false
-			}
-		case c == '"':
-			b.WriteByte(c)
-			inQuote = true
-		case c == ' ':
-			if b.Len() > 0 {
-				fields = append(fields, b.String())
-				b.Reset()
-			}
-		default:
-			b.WriteByte(c)
-		}
-	}
-	if inQuote {
-		return nil, false
-	}
-	if b.Len() > 0 {
-		fields = append(fields, b.String())
-	}
-	return fields, true
-}
-
-// KV renders a structured service log line: the event name followed by
-// key=value fields, e.g.
-//
-//	KV("sweepd.worker_registered", "worker", name, "addr", addr)
-//	  -> `sweepd.worker_registered worker=w1 addr=127.0.0.1:42`
-//
-// Values whose rendering contains whitespace or quotes (error messages,
-// names with spaces) are quoted so every line stays machine-splittable on
-// spaces — and so ParseKV can losslessly decompose the line back into slog
-// attributes. A trailing odd key is rendered as key=? rather than dropped,
-// so a buggy call site still logs its event.
-func KV(event string, kvs ...any) string {
-	var b strings.Builder
-	b.WriteString(event)
-	for i := 0; i < len(kvs); i += 2 {
-		b.WriteByte(' ')
-		fmt.Fprintf(&b, "%v", kvs[i])
-		b.WriteByte('=')
-		if i+1 >= len(kvs) {
-			b.WriteByte('?')
-			continue
-		}
-		v := fmt.Sprintf("%v", kvs[i+1])
-		if strings.ContainsAny(v, " \t\n\"") {
-			v = fmt.Sprintf("%q", v)
-		}
-		b.WriteString(v)
-	}
-	return b.String()
 }

@@ -2,19 +2,19 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
 
-func TestLoggerJSONDecomposesKV(t *testing.T) {
+func TestLoggerJSONTypedAttrs(t *testing.T) {
 	var b strings.Builder
 	lg, err := NewLogger(&b, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl := lg.Component("jobd")
-	jl.Logf("%s", KV("jobd.job_submitted", "job", "j01", "tenant", "alice",
-		"err", "boom: worker died"))
+	lg.Component("jobd").Event("jobd.job_submitted", "job", "j01", "points", 4,
+		"err", errors.New("boom: worker died"))
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &rec); err != nil {
 		t.Fatalf("not one JSON record: %v\n%s", err, b.String())
@@ -25,23 +25,24 @@ func TestLoggerJSONDecomposesKV(t *testing.T) {
 	if rec["component"] != "jobd" {
 		t.Errorf("component = %v", rec["component"])
 	}
-	if rec["job"] != "j01" || rec["tenant"] != "alice" {
-		t.Errorf("attrs not decomposed: %v", rec)
+	if rec["job"] != "j01" || rec["points"] != float64(4) {
+		t.Errorf("attrs not typed: %v", rec)
 	}
 	if rec["err"] != "boom: worker died" {
-		t.Errorf("quoted value not unquoted: %q", rec["err"])
+		t.Errorf("error value = %q, want its message", rec["err"])
 	}
 }
 
 func TestLoggerTextFallback(t *testing.T) {
+	// The empty format falls back to text.
 	var b strings.Builder
-	lg, err := NewLogger(&b, "text")
+	lg, err := NewLogger(&b, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Logf("plain %s message with = signs a=b", "prose")
-	if !strings.Contains(b.String(), "plain prose message") {
-		t.Errorf("plain message lost: %s", b.String())
+	lg.Event("sweepd.worker_gone", "worker", "w1", "err", "read tcp: connection reset")
+	if !strings.Contains(b.String(), `msg=sweepd.worker_gone worker=w1 err="read tcp: connection reset"`) {
+		t.Errorf("text record = %s", b.String())
 	}
 }
 
@@ -51,39 +52,11 @@ func TestNewLoggerUnknownFormat(t *testing.T) {
 	}
 }
 
-func TestParseKV(t *testing.T) {
-	event, kvs, ok := ParseKV(`sweepd.worker_gone worker=w1 err="read tcp: connection reset"`)
-	if !ok || event != "sweepd.worker_gone" {
-		t.Fatalf("parse failed: %v %q", ok, event)
-	}
-	if len(kvs) != 4 || kvs[0] != "worker" || kvs[1] != "w1" ||
-		kvs[2] != "err" || kvs[3] != "read tcp: connection reset" {
-		t.Errorf("kvs = %v", kvs)
-	}
-	for _, bad := range []string{"", "a=b first", "event key-without-value", `event k="unterminated`} {
-		if _, _, ok := ParseKV(bad); ok {
-			t.Errorf("ParseKV(%q) accepted", bad)
-		}
-	}
-}
-
-func TestKVRoundTrip(t *testing.T) {
-	line := KV("ev", "k", `value with "quotes" and spaces`, "n", 42)
-	event, kvs, ok := ParseKV(line)
-	if !ok || event != "ev" {
-		t.Fatalf("round trip failed on %q", line)
-	}
-	if kvs[1] != `value with "quotes" and spaces` || kvs[3] != "42" {
-		t.Errorf("round trip mangled values: %v", kvs)
-	}
-}
-
 func TestNilLogger(t *testing.T) {
 	var lg *Logger
-	lg.Logf("x")
 	lg.Event("e", "k", "v")
 	lg.Warn("w")
-	if lg.Component("c") != nil || lg.With("k", "v") != nil {
+	if lg.Component("c") != nil {
 		t.Error("derived loggers from nil should stay nil")
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the service stack's observability layer: a stdlib-only
 // metrics registry with Prometheus text exposition, structured logging on
-// log/slog behind the Logf hooks the layers already expose, and pprof
-// mounting for the daemon's HTTP server.
+// log/slog (each layer's Log field), and pprof mounting for the daemon's
+// HTTP server.
 //
 // The registry holds labeled families of counters, gauges and fixed-bucket
 // histograms. Every family carries mandatory HELP text and a TYPE, so the

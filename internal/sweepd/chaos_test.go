@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,17 +137,16 @@ func TestChaosHungWorkerResumesFromCheckpoint(t *testing.T) {
 	var once sync.Once
 	var logMu sync.Mutex
 	var hbDeaths, resumes []string
-	coord.Logf = func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		if strings.Contains(line, "sweepd.checkpoint_received") && strings.Contains(line, "worker=victim") {
+	coord.Log = recordLog(func(event string, attrs map[string]string) {
+		if event == "sweepd.checkpoint_received" && attrs["worker"] == "victim" {
 			once.Do(func() { close(ckptSeen) })
 		}
-		if strings.Contains(line, "sweepd.worker_heartbeat_timeout") {
+		if event == "sweepd.worker_heartbeat_timeout" {
 			logMu.Lock()
-			hbDeaths = append(hbDeaths, line)
+			hbDeaths = append(hbDeaths, fmt.Sprint(event, attrs))
 			logMu.Unlock()
 		}
-	}
+	})
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +158,13 @@ func TestChaosHungWorkerResumesFromCheckpoint(t *testing.T) {
 	go sweepd.Work(wctx, addr, sweepd.WorkerOptions{ //nolint:errcheck
 		Name:            "survivor",
 		CheckpointEvery: 2048,
-		Logf: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			if strings.Contains(line, "sweepd.point_resumed") {
+		Log: recordLog(func(event string, attrs map[string]string) {
+			if event == "sweepd.point_resumed" {
 				logMu.Lock()
-				resumes = append(resumes, line)
+				resumes = append(resumes, fmt.Sprint(event, attrs))
 				logMu.Unlock()
 			}
-		},
+		}),
 	})
 	go sweepd.Work(wctx, addr, sweepd.WorkerOptions{ //nolint:errcheck
 		Name: "victim", CheckpointEvery: 2048, Faults: inj,

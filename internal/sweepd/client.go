@@ -2,7 +2,6 @@ package sweepd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 
@@ -106,16 +105,11 @@ func RunRemote(ctx context.Context, addr string, job *Job, obs core.Observer) ([
 			if r == nil || r.Index < 0 || r.Index >= len(results) {
 				continue
 			}
-			res := sweep.Result{Point: job.Points[r.Index]}
-			switch {
-			case r.Err != "":
-				res.Err = errors.New(r.Err)
-			case r.Res != nil:
-				cfg, err := configFor(r.Index)
-				if err != nil {
+			res := r.Result(job.Points[r.Index])
+			if r.Err == "" && r.Res != nil {
+				if res.Res.Config, err = configFor(r.Index); err != nil {
 					return nil, fmt.Errorf("sweepd: reconstruct point %d: %w", r.Index, err)
 				}
-				res.Res = r.Res.Result(cfg)
 			}
 			if !got[r.Index] {
 				got[r.Index] = true

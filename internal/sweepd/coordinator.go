@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/sweep"
+	"repro/internal/obs"
 	"repro/internal/tracecache"
 )
 
@@ -31,8 +31,8 @@ type Coordinator struct {
 	// assigned worker as delta-compressed containers, so the worker seeds
 	// its cache instead of regenerating.
 	Traces *tracecache.Cache
-	// Logf, when non-nil, receives service log lines.
-	Logf func(format string, args ...any)
+	// Log, when non-nil, receives service log events.
+	Log *obs.Logger
 	// CheckpointBudget caps the resume-checkpoint bytes the scheduler
 	// retains per job (see Job.CheckpointBudget): 0 applies
 	// DefaultCheckpointBudget, negative disables the cap.
@@ -83,12 +83,6 @@ func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		workers: make(map[*remoteWorker]struct{}),
 		conns:   make(map[net.Conn]struct{}),
-	}
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
 	}
 }
 
@@ -243,9 +237,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			c.Metrics.handshakeTimeout()
-			c.logf("%s", KV("sweepd.handshake_timeout", "addr", conn.RemoteAddr(), "timeout", c.hsTimeout()))
+			c.Log.Event("sweepd.handshake_timeout", "addr", conn.RemoteAddr().String(), "timeout", c.hsTimeout())
 		} else {
-			c.logf("%s", KV("sweepd.handshake_failed", "addr", conn.RemoteAddr(), "err", err))
+			c.Log.Event("sweepd.handshake_failed", "addr", conn.RemoteAddr().String(), "err", err)
 		}
 		return
 	}
@@ -277,7 +271,7 @@ func (c *Coordinator) serveWorker(w *wire, name string) {
 	c.workers[rw] = struct{}{}
 	c.mu.Unlock()
 	c.Metrics.workerConnected()
-	c.logf("%s", KV("sweepd.worker_registered", "worker", name, "addr", w.conn.RemoteAddr()))
+	c.Log.Event("sweepd.worker_registered", "worker", name, "addr", w.conn.RemoteAddr().String())
 	c.workersChanged()
 	err := rw.readLoop()
 	c.mu.Lock()
@@ -290,11 +284,11 @@ func (c *Coordinator) serveWorker(w *wire, name string) {
 		// pending call, so the scheduler requeues the groups from their
 		// latest checkpoints), but counted and logged distinctly.
 		c.Metrics.heartbeatTimeout()
-		c.logf("%s", KV("sweepd.worker_heartbeat_timeout", "worker", name, "timeout", c.hbTimeout()))
+		c.Log.Event("sweepd.worker_heartbeat_timeout", "worker", name, "timeout", c.hbTimeout())
 	}
 	rw.fail(err)
 	c.Metrics.workerGone()
-	c.logf("%s", KV("sweepd.worker_gone", "worker", name, "err", err))
+	c.Log.Event("sweepd.worker_gone", "worker", name, "err", err)
 	c.workersChanged()
 }
 
@@ -379,15 +373,11 @@ func (c *Coordinator) serveClient(w *wire) {
 		fail(errors.New("sweepd: no workers registered"))
 		return
 	}
-	c.logf("%s", KV("sweepd.job_start", "points", len(job.Points), "workers", len(workers),
-		"workload", job.Profile.Name, "instructions", job.Instructions))
+	c.Log.Event("sweepd.job_start", "points", len(job.Points), "workers", len(workers),
+		"workload", job.Profile.Name, "instructions", job.Instructions)
 	emit := func(pr PointResult, done, total int) {
-		wr := &WireResult{Index: pr.Index, Name: pr.Result.Name, Done: done, Total: total}
-		if pr.Result.Err != nil {
-			wr.Err = pr.Result.Err.Error()
-		} else {
-			wr.Res = WireRunResultOf(pr.Result.Res)
-		}
+		wr := WireResultOf(pr.Index, pr.Result)
+		wr.Done, wr.Total = done, total
 		if err := w.send(&Message{Type: msgResult, Result: wr}); err != nil {
 			cancel() // client gone; stop burning worker time
 		}
@@ -504,7 +494,7 @@ func (rw *remoteWorker) assignment(id uint64, job *Job, gr GroupRun) (*Assignmen
 		if ok, err := tc.ExportContainer(key, &buf); ok && err == nil {
 			asg.Trace = buf.Bytes()
 			rw.c.Metrics.traceShipped(buf.Len())
-			rw.c.logf("%s", KV("sweepd.trace_shipped", "key", asg.KeyID, "bytes", buf.Len(), "worker", rw.name))
+			rw.c.Log.Event("sweepd.trace_shipped", "key", asg.KeyID, "bytes", buf.Len(), "worker", rw.name)
 		}
 	}
 	return asg, nil
@@ -529,13 +519,7 @@ func (rw *remoteWorker) readLoop() error {
 			if call == nil || r.Index < 0 || r.Index >= len(call.job.Points) {
 				continue // late result for a finished/cancelled call
 			}
-			res := sweep.Result{Point: call.job.Points[r.Index]}
-			if r.Err != "" {
-				res.Err = errors.New(r.Err)
-			} else if r.Res != nil {
-				res.Res = r.Res.Result(call.job.Points[r.Index].Config)
-			}
-			call.emit(PointResult{Index: r.Index, Result: res})
+			call.emit(PointResult{Index: r.Index, Result: r.Result(call.job.Points[r.Index])})
 		case msgCheckpoint:
 			ck := m.Checkpoint
 			if ck == nil {
@@ -555,7 +539,7 @@ func (rw *remoteWorker) readLoop() error {
 			if first {
 				// One line per point, on its first shipment: the point now
 				// has resume state. Per-interval shipments stay quiet.
-				rw.c.logf("%s", KV("sweepd.checkpoint_received", "point", ck.Index, "bytes", len(ck.Data), "worker", rw.name))
+				rw.c.Log.Event("sweepd.checkpoint_received", "point", ck.Index, "bytes", len(ck.Data), "worker", rw.name)
 			}
 			call.onCkpt(ck.Index, ck.Data)
 		case msgTelemetry:

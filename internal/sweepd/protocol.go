@@ -333,6 +333,29 @@ type WireResult struct {
 	Total int            `json:"total,omitempty"`
 }
 
+// WireResultOf is the wire form of point index's result.
+func WireResultOf(index int, res sweep.Result) *WireResult {
+	wr := &WireResult{Index: index, Name: res.Name}
+	if res.Err != nil {
+		wr.Err = res.Err.Error()
+	} else {
+		wr.Res = WireRunResultOf(res.Res)
+	}
+	return wr
+}
+
+// Result rebuilds the scheduler result for pt, the point the result
+// belongs to; the engine result takes pt's configuration.
+func (r *WireResult) Result(pt sweep.Point) sweep.Result {
+	res := sweep.Result{Point: pt}
+	if r.Err != "" {
+		res.Err = errors.New(r.Err)
+	} else if r.Res != nil {
+		res.Res = r.Res.Result(pt.Config)
+	}
+	return res
+}
+
 // GroupEnd closes one assignment. A non-empty Err means the worker could
 // not finish the group (shutdown mid-run); the coordinator requeues the
 // remainder elsewhere.

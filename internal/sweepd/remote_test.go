@@ -291,12 +291,11 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 	var ckptOnce sync.Once
 	var logMu sync.Mutex
 	var resumeLines []string
-	coord.Logf = func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		if strings.Contains(line, "sweepd.checkpoint_received") && strings.Contains(line, "worker=victim") {
+	coord.Log = recordLog(func(event string, attrs map[string]string) {
+		if event == "sweepd.checkpoint_received" && attrs["worker"] == "victim" {
 			ckptOnce.Do(func() { close(ckptSeen) })
 		}
-	}
+	})
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -309,14 +308,13 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 	go sweepd.Work(sctx, addr, sweepd.WorkerOptions{ //nolint:errcheck
 		Name:            "survivor",
 		CheckpointEvery: 2048,
-		Logf: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			if strings.Contains(line, "sweepd.point_resumed") {
+		Log: recordLog(func(event string, attrs map[string]string) {
+			if event == "sweepd.point_resumed" {
 				logMu.Lock()
-				resumeLines = append(resumeLines, line)
+				resumeLines = append(resumeLines, fmt.Sprint(event, attrs))
 				logMu.Unlock()
 			}
-		},
+		}),
 	})
 	// Victim: dies once the coordinator holds one of its checkpoints.
 	vctx, killVictim := context.WithCancel(context.Background())

@@ -2,13 +2,14 @@ package sweepd_test
 
 import (
 	"context"
+	"log/slog"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sweepd"
 )
 
@@ -28,16 +29,14 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	var once, hsOnce sync.Once
 	coord := sweepd.NewCoordinator()
 	coord.HandshakeTimeout = 150 * time.Millisecond
-	coord.Logf = func(format string, args ...any) {
-		if strings.Contains(format, "sweepd.job_start") ||
-			(len(args) > 0 && containsAny(args, "sweepd.job_start")) {
+	coord.Log = recordLog(func(event string, _ map[string]string) {
+		if event == "sweepd.job_start" {
 			once.Do(func() { close(started) })
 		}
-		if strings.Contains(format, "sweepd.handshake_timeout") ||
-			(len(args) > 0 && containsAny(args, "sweepd.handshake_timeout")) {
+		if event == "sweepd.handshake_timeout" {
 			hsOnce.Do(func() { close(hsTimedOut) })
 		}
-	}
+	})
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +122,25 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	}
 }
 
-func containsAny(args []any, sub string) bool {
-	for _, a := range args {
-		if s, ok := a.(string); ok && strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
+// recordLog returns a logger handing fn every event with its attributes
+// rendered as strings — how tests wait on what a layer logs.
+func recordLog(fn func(event string, attrs map[string]string)) *obs.Logger {
+	return obs.NewSlogLogger(slog.New(recordHandler(fn)))
 }
+
+type recordHandler func(event string, attrs map[string]string)
+
+func (recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h recordHandler) Handle(_ context.Context, r slog.Record) error {
+	attrs := make(map[string]string, r.NumAttrs())
+	r.Attrs(func(a slog.Attr) bool {
+		attrs[a.Key] = a.Value.String()
+		return true
+	})
+	h(r.Message, attrs)
+	return nil
+}
+
+func (h recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h recordHandler) WithGroup(string) slog.Handler      { return h }

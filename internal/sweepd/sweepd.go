@@ -145,20 +145,10 @@ type Worker interface {
 	RunGroup(ctx context.Context, job *Job, gr GroupRun, emit func(PointResult)) error
 }
 
-// groupState tracks one group through assignment, partial completion and
-// requeue. A group is owned by at most one worker at a time (it is either
-// queued or held), so the done map and the job-wide checkpoint store are
-// the only shared state, guarded by the scheduler mutex.
-type groupState struct {
-	g    Group
-	done map[int]bool
-}
-
 // CheckpointStore retains the latest shipped resume checkpoint per
-// unfinished point of one job, under a total byte budget. The scheduler
-// keeps one per Run; the job platform (internal/jobd) keeps one per admitted
-// job, so the store carries its own mutex — concurrent jobs' stores are
-// fully isolated, each enforcing only its own budget.
+// unfinished point of one job, under a total byte budget. Each job's
+// Ledger keeps one, so concurrent jobs' stores are fully isolated, each
+// enforcing only its own budget. It is safe for concurrent use.
 type CheckpointStore struct {
 	mu      sync.Mutex
 	budget  int64 // <= 0: unlimited
@@ -272,36 +262,30 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	groups := job.Groups()
+	l := NewLedger(job)
 	total := len(job.Points)
 	results := make([]sweep.Result, total)
-	budget := job.CheckpointBudget
-	if budget == 0 {
-		budget = DefaultCheckpointBudget
-	}
-	ckpts := NewCheckpointStore(budget)
 
 	// Each group is either in the queue or held by exactly one worker, so
 	// capacity len(groups) makes every requeue send non-blocking.
-	queue := make(chan *groupState, len(groups))
-	for _, g := range groups {
-		queue <- &groupState{g: g, done: make(map[int]bool, len(g.Indices))}
+	queue := make(chan int, len(l.Groups()))
+	for g := range l.Groups() {
+		queue <- g
 	}
 
 	var (
 		mu        sync.Mutex
 		completed int
-		open      = len(groups) // groups not yet fully completed
+		open      = len(l.Groups()) // groups not yet fully completed
 		live      = len(workers)
 		failErr   error
 	)
-	// finishGroupLocked marks gs fully done; the last group closes the queue
-	// so idle workers drain. Callers hold mu.
-	closeOnce := sync.Once{}
+	// finishGroupLocked marks one group fully done; the last group closes
+	// the queue so idle workers drain. Callers hold mu.
 	finishGroupLocked := func() {
 		open--
 		if open == 0 {
-			closeOnce.Do(func() { close(queue) })
+			close(queue)
 		}
 	}
 
@@ -311,83 +295,44 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 		go func(w Worker) {
 			defer wg.Done()
 			for {
-				var gs *groupState
+				var g int
 				var ok bool
 				select {
 				case <-runCtx.Done():
 					return
-				case gs, ok = <-queue:
+				case g, ok = <-queue:
 					if !ok {
 						return
 					}
 				}
-				mu.Lock()
-				gr := GroupRun{
-					Indices:     gs.remainingLocked(),
-					Checkpoints: make(map[int][]byte),
-					OnCheckpoint: func(index int, data []byte) {
-						mu.Lock()
-						defer mu.Unlock()
-						if index < 0 || index >= total || gs.done[index] || len(data) == 0 {
-							return
-						}
-						// Workers checkpoint each point monotonically, and a
-						// requeued owner resumes from the stored cycle, so the
-						// latest shipment is always the furthest along. The
-						// store caps total retained bytes job-wide, evicting
-						// other points' resume state first.
-						ckpts.Put(index, data)
-					},
-				}
+				gr := l.Assign(g)
+				gr.OnCheckpoint = func(index int, data []byte) { l.Checkpoint(index, data) }
 				if job.OnTelemetry != nil && job.TelemetryEvery > 0 {
 					gr.OnTelemetry = func(index int, snap core.IntervalSnapshot) {
-						mu.Lock()
-						stale := index < 0 || index >= total || gs.done[index]
-						mu.Unlock()
-						if stale {
-							return
+						// Forwarded outside every lock: telemetry fans out to
+						// consumers the scheduler must never block on.
+						if l.Pending(index) {
+							job.OnTelemetry(index, snap)
 						}
-						// Forward outside the scheduler lock: telemetry fans out
-						// to consumers the scheduler must never block on.
-						job.OnTelemetry(index, snap)
 					}
 				}
-				for _, i := range gr.Indices {
-					if data := ckpts.Get(i); len(data) > 0 {
-						gr.Checkpoints[i] = data
-					}
-				}
-				mu.Unlock()
-				err := w.RunGroup(runCtx, job, gr, func(pr PointResult) {
+				left, err := l.Returned(g, w.RunGroup(runCtx, job, gr, func(pr PointResult) {
 					mu.Lock()
 					defer mu.Unlock()
-					if pr.Index < 0 || pr.Index >= total || gs.done[pr.Index] {
-						// Out-of-range or duplicate (a requeued group rerunning
-						// a point whose result message was lost): results are
-						// deterministic, so first write wins and the rest drop.
+					if !l.Record(pr.Index) {
 						return
 					}
-					gs.done[pr.Index] = true
-					// The result landed: its resume checkpoint is garbage now.
-					ckpts.Drop(pr.Index)
 					results[pr.Index] = pr.Result
 					completed++
 					if emit != nil && runCtx.Err() == nil {
 						emit(pr, completed, total)
 					}
-				})
+				}))
 				mu.Lock()
-				finished := len(gs.done) == len(gs.g.Indices)
-				if err == nil && finished {
+				if err == nil {
 					finishGroupLocked()
 					mu.Unlock()
 					continue
-				}
-				if err == nil {
-					// A worker must either finish its group or report failure;
-					// returning early without doing so is treated as death so a
-					// buggy worker cannot requeue-loop forever.
-					err = errors.New("sweepd: worker returned without completing its group")
 				}
 				if runCtx.Err() != nil {
 					mu.Unlock()
@@ -396,7 +341,7 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 				// Worker died. Its finished results stand; the remainder is
 				// requeued for a surviving worker and this worker retires.
 				live--
-				if finished {
+				if left == 0 {
 					finishGroupLocked()
 					mu.Unlock()
 					return
@@ -410,7 +355,7 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 					return
 				}
 				mu.Unlock()
-				queue <- gs
+				queue <- g
 				return
 			}
 		}(w)
@@ -428,42 +373,95 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	return results, nil
 }
 
-// remainingLocked returns the group's not-yet-completed indices. Callers
-// hold the scheduler mutex.
-func (gs *groupState) remainingLocked() []int {
-	rem := make([]int, 0, len(gs.g.Indices)-len(gs.done))
-	for _, i := range gs.g.Indices {
-		if !gs.done[i] {
-			rem = append(rem, i)
-		}
-	}
-	return rem
+// groupHost is what a worker transport brings to runGroup: its engine
+// settings and the sinks for the group's output, keyed by job-wide point
+// index. The loopback worker calls the scheduler's hooks behind its kill
+// gate; the network worker sends frames on the wire.
+type groupHost struct {
+	parallelism     int
+	traces          *tracecache.Cache
+	disableCache    bool
+	checkpointEvery uint64
+	observer        core.Observer
+
+	// result never sees a point cut short by cancellation.
+	result func(index int, res sweep.Result)
+	// checkpoint and telemetry, when nil, switch capture off.
+	checkpoint func(index int, data []byte)
+	telemetry  func(index int, snap core.IntervalSnapshot)
+	// resumed fires once a shipped checkpoint restored; undecodable, when
+	// non-nil, observes one that did not decode (its point runs from
+	// cycle 0).
+	resumed     func(index int, cycles uint64)
+	undecodable func(index int, err error)
 }
 
-// decodeResume builds the group-local resume map both worker transports
-// hand to sweep.Runner: slot i of the assignment resumes from bytesFor(i)
-// when those bytes decode. Undecodable entries degrade to from-scratch runs
-// of their point (onBad, when non-nil, observes them).
-func decodeResume(n int, bytesFor func(slot int) []byte, onBad func(slot int, err error)) map[int]*core.Checkpoint {
-	var resume map[int]*core.Checkpoint
-	for i := 0; i < n; i++ {
-		data := bytesFor(i)
+// runGroup is the one place a worker turns an assigned group into a
+// sweep.Runner run. job supplies the workload, budget and telemetry
+// cadence; pts[i] is the job point with job-wide index indices[i]; resume
+// holds shipped checkpoints by job-wide index. Every callback is mapped
+// from group-local slots back to job-wide indices.
+func runGroup(ctx context.Context, job *Job, pts []sweep.Point, indices []int, resume map[int][]byte, h groupHost) error {
+	r := sweep.Runner{
+		Workload:        job.Profile,
+		Instructions:    job.Instructions,
+		Parallelism:     h.parallelism,
+		Traces:          h.traces,
+		DisableCache:    h.disableCache,
+		CheckpointEvery: h.checkpointEvery,
+		TelemetryEvery:  job.TelemetryEvery,
+	}
+	for i, idx := range indices {
+		data := resume[idx]
 		if len(data) == 0 {
 			continue
 		}
 		cp, err := core.DecodeCheckpoint(data)
 		if err != nil {
-			if onBad != nil {
-				onBad(i, err)
+			if h.undecodable != nil {
+				h.undecodable(idx, err)
 			}
 			continue
 		}
-		if resume == nil {
-			resume = make(map[int]*core.Checkpoint)
+		if r.Resume == nil {
+			r.Resume = make(map[int]*core.Checkpoint)
 		}
-		resume[i] = cp
+		r.Resume[i] = cp
 	}
-	return resume
+	// Reported on successful restore only, so neither a counter nor a log
+	// line ever claims a resume that degraded to a fresh run.
+	r.OnResume = func(i int, cycles uint64) { h.resumed(indices[i], cycles) }
+	r.OnResult = func(i int, res sweep.Result) {
+		// A point cut short by cancellation is not a real outcome: withhold
+		// it so the scheduler requeues the point instead of recording the
+		// abort.
+		if !abortedResult(res) {
+			h.result(indices[i], res)
+		}
+	}
+	if h.checkpoint != nil {
+		r.OnCheckpoint = func(i int, cp *core.Checkpoint) {
+			if data, err := cp.Encode(); err == nil {
+				h.checkpoint(indices[i], data)
+			}
+		}
+	}
+	if h.telemetry != nil {
+		r.OnTelemetry = func(i int, snap core.IntervalSnapshot) {
+			snap.Core = indices[i]
+			h.telemetry(indices[i], snap)
+		}
+	}
+	if h.observer != nil {
+		r.Observer = core.ObserverFunc(func(p core.Progress) {
+			if p.Core >= 0 && p.Core < len(indices) {
+				p.Core = indices[p.Core]
+			}
+			h.observer.Progress(p)
+		})
+	}
+	_, err := r.Run(ctx, pts)
+	return err
 }
 
 // errKilled reports a LoopbackWorker torn down by Kill.
@@ -543,10 +541,18 @@ func (w *LoopbackWorker) Kill() {
 
 // RunGroup implements Worker.
 func (w *LoopbackWorker) RunGroup(ctx context.Context, job *Job, gr GroupRun, emit func(PointResult)) error {
-	select {
-	case <-w.killed:
+	// A dead host's unsent output never arrives: once killed, the worker
+	// ships nothing more and the scheduler reruns the remainder elsewhere.
+	alive := func() bool {
+		select {
+		case <-w.killed:
+			return false
+		default:
+			return true
+		}
+	}
+	if !alive() {
 		return errKilled
-	default:
 	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -560,82 +566,40 @@ func (w *LoopbackWorker) RunGroup(ctx context.Context, job *Job, gr GroupRun, em
 		}
 	}()
 
-	indices := gr.Indices
-	pts := make([]sweep.Point, len(indices))
-	for i, idx := range indices {
+	pts := make([]sweep.Point, len(gr.Indices))
+	for i, idx := range gr.Indices {
 		pts[i] = job.Points[idx]
 	}
-	resume := decodeResume(len(indices), func(i int) []byte { return gr.Checkpoints[indices[i]] }, nil)
-	r := sweep.Runner{
-		Workload:     job.Profile,
-		Instructions: job.Instructions,
-		Parallelism:  w.opts.Parallelism,
-		Traces:       w.traces,
-		DisableCache: w.opts.DisableCache,
-		Resume:       resume,
-		// Counted on successful restore only, so the counter never reports
-		// a resume that silently degraded to a fresh run.
-		OnResume: func(_ int, cycles uint64) { w.resumed.Add(cycles) },
-		OnResult: func(i int, res sweep.Result) {
-			select {
-			case <-w.killed:
-				// A dead host's unsent results never arrive: once killed,
-				// the worker emits nothing more and the scheduler reruns
-				// the remainder elsewhere.
-				return
-			default:
+	h := groupHost{
+		parallelism:     w.opts.Parallelism,
+		traces:          w.traces,
+		disableCache:    w.opts.DisableCache,
+		checkpointEvery: w.opts.CheckpointEvery,
+		observer:        w.opts.Observer,
+		result: func(index int, res sweep.Result) {
+			if alive() {
+				emit(PointResult{Index: index, Result: res})
 			}
-			if abortedResult(res) {
-				// A point cut short by cancellation is not a real outcome:
-				// withhold it so the scheduler requeues the point instead
-				// of recording a poisoned result.
-				return
-			}
-			emit(PointResult{Index: indices[i], Result: res})
 		},
+		resumed: func(_ int, cycles uint64) { w.resumed.Add(cycles) },
 	}
-	if w.opts.CheckpointEvery > 0 && gr.OnCheckpoint != nil {
-		r.CheckpointEvery = w.opts.CheckpointEvery
-		r.OnCheckpoint = func(i int, cp *core.Checkpoint) {
-			select {
-			case <-w.killed:
-				return // dead hosts ship nothing
-			default:
-			}
-			if data, err := cp.Encode(); err == nil {
-				gr.OnCheckpoint(indices[i], data)
+	if gr.OnCheckpoint != nil {
+		h.checkpoint = func(index int, data []byte) {
+			if alive() {
+				gr.OnCheckpoint(index, data)
 			}
 		}
 	}
-	if job.TelemetryEvery > 0 && gr.OnTelemetry != nil {
-		r.TelemetryEvery = job.TelemetryEvery
-		r.OnTelemetry = func(i int, snap core.IntervalSnapshot) {
-			select {
-			case <-w.killed:
-				return // dead hosts ship nothing
-			default:
+	if gr.OnTelemetry != nil {
+		h.telemetry = func(index int, snap core.IntervalSnapshot) {
+			if alive() {
+				gr.OnTelemetry(index, snap)
 			}
-			// Remap the group-local slot to the job-wide point index, like
-			// the Observer below.
-			snap.Core = indices[i]
-			gr.OnTelemetry(indices[i], snap)
 		}
 	}
-	if w.opts.Observer != nil {
-		r.Observer = core.ObserverFunc(func(p core.Progress) {
-			if p.Core >= 0 && p.Core < len(indices) {
-				p.Core = indices[p.Core]
-			}
-			w.opts.Observer.Progress(p)
-		})
+	err := runGroup(gctx, job, pts, gr.Indices, gr.Checkpoints, h)
+	if err != nil && !alive() {
+		return fmt.Errorf("%w: %v", errKilled, err)
 	}
-	if _, err := r.Run(gctx, pts); err != nil {
-		select {
-		case <-w.killed:
-			return fmt.Errorf("%w: %v", errKilled, err)
-		default:
-		}
-		return err
-	}
-	return nil
+	return err
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/tracecache"
 )
@@ -35,8 +36,8 @@ type WorkerOptions struct {
 	// survivor from the shipped cycle instead of cycle 0.
 	// 0 selects core.DefaultObserverInterval.
 	CheckpointEvery uint64
-	// Logf, when non-nil, receives worker log lines.
-	Logf func(format string, args ...any)
+	// Log, when non-nil, receives worker log events.
+	Log *obs.Logger
 	// HeartbeatInterval is the msgPing cadence toward the coordinator and
 	// HeartbeatTimeout the silence after which the coordinator is declared
 	// hung and the connection dropped (Work returns, and the resimd loop
@@ -65,10 +66,6 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Traces == nil {
 		opts.Traces = tracecache.New(tracecache.Config{})
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -94,7 +91,7 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 		w.readTimeout = hbTimeout
 		w.writeTimeout = hbTimeout
 	}
-	logf("%s", KV("sweepd.worker_connected", "worker", opts.Name, "coordinator", addr))
+	opts.Log.Event("sweepd.worker_connected", "worker", opts.Name, "coordinator", addr)
 
 	// Tear the connection down on cancellation so the blocking recv returns.
 	stop := make(chan struct{})
@@ -143,7 +140,7 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 					mu.Unlock()
 					cancel()
 				}()
-				serveAssignment(actx, w, asg, opts, logf)
+				serveAssignment(actx, w, asg, opts)
 			}()
 		case msgCancel:
 			if m.Cancel == nil {
@@ -161,11 +158,12 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 }
 
 // serveAssignment runs one key-group and streams its results back.
-func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerOptions, logf func(string, ...any)) {
+func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerOptions) {
 	end := func(err error) {
 		w.send(&Message{Type: msgGroupEnd, GroupEnd: &GroupEnd{Call: asg.Call, Err: errString(err)}}) //nolint:errcheck
 	}
 	pts := make([]sweep.Point, len(asg.Points))
+	indices := make([]int, len(asg.Points))
 	for i, wp := range asg.Points {
 		cfg, err := wp.Config.Config()
 		if err != nil {
@@ -182,6 +180,7 @@ func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerO
 			return
 		}
 		pts[i] = sweep.Point{Name: wp.Name, Config: cfg}
+		indices[i] = wp.Index
 	}
 	if len(pts) == 0 {
 		end(nil)
@@ -194,84 +193,49 @@ func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerO
 	if len(asg.Trace) > 0 && opts.Traces.Cacheable(asg.Instructions) {
 		key := tracecache.KeyFor(asg.Profile, pts[0].Config.TraceConfig(), asg.Instructions)
 		if _, err := opts.Traces.Seed(key, bytes.NewReader(asg.Trace)); err != nil {
-			logf("%s", KV("sweepd.trace_seed_failed", "worker", opts.Name, "key", asg.KeyID, "err", err))
+			opts.Log.Event("sweepd.trace_seed_failed", "worker", opts.Name, "key", asg.KeyID, "err", err)
 		} else {
-			logf("%s", KV("sweepd.trace_seeded", "worker", opts.Name, "key", asg.KeyID))
+			opts.Log.Event("sweepd.trace_seeded", "worker", opts.Name, "key", asg.KeyID)
 		}
 	}
 
-	// Shipped checkpoints resume a requeued group's points mid-run; one
-	// that fails to decode just runs its point from scratch.
-	resume := decodeResume(len(asg.Points),
-		func(i int) []byte { return asg.Checkpoints[asg.Points[i].Index] },
-		func(i int, err error) {
-			logf("%s", KV("sweepd.checkpoint_undecodable", "worker", opts.Name,
-				"point", asg.Points[i].Index, "err", err))
-		})
 	ckptEvery := opts.CheckpointEvery
 	if ckptEvery == 0 {
 		ckptEvery = core.DefaultObserverInterval
 	}
-
-	r := sweep.Runner{
-		Workload:        asg.Profile,
-		Instructions:    asg.Instructions,
-		Parallelism:     opts.Parallelism,
-		Traces:          opts.Traces,
-		Resume:          resume,
-		CheckpointEvery: ckptEvery,
-		// Logged on successful restore only — the line tests and operators
-		// rely on must never claim a resume that degraded to a fresh run.
-		OnResume: func(i int, cycles uint64) {
-			logf("%s", KV("sweepd.point_resumed", "worker", opts.Name, "point", asg.Points[i].Index, "cycle", cycles))
-		},
-		OnCheckpoint: func(i int, cp *core.Checkpoint) {
-			data, err := cp.Encode()
-			if err != nil {
-				return
-			}
-			w.send(&Message{Type: msgCheckpoint, Checkpoint: &CheckpointShip{ //nolint:errcheck
-				Call: asg.Call, Index: asg.Points[i].Index, Data: data,
-			}})
-		},
-		// Telemetry streams at the job's cadence (carried by the
-		// assignment); snapshots ship with the job-wide point index so the
-		// coordinator and client never see group-relative slots. Pipe-trace
-		// tails are a local-sink feature and the runner never produces them.
-		TelemetryEvery: asg.TelemetryEvery,
-		OnResult: func(i int, res sweep.Result) {
-			if abortedResult(res) {
-				// Cut short by cancellation — withhold so the coordinator
-				// requeues the point rather than recording the abort.
-				return
-			}
-			wr := &WireResult{Call: asg.Call, Index: asg.Points[i].Index, Name: res.Name}
-			if res.Err != nil {
-				wr.Err = res.Err.Error()
-			} else {
-				wr.Res = WireRunResultOf(res.Res)
-			}
+	// Telemetry streams at the job's cadence, carried by the assignment.
+	job := &Job{Profile: asg.Profile, Instructions: asg.Instructions, TelemetryEvery: asg.TelemetryEvery}
+	// Every sink ships a frame tagged with the job-wide point index, so the
+	// coordinator and client never see group-relative slots.
+	err := runGroup(ctx, job, pts, indices, asg.Checkpoints, groupHost{
+		parallelism:     opts.Parallelism,
+		traces:          opts.Traces,
+		checkpointEvery: ckptEvery,
+		observer:        opts.Observer,
+		result: func(index int, res sweep.Result) {
+			wr := WireResultOf(index, res)
+			wr.Call = asg.Call
 			w.send(&Message{Type: msgResult, Result: wr}) //nolint:errcheck
 		},
-	}
-	if asg.TelemetryEvery > 0 {
-		r.OnTelemetry = func(i int, snap core.IntervalSnapshot) {
-			idx := asg.Points[i].Index
-			snap.Core = idx
-			w.send(&Message{Type: msgTelemetry, Telemetry: &TelemetryShip{ //nolint:errcheck
-				Call: asg.Call, Index: idx, Snap: snap,
+		checkpoint: func(index int, data []byte) {
+			w.send(&Message{Type: msgCheckpoint, Checkpoint: &CheckpointShip{ //nolint:errcheck
+				Call: asg.Call, Index: index, Data: data,
 			}})
-		}
-	}
-	if opts.Observer != nil {
-		r.Observer = core.ObserverFunc(func(p core.Progress) {
-			if p.Core >= 0 && p.Core < len(asg.Points) {
-				p.Core = asg.Points[p.Core].Index
-			}
-			opts.Observer.Progress(p)
-		})
-	}
-	_, err := r.Run(ctx, pts)
+		},
+		telemetry: func(index int, snap core.IntervalSnapshot) {
+			w.send(&Message{Type: msgTelemetry, Telemetry: &TelemetryShip{ //nolint:errcheck
+				Call: asg.Call, Index: index, Snap: snap,
+			}})
+		},
+		resumed: func(index int, cycles uint64) {
+			opts.Log.Event("sweepd.point_resumed", "worker", opts.Name, "point", index, "cycle", cycles)
+		},
+		// A shipped checkpoint that fails to decode just runs its point
+		// from scratch.
+		undecodable: func(index int, err error) {
+			opts.Log.Event("sweepd.checkpoint_undecodable", "worker", opts.Name, "point", index, "err", err)
+		},
+	})
 	end(err)
-	logf("%s", KV("sweepd.group_done", "worker", opts.Name, "call", asg.Call, "points", len(pts), "err", err))
+	opts.Log.Event("sweepd.group_done", "worker", opts.Name, "call", asg.Call, "points", len(pts), "err", err)
 }

@@ -2,7 +2,6 @@ package resim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/jobd"
@@ -140,12 +139,7 @@ func (h *JobHandle) Results(ctx context.Context) ([]SweepResult, error) {
 		if wr == nil {
 			return nil, fmt.Errorf("resim: job %s finished without a result for point %d", h.id, i)
 		}
-		results[i] = SweepResult{Point: h.job.Points[i]}
-		if wr.Err != "" {
-			results[i].Err = errors.New(wr.Err)
-		} else if wr.Res != nil {
-			results[i].Res = wr.Res.Result(h.job.Points[i].Config)
-		}
+		results[i] = wr.Result(h.job.Points[i])
 	}
 	return results, nil
 }

@@ -244,23 +244,30 @@ func TestRunWorkloadCancellation(t *testing.T) {
 func TestRunWorkloadCancellationMidRun(t *testing.T) {
 	// The observer must receive a terminal non-Final snapshot on the
 	// cancellation path — the callback that stops sweepd clients and
-	// dashboards from hanging on the last interval.
+	// dashboards from hanging on the last interval. The first callback
+	// cancels the run, so the cancel provably lands mid-run and not before
+	// the engine starts.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var mu sync.Mutex
 	var last resim.Progress
-	var calls, finals int
+	var calls, afterCancel, finals int
 	ses, err := resim.New(resim.WithObserver(resim.ObserverFunc(func(p resim.Progress) {
 		mu.Lock()
 		defer mu.Unlock()
+		if calls > 0 {
+			afterCancel++
+		}
 		calls++
 		last = p
 		if p.Final {
 			finals++
 		}
+		cancel()
 	}), 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	var res resim.Result
 	go func() {
@@ -269,8 +276,6 @@ func TestRunWorkloadCancellationMidRun(t *testing.T) {
 		res, err = ses.RunWorkload(ctx, "gzip", 1<<62)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -283,6 +288,9 @@ func TestRunWorkloadCancellationMidRun(t *testing.T) {
 	defer mu.Unlock()
 	if calls == 0 {
 		t.Fatal("cancelled run delivered no observer callbacks")
+	}
+	if afterCancel == 0 {
+		t.Fatal("no observer callback arrived after the cancel")
 	}
 	if finals != 0 {
 		t.Errorf("cancelled run delivered %d Final callbacks, want 0", finals)
