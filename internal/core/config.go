@@ -90,13 +90,6 @@ type Config struct {
 	// Config.
 	TelemetrySink  func(IntervalSnapshot) error `json:"-"`
 	TelemetryEvery uint64
-	// TelemetryPipeTail, when positive, attaches the most recent N
-	// pipe-trace event lines to each IntervalSnapshot (local sinks only;
-	// the sweep service strips tails before forwarding). It splices a
-	// recorder into the PipeTracer hook for the run, so it costs
-	// per-instruction formatting — a debugging aid, not a monitoring
-	// default.
-	TelemetryPipeTail int
 }
 
 // PipeTracer observes instruction flow through the simulated pipeline.

@@ -509,9 +509,8 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			return sink(cp)
 		}})
 	}
-	var tel *telemetryRun
 	if e.cfg.TelemetrySink != nil {
-		tel = e.startTelemetry()
+		tel := e.startTelemetry()
 		sinks = append(sinks, hook{every: e.cfg.TelemetryEvery, fn: tel.emit, final: true})
 	}
 	hooks, err := runHooks(ctx, e.cfg.Observer, e.cfg.ObserverInterval, e.progress, sinks...)
@@ -522,9 +521,6 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 				return e.Done() || (e.cfg.MaxCycles != 0 && e.c.Cycles >= e.cfg.MaxCycles)
 			},
 			func() error { return e.stepFast(hooks) })
-	}
-	if tel != nil {
-		tel.stop() // restore the pipe-trace hook before result() copies Config
 	}
 	return e.result(), err
 }

@@ -54,11 +54,6 @@ type IntervalSnapshot struct {
 	ICacheMissRate float64 `json:"icache_miss_rate"`
 	DCacheMissRate float64 `json:"dcache_miss_rate"`
 
-	// PipeTail holds the most recent pipe-trace event lines at snapshot
-	// time when Config.TelemetryPipeTail is set. Local runs only: the tail
-	// is omitted from sweep-service forwarding.
-	PipeTail []string `json:"pipe_tail,omitempty"`
-
 	// Final marks the snapshot covering the last partial window of a run
 	// that completed successfully.
 	Final bool `json:"final,omitempty"`
@@ -133,8 +128,7 @@ func addCacheStats(a, b cache.Stats) cache.Stats {
 
 // telemetryRun holds the per-run emission state RunContext threads through
 // the drive loop when Config.TelemetrySink is set: the baseline statistics
-// at the previous boundary, the snapshot sequence number, and the optional
-// pipe-trace tail recorder.
+// at the previous boundary and the snapshot sequence number.
 type telemetryRun struct {
 	e    *Engine
 	sink func(IntervalSnapshot) error
@@ -147,36 +141,14 @@ type telemetryRun struct {
 	prevIFQ    stats.Occupancy
 	prevRB     stats.Occupancy
 	prevLSQ    stats.Occupancy
-
-	tail        *pipeTail
-	savedTracer PipeTracer
 }
 
 // startTelemetry captures the baseline at the current engine state (cycle 0
-// for fresh runs, the restore point for checkpoint-resumed ones) and, when
-// TelemetryPipeTail is set, splices a tail recorder into the pipe-trace
-// hook for the duration of the run.
+// for fresh runs, the restore point for checkpoint-resumed ones).
 func (e *Engine) startTelemetry() *telemetryRun {
 	t := &telemetryRun{e: e, sink: e.cfg.TelemetrySink}
 	t.rebase()
-	if n := e.cfg.TelemetryPipeTail; n > 0 {
-		t.tail = newPipeTail(n)
-		t.savedTracer = e.cfg.PipeTracer
-		if t.savedTracer != nil {
-			e.cfg.PipeTracer = teePipe{t.savedTracer, t.tail}
-		} else {
-			e.cfg.PipeTracer = t.tail
-		}
-	}
 	return t
-}
-
-// stop restores the pipe-trace hook; it must run before the final result()
-// so the returned Config carries the caller's tracer, not the splice.
-func (t *telemetryRun) stop() {
-	if t.tail != nil {
-		t.e.cfg.PipeTracer = t.savedTracer
-	}
 }
 
 // rebase moves the window start to the engine's current state.
@@ -211,68 +183,7 @@ func (t *telemetryRun) emit(final bool) error {
 	snap.MispredictRate = stats.Ratio(snap.Counters.MispredResolved, snap.Counters.CommittedBranches)
 	snap.ICacheMissRate = snap.ICache.MissRate()
 	snap.DCacheMissRate = snap.DCache.MissRate()
-	if t.tail != nil {
-		snap.PipeTail = t.tail.lines()
-	}
 	t.seq++
 	t.rebase()
 	return t.sink(snap)
-}
-
-// pipeTail is a PipeTracer retaining the most recent n formatted events —
-// the optional "what was the pipeline doing" context attached to snapshots.
-type pipeTail struct {
-	ring  []string
-	next  int
-	wrapd bool
-}
-
-func newPipeTail(n int) *pipeTail { return &pipeTail{ring: make([]string, n)} }
-
-func (p *pipeTail) add(line string) {
-	p.ring[p.next] = line
-	p.next++
-	if p.next == len(p.ring) {
-		p.next, p.wrapd = 0, true
-	}
-}
-
-// Fetched implements PipeTracer.
-func (p *pipeTail) Fetched(seq, cycle int64, pc uint32, desc string, wrongPath bool) {
-	wp := ""
-	if wrongPath {
-		wp = " wrong-path"
-	}
-	p.add(fmt.Sprintf("c=%d seq=%d fetch pc=%#08x %s%s", cycle, seq, pc, desc, wp))
-}
-
-// Stage implements PipeTracer.
-func (p *pipeTail) Stage(seq, cycle int64, stage string) {
-	p.add(fmt.Sprintf("c=%d seq=%d %s", cycle, seq, stage))
-}
-
-// lines returns the retained events, oldest first.
-func (p *pipeTail) lines() []string {
-	if !p.wrapd {
-		return append([]string(nil), p.ring[:p.next]...)
-	}
-	out := make([]string, 0, len(p.ring))
-	out = append(out, p.ring[p.next:]...)
-	return append(out, p.ring[:p.next]...)
-}
-
-// teePipe fans pipeline events out to two tracers, so the telemetry tail
-// can ride alongside a caller-installed PipeTracer.
-type teePipe struct{ a, b PipeTracer }
-
-// Fetched implements PipeTracer.
-func (t teePipe) Fetched(seq, cycle int64, pc uint32, desc string, wrongPath bool) {
-	t.a.Fetched(seq, cycle, pc, desc, wrongPath)
-	t.b.Fetched(seq, cycle, pc, desc, wrongPath)
-}
-
-// Stage implements PipeTracer.
-func (t teePipe) Stage(seq, cycle int64, stage string) {
-	t.a.Stage(seq, cycle, stage)
-	t.b.Stage(seq, cycle, stage)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
-	"repro/internal/ptrace"
 	"repro/internal/trace"
 )
 
@@ -149,48 +148,6 @@ func TestTelemetryCancelFlushesPartialWindow(t *testing.T) {
 	if sum.Counters != res.Counters {
 		t.Errorf("accumulated snapshots differ from cancelled result:\n%+v\n%+v",
 			sum.Counters, res.Counters)
-	}
-}
-
-// TestTelemetryPipeTail: TelemetryPipeTail attaches recent pipe events to
-// snapshots, coexists with a caller-installed PipeTracer, and the splice is
-// removed from the Config the result carries.
-func TestTelemetryPipeTail(t *testing.T) {
-	cfg := core.DefaultConfig()
-	recs := ckptRecords(t, "gzip", cfg, 20_000)
-
-	collector := ptrace.New(50)
-	var snaps []core.IntervalSnapshot
-	cfg.PipeTracer = collector
-	cfg.TelemetryPipeTail = 8
-	cfg.TelemetryEvery = 4096
-	cfg.TelemetrySink = func(s core.IntervalSnapshot) error {
-		snaps = append(snaps, s)
-		return nil
-	}
-	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots")
-	}
-	for i, s := range snaps {
-		if len(s.PipeTail) == 0 || len(s.PipeTail) > 8 {
-			t.Errorf("snapshot %d tail has %d lines, want 1..8", i, len(s.PipeTail))
-		}
-	}
-	// The tee forwarded events to the caller's tracer too.
-	if collector.Count() == 0 {
-		t.Error("caller's PipeTracer saw no events through the telemetry tee")
-	}
-	// And the result's Config carries the caller's tracer, not the splice.
-	if res.Config.PipeTracer != core.PipeTracer(collector) {
-		t.Errorf("result Config.PipeTracer = %T, want the caller's collector", res.Config.PipeTracer)
 	}
 }
 

@@ -4,12 +4,12 @@
 // points never share mutable state and the sweep's output is identical to a
 // serial run.
 //
-// Trace generation is amortized through a tracecache.Cache: points are
-// grouped by their trace key (workload + derived trace configuration +
-// instruction budget), each distinct trace is generated exactly once, and
-// every point replays an independent snapshot. Most design-space sweeps
-// vary only engine parameters (width, queue depths, cache geometry), so a
-// whole sweep typically costs a single generation.
+// Trace generation is amortized through a tracecache.Cache: points sharing
+// a trace key (workload + derived trace configuration + instruction budget)
+// share one single-flight generation, and every point replays an
+// independent snapshot. Most design-space sweeps vary only engine
+// parameters (width, queue depths, cache geometry), so a whole sweep
+// typically costs a single generation.
 package sweep
 
 import (
@@ -72,16 +72,11 @@ type Runner struct {
 	// not point order; the returned slice is still point-ordered.
 	OnResult func(index int, res Result)
 	// Traces memoizes generated traces across points (and across runs, when
-	// the caller shares one cache between sweeps). nil gives the run a
-	// private cache, so points sharing a trace configuration still generate
-	// it once.
+	// the caller shares one cache between sweeps). nil streams every
+	// point's trace from the functional simulator, nothing materialized;
+	// results are identical either way because cached replays are
+	// record-for-record equal to regeneration.
 	Traces *tracecache.Cache
-	// DisableCache restores the historical behavior of regenerating the
-	// trace per point (streaming, nothing materialized). Equivalence tests
-	// and memory-constrained callers use it; results are identical either
-	// way because cached replays are record-for-record equal to
-	// regeneration.
-	DisableCache bool
 	// CheckpointEvery, with OnCheckpoint, enables periodic engine-state
 	// capture: each point's engine serializes a complete core.Checkpoint at
 	// every CheckpointEvery-cycle boundary and hands it to OnCheckpoint with
@@ -103,8 +98,7 @@ type Runner struct {
 	// within a point, and must be safe for concurrent use. Forwarding is
 	// fire-and-forget — OnTelemetry cannot abort a point. Per-point
 	// Config.TelemetrySink fields are always cleared, like per-point
-	// Observers, and pipe-trace tails never cross the sweep (snapshots
-	// leave the engine goroutine).
+	// Observers.
 	TelemetryEvery uint64
 	OnTelemetry    func(index int, snap core.IntervalSnapshot)
 	// Resume maps point indices to checkpoints to restore instead of
@@ -134,8 +128,8 @@ type Runner struct {
 // budget) share one generated trace through the Traces cache; each point
 // replays a private snapshot, so the concurrent engines never touch shared
 // mutable trace state. Points whose budget is uncacheable (Instructions
-// == 0 or over the cache's per-trace cap), or a Runner with DisableCache,
-// fall back to regenerating per point.
+// == 0 or over the cache's per-trace cap), or a Runner without Traces,
+// regenerate per point.
 //
 // Points run in parallel, so per-point state is isolated where the sweep
 // can do it: the built-in cache models (set-associative, perfect, and
@@ -150,7 +144,7 @@ type Runner struct {
 //
 // A PipeTracer unique to one point is kept (serial pipeline tracing keeps
 // working); an instance shared by several points is cleared when the sweep
-// runs in parallel, because the built-in collector is unsynchronized.
+// runs in parallel (ClearSharedPipeTracers).
 // Per-point Observers are always cleared — the Runner's Observer is the
 // sweep's reporting channel.
 func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
@@ -167,11 +161,8 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if par > len(points) {
 		par = len(points)
 	}
-	traces := r.Traces
-	if r.DisableCache {
-		traces = nil // DisableCache wins even over an explicit Traces
-	} else if traces == nil {
-		traces = tracecache.New(tracecache.Config{})
+	if par > 1 {
+		points = ClearSharedPipeTracers(points)
 	}
 	results := make([]Result, len(points))
 	var (
@@ -180,13 +171,12 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 		done int
 	)
 	work := make(chan int)
-	shared := sharedTracers(points, par)
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range work {
-				results[idx] = r.runOne(ctx, idx, points[idx], shared, traces)
+				results[idx] = r.runOne(ctx, idx, points[idx])
 				if r.Observer != nil || r.OnResult != nil {
 					mu.Lock()
 					done++
@@ -194,17 +184,11 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 						r.OnResult(idx, results[idx])
 					}
 					if r.Observer != nil {
-						r.Observer.Progress(core.Progress{
-							Core:      idx,
-							Cycles:    results[idx].Res.Cycles,
-							Committed: results[idx].Res.Committed,
-							IPC:       results[idx].Res.IPC(),
-							Done:      done,
-							Total:     len(points),
-							// Per the Observer contract, Final marks successful
-							// completion only — never a cancelled sweep.
-							Final: done == len(points) && ctx.Err() == nil,
-						})
+						p := PointProgress(idx, results[idx].Res, done, len(points))
+						// Per the Observer contract, Final marks successful
+						// completion only — never a cancelled sweep.
+						p.Final = done == len(points) && ctx.Err() == nil
+						r.Observer.Progress(p)
 					}
 					mu.Unlock()
 				}
@@ -212,7 +196,7 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 		}()
 	}
 feed:
-	for _, i := range r.feedOrder(points, traces) {
+	for i := range points {
 		select {
 		case work <- i:
 		case <-ctx.Done():
@@ -227,36 +211,22 @@ feed:
 	return results, nil
 }
 
-// feedOrder returns the order point indices are handed to workers. With a
-// trace cache in play, points are grouped by trace key and the first point
-// of every distinct key goes to the front: the distinct generations fan out
-// across the worker pool in parallel, and by the time the remaining points
-// run their traces are warm (they block on the in-flight generation rather
-// than duplicating it). Results are written by index, so scheduling order
-// never affects output order.
-func (r Runner) feedOrder(points []Point, traces *tracecache.Cache) []int {
-	order := make([]int, 0, len(points))
-	if traces == nil || !traces.Cacheable(r.Instructions) {
-		for i := range points {
-			order = append(order, i)
-		}
-		return order
+// PointProgress is the progress report for one completed point: Core is
+// the point's index, the counters are its result's, and Done/Total carry
+// sweep completion. Final is left to the caller, whose completion rule it
+// is.
+func PointProgress(index int, res core.Result, done, total int) core.Progress {
+	return core.Progress{
+		Core:      index,
+		Cycles:    res.Cycles,
+		Committed: res.Committed,
+		IPC:       res.IPC(),
+		Done:      done,
+		Total:     total,
 	}
-	seen := make(map[tracecache.Key]bool, len(points))
-	var rest []int
-	for i := range points {
-		k := tracecache.KeyFor(r.Workload, points[i].Config.TraceConfig(), r.Instructions)
-		if seen[k] {
-			rest = append(rest, i)
-			continue
-		}
-		seen[k] = true
-		order = append(order, i)
-	}
-	return append(order, rest...)
 }
 
-func (r Runner) runOne(ctx context.Context, idx int, pt Point, sharedTr map[uintptr]bool, traces *tracecache.Cache) Result {
+func (r Runner) runOne(ctx context.Context, idx int, pt Point) Result {
 	out := Result{Point: pt}
 	cfg := pt.Config
 	cfg.Observer = nil
@@ -264,10 +234,6 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, sharedTr map[uint
 	cfg.CheckpointEvery = 0
 	cfg.TelemetrySink = nil
 	cfg.TelemetryEvery = 0
-	cfg.TelemetryPipeTail = 0
-	if sharedTr[ptrOf(cfg.PipeTracer)] {
-		cfg.PipeTracer = nil
-	}
 	if sameModel(cfg.ICache, cfg.DCache) {
 		// Unified I/D cache: clone once so the point keeps one cache with
 		// I/D contention rather than two independent halves.
@@ -292,7 +258,7 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, sharedTr map[uint
 			return nil
 		}
 	}
-	src, startPC, err := tracecache.SourceFor(ctx, traces, r.Workload, cfg.TraceConfig(), r.Instructions)
+	src, startPC, err := tracecache.SourceFor(ctx, r.Traces, r.Workload, cfg.TraceConfig(), r.Instructions)
 	if err != nil {
 		out.Err = err
 		return out
@@ -303,7 +269,7 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, sharedTr map[uint
 		if err != nil {
 			// An unusable checkpoint degrades to a fresh run: re-derive the
 			// source (Restore consumed records of the first one).
-			src, startPC, err = tracecache.SourceFor(ctx, traces, r.Workload, cfg.TraceConfig(), r.Instructions)
+			src, startPC, err = tracecache.SourceFor(ctx, r.Traces, r.Workload, cfg.TraceConfig(), r.Instructions)
 			if err != nil {
 				out.Err = err
 				return out
@@ -361,51 +327,32 @@ func ptrOf(v any) uintptr {
 
 // ClearSharedPipeTracers returns the points with any PipeTracer instance
 // referenced by more than one point cleared, copying on write (the caller's
-// slice and configs are never mutated). Callers that split one sweep across
-// several Runners — the sharded sweep scheduler puts each trace-key group
-// in its own Runner — need this up front: a tracer shared across groups
-// looks unique within each group, so the per-Runner protection below cannot
-// see the sharing, but the groups' engines still run concurrently.
+// slice and configs are never mutated). The built-in ptrace collector is
+// unsynchronized, so concurrent engines would corrupt a shared instance
+// (typically a leak from deriving every point from one base Config); a
+// tracer unique to a single point is kept, since only one engine ever
+// touches it. Run applies it whenever it runs points in parallel; callers
+// that split one sweep across several concurrent Runners apply it to the
+// whole sweep first, because a tracer shared across Runners looks unique
+// within each.
 func ClearSharedPipeTracers(points []Point) []Point {
-	shared := sharedTracers(points, 2) // force the n>1 scan regardless of par
-	if shared == nil {
-		return points
-	}
-	out := make([]Point, len(points))
-	copy(out, points)
-	for i := range out {
-		if shared[ptrOf(out[i].Config.PipeTracer)] {
-			out[i].Config.PipeTracer = nil
-		}
-	}
-	return out
-}
-
-// sharedTracers identifies PipeTracer instances referenced by more than one
-// point when the sweep will actually run in parallel. Those are cleared per
-// point: the built-in ptrace collector is unsynchronized, so concurrent
-// engines would corrupt it (typically a leak from deriving every point from
-// one base Config). A tracer unique to a single point is kept — serial or
-// parallel, only one engine ever touches it.
-func sharedTracers(points []Point, par int) map[uintptr]bool {
-	if par <= 1 {
-		return nil
-	}
 	counts := map[uintptr]int{}
 	for i := range points {
 		if p := ptrOf(points[i].Config.PipeTracer); p != 0 {
 			counts[p]++
 		}
 	}
-	var shared map[uintptr]bool
-	//resim:nondeterministic-ok builds an order-insensitive membership set
-	for p, n := range counts {
-		if n > 1 {
-			if shared == nil {
-				shared = map[uintptr]bool{}
+	var out []Point
+	for i := range points {
+		if counts[ptrOf(points[i].Config.PipeTracer)] > 1 {
+			if out == nil {
+				out = append([]Point(nil), points...)
 			}
-			shared[p] = true
+			out[i].Config.PipeTracer = nil
 		}
 	}
-	return shared
+	if out == nil {
+		return points
+	}
+	return out
 }

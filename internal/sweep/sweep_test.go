@@ -133,12 +133,11 @@ func TestSweepCachedMatchesUncached(t *testing.T) {
 	perfect.PerfectBP = true
 	pts = append(pts, Point{Name: "perfectbp", Config: perfect})
 
-	r.DisableCache = true
+	r.Traces = nil
 	uncached, err := r.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.DisableCache = false
 	r.Traces = tracecache.New(tracecache.Config{})
 	cached, err := r.Run(context.Background(), pts)
 	if err != nil {
@@ -176,29 +175,6 @@ func TestSweepUncacheableBudgetFallsBack(t *testing.T) {
 	}
 	if got := r.Traces.Generations(); got != 0 {
 		t.Errorf("generations = %d, want 0 (uncacheable budget must stream)", got)
-	}
-}
-
-// TestDisableCacheWinsOverTraces: the documented contract — DisableCache
-// restores streaming regeneration even when a cache is also configured.
-func TestDisableCacheWinsOverTraces(t *testing.T) {
-	r := gzipRunner(t)
-	r.Traces = tracecache.New(tracecache.Config{})
-	r.DisableCache = true
-	pts := Grid("lsq", core.DefaultConfig(), []int{4, 8}, func(c *core.Config, v int) {
-		c.LSQSize = v
-	})
-	res, err := r.Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range res {
-		if pr.Err != nil {
-			t.Fatalf("%s: %v", pr.Name, pr.Err)
-		}
-	}
-	if got := r.Traces.Generations(); got != 0 {
-		t.Errorf("generations = %d, want 0 with DisableCache set", got)
 	}
 }
 

@@ -117,15 +117,9 @@ func RunRemote(ctx context.Context, addr string, job *Job, obs core.Observer) ([
 			}
 			results[r.Index] = res
 			if obs != nil {
-				obs.Progress(core.Progress{
-					Core:      r.Index,
-					Cycles:    res.Res.Cycles,
-					Committed: res.Res.Committed,
-					IPC:       res.Res.IPC(),
-					Done:      r.Done,
-					Total:     r.Total,
-					Final:     r.Done == r.Total && r.Total > 0,
-				})
+				p := sweep.PointProgress(r.Index, res.Res, r.Done, r.Total)
+				p.Final = r.Done == r.Total && r.Total > 0
+				obs.Progress(p)
 			}
 		case msgTelemetry:
 			ts := m.Telemetry

@@ -249,6 +249,12 @@ func (s *CheckpointStore) evictLocked(index int) {
 // bit-identical to a from-scratch run); when no live worker remains the job
 // fails. Cancelling the context aborts in-flight groups and returns
 // ctx.Err() once every worker has drained.
+//
+// With more than one worker, groups run concurrently in separate Runners,
+// each blind to sharing outside its group, so Run first clears every
+// PipeTracer instance shared across the job's points
+// (sweep.ClearSharedPipeTracers) — on a copy: the caller's Job is never
+// mutated.
 func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointResult, done, total int)) ([]sweep.Result, error) {
 	if len(job.Points) == 0 {
 		return nil, fmt.Errorf("sweepd: no design points")
@@ -258,6 +264,11 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if len(workers) > 1 {
+		cleared := *job
+		cleared.Points = sweep.ClearSharedPipeTracers(job.Points)
+		job = &cleared
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -379,8 +390,7 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 // gate; the network worker sends frames on the wire.
 type groupHost struct {
 	parallelism     int
-	traces          *tracecache.Cache
-	disableCache    bool
+	traces          *tracecache.Cache // nil streams every point's trace
 	checkpointEvery uint64
 	observer        core.Observer
 
@@ -407,7 +417,6 @@ func runGroup(ctx context.Context, job *Job, pts []sweep.Point, indices []int, r
 		Instructions:    job.Instructions,
 		Parallelism:     h.parallelism,
 		Traces:          h.traces,
-		DisableCache:    h.disableCache,
 		CheckpointEvery: h.checkpointEvery,
 		TelemetryEvery:  job.TelemetryEvery,
 	}
@@ -573,7 +582,6 @@ func (w *LoopbackWorker) RunGroup(ctx context.Context, job *Job, gr GroupRun, em
 	h := groupHost{
 		parallelism:     w.opts.Parallelism,
 		traces:          w.traces,
-		disableCache:    w.opts.DisableCache,
 		checkpointEvery: w.opts.CheckpointEvery,
 		observer:        w.opts.Observer,
 		result: func(index int, res sweep.Result) {

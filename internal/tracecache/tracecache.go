@@ -243,9 +243,8 @@ var (
 )
 
 // Shared returns the process-wide cache with default bounds. The public
-// resim Session defaults to it, as do the evaluation tables and the
-// deprecated free functions, so mixed old- and new-style callers in one
-// process share a single set of generated traces.
+// resim Session defaults to it, as do the evaluation tables, so every such
+// caller in one process shares a single set of generated traces.
 func Shared() *Cache {
 	sharedOnce.Do(func() { sharedCache = New(Config{}) })
 	return sharedCache

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/funcsim"
 	"repro/internal/multicore"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
@@ -262,8 +261,7 @@ func WithTelemetry(sink func(IntervalSnapshot) error, everyCycles uint64) Option
 
 // WithTraceCache selects the trace cache the session's runs, sweeps and
 // clusters share. Sessions default to the process-wide shared cache
-// (resim.SharedTraceCache), so every session — and the deprecated free
-// functions, which build sessions internally — reuses one set of generated
+// (resim.SharedTraceCache), so every session reuses one set of generated
 // traces. Pass a private cache to isolate a session (its own memory budget
 // or spill directory), or nil to disable caching entirely and regenerate
 // the trace on every run (streaming, nothing materialized).
@@ -280,10 +278,7 @@ func WithTraceCache(tc *TraceCache) Option {
 // boundary (0 = a default interval) and hand each Checkpoint to sink — save
 // it with SaveCheckpoint and a killed run resumes bit-exactly via
 // ResumeFrom. Boundaries are absolute cycle multiples, so checkpoint cycles
-// are deterministic across runs. A sink error aborts the run. Sweeps run
-// through this session additionally ship per-point checkpoints to the sweep
-// scheduler at the same cadence (the sink itself stays single-run only), so
-// a dead worker's requeued points resume on survivors.
+// are deterministic across runs. A sink error aborts the run.
 func WithCheckpointEvery(everyCycles uint64, sink func(*Checkpoint) error) Option {
 	return func(s *settings) error {
 		if sink == nil {
@@ -430,20 +425,12 @@ func (s *Session) RunTrace(ctx context.Context, path string) (Result, error) {
 // (container format: header + bit-packed B/M/O records; compress selects
 // the delta-coded container, typically ~1.4x smaller). The session's
 // predictor configuration drives wrong-path block generation, mirroring
-// sim-bpred. The context is polled periodically; a cancelled write returns
+// sim-bpred. A cacheable write goes through the session's trace cache —
+// writing the same workload twice (raw then compressed, say) generates
+// once — and uncacheable budgets stream straight from the functional
+// simulator. The context is polled periodically; a cancelled write returns
 // ctx.Err().
 func (s *Session) WriteTrace(ctx context.Context, w io.Writer, name string, limit uint64, compress bool) (TraceStats, error) {
-	return writeTrace(ctx, w, s.traces, s.cfg.TraceConfig(), name, limit, compress)
-}
-
-// writeTrace is the shared trace-writing loop. It takes the derived
-// trace-generation configuration directly so the deprecated free-function
-// wrappers can keep their historical behavior of not validating the
-// engine-side Config fields a trace write never consumes. A cacheable write
-// goes through the trace cache — writing the same workload twice (raw then
-// compressed, say) generates once — and encodes the memoized records;
-// uncacheable budgets stream straight from the functional simulator.
-func writeTrace(ctx context.Context, w io.Writer, traces *tracecache.Cache, tc funcsim.TraceConfig, name string, limit uint64, compress bool) (TraceStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -451,72 +438,41 @@ func writeTrace(ctx context.Context, w io.Writer, traces *tracecache.Cache, tc f
 	if err != nil {
 		return TraceStats{}, err
 	}
-	if traces != nil && traces.Cacheable(limit) {
-		tr, err := traces.Get(ctx, p, tc, limit)
-		if err != nil {
-			return TraceStats{}, err
-		}
-		sink, err := newTraceSink(w, trace.Header{StartPC: tr.StartPC()}, compress)
-		if err != nil {
-			return TraceStats{}, err
-		}
-		var sinceCheck int
-		if err := tr.Range(func(r trace.Record) error {
-			if sinceCheck++; sinceCheck >= core.CtxCheckInterval {
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return sink.Write(r)
-		}); err != nil {
-			return TraceStats{}, err
-		}
-		if err := sink.Close(); err != nil {
-			return TraceStats{}, err
-		}
-		return TraceStats{
-			Records:      sink.Records(),
-			WrongPath:    tr.WrongPath(),
-			Bits:         sink.BitsWritten(),
-			BitsPerInstr: sink.BitsPerRecord(),
-		}, nil
-	}
-	prog, err := p.Build()
+	src, startPC, err := tracecache.SourceFor(ctx, s.traces, p, s.cfg.TraceConfig(), limit)
 	if err != nil {
 		return TraceStats{}, err
 	}
-	m, err := funcsim.NewMachine(prog, 0)
+	sink, err := newTraceSink(w, trace.Header{StartPC: startPC}, compress)
 	if err != nil {
 		return TraceStats{}, err
 	}
-	sink, err := newTraceSink(w, trace.Header{StartPC: prog.Entry}, compress)
-	if err != nil {
-		return TraceStats{}, err
-	}
-	var tagged uint64
-	tr := funcsim.NewTracer(m, tc)
-	var sinceCheck int
-	if _, err := tr.Run(limit, func(r trace.Record) error {
-		if sinceCheck++; sinceCheck >= core.CtxCheckInterval {
-			sinceCheck = 0
+	var wrongPath uint64
+	for n := 1; ; n++ {
+		if n%core.CtxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return TraceStats{}, err
 			}
+		}
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return TraceStats{}, err
 		}
 		if r.Tag {
-			tagged++
+			wrongPath++
 		}
-		return sink.Write(r)
-	}); err != nil {
-		return TraceStats{}, err
+		if err := sink.Write(r); err != nil {
+			return TraceStats{}, err
+		}
 	}
 	if err := sink.Close(); err != nil {
 		return TraceStats{}, err
 	}
 	return TraceStats{
 		Records:      sink.Records(),
-		WrongPath:    tagged,
+		WrongPath:    wrongPath,
 		Bits:         sink.BitsWritten(),
 		BitsPerInstr: sink.BitsPerRecord(),
 	}, nil
@@ -550,15 +506,6 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	if s.coordAddr != "" {
 		return s.SweepRemote(ctx, s.coordAddr, workloadName, instructions, points)
 	}
-	// A tracer shared across points in different key-groups would be
-	// invisible to the per-group Runner's sharing scan while the groups'
-	// engines run concurrently, so clear cross-point sharing up front
-	// (mirroring the historical single-Runner behavior: only when the
-	// sweep actually runs in parallel).
-	maxProcs := runtime.GOMAXPROCS(0)
-	if maxProcs > 1 && len(points) > 1 {
-		points = sweep.ClearSharedPipeTracers(points)
-	}
 	job, err := s.sweepJob(workloadName, instructions, points)
 	if err != nil {
 		return nil, err
@@ -570,23 +517,13 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	// idling on a small group must not strand cores the big group could
 	// use; the modest goroutine oversubscription while several groups are
 	// in flight is cheaper than the stranding.
-	nw := len(job.Groups())
-	if nw > maxProcs {
-		nw = maxProcs
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	workers := make([]sweepd.Worker, nw)
+	maxProcs := runtime.GOMAXPROCS(0)
+	workers := make([]sweepd.Worker, max(1, min(len(job.Groups()), maxProcs)))
 	for i := range workers {
 		workers[i] = sweepd.NewLoopbackWorker(sweepd.LoopbackOptions{
 			Parallelism:  maxProcs,
 			Traces:       s.traces,
 			DisableCache: s.traces == nil,
-			// Sessions that opted into checkpointing extend it to sweeps:
-			// each in-flight point ships periodic checkpoints to the
-			// scheduler so a killed worker's remainder resumes mid-run.
-			CheckpointEvery: s.sweepCheckpointEvery(),
 		})
 	}
 	return sweepd.Run(ctx, job, workers, s.sweepEmit())
@@ -606,20 +543,6 @@ func (s *Session) SweepRemote(ctx context.Context, addr, workloadName string, in
 		return nil, err
 	}
 	return sweepd.RunRemote(ctx, addr, job, s.cfg.Observer)
-}
-
-// sweepCheckpointEvery returns the per-point checkpoint cadence for local
-// sweeps: the WithCheckpointEvery cadence (with the same zero-means-default
-// rule single runs use), or 0 — no capture — when the session never opted
-// into checkpointing.
-func (s *Session) sweepCheckpointEvery() uint64 {
-	if s.ckptSink == nil {
-		return 0
-	}
-	if s.ckptEvery == 0 {
-		return core.DefaultObserverInterval
-	}
-	return s.ckptEvery
 }
 
 // sweepTelemetryEvery returns the per-point telemetry cadence for sweeps:
@@ -647,8 +570,8 @@ func (s *Session) sweepJob(workloadName string, instructions uint64, points []Sw
 	job := &sweepd.Job{Profile: p, Instructions: instructions, Points: points}
 	if sink := s.cfg.TelemetrySink; sink != nil {
 		job.TelemetryEvery = s.sweepTelemetryEvery()
-		job.OnTelemetry = func(index int, snap core.IntervalSnapshot) {
-			snap.Core = index
+		// Workers stamp the job-wide point index into snap.Core.
+		job.OnTelemetry = func(_ int, snap core.IntervalSnapshot) {
 			sink(snap) //nolint:errcheck // sweep telemetry is fire-and-forget
 		}
 	}
@@ -663,15 +586,9 @@ func (s *Session) sweepEmit() func(sweepd.PointResult, int, int) {
 		return nil
 	}
 	return func(pr sweepd.PointResult, done, total int) {
-		s.cfg.Observer.Progress(core.Progress{
-			Core:      pr.Index,
-			Cycles:    pr.Result.Res.Cycles,
-			Committed: pr.Result.Res.Committed,
-			IPC:       pr.Result.Res.IPC(),
-			Done:      done,
-			Total:     total,
-			Final:     done == total,
-		})
+		p := sweep.PointProgress(pr.Index, pr.Result.Res, done, total)
+		p.Final = done == total
+		s.cfg.Observer.Progress(p)
 	}
 }
 

@@ -656,11 +656,11 @@ func TestCheckpointResumeTraceFile(t *testing.T) {
 	}
 }
 
-// TestSessionSweepWithCheckpointingMatchesPlain: a checkpointing session's
-// sweeps (whose loopback workers capture and ship per-point checkpoints to
-// the scheduler) return results identical to a plain session's — capture is
-// invisible in the output. The actual worker-death resume is exercised at
-// the scheduler level in internal/sweepd.
+// TestSessionSweepWithCheckpointingMatchesPlain: WithCheckpointEvery is a
+// single-run option, so a checkpointing session's sweeps return results
+// identical to a plain session's. Sweep-level checkpoint capture and
+// worker-death resume are exercised at the scheduler level in
+// internal/sweepd.
 func TestSessionSweepWithCheckpointingMatchesPlain(t *testing.T) {
 	ses, err := resim.New(resim.WithCheckpointEvery(4096, func(*resim.Checkpoint) error { return nil }))
 	if err != nil {
