@@ -6,7 +6,10 @@
 // with associativity 8 and 64-byte blocks (Table 1 caption).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -243,4 +246,36 @@ func CloneCold(m Model) Model {
 		return c.CloneCold()
 	}
 	return m
+}
+
+// CloneColdAll clones a memory system cold, as CloneCold does model by
+// model, but keeps the sharing among ms: a pointer-typed model reached
+// more than once — one cache in both the I and D fields, or one lower
+// level under two hierarchies — maps to a single clone.
+func CloneColdAll(ms ...Model) []Model {
+	clones := map[Model]Model{}
+	out := make([]Model, len(ms))
+	for i, m := range ms {
+		out[i] = cloneShared(m, clones)
+	}
+	return out
+}
+
+func cloneShared(m Model, clones map[Model]Model) Model {
+	// Only pointer-typed models are safe map keys; value-typed custom
+	// models cannot be shared anyway.
+	if m == nil || reflect.TypeOf(m).Kind() != reflect.Pointer {
+		return CloneCold(m)
+	}
+	if c, ok := clones[m]; ok {
+		return c
+	}
+	var c Model
+	if h, ok := m.(*Hierarchy); ok {
+		c = &Hierarchy{l1: New(h.l1.cfg), lower: cloneShared(h.lower, clones)}
+	} else {
+		c = CloneCold(m)
+	}
+	clones[m] = c
+	return c
 }

@@ -56,6 +56,4 @@ func (h *Hierarchy) L1() *Cache { return h.l1 }
 // (the multicore shared-L2 interference channel) never goes through
 // CloneCold — the cluster hands each core the same Model instance
 // directly. A custom lower level without CloneCold support stays shared.
-func (h *Hierarchy) CloneCold() Model {
-	return &Hierarchy{l1: New(h.l1.cfg), lower: CloneCold(h.lower)}
-}
+func (h *Hierarchy) CloneCold() Model { return CloneColdAll(h)[0] }

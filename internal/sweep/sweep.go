@@ -131,16 +131,31 @@ type Runner struct {
 // == 0 or over the cache's per-trace cap), or a Runner without Traces,
 // regenerate per point.
 //
+// Points that differ only in LSQSize form a ladder, run smallest LSQ
+// first. A run whose LSQ never filled never stalled dispatch on it, so
+// every larger rung would replay its trajectory exactly: Run answers those
+// rungs from its result instead of simulating them. An answered point gets
+// its own Point and Config (its LSQ size, and its own memory-system copy
+// restored to the source's final cache state) and its own LSQ capacity.
+// A point with a PipeTracer, a Resume checkpoint or a cache model other
+// than a *cache.Perfect or *cache.Cache is a ladder of one. A point runs
+// first once every smaller rung is done; a free slot may start a later
+// rung speculatively, but only while the process runs fewer simulations
+// than GOMAXPROCS, and cancels it if a smaller rung answers it. Until it
+// is confirmed (every smaller rung done without answering it) or
+// finishes, a speculative run holds its telemetry and drops its
+// checkpoints; an answered point streams
+// its source's windows re-stamped with its own index and LSQ capacity, so
+// every point's windows sum to its result.
+//
 // Points run in parallel, so per-point state is isolated where the sweep
-// can do it: the built-in cache models (set-associative, perfect, and
-// hierarchies including their lower level) are cloned cold for each point,
-// since points derived from one base Config would otherwise race on shared
-// tag state. Custom Model implementations cannot be cloned and stay shared
-// — they must be safe for concurrent access, or the sweep must run with
-// Parallelism = 1. Known limitation: two distinct hierarchies sharing one
-// lower level across a point's ICache and DCache are cloned independently
-// (the shared level is de-shared within the point); only an identical
-// model instance in both fields is recognized as unified.
+// can do it: each point's memory system is cloned cold as a whole
+// (cache.CloneColdAll), since points derived from one base Config would
+// otherwise race on shared tag state, and sharing within the point — one
+// cache in both ICache and DCache, or one L2 under both hierarchies —
+// stays shared. Custom Model implementations cannot be cloned and stay
+// shared — they must be safe for concurrent access, or the sweep must run
+// with Parallelism = 1.
 //
 // A PipeTracer unique to one point is kept (serial pipeline tracing keeps
 // working); an instance shared by several points is cleared when the sweep
@@ -164,51 +179,26 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if par > 1 {
 		points = ClearSharedPipeTracers(points)
 	}
-	results := make([]Result, len(points))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	work := make(chan int)
+	s := newScheduler(ctx, r, points)
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.wake.Broadcast()
+		s.mu.Unlock()
+	})
+	defer stop()
+	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range work {
-				results[idx] = r.runOne(ctx, idx, points[idx])
-				if r.Observer != nil || r.OnResult != nil {
-					mu.Lock()
-					done++
-					if r.OnResult != nil {
-						r.OnResult(idx, results[idx])
-					}
-					if r.Observer != nil {
-						p := PointProgress(idx, results[idx].Res, done, len(points))
-						// Per the Observer contract, Final marks successful
-						// completion only — never a cancelled sweep.
-						p.Final = done == len(points) && ctx.Err() == nil
-						r.Observer.Progress(p)
-					}
-					mu.Unlock()
-				}
-			}
+			s.work()
 		}()
 	}
-feed:
-	for i := range points {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return results, nil
+	return s.results, nil
 }
 
 // PointProgress is the progress report for one completed point: Core is
@@ -226,35 +216,25 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 	}
 }
 
-func (r Runner) runOne(ctx context.Context, idx int, pt Point) Result {
+// runOne simulates one point as run rn, under its context and through
+// its telemetry and checkpoint gates.
+func (r Runner) runOne(idx int, pt Point, rn *run) Result {
+	ctx := rn.ctx
 	out := Result{Point: pt}
-	cfg := pt.Config
-	cfg.Observer = nil
-	cfg.CheckpointSink = nil
-	cfg.CheckpointEvery = 0
-	cfg.TelemetrySink = nil
-	cfg.TelemetryEvery = 0
-	if sameModel(cfg.ICache, cfg.DCache) {
-		// Unified I/D cache: clone once so the point keeps one cache with
-		// I/D contention rather than two independent halves.
-		unified := cache.CloneCold(cfg.ICache)
-		cfg.ICache, cfg.DCache = unified, unified
-	} else {
-		cfg.ICache = cache.CloneCold(cfg.ICache)
-		cfg.DCache = cache.CloneCold(cfg.DCache)
-	}
+	cfg := pointConfig(pt.Config)
 	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil && serializableModels(cfg) {
 		cfg.CheckpointEvery = r.CheckpointEvery
 		cfg.CheckpointSink = func(cp *core.Checkpoint) error {
-			r.OnCheckpoint(idx, cp)
+			if rn.forwards() {
+				r.OnCheckpoint(idx, cp)
+			}
 			return nil
 		}
 	}
 	if r.TelemetryEvery > 0 && r.OnTelemetry != nil {
 		cfg.TelemetryEvery = r.TelemetryEvery
 		cfg.TelemetrySink = func(snap core.IntervalSnapshot) error {
-			snap.Core = idx
-			r.OnTelemetry(idx, snap)
+			rn.telemetry(snap)
 			return nil
 		}
 	}
@@ -297,19 +277,23 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point) Result {
 	return out
 }
 
+// pointConfig is the configuration a point's engine runs: the point's own
+// with its per-run hooks cleared (the Runner's hooks are the sweep's
+// channels) and its memory system cloned cold as a whole.
+func pointConfig(c core.Config) core.Config {
+	c.Observer = nil
+	c.CheckpointSink, c.CheckpointEvery = nil, 0
+	c.TelemetrySink, c.TelemetryEvery = nil, 0
+	mem := cache.CloneColdAll(c.ICache, c.DCache)
+	c.ICache, c.DCache = mem[0], mem[1]
+	return c
+}
+
 // serializableModels reports whether the point's memory system supports
 // state capture — custom cache models run without checkpointing rather than
 // failing their point.
 func serializableModels(cfg core.Config) bool {
 	return cache.Serializable(cfg.ICache) && cache.Serializable(cfg.DCache)
-}
-
-// sameModel reports whether a and b are the same cache-model instance. It
-// compares by pointer identity rather than interface equality so a custom
-// value-typed Model with non-comparable fields cannot panic the sweep; all
-// built-in models are pointers.
-func sameModel(a, b cache.Model) bool {
-	return a != nil && ptrOf(a) != 0 && ptrOf(a) == ptrOf(b)
 }
 
 // ptrOf returns v's pointer identity, or 0 for nil and value-typed

@@ -2,10 +2,12 @@ package resim_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	resim "repro"
 )
@@ -144,5 +146,84 @@ func TestSweepClearsCrossGroupPipeTracer(t *testing.T) {
 		if want[i].Res.Counters != got[i].Res.Counters {
 			t.Errorf("point %d: traced sweep differs from tracer-free sweep", i)
 		}
+	}
+}
+
+// TestSweepSpeculativeLadderTelemetry: with eight host threads every rung
+// of a single-ladder sweep starts at once, the larger ones speculatively,
+// and the rungs a smaller unfilled rung answers are cancelled or never
+// run. Either way each point's results equal a serial sweep's, and its
+// windows carry its own index and LSQ capacity, number from 0, end Final
+// and sum to its result. Cancelling the sweep mid-ladder returns
+// ctx.Err() without leaking goroutines.
+func TestSweepSpeculativeLadderTelemetry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := resim.DefaultConfig()
+	points := resim.SweepGrid("lsq", base, []int{2, 3, 4, 6, 8, 16, 32, 64}, func(c *resim.Config, v int) {
+		c.LSQSize = v
+	})
+	ctx := context.Background()
+	want, err := mustSession(t).Sweep(ctx, "gzip", 40_000, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GOMAXPROCS(8)
+	for rep := 0; rep < 3; rep++ {
+		var log telemetryLog
+		ses := mustSession(t, resim.WithTelemetry(log.sink, 2048),
+			resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
+		got, err := ses.Sweep(ctx, "gzip", 40_000, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPoint := make([][]resim.IntervalSnapshot, len(points))
+		for _, s := range log.snaps {
+			if s.Core < 0 || s.Core >= len(points) {
+				t.Fatalf("snapshot Core = %d, want a point index in [0,%d)", s.Core, len(points))
+			}
+			byPoint[s.Core] = append(byPoint[s.Core], s)
+		}
+		for i, r := range got {
+			if r.Err != nil {
+				t.Fatalf("point %d: %v", i, r.Err)
+			}
+			if r.Res.Counters != want[i].Res.Counters || r.Res.LSQ != want[i].Res.LSQ {
+				t.Errorf("rep %d point %s: result differs from the serial sweep", rep, r.Name)
+			}
+			snaps := byPoint[i]
+			if len(snaps) == 0 || !snaps[len(snaps)-1].Final {
+				t.Errorf("rep %d point %s: %d windows, want a run ending Final", rep, r.Name, len(snaps))
+				continue
+			}
+			for k, s := range snaps {
+				if s.Seq != uint64(k) || s.LSQ.Cap != points[i].Config.LSQSize {
+					t.Errorf("rep %d point %s window %d: seq %d, LSQ cap %d", rep, r.Name, k, s.Seq, s.LSQ.Cap)
+					break
+				}
+			}
+			if !sumsTo(snaps, r.Res) {
+				t.Errorf("rep %d point %s: windows do not sum to its result", rep, r.Name)
+			}
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var once sync.Once
+	ses := mustSession(t, resim.WithTelemetry(func(resim.IntervalSnapshot) error {
+		once.Do(cancel)
+		return nil
+	}, 2048))
+	if _, err := ses.Sweep(cctx, "gzip", 1<<62, points); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled sweep: err = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before %d, after %d (leak)", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
