@@ -24,8 +24,7 @@ import (
 
 // running counts the simulations in flight in this process, across every
 // Runner. A slot starts a speculative rung only while it is below
-// GOMAXPROCS, so speculation spends idle host threads and never competes
-// with runs whose results are certain to count.
+// GOMAXPROCS, so speculation only ever starts on an idle host thread.
 var running atomic.Int64
 
 // reserve counts one more simulation if the process runs fewer than
@@ -114,77 +113,44 @@ func answerFrom(pt Point, src core.Result) (core.Result, error) {
 	return res, nil
 }
 
-// runMode is what a run does with its telemetry and checkpoints.
-type runMode uint8
-
-const (
-	holding    runMode = iota // speculative: snapshots held, checkpoints dropped
-	forwarding                // confirmed or finished: both pass through
-	discarded                 // answered by a smaller rung: both dropped
-)
-
-// run is one in-flight simulation of a point.
+// run is one in-flight simulation of a point. It forwards the point's
+// own telemetry windows and checkpoints until a smaller rung answers the
+// point while it runs: the answer stops the run's output and cancels it,
+// and the point's worker then streams the source's windows from the first
+// one the run did not send. The windows it did send are the source's too,
+// since the point followed the source's trajectory. Only the run's own
+// goroutine writes sent and windows; other workers read windows after the
+// run's finish, under the scheduler's lock.
 type run struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	emit   func(core.IntervalSnapshot) // forwards one of the point's snapshots
-	record bool                        // keep windows: larger rungs may be answered from this run
-
-	mu      sync.Mutex
-	mode    runMode
-	held    []core.IntervalSnapshot
+	ctx     context.Context
+	cancel  context.CancelFunc
+	record  bool        // keep windows: a larger rung may be answered from this run
+	stopped atomic.Bool // answered by a smaller rung: nothing more of its own goes out
+	src     *run        // the answering run, set under the scheduler's lock
+	sent    int         // windows forwarded
 	windows []core.IntervalSnapshot
 }
 
-// telemetry takes one snapshot from the run's engine. Forwarding under
-// rn.mu keeps a point's windows in order against settle, which releases
-// held ones from another goroutine.
-func (rn *run) telemetry(snap core.IntervalSnapshot) {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
+// keep reports whether one of the run's own telemetry windows goes out,
+// counting it. A recording run keeps its windows until one shows a full
+// LSQ: such a run answers nothing.
+func (rn *run) keep(snap core.IntervalSnapshot) bool {
+	if rn.stopped.Load() {
+		return false
+	}
+	rn.sent++
+	if rn.record && snap.LSQ.FullFrac() > 0 {
+		rn.record, rn.windows = false, nil
+	}
 	if rn.record {
 		rn.windows = append(rn.windows, snap)
 	}
-	switch rn.mode {
-	case holding:
-		rn.held = append(rn.held, snap)
-	case forwarding:
-		rn.emit(snap)
-	}
+	return true
 }
 
-// forwards reports whether the run's checkpoints pass through.
-func (rn *run) forwards() bool {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	return rn.mode == forwarding
-}
-
-// settle ends a holding run's hold: forwarding releases the held snapshots
-// in order, discarded drops them.
-func (rn *run) settle(m runMode) {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	if rn.mode != holding {
-		return
-	}
-	if m == forwarding {
-		for _, snap := range rn.held {
-			rn.emit(snap)
-		}
-	}
-	rn.held, rn.mode = nil, m
-}
-
-type pointState uint8
-
-const (
-	pending pointState = iota
-	inFlight
-	done
-)
-
-// scheduler runs one Run call's points ladder by ladder.
+// scheduler runs one Run call's points ladder by ladder. Within a ladder
+// rungs start smallest first, so a ladder's pending rungs are always the
+// suffix from pend on.
 type scheduler struct {
 	r       Runner
 	ctx     context.Context
@@ -193,12 +159,19 @@ type scheduler struct {
 	ladder  []int // each point's ladder
 	rung    []int // each point's position in its ladder
 
-	mu      sync.Mutex
-	wake    sync.Cond
-	state   []pointState
+	mu   sync.Mutex
+	wake sync.Cond
+	pend []int // each ladder's first pending rung
+	busy []int // each ladder's rungs in flight
+	// skip[l] is l while ladder l has a pending rung, else a later ladder
+	// (see open); skip[len(ladders)] ends the walk.
+	skip    []int
 	runs    []*run // each in-flight point's run
+	done    []bool // each point's result is final
 	results []Result
-	nDone   int // points done, for Progress.Done
+
+	out   sync.Mutex // serializes OnResult and Observer callbacks
+	nDone int        // points reported, for Progress.Done
 }
 
 func newScheduler(ctx context.Context, r Runner, points []Point) *scheduler {
@@ -207,152 +180,173 @@ func newScheduler(ctx context.Context, r Runner, points []Point) *scheduler {
 		ladders: ladders(points, r.Resume),
 		ladder:  make([]int, len(points)),
 		rung:    make([]int, len(points)),
-		state:   make([]pointState, len(points)),
 		runs:    make([]*run, len(points)),
+		done:    make([]bool, len(points)),
 		results: make([]Result, len(points)),
 	}
 	s.wake.L = &s.mu
+	s.pend = make([]int, len(s.ladders))
+	s.busy = make([]int, len(s.ladders))
+	s.skip = make([]int, len(s.ladders)+1)
 	for l, lad := range s.ladders {
+		s.skip[l] = l
 		for k, idx := range lad {
 			s.ladder[idx], s.rung[idx] = l, k
 		}
 	}
+	s.skip[len(s.ladders)] = len(s.ladders)
 	return s
 }
 
-// work runs points until none is left to start.
+// delivery is a result a worker reports, after streaming windows as the
+// point's.
+type delivery struct {
+	idx     int
+	windows []core.IntervalSnapshot
+}
+
+// work runs points until none is left to start. Results and windows are
+// reported outside s.mu, so a slow sink never holds up the other slots'
+// scheduling.
 func (s *scheduler) work() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
-		idx, rn := s.next()
-		if rn == nil {
+		s.mu.Lock()
+		idx := s.next()
+		if idx < 0 {
+			s.mu.Unlock()
 			return
 		}
+		ctx, cancel := context.WithCancel(s.ctx)
+		rn := &run{ctx: ctx, cancel: cancel,
+			record: s.r.OnTelemetry != nil && s.rung[idx] < len(s.ladders[s.ladder[idx]])-1}
+		s.runs[idx] = rn
 		s.mu.Unlock()
 		res := s.r.runOne(idx, s.points[idx], rn)
 		running.Add(-1)
-		rn.cancel()
+		cancel()
 		s.mu.Lock()
-		s.finish(idx, rn, res)
+		out := s.finish(idx, rn, res)
+		s.mu.Unlock()
+		for _, d := range out {
+			for _, snap := range d.windows {
+				snap.LSQ.Cap = s.points[d.idx].Config.LSQSize
+				snap.Core = d.idx
+				s.r.OnTelemetry(d.idx, snap)
+			}
+			s.report(d.idx, s.results[d.idx])
+		}
 	}
 }
 
-// next starts a point: the first pending rung whose smaller rungs are all
-// done, else, while the process has an idle host thread, the smallest
-// pending rung of the first ladder that has one. It waits while points are
-// pending but neither kind can start, and returns a nil run once none is
-// pending or the sweep is cancelled.
-func (s *scheduler) next() (int, *run) {
+// next starts a point and returns its index: the smallest pending rung of
+// the first ladder with none in flight, else, while the process has an
+// idle host thread, the smallest pending rung of the first ladder that has
+// one. It waits while points are pending but neither kind can start, and
+// returns -1 once none is pending or the sweep is cancelled. The walk
+// passes only ladders with a rung in flight before it stops, so it costs
+// about the number of slots.
+func (s *scheduler) next() int {
 	for s.ctx.Err() == nil {
 		spec := -1
-		for _, lad := range s.ladders {
-			idx, safe := s.firstPending(lad)
-			if safe {
+		for l := s.open(0); l < len(s.ladders); l = s.open(l + 1) {
+			if s.busy[l] == 0 {
 				running.Add(1)
-				return idx, s.start(idx, forwarding)
+				return s.start(l)
 			}
 			if spec < 0 {
-				spec = idx
+				spec = l
 			}
 		}
 		if spec < 0 {
-			return -1, nil
+			return -1
 		}
 		if reserve() {
-			return spec, s.start(spec, holding)
+			return s.start(spec)
 		}
 		// Some rung of this sweep is in flight (else a pending rung would
 		// be safe), and its finish wakes us.
 		s.wake.Wait()
 	}
-	return -1, nil
+	return -1
 }
 
-// firstPending returns the ladder's smallest pending rung and whether
-// every smaller rung is done, or -1.
-func (s *scheduler) firstPending(lad []int) (int, bool) {
-	safe := true
-	for _, idx := range lad {
-		switch s.state[idx] {
-		case pending:
-			return idx, safe
-		case inFlight:
-			safe = false
-		}
+// open returns the first ladder at or after l that has a pending rung, or
+// len(s.ladders). Drained ladders are skipped through s.skip, whose paths
+// the walk halves, so each drained ladder is passed about once.
+func (s *scheduler) open(l int) int {
+	for s.skip[l] != l {
+		s.skip[l] = s.skip[s.skip[l]]
+		l = s.skip[l]
 	}
-	return -1, false
+	return l
 }
 
-func (s *scheduler) start(idx int, mode runMode) *run {
-	ctx, cancel := context.WithCancel(s.ctx)
-	lad := s.ladders[s.ladder[idx]]
-	rn := &run{
-		ctx: ctx, cancel: cancel, mode: mode,
-		emit:   func(snap core.IntervalSnapshot) { s.emit(idx, snap) },
-		record: s.r.OnTelemetry != nil && s.rung[idx] < len(lad)-1,
+// start takes ladder l's smallest pending rung.
+func (s *scheduler) start(l int) int {
+	idx := s.ladders[l][s.pend[l]]
+	s.pend[l]++
+	s.busy[l]++
+	if s.pend[l] == len(s.ladders[l]) {
+		s.skip[l] = l + 1
 	}
-	s.state[idx], s.runs[idx] = inFlight, rn
-	return rn
+	return idx
 }
 
-// finish records a finished run. An unfilled LSQ answers every larger rung
-// not yet done; a speculative run still in flight is confirmed once every
-// smaller rung is done.
-func (s *scheduler) finish(idx int, rn *run, res Result) {
+// finish records point idx's finished run rn and returns what the worker
+// reports. A point answered while it ran reports the answer, after the
+// source's windows its run did not send. Otherwise the run's own result
+// counts, and a successful run whose LSQ never filled also answers every
+// larger rung not yet done: rungs in flight are stopped and cancelled and
+// report through their own workers, pending ones through this one.
+func (s *scheduler) finish(idx int, rn *run, res Result) []delivery {
 	defer s.wake.Broadcast()
-	if s.state[idx] == done {
-		return // answered while it ran; the run was discarded
-	}
+	l := s.ladder[idx]
+	s.busy[l]--
 	s.runs[idx] = nil
-	rn.settle(forwarding) // a finished run is its own valid answer
-	s.complete(idx, res)
-	lad := s.ladders[s.ladder[idx]]
-	if res.Err == nil && res.Res.LSQ.FullFrac() == 0 {
-		for _, j := range lad[s.rung[idx]+1:] {
-			if s.state[j] != done {
-				s.answer(j, idx, rn.windows)
-			}
+	if s.done[idx] {
+		return []delivery{{idx, rn.src.windows[min(rn.sent, len(rn.src.windows)):]}}
+	}
+	s.done[idx], s.results[idx] = true, res
+	out := []delivery{{idx: idx}}
+	if res.Err != nil || res.Res.LSQ.FullFrac() > 0 || s.ctx.Err() != nil {
+		return out
+	}
+	var larger []int
+	for _, j := range s.ladders[l][s.rung[idx]+1:] {
+		if !s.done[j] {
+			larger = append(larger, j)
 		}
 	}
-	smallerDone := true
-	for _, j := range lad {
-		if other := s.runs[j]; other != nil && smallerDone {
-			other.settle(forwarding)
+	answers := make([]Result, len(larger))
+	for k, j := range larger {
+		ans, err := answerFrom(s.points[j], res.Res)
+		if err != nil {
+			return out // unreachable for ladder models; the rungs simply run
 		}
-		smallerDone = smallerDone && s.state[j] == done
+		answers[k] = Result{Point: s.points[j], Res: ans}
 	}
+	for k, j := range larger {
+		s.done[j], s.results[j] = true, answers[k]
+		if other := s.runs[j]; other != nil {
+			other.src = rn
+			other.stopped.Store(true)
+			other.cancel()
+		} else {
+			out = append(out, delivery{j, rn.windows})
+		}
+	}
+	s.pend[l] = len(s.ladders[l])
+	s.skip[l] = l + 1
+	return out
 }
 
-// answer completes point j from the result of point src, cancelling j's
-// speculative run if it has one, and streams src's windows as j's.
-func (s *scheduler) answer(j, src int, windows []core.IntervalSnapshot) {
-	res, err := answerFrom(s.points[j], s.results[src].Res)
-	if err != nil {
-		return // unreachable for ladder models; j simply runs
+// report hands point idx's result to OnResult and the Observer.
+func (s *scheduler) report(idx int, res Result) {
+	if s.r.OnResult == nil && s.r.Observer == nil {
+		return
 	}
-	if rn := s.runs[j]; rn != nil {
-		rn.settle(discarded)
-		rn.cancel()
-		s.runs[j] = nil
-	}
-	for _, snap := range windows {
-		snap.LSQ.Cap = s.points[j].Config.LSQSize
-		s.emit(j, snap)
-	}
-	s.complete(j, Result{Point: s.points[j], Res: res})
-}
-
-// emit forwards one of point idx's snapshots, stamped with its index.
-func (s *scheduler) emit(idx int, snap core.IntervalSnapshot) {
-	snap.Core = idx
-	s.r.OnTelemetry(idx, snap)
-}
-
-// complete records point idx's result and reports it through OnResult and
-// the Observer.
-func (s *scheduler) complete(idx int, res Result) {
-	s.state[idx], s.results[idx] = done, res
+	s.out.Lock()
+	defer s.out.Unlock()
 	s.nDone++
 	if s.r.OnResult != nil {
 		s.r.OnResult(idx, res)

@@ -136,17 +136,17 @@ type Runner struct {
 // every larger rung would replay its trajectory exactly: Run answers those
 // rungs from its result instead of simulating them. An answered point gets
 // its own Point and Config (its LSQ size, and its own memory-system copy
-// restored to the source's final cache state) and its own LSQ capacity.
-// A point with a PipeTracer, a Resume checkpoint or a cache model other
-// than a *cache.Perfect or *cache.Cache is a ladder of one. A point runs
-// first once every smaller rung is done; a free slot may start a later
-// rung speculatively, but only while the process runs fewer simulations
-// than GOMAXPROCS, and cancels it if a smaller rung answers it. Until it
-// is confirmed (every smaller rung done without answering it) or
-// finishes, a speculative run holds its telemetry and drops its
-// checkpoints; an answered point streams
-// its source's windows re-stamped with its own index and LSQ capacity, so
-// every point's windows sum to its result.
+// restored to the source's final cache state) and its own LSQ capacity,
+// and streams the source's telemetry windows re-stamped with its own index
+// and LSQ capacity, so every point's windows sum to its result. A point
+// with a PipeTracer, a Resume checkpoint or a cache model other than a
+// *cache.Perfect or *cache.Cache is a ladder of one. A rung starts once
+// every smaller rung is done; a free slot may also start a later rung
+// speculatively, but only while the process runs fewer simulations than
+// GOMAXPROCS. A run's telemetry and checkpoints are its point's own, so
+// they pass through as it runs; when a smaller rung answers a rung in
+// flight, the run stops sending and is cancelled, and the point streams
+// the source's windows from where its own run stopped.
 //
 // Points run in parallel, so per-point state is isolated where the sweep
 // can do it: each point's memory system is cloned cold as a whole
@@ -216,8 +216,8 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 	}
 }
 
-// runOne simulates one point as run rn, under its context and through
-// its telemetry and checkpoint gates.
+// runOne simulates one point as run rn, under its context; its own
+// checkpoints and windows go out only until a smaller rung answers it.
 func (r Runner) runOne(idx int, pt Point, rn *run) Result {
 	ctx := rn.ctx
 	out := Result{Point: pt}
@@ -225,7 +225,7 @@ func (r Runner) runOne(idx int, pt Point, rn *run) Result {
 	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil && serializableModels(cfg) {
 		cfg.CheckpointEvery = r.CheckpointEvery
 		cfg.CheckpointSink = func(cp *core.Checkpoint) error {
-			if rn.forwards() {
+			if !rn.stopped.Load() {
 				r.OnCheckpoint(idx, cp)
 			}
 			return nil
@@ -234,7 +234,10 @@ func (r Runner) runOne(idx int, pt Point, rn *run) Result {
 	if r.TelemetryEvery > 0 && r.OnTelemetry != nil {
 		cfg.TelemetryEvery = r.TelemetryEvery
 		cfg.TelemetrySink = func(snap core.IntervalSnapshot) error {
-			rn.telemetry(snap)
+			if rn.keep(snap) {
+				snap.Core = idx
+				r.OnTelemetry(idx, snap)
+			}
 			return nil
 		}
 	}

@@ -149,34 +149,50 @@ func TestSweepClearsCrossGroupPipeTracer(t *testing.T) {
 	}
 }
 
-// TestSweepSpeculativeLadderTelemetry: with eight host threads every rung
-// of a single-ladder sweep starts at once, the larger ones speculatively,
-// and the rungs a smaller unfilled rung answers are cancelled or never
-// run. Either way each point's results equal a serial sweep's, and its
-// windows carry its own index and LSQ capacity, number from 0, end Final
-// and sum to its result. Cancelling the sweep mid-ladder returns
-// ctx.Err() without leaking goroutines.
+// TestSweepSpeculativeLadderTelemetry: with eight host threads a
+// single-ladder sweep starts eight rungs at once, the larger ones
+// speculatively, and the first of them to finish with an LSQ that never
+// filled answers every larger rung, cancelling those in flight. Each
+// point's results equal a serial sweep's, and its windows — its own run's,
+// its source's, or its own run's followed by its source's — carry its own
+// index and LSQ capacity, number from 0, end Final and sum to its result. Across the reps, the trace cache shows both
+// paths: more rungs simulated than a serial sweep needs (speculation), and
+// fewer than the ladder has (answers). Cancelling the sweep mid-ladder
+// returns ctx.Err() without leaking goroutines.
 func TestSweepSpeculativeLadderTelemetry(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	base := resim.DefaultConfig()
-	points := resim.SweepGrid("lsq", base, []int{2, 3, 4, 6, 8, 16, 32, 64}, func(c *resim.Config, v int) {
-		c.LSQSize = v
-	})
+	points := resim.SweepGrid("lsq", base, []int{2, 4, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 112, 128},
+		func(c *resim.Config, v int) { c.LSQSize = v })
 	ctx := context.Background()
 	want, err := mustSession(t).Sweep(ctx, "gzip", 40_000, points)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A serial sweep simulates the rungs up to its first unfilled one.
+	var serial uint64
+	for _, r := range want {
+		serial++
+		if r.Res.LSQ.FullFrac() == 0 {
+			break
+		}
+	}
 
 	runtime.GOMAXPROCS(8)
+	speculated, answered := false, false
 	for rep := 0; rep < 3; rep++ {
 		var log telemetryLog
-		ses := mustSession(t, resim.WithTelemetry(log.sink, 2048),
-			resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
+		traces := resim.NewTraceCache(resim.TraceCacheConfig{})
+		ses := mustSession(t, resim.WithTelemetry(log.sink, 2048), resim.WithTraceCache(traces))
 		got, err := ses.Sweep(ctx, "gzip", 40_000, points)
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := traces.Stats()
+		simulated := st.Hits + st.Generations
+		t.Logf("rep %d: simulated %d of %d points (a serial sweep: %d)", rep, simulated, len(points), serial)
+		speculated = speculated || simulated > serial
+		answered = answered || simulated < uint64(len(points))
 		byPoint := make([][]resim.IntervalSnapshot, len(points))
 		for _, s := range log.snaps {
 			if s.Core < 0 || s.Core >= len(points) {
@@ -206,6 +222,9 @@ func TestSweepSpeculativeLadderTelemetry(t *testing.T) {
 				t.Errorf("rep %d point %s: windows do not sum to its result", rep, r.Name)
 			}
 		}
+	}
+	if !speculated || !answered {
+		t.Errorf("speculated %t, answered %t: want both in some rep", speculated, answered)
 	}
 
 	before := runtime.NumGoroutine()
