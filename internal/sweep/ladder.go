@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -21,21 +19,6 @@ import (
 // stall. A larger LSQ with every other setting equal then follows the
 // identical trajectory, and its Result differs only in Config.LSQSize and
 // LSQ.Cap — which is how a ladder answers its larger rungs.
-
-// running counts the simulations in flight in this process, across every
-// Runner. A slot starts a speculative rung only while it is below
-// GOMAXPROCS, so speculation only ever starts on an idle host thread.
-var running atomic.Int64
-
-// reserve counts one more simulation if the process runs fewer than
-// GOMAXPROCS.
-func reserve() bool {
-	if running.Add(1) > int64(runtime.GOMAXPROCS(0)) {
-		running.Add(-1)
-		return false
-	}
-	return true
-}
 
 // ladderKey returns the key shared by points that differ only in LSQSize,
 // or false for a point that must be a ladder of one: one with a
@@ -113,44 +96,29 @@ func answerFrom(pt Point, src core.Result) (core.Result, error) {
 	return res, nil
 }
 
-// run is one in-flight simulation of a point. It forwards the point's
-// own telemetry windows and checkpoints until a smaller rung answers the
-// point while it runs: the answer stops the run's output and cancels it,
-// and the point's worker then streams the source's windows from the first
-// one the run did not send. The windows it did send are the source's too,
-// since the point followed the source's trajectory. Only the run's own
-// goroutine writes sent and windows; other workers read windows after the
-// run's finish, under the scheduler's lock.
+// run is one simulation of a point. A run with larger rungs records its
+// telemetry windows while they could still answer those rungs; an answered
+// rung streams them as its own.
 type run struct {
-	ctx     context.Context
-	cancel  context.CancelFunc
-	record  bool        // keep windows: a larger rung may be answered from this run
-	stopped atomic.Bool // answered by a smaller rung: nothing more of its own goes out
-	src     *run        // the answering run, set under the scheduler's lock
-	sent    int         // windows forwarded
+	record  bool // a larger rung may be answered from this run
 	windows []core.IntervalSnapshot
 }
 
-// keep reports whether one of the run's own telemetry windows goes out,
-// counting it. A recording run keeps its windows until one shows a full
-// LSQ: such a run answers nothing.
-func (rn *run) keep(snap core.IntervalSnapshot) bool {
-	if rn.stopped.Load() {
-		return false
-	}
-	rn.sent++
+// note records one of the run's telemetry windows. A recording run stops
+// at the first window that shows a full LSQ: such a run answers nothing.
+func (rn *run) note(snap core.IntervalSnapshot) {
 	if rn.record && snap.LSQ.FullFrac() > 0 {
 		rn.record, rn.windows = false, nil
 	}
 	if rn.record {
 		rn.windows = append(rn.windows, snap)
 	}
-	return true
 }
 
-// scheduler runs one Run call's points ladder by ladder. Within a ladder
-// rungs start smallest first, so a ladder's pending rungs are always the
-// suffix from pend on.
+// scheduler runs one Run call's points ladder by ladder. A ladder runs one
+// rung at a time, smallest first, so its pending rungs are always the
+// suffix from pend on, and the set of points it simulates never depends on
+// timing.
 type scheduler struct {
 	r       Runner
 	ctx     context.Context
@@ -160,14 +128,11 @@ type scheduler struct {
 	rung    []int // each point's position in its ladder
 
 	mu   sync.Mutex
-	wake sync.Cond
-	pend []int // each ladder's first pending rung
-	busy []int // each ladder's rungs in flight
+	pend []int  // each ladder's first pending rung
+	busy []bool // each ladder's rung in flight
 	// skip[l] is l while ladder l has a pending rung, else a later ladder
 	// (see open); skip[len(ladders)] ends the walk.
 	skip    []int
-	runs    []*run // each in-flight point's run
-	done    []bool // each point's result is final
 	results []Result
 
 	out   sync.Mutex // serializes OnResult and Observer callbacks
@@ -180,13 +145,10 @@ func newScheduler(ctx context.Context, r Runner, points []Point) *scheduler {
 		ladders: ladders(points, r.Resume),
 		ladder:  make([]int, len(points)),
 		rung:    make([]int, len(points)),
-		runs:    make([]*run, len(points)),
-		done:    make([]bool, len(points)),
 		results: make([]Result, len(points)),
 	}
-	s.wake.L = &s.mu
 	s.pend = make([]int, len(s.ladders))
-	s.busy = make([]int, len(s.ladders))
+	s.busy = make([]bool, len(s.ladders))
 	s.skip = make([]int, len(s.ladders)+1)
 	for l, lad := range s.ladders {
 		s.skip[l] = l
@@ -198,13 +160,6 @@ func newScheduler(ctx context.Context, r Runner, points []Point) *scheduler {
 	return s
 }
 
-// delivery is a result a worker reports, after streaming windows as the
-// point's.
-type delivery struct {
-	idx     int
-	windows []core.IntervalSnapshot
-}
-
 // work runs points until none is left to start. Results and windows are
 // reported outside s.mu, so a slow sink never holds up the other slots'
 // scheduling.
@@ -212,60 +167,41 @@ func (s *scheduler) work() {
 	for {
 		s.mu.Lock()
 		idx := s.next()
+		s.mu.Unlock()
 		if idx < 0 {
-			s.mu.Unlock()
 			return
 		}
-		ctx, cancel := context.WithCancel(s.ctx)
-		rn := &run{ctx: ctx, cancel: cancel,
-			record: s.r.OnTelemetry != nil && s.rung[idx] < len(s.ladders[s.ladder[idx]])-1}
-		s.runs[idx] = rn
-		s.mu.Unlock()
-		res := s.r.runOne(idx, s.points[idx], rn)
-		running.Add(-1)
-		cancel()
+		rn := &run{record: s.r.OnTelemetry != nil && s.rung[idx] < len(s.ladders[s.ladder[idx]])-1}
+		res := s.r.runOne(s.ctx, idx, s.points[idx], rn)
 		s.mu.Lock()
-		out := s.finish(idx, rn, res)
+		answered := s.finish(idx, res)
 		s.mu.Unlock()
-		for _, d := range out {
-			for _, snap := range d.windows {
-				snap.LSQ.Cap = s.points[d.idx].Config.LSQSize
-				snap.Core = d.idx
-				s.r.OnTelemetry(d.idx, snap)
+		s.report(idx, res)
+		for _, j := range answered {
+			for _, snap := range rn.windows {
+				snap.LSQ.Cap = s.points[j].Config.LSQSize
+				snap.Core = j
+				s.r.OnTelemetry(j, snap)
 			}
-			s.report(d.idx, s.results[d.idx])
+			s.report(j, s.results[j])
 		}
 	}
 }
 
-// next starts a point and returns its index: the smallest pending rung of
-// the first ladder with none in flight, else, while the process has an
-// idle host thread, the smallest pending rung of the first ladder that has
-// one. It waits while points are pending but neither kind can start, and
-// returns -1 once none is pending or the sweep is cancelled. The walk
-// passes only ladders with a rung in flight before it stops, so it costs
-// about the number of slots.
+// next starts the smallest pending rung of the first ladder with no rung in
+// flight and returns its index, or -1 when there is none or the sweep is
+// cancelled. A slot that gets -1 exits without losing width: a ladder's
+// next rung becomes ready only when its rung in flight finishes, and that
+// rung's slot then starts a ready rung itself. The walk passes only
+// ladders with a rung in flight, so it costs at most the number of slots.
 func (s *scheduler) next() int {
-	for s.ctx.Err() == nil {
-		spec := -1
-		for l := s.open(0); l < len(s.ladders); l = s.open(l + 1) {
-			if s.busy[l] == 0 {
-				running.Add(1)
-				return s.start(l)
-			}
-			if spec < 0 {
-				spec = l
-			}
+	if s.ctx.Err() != nil {
+		return -1
+	}
+	for l := s.open(0); l < len(s.ladders); l = s.open(l + 1) {
+		if !s.busy[l] {
+			return s.start(l)
 		}
-		if spec < 0 {
-			return -1
-		}
-		if reserve() {
-			return s.start(spec)
-		}
-		// Some rung of this sweep is in flight (else a pending rung would
-		// be safe), and its finish wakes us.
-		s.wake.Wait()
 	}
 	return -1
 }
@@ -285,59 +221,38 @@ func (s *scheduler) open(l int) int {
 func (s *scheduler) start(l int) int {
 	idx := s.ladders[l][s.pend[l]]
 	s.pend[l]++
-	s.busy[l]++
+	s.busy[l] = true
 	if s.pend[l] == len(s.ladders[l]) {
 		s.skip[l] = l + 1
 	}
 	return idx
 }
 
-// finish records point idx's finished run rn and returns what the worker
-// reports. A point answered while it ran reports the answer, after the
-// source's windows its run did not send. Otherwise the run's own result
-// counts, and a successful run whose LSQ never filled also answers every
-// larger rung not yet done: rungs in flight are stopped and cancelled and
-// report through their own workers, pending ones through this one.
-func (s *scheduler) finish(idx int, rn *run, res Result) []delivery {
-	defer s.wake.Broadcast()
+// finish records point idx's result and returns the larger rungs it
+// answers: every one, when the run succeeded with an LSQ that never
+// filled, else none.
+func (s *scheduler) finish(idx int, res Result) []int {
 	l := s.ladder[idx]
-	s.busy[l]--
-	s.runs[idx] = nil
-	if s.done[idx] {
-		return []delivery{{idx, rn.src.windows[min(rn.sent, len(rn.src.windows)):]}}
-	}
-	s.done[idx], s.results[idx] = true, res
-	out := []delivery{{idx: idx}}
+	s.busy[l] = false
+	s.results[idx] = res
 	if res.Err != nil || res.Res.LSQ.FullFrac() > 0 || s.ctx.Err() != nil {
-		return out
+		return nil
 	}
-	var larger []int
-	for _, j := range s.ladders[l][s.rung[idx]+1:] {
-		if !s.done[j] {
-			larger = append(larger, j)
-		}
-	}
+	larger := s.ladders[l][s.rung[idx]+1:]
 	answers := make([]Result, len(larger))
 	for k, j := range larger {
 		ans, err := answerFrom(s.points[j], res.Res)
 		if err != nil {
-			return out // unreachable for ladder models; the rungs simply run
+			return nil // unreachable for ladder models; the rungs simply run
 		}
 		answers[k] = Result{Point: s.points[j], Res: ans}
 	}
 	for k, j := range larger {
-		s.done[j], s.results[j] = true, answers[k]
-		if other := s.runs[j]; other != nil {
-			other.src = rn
-			other.stopped.Store(true)
-			other.cancel()
-		} else {
-			out = append(out, delivery{j, rn.windows})
-		}
+		s.results[j] = answers[k]
 	}
 	s.pend[l] = len(s.ladders[l])
 	s.skip[l] = l + 1
-	return out
+	return larger
 }
 
 // report hands point idx's result to OnResult and the Observer.

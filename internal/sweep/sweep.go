@@ -140,13 +140,12 @@ type Runner struct {
 // and streams the source's telemetry windows re-stamped with its own index
 // and LSQ capacity, so every point's windows sum to its result. A point
 // with a PipeTracer, a Resume checkpoint or a cache model other than a
-// *cache.Perfect or *cache.Cache is a ladder of one. A rung starts once
-// every smaller rung is done; a free slot may also start a later rung
-// speculatively, but only while the process runs fewer simulations than
-// GOMAXPROCS. A run's telemetry and checkpoints are its point's own, so
-// they pass through as it runs; when a smaller rung answers a rung in
-// flight, the run stops sending and is cancelled, and the point streams
-// the source's windows from where its own run stopped.
+// *cache.Perfect or *cache.Cache is a ladder of one. A ladder runs one
+// rung at a time, each once every smaller rung is done, so which points a
+// sweep simulates never depends on timing; ladders run in parallel, so a
+// sweep runs at most as many points at once as it has ladders. A run's
+// telemetry and checkpoints are its point's own and pass through as it
+// runs.
 //
 // Points run in parallel, so per-point state is isolated where the sweep
 // can do it: each point's memory system is cloned cold as a whole
@@ -180,12 +179,6 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 		points = ClearSharedPipeTracers(points)
 	}
 	s := newScheduler(ctx, r, points)
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.wake.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
@@ -216,28 +209,24 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 	}
 }
 
-// runOne simulates one point as run rn, under its context; its own
-// checkpoints and windows go out only until a smaller rung answers it.
-func (r Runner) runOne(idx int, pt Point, rn *run) Result {
-	ctx := rn.ctx
+// runOne simulates one point as run rn; a window of its own telemetry is
+// also noted in rn.
+func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 	out := Result{Point: pt}
 	cfg := pointConfig(pt.Config)
 	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil && serializableModels(cfg) {
 		cfg.CheckpointEvery = r.CheckpointEvery
 		cfg.CheckpointSink = func(cp *core.Checkpoint) error {
-			if !rn.stopped.Load() {
-				r.OnCheckpoint(idx, cp)
-			}
+			r.OnCheckpoint(idx, cp)
 			return nil
 		}
 	}
 	if r.TelemetryEvery > 0 && r.OnTelemetry != nil {
 		cfg.TelemetryEvery = r.TelemetryEvery
 		cfg.TelemetrySink = func(snap core.IntervalSnapshot) error {
-			if rn.keep(snap) {
-				snap.Core = idx
-				r.OnTelemetry(idx, snap)
-			}
+			rn.note(snap)
+			snap.Core = idx
+			r.OnTelemetry(idx, snap)
 			return nil
 		}
 	}
