@@ -347,13 +347,10 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 //     writeback deferred them).
 func (e *Engine) rebuildDerived() error {
 	e.clearDerived()
-	if e.rob.Empty() {
-		if e.lsq.Len() != 0 {
-			return fmt.Errorf("core: %d LSQ entries with an empty reorder buffer", e.lsq.Len())
-		}
-		return nil
+	var headSeq int64
+	if !e.rob.Empty() {
+		headSeq = e.rob.At(0).seq
 	}
-	headSeq := e.rob.At(0).seq
 	robBase := e.rob.Base()
 	n := int64(e.rob.Len())
 	li := 0

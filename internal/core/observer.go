@@ -9,8 +9,8 @@ type Progress struct {
 	Committed uint64
 	IPC       float64
 	// Done and Total report sweep-level completion: after this callback,
-	// Done of Total design points have finished. Sweeps (local, loopback
-	// and remote) populate both; single-engine runs and clusters leave
+	// Done of Total design points have finished. Sweeps (local and
+	// remote) populate both; single-engine runs and clusters leave
 	// them zero. They are what a coordinator forwards to clients so a
 	// dashboard can render "completed points / total" while shards are
 	// still in flight.

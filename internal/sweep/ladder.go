@@ -18,7 +18,9 @@ import (
 // so a run whose LSQ occupancy never reached capacity never took that
 // stall. A larger LSQ with every other setting equal then follows the
 // identical trajectory, and its Result differs only in Config.LSQSize and
-// LSQ.Cap — which is how a ladder answers its larger rungs.
+// LSQ.Cap — which is how a ladder answers its larger rungs. The engine's
+// reads of LSQSize are pinned by TestLSQSizeReadsArePinned in
+// internal/core, which fails when one is added or moved.
 
 // ladderKey returns the key shared by points that differ only in LSQSize,
 // or false for a point that must be a ladder of one: one with a
@@ -266,11 +268,11 @@ func (s *scheduler) report(idx int, res Result) {
 	if s.r.OnResult != nil {
 		s.r.OnResult(idx, res)
 	}
-	if s.r.Observer != nil {
+	// A cancelled sweep reports no further progress: the point may have
+	// been cut short, and Final marks successful completion only.
+	if s.r.Observer != nil && s.ctx.Err() == nil {
 		p := PointProgress(idx, res.Res, s.nDone, len(s.points))
-		// Per the Observer contract, Final marks successful completion
-		// only — never a cancelled sweep.
-		p.Final = s.nDone == len(s.points) && s.ctx.Err() == nil
+		p.Final = s.nDone == len(s.points)
 		s.r.Observer.Progress(p)
 	}
 }

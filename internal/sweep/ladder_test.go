@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/tracecache"
@@ -222,5 +223,50 @@ func TestFilledRunKeepsNoWindows(t *testing.T) {
 		if len(rn.windows) == 0 || sum.Counters != res.Res.Counters {
 			t.Errorf("unfilled run: %d windows held, summing to %d cycles, want %d", len(rn.windows), sum.Cycles, res.Res.Cycles)
 		}
+	}
+}
+
+// TestLaddersNeverSpanTraceKeys: points that vary every field the trace
+// key reads (Predictor, PerfectBP, RBSize and IFQSize, through
+// TraceConfig) as well as LSQSize group into ladders that each hold one
+// trace key. Run hands every key of a sweep to one scheduler, so a
+// TraceConfig field left out of CheckpointDigest would merge points with
+// different traces into one ladder and answer them from the wrong run.
+func TestLaddersNeverSpanTraceKeys(t *testing.T) {
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig()
+	wide := base.Predictor
+	wide.PHTSize *= 2
+	var pts []Point
+	for _, pred := range []bpred.Config{base.Predictor, wide} {
+		for _, perfect := range []bool{false, true} {
+			for _, rb := range []int{8, 16} {
+				for _, ifq := range []int{4, 8} {
+					for _, lsq := range []int{4, 8, 16} {
+						c := base
+						c.Predictor, c.PerfectBP = pred, perfect
+						c.RBSize, c.IFQSize, c.LSQSize = rb, ifq, lsq
+						pts = append(pts, Point{Name: fmt.Sprintf("pht=%d,pbp=%t,rb=%d,ifq=%d,lsq=%d",
+							pred.PHTSize, perfect, rb, ifq, lsq), Config: c})
+					}
+				}
+			}
+		}
+	}
+	lads := ladders(pts, nil)
+	for _, lad := range lads {
+		want := tracecache.KeyFor(p, pts[lad[0]].Config.TraceConfig(), ladderInstr).ID()
+		for _, i := range lad[1:] {
+			if got := tracecache.KeyFor(p, pts[i].Config.TraceConfig(), ladderInstr).ID(); got != want {
+				t.Errorf("ladder spans trace keys: %s and %s", pts[lad[0]].Name, pts[i].Name)
+			}
+		}
+	}
+	// Each LSQ triple is one ladder, so the check above saw real ladders.
+	if len(lads) != len(pts)/3 {
+		t.Errorf("%d ladders from %d points, want %d", len(lads), len(pts), len(pts)/3)
 	}
 }

@@ -59,10 +59,10 @@ type Runner struct {
 	// Observer, when non-nil, receives one Progress callback per completed
 	// point: Core is the point's index, the counters are that point's,
 	// Done/Total carry sweep completion, and Final marks the last point to
-	// finish. Callbacks are serialized. It is the sweep's single reporting
-	// channel: per-point Config.Observer fields are ignored, so a base
-	// configuration carrying an observer does not double-report through
-	// every derived point.
+	// finish. Callbacks are serialized and stop once the sweep's context is
+	// cancelled. It is the sweep's single reporting channel: per-point
+	// Config.Observer fields are ignored, so a base configuration carrying
+	// an observer does not double-report through every derived point.
 	Observer core.Observer
 	// OnResult, when non-nil, receives each point's full result as it
 	// completes — the streaming hook the sharded sweep service builds on:
@@ -158,7 +158,7 @@ type Runner struct {
 //
 // A PipeTracer unique to one point is kept (serial pipeline tracing keeps
 // working); an instance shared by several points is cleared when the sweep
-// runs in parallel (ClearSharedPipeTracers).
+// runs in parallel (clearSharedPipeTracers).
 // Per-point Observers are always cleared — the Runner's Observer is the
 // sweep's reporting channel.
 func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
@@ -176,7 +176,7 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 		par = len(points)
 	}
 	if par > 1 {
-		points = ClearSharedPipeTracers(points)
+		points = clearSharedPipeTracers(points)
 	}
 	s := newScheduler(ctx, r, points)
 	var wg sync.WaitGroup
@@ -301,17 +301,14 @@ func ptrOf(v any) uintptr {
 	return rv.Pointer()
 }
 
-// ClearSharedPipeTracers returns the points with any PipeTracer instance
+// clearSharedPipeTracers returns the points with any PipeTracer instance
 // referenced by more than one point cleared, copying on write (the caller's
 // slice and configs are never mutated). The built-in ptrace collector is
 // unsynchronized, so concurrent engines would corrupt a shared instance
 // (typically a leak from deriving every point from one base Config); a
 // tracer unique to a single point is kept, since only one engine ever
-// touches it. Run applies it whenever it runs points in parallel; callers
-// that split one sweep across several concurrent Runners apply it to the
-// whole sweep first, because a tracer shared across Runners looks unique
-// within each.
-func ClearSharedPipeTracers(points []Point) []Point {
+// touches it. Run applies it whenever it runs points in parallel.
+func clearSharedPipeTracers(points []Point) []Point {
 	counts := map[uintptr]int{}
 	for i := range points {
 		if p := ptrOf(points[i].Config.PipeTracer); p != 0 {

@@ -228,9 +228,8 @@ func TestOnResultStreamsEveryPoint(t *testing.T) {
 }
 
 // TestClearSharedPipeTracers: a tracer instance referenced by several
-// points is cleared (copy-on-write), a unique one is kept — the up-front
-// sanitization the sharded scheduler applies before splitting a sweep into
-// per-group Runners that could no longer see the sharing.
+// points is cleared (copy-on-write), a unique one is kept — the
+// sanitization Run applies before running points in parallel.
 func TestClearSharedPipeTracers(t *testing.T) {
 	shared := &countingTracer{}
 	unique := &countingTracer{}
@@ -240,7 +239,7 @@ func TestClearSharedPipeTracers(t *testing.T) {
 	pts[1].Config.PipeTracer = shared
 	pts[2].Config.PipeTracer = unique
 
-	out := ClearSharedPipeTracers(pts)
+	out := clearSharedPipeTracers(pts)
 	if out[0].Config.PipeTracer != nil || out[1].Config.PipeTracer != nil {
 		t.Error("shared tracer survived across points")
 	}
@@ -253,7 +252,7 @@ func TestClearSharedPipeTracers(t *testing.T) {
 	}
 	// No sharing at all: the input comes back as-is, no copy.
 	solo := Grid("rb", base, []int{8, 16}, func(c *core.Config, v int) { c.RBSize = v })
-	if got := ClearSharedPipeTracers(solo); &got[0] != &solo[0] {
+	if got := clearSharedPipeTracers(solo); &got[0] != &solo[0] {
 		t.Error("tracer-free sweep was needlessly copied")
 	}
 }

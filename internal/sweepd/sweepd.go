@@ -14,10 +14,12 @@
 // worker and requeues a dead worker's unfinished points on a survivor.
 //
 // The same scheduler serves three surfaces: the in-process loopback mode
-// (LoopbackWorker — used by Session.Sweep and by tests), the network
-// coordinator (Coordinator + cmd/resimd), and the client (RunRemote behind
-// Session.SweepRemote). Local and remote sweeps therefore share one code
-// path for grouping, assignment, requeue and result ordering.
+// (LoopbackWorker — used by tests and in-process job platforms), the
+// network coordinator (Coordinator + cmd/resimd), and the client
+// (RunRemote behind Session.SweepRemote). Session.Sweep does not go
+// through it: a local sweep runs one sweep.Runner, with no requeue and no
+// checkpoint shipping, and shares only result order, the observer
+// contract and telemetry with the remote path.
 package sweepd
 
 import (
@@ -249,12 +251,6 @@ func (s *CheckpointStore) evictLocked(index int) {
 // bit-identical to a from-scratch run); when no live worker remains the job
 // fails. Cancelling the context aborts in-flight groups and returns
 // ctx.Err() once every worker has drained.
-//
-// With more than one worker, groups run concurrently in separate Runners,
-// each blind to sharing outside its group, so Run first clears every
-// PipeTracer instance shared across the job's points
-// (sweep.ClearSharedPipeTracers) — on a copy: the caller's Job is never
-// mutated.
 func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointResult, done, total int)) ([]sweep.Result, error) {
 	if len(job.Points) == 0 {
 		return nil, fmt.Errorf("sweepd: no design points")
@@ -264,11 +260,6 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if len(workers) > 1 {
-		cleared := *job
-		cleared.Points = sweep.ClearSharedPipeTracers(job.Points)
-		job = &cleared
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -491,16 +482,9 @@ type LoopbackOptions struct {
 	// 0 uses GOMAXPROCS.
 	Parallelism int
 	// Traces is the worker's shared trace cache — the stand-in for one
-	// host's cache. nil (with DisableCache false) gives the worker a
-	// private cache, the loopback analog of a fresh remote host.
+	// host's cache. nil gives the worker a private cache, the loopback
+	// analog of a fresh remote host.
 	Traces *tracecache.Cache
-	// DisableCache streams every point's trace from the functional
-	// simulator instead of materializing it (Session-level WithTraceCache(nil)).
-	DisableCache bool
-	// Observer, when non-nil, receives the worker's own per-point progress
-	// (Core is the point's job-wide index) — what a remote worker logs
-	// locally while the coordinator streams results to the client.
-	Observer core.Observer
 	// CheckpointEvery, when non-zero, makes the worker serialize each
 	// in-flight engine's state at every CheckpointEvery-cycle boundary and
 	// ship it to the scheduler through GroupRun.OnCheckpoint, so a requeued
@@ -510,9 +494,10 @@ type LoopbackOptions struct {
 
 // LoopbackWorker runs key-groups in-process through the standard sweep
 // machinery against its own trace cache. It is the loopback transport of
-// the sweep service: Session.Sweep uses a pool of them when no coordinator
-// address is configured, and tests use Kill to exercise the requeue path
-// without a network.
+// the sweep service, a stand-in for one remote host: tests and in-process
+// job platforms schedule onto it without a network, and Kill exercises the
+// requeue path. Session.Sweep does not use it — a local sweep runs one
+// sweep.Runner.
 type LoopbackWorker struct {
 	opts     LoopbackOptions
 	traces   *tracecache.Cache
@@ -524,7 +509,7 @@ type LoopbackWorker struct {
 // NewLoopbackWorker builds one in-process worker.
 func NewLoopbackWorker(opts LoopbackOptions) *LoopbackWorker {
 	w := &LoopbackWorker{opts: opts, traces: opts.Traces, killed: make(chan struct{})}
-	if w.traces == nil && !opts.DisableCache {
+	if w.traces == nil {
 		// A private per-worker cache, like a remote host's: groups assigned
 		// to this worker share it across RunGroup calls.
 		w.traces = tracecache.New(tracecache.Config{})
@@ -532,8 +517,8 @@ func NewLoopbackWorker(opts LoopbackOptions) *LoopbackWorker {
 	return w
 }
 
-// Traces returns the worker's trace cache (nil when caching is disabled) —
-// tests assert generation counts per simulated host through it.
+// Traces returns the worker's trace cache — tests assert generation
+// counts per simulated host through it.
 func (w *LoopbackWorker) Traces() *tracecache.Cache { return w.traces }
 
 // ResumedCycles returns the total simulated cycles this worker skipped by
@@ -583,7 +568,6 @@ func (w *LoopbackWorker) RunGroup(ctx context.Context, job *Job, gr GroupRun, em
 		parallelism:     w.opts.Parallelism,
 		traces:          w.traces,
 		checkpointEvery: w.opts.CheckpointEvery,
-		observer:        w.opts.Observer,
 		result: func(index int, res sweep.Result) {
 			if alive() {
 				emit(PointResult{Index: index, Result: res})

@@ -28,9 +28,10 @@
 // session built WithCoordinator) submits sweeps to it, and points are
 // sharded across worker hosts by trace key so every distinct trace is
 // generated — or shipped as a delta-compressed container — exactly once
-// per host. Local Sweep calls run the same scheduler over an in-process
-// loopback worker pool, so local and remote sweeps share semantics,
-// result ordering and progress reporting.
+// per host. A local Sweep call runs one in-process sweep.Runner over
+// every point; local and remote sweeps share result ordering, the observer
+// contract and telemetry, and only remote workers requeue points or ship
+// checkpoints.
 //
 // The cmd/resim, cmd/tracegen, cmd/resim-bench and cmd/resimd tools and
 // the examples/ directory exercise this API; internal packages carry the

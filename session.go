@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -37,8 +36,8 @@ type Session struct {
 	// clusters; nil disables caching (streaming regeneration per run).
 	traces *tracecache.Cache
 	// coordAddr, when non-empty, routes Sweep through the sweepd
-	// coordinator at that address instead of the in-process loopback
-	// scheduler (WithCoordinator).
+	// coordinator at that address instead of a local sweep.Runner
+	// (WithCoordinator).
 	coordAddr string
 	// ckptEvery/ckptSink enable periodic engine-state serialization
 	// (WithCheckpointEvery); resume, when non-nil, starts single-engine
@@ -312,8 +311,8 @@ func ResumeFrom(cp *Checkpoint) Option {
 // sweep service coordinator at addr (host:port, as served by
 // `resimd -role coordinator`): points are sharded by trace key across the
 // coordinator's registered workers and results stream back in point order,
-// exactly as SweepRemote. The empty address restores the default
-// in-process loopback scheduler. Other run modes are unaffected.
+// exactly as SweepRemote. The empty address restores the default local
+// sweep. Other run modes are unaffected.
 func WithCoordinator(addr string) Option {
 	return func(s *settings) error {
 		s.coordAddr = addr
@@ -492,16 +491,16 @@ func newTraceSink(w io.Writer, hdr trace.Header, compress bool) (traceSink, erro
 // carries its own full configuration — derive them with SweepGrid. The
 // session's observer, when set, receives one callback per completed point
 // (Progress.Done / Progress.Total carry sweep completion); cancelling the
-// context aborts in-flight engines and returns ctx.Err() once every worker
+// context aborts in-flight engines and returns ctx.Err() once every engine
 // has drained.
 //
-// Sweeps run on the sharded sweep scheduler (internal/sweepd): points are
-// grouped by trace key so every distinct trace is generated exactly once,
-// and key-groups fan out across an in-process loopback worker pool sharing
-// the session's trace cache. A session built WithCoordinator instead ships
-// the same job to that coordinator's worker fleet — the local and remote
-// paths share one scheduler, so semantics and result ordering are
-// identical either way.
+// A local sweep runs one sweep.Runner over every point, up to GOMAXPROCS
+// engines at once; points sharing a trace key share one generation
+// through the session's trace cache. A session built WithCoordinator
+// instead ships the points to that coordinator's worker fleet
+// (SweepRemote). Both paths return results in point order and give the
+// observer and the telemetry sink the same contract; requeueing a dead
+// worker's points and shipping checkpoints exist only for remote workers.
 func (s *Session) Sweep(ctx context.Context, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
 	if s.coordAddr != "" {
 		return s.SweepRemote(ctx, s.coordAddr, workloadName, instructions, points)
@@ -510,23 +509,15 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	if err != nil {
 		return nil, err
 	}
-	// One loopback worker per key-group up to the host's parallelism, all
-	// sharing the session's cache: the cache still generates each distinct
-	// trace once. Every worker gets the full host parallelism rather than a
-	// static 1/nw share — groups finish at different times, and a worker
-	// idling on a small group must not strand cores the big group could
-	// use; the modest goroutine oversubscription while several groups are
-	// in flight is cheaper than the stranding.
-	maxProcs := runtime.GOMAXPROCS(0)
-	workers := make([]sweepd.Worker, max(1, min(len(job.Groups()), maxProcs)))
-	for i := range workers {
-		workers[i] = sweepd.NewLoopbackWorker(sweepd.LoopbackOptions{
-			Parallelism:  maxProcs,
-			Traces:       s.traces,
-			DisableCache: s.traces == nil,
-		})
+	r := sweep.Runner{
+		Workload:       job.Profile,
+		Instructions:   job.Instructions,
+		Observer:       s.cfg.Observer,
+		Traces:         s.traces,
+		TelemetryEvery: job.TelemetryEvery,
+		OnTelemetry:    job.OnTelemetry,
 	}
-	return sweepd.Run(ctx, job, workers, s.sweepEmit())
+	return r.Run(ctx, job.Points)
 }
 
 // SweepRemote runs the sweep through the sweepd coordinator at addr — the
@@ -558,10 +549,10 @@ func (s *Session) sweepTelemetryEvery() uint64 {
 	return s.cfg.TelemetryEvery
 }
 
-// sweepJob resolves a sweep invocation into a scheduler job. A session that
-// opted into telemetry extends it to sweeps: the job carries the cadence
-// (which crosses the wire for remote sweeps) and adapts the session sink to
-// the scheduler's indexed fire-and-forget delivery.
+// sweepJob resolves a sweep invocation for the local Runner and the remote
+// paths alike. A session that opted into telemetry extends it to sweeps:
+// the job carries the cadence (which crosses the wire for remote sweeps)
+// and adapts the session sink to indexed fire-and-forget delivery.
 func (s *Session) sweepJob(workloadName string, instructions uint64, points []SweepPoint) (*sweepd.Job, error) {
 	p, err := workload.ByName(workloadName)
 	if err != nil {
@@ -576,20 +567,6 @@ func (s *Session) sweepJob(workloadName string, instructions uint64, points []Sw
 		}
 	}
 	return job, nil
-}
-
-// sweepEmit adapts the session observer to the scheduler's per-point
-// emission, preserving the Sweep observer contract: one serialized callback
-// per completed point, Final exactly once on successful completion.
-func (s *Session) sweepEmit() func(sweepd.PointResult, int, int) {
-	if s.cfg.Observer == nil {
-		return nil
-	}
-	return func(pr sweepd.PointResult, done, total int) {
-		p := sweep.PointProgress(pr.Index, pr.Result.Res, done, total)
-		p.Final = done == total
-		s.cfg.Observer.Progress(p)
-	}
 }
 
 // Multicore runs one ReSim instance per workload in lockstep major cycles —

@@ -435,6 +435,31 @@ func TestSweepObserverPerPoint(t *testing.T) {
 	}
 }
 
+// TestSweepObserverSilentOnCancel: a cancelled sweep reports no point to
+// the observer. With a budget no point can finish, every engine is cut
+// short by the cancellation, and none of those aborted runs counts as a
+// completed point.
+func TestSweepObserverSilentOnCancel(t *testing.T) {
+	var calls atomic.Int64
+	ses, err := resim.New(resim.WithObserver(resim.ObserverFunc(func(resim.Progress) {
+		calls.Add(1)
+	}), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := resim.SweepGrid("rb", ses.Config(), []int{8, 16, 32}, func(c *resim.Config, v int) {
+		c.RBSize = v
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := ses.Sweep(ctx, "gzip", 1<<62, points); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("observer saw %d callbacks from a cancelled sweep, want 0", n)
+	}
+}
+
 func TestMulticoreHonorsMaxCycles(t *testing.T) {
 	ses, err := resim.New(resim.WithMaxCycles(50))
 	if err != nil {
