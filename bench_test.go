@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	resim "repro"
 	"repro/internal/baseline"
@@ -631,44 +630,31 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepRemoteLoopback measures the sharded sweep service end to
-// end over localhost TCP: a coordinator plus two workers (each with its own
-// warm trace cache) serving the standard 4-point sweep through
-// Session.SweepRemote. The delta against BenchmarkSweepWarmCache is the
-// full service overhead — framing, JSON, scheduling, result streaming.
-// Gated in CI against the committed BENCH_baseline.json entry.
+// BenchmarkSweepRemoteLoopback measures a remote sweep end to end on
+// localhost: Session.SweepRemote submits the standard 4-point sweep to the
+// job service over HTTP, which schedules it onto a coordinator's two TCP
+// workers and streams the results back. The workers share one warm trace
+// cache (the job service picks workers by load, so per-worker caches would
+// leave cold generation noise in the timed region). The delta against
+// BenchmarkSweepWarmCache is the full service overhead — HTTP, admission
+// and scheduling, framing, JSON and result streaming. Gated in CI against
+// the committed BENCH_baseline.json entry.
 func BenchmarkSweepRemoteLoopback(b *testing.B) {
-	coord := sweepd.NewCoordinator()
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer coord.Close()
-	wctx, stop := context.WithCancel(context.Background())
-	defer stop()
-	for i := 0; i < 2; i++ {
-		go sweepd.Work(wctx, addr, sweepd.WorkerOptions{}) //nolint:errcheck
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() < 2 {
-		if time.Now().After(deadline) {
-			b.Fatalf("only %d of 2 workers registered", coord.WorkerCount())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	traces := tracecache.New(tracecache.Config{})
+	server := startClusterWith(b, []*tracecache.Cache{traces, traces})
 	ses, err := resim.New()
 	if err != nil {
 		b.Fatal(err)
 	}
 	pts := benchSweepPoints()
-	// Warm the workers' caches outside the timed region, like the local
+	// Warm the shared cache outside the timed region, like the local
 	// warm-cache benchmark.
-	if _, err := ses.SweepRemote(context.Background(), addr, "gzip", benchInstrs, pts); err != nil {
+	if _, err := ses.SweepRemote(context.Background(), server, "gzip", benchInstrs, pts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ses.SweepRemote(context.Background(), addr, "gzip", benchInstrs, pts)
+		res, err := ses.SweepRemote(context.Background(), server, "gzip", benchInstrs, pts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,25 +5,24 @@
 //
 // A minimal two-worker cluster on one machine:
 //
-//	resimd -role coordinator -listen :9090
+//	resimd -role coordinator -listen :9090 -http :8080
 //	resimd -role worker -coordinator localhost:9090 -name w1
 //	resimd -role worker -coordinator localhost:9090 -name w2
 //
-// Clients submit sweeps with resim.Session.SweepRemote (or a session built
-// with resim.WithCoordinator); see the README's "Distributed sweeps"
-// section and examples/distsweep.
-//
-// With -http the coordinator additionally runs the multi-tenant job
-// platform (internal/jobd): a persistent job queue with an HTTP/JSON front
-// door, per-tenant fair scheduling over the registered workers, and
-// admission control. -journal makes submissions durable across restarts,
-// -tenants configures bearer-token authentication:
+// Workers register on -listen. Jobs enter through one door, the
+// coordinator's multi-tenant job platform (internal/jobd) on -http: an
+// HTTP/JSON API with admission control and per-tenant fair scheduling
+// over the registered workers. Jobs are held in memory unless -journal
+// makes submissions durable across restarts; -tenants configures
+// bearer-token authentication:
 //
 //	resimd -role coordinator -listen :9090 -http :8080 \
 //	    -journal /var/lib/resimd/jobs -tenants tenants.json
 //
-// Clients then use `resim jobs` or resim.Session.SubmitRemote; see the
-// README's "Job service" section.
+// Clients use resim.Session.SweepRemote (or a session built with
+// resim.WithCoordinator("http://localhost:8080")), resim.Session.SubmitRemote
+// or `resim jobs`; see the README's "Distributed sweeps" and "Job service"
+// sections and examples/distsweep.
 //
 // Both roles maintain a trace cache. A coordinator whose -spill directory
 // already holds delta-compressed trace containers (for example written by
@@ -72,9 +71,9 @@ func main() {
 		ckptBudget  = flag.Int64("checkpoint-budget-mb", 0, "coordinator: cap on retained resume-checkpoint MiB per job (0 = 64 MiB, -1 = unlimited); excess drops least-recently-updated points' resume state")
 		verbose     = flag.Bool("v", false, "log per-point worker progress")
 		logFormat   = flag.String("log-format", "text", "service log format: text or json")
-		pprofOn     = flag.Bool("pprof", false, "coordinator: mount net/http/pprof under /debug/pprof/ on the job API server (requires -http)")
+		pprofOn     = flag.Bool("pprof", false, "coordinator: mount net/http/pprof under /debug/pprof/ on the job API server")
 
-		httpAddr    = flag.String("http", "", "coordinator: also serve the multi-tenant job platform's HTTP API on this address (e.g. :8080)")
+		httpAddr    = flag.String("http", ":8080", "coordinator: address of the job platform's HTTP API, the door every sweep enters through")
 		journalDir  = flag.String("journal", "", "coordinator: job-platform journal directory; submissions, results and checkpoints persist here and are recovered on restart")
 		journalSync = flag.Bool("journal-sync", false, "coordinator: fsync every journal write (specs, results, checkpoints) so acknowledged state survives power loss, not just process crashes; costs one fsync per result")
 		tenantsFile = flag.String("tenants", "", "coordinator: JSON tenants file ({\"tenants\":[{\"name\":...,\"token\":...,\"weight\":...,\"max_in_flight\":...}]}); empty disables authentication")
@@ -137,7 +136,7 @@ func main() {
 	}
 }
 
-// jobPlatformConfig carries the coordinator's optional job-platform flags.
+// jobPlatformConfig carries the coordinator's job-platform flags.
 type jobPlatformConfig struct {
 	httpAddr       string
 	journalDir     string
@@ -186,60 +185,52 @@ func runCoordinator(ctx context.Context, listen string, traces *tracecache.Cache
 	coord := sweepd.NewCoordinator()
 	coord.Traces = traces
 	coord.Log = lg.Component("sweepd")
-	coord.CheckpointBudget = ckptBudget
 	coord.Metrics = sweepd.RegisterCoordinatorMetrics(registry)
 	tracecache.RegisterMetrics(registry, traces)
 
-	// The job platform, when enabled, schedules over the coordinator's
-	// registered worker pool; the hook re-dispatches queued groups the
-	// moment capacity appears, and must be set before Serve.
-	var platform *jobd.Platform
-	var httpSrv *http.Server
-	if jp.httpAddr != "" {
-		var tenants []jobd.Tenant
-		if jp.tenantsFile != "" {
-			var err error
-			tenants, err = jobd.LoadTenants(jp.tenantsFile)
-			if err != nil {
-				log.Fatalf("resimd: %v", err)
-			}
-		} else {
-			rlg.Warn("resimd.auth_disabled", "detail",
-				"no -tenants file; all job API requests map to tenant \"default\"")
-		}
+	// The job platform schedules over the coordinator's registered worker
+	// pool; the hook re-dispatches queued groups the moment capacity
+	// appears, and must be set before Serve.
+	var tenants []jobd.Tenant
+	if jp.tenantsFile != "" {
 		var err error
-		platform, err = jobd.New(jobd.Options{
-			Pool:              coord,
-			JournalDir:        jp.journalDir,
-			JournalSync:       jp.journalSync,
-			Tenants:           tenants,
-			MaxQueue:          jp.maxQueue,
-			TenantMaxInFlight: jp.tenantInFl,
-			SlotsPerWorker:    jp.slotsPerWorker,
-			CheckpointBudget:  ckptBudget,
-			TelemetryEvery:    jp.telemetryEvery,
-			TelemetryRing:     jp.telemetryRing,
-			Log:               lg.Component("jobd"),
-			Metrics:           registry,
-		})
+		tenants, err = jobd.LoadTenants(jp.tenantsFile)
 		if err != nil {
 			log.Fatalf("resimd: %v", err)
 		}
-		coord.OnWorkersChanged = platform.Kick
-		if jp.pprof && !loopbackAddr(jp.httpAddr) {
-			rlg.Warn("resimd.pprof_exposed", "addr", jp.httpAddr, "detail",
-				"profiling endpoints reachable beyond loopback; bind -http to 127.0.0.1 or front with auth")
-		}
-		httpSrv = &http.Server{Addr: jp.httpAddr, Handler: jobAPIHandler(platform, jp.pprof)}
-		go func() {
-			rlg.Event("resimd.job_api_listening", "addr", jp.httpAddr, "pprof", jp.pprof)
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Fatalf("resimd: job API: %v", err)
-			}
-		}()
-	} else if jp.pprof {
-		rlg.Warn("resimd.pprof_ignored", "detail", "-pprof requires -http")
+	} else {
+		rlg.Warn("resimd.auth_disabled", "detail",
+			"no -tenants file; all job API requests map to tenant \"default\"")
 	}
+	platform, err := jobd.New(jobd.Options{
+		Pool:              coord,
+		JournalDir:        jp.journalDir,
+		JournalSync:       jp.journalSync,
+		Tenants:           tenants,
+		MaxQueue:          jp.maxQueue,
+		TenantMaxInFlight: jp.tenantInFl,
+		SlotsPerWorker:    jp.slotsPerWorker,
+		CheckpointBudget:  ckptBudget,
+		TelemetryEvery:    jp.telemetryEvery,
+		TelemetryRing:     jp.telemetryRing,
+		Log:               lg.Component("jobd"),
+		Metrics:           registry,
+	})
+	if err != nil {
+		log.Fatalf("resimd: %v", err)
+	}
+	coord.OnWorkersChanged = platform.Kick
+	if jp.pprof && !loopbackAddr(jp.httpAddr) {
+		rlg.Warn("resimd.pprof_exposed", "addr", jp.httpAddr, "detail",
+			"profiling endpoints reachable beyond loopback; bind -http to 127.0.0.1 or front with auth")
+	}
+	httpSrv := &http.Server{Addr: jp.httpAddr, Handler: jobAPIHandler(platform, jp.pprof)}
+	go func() {
+		rlg.Event("resimd.job_api_listening", "addr", jp.httpAddr, "pprof", jp.pprof)
+		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			log.Fatalf("resimd: job API: %v", err)
+		}
+	}()
 
 	go func() {
 		<-ctx.Done()
@@ -253,14 +244,10 @@ func runCoordinator(ctx context.Context, listen string, traces *tracecache.Cache
 	<-ctx.Done()
 	// Shutdown order: stop accepting HTTP work, then the platform (journals
 	// keep in-flight jobs recoverable), then the coordinator fabric.
-	if httpSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(shutCtx) //nolint:errcheck
-		cancel()
-	}
-	if platform != nil {
-		platform.Close()
-	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	httpSrv.Shutdown(shutCtx) //nolint:errcheck
+	cancel()
+	platform.Close()
 	coord.Close()
 	rlg.Event("resimd.coordinator_stopped")
 }

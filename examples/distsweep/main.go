@@ -1,12 +1,13 @@
 // Distsweep demonstrates the sharded sweep service end to end inside one
-// process: it starts a coordinator and two workers on a real localhost TCP
-// listener (exactly what `resimd -role coordinator` / `-role worker` run as
-// separate processes), submits the specsweep-style parser design-space
-// sweep through Session.SweepRemote, and shows the service's two key
-// properties:
+// process: it starts a coordinator with two workers on a real localhost
+// TCP listener and the job service's HTTP API in front of it (exactly
+// what `resimd -role coordinator` / `-role worker` run as separate
+// processes), submits the specsweep-style parser design-space sweep
+// through a session built WithCoordinator, and shows the service's two
+// key properties:
 //
-//   - results stream back in point order with coordinator-side progress
-//     (completed/total) forwarded to the session observer, and
+//   - results come back in point order, with progress (completed/total)
+//     fed to the session observer as they stream in, and
 //   - points are sharded by trace key, so each worker host generates every
 //     distinct trace exactly once no matter how many points replay it.
 package main
@@ -15,9 +16,12 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"time"
 
 	resim "repro"
+	"repro/internal/jobd"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
 )
@@ -26,13 +30,29 @@ func main() {
 	const instrs = 50_000
 	ctx := context.Background()
 
-	// --- the cluster: one coordinator, two workers ------------------------
+	// --- the cluster: one coordinator, its job service, two workers -------
 	coord := sweepd.NewCoordinator()
+	defer coord.Close()
+	// The job service is the cluster's one door for sweeps: it admits each
+	// job and schedules its key-groups onto the coordinator's workers.
+	platform, err := jobd.New(jobd.Options{Pool: coord})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer platform.Close()
+	coord.OnWorkersChanged = platform.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	api := &http.Server{Handler: platform.Handler()}
+	go api.Serve(ln) //nolint:errcheck // ends at Close
+	defer api.Close()
+	server := "http://" + ln.Addr().String()
 
 	// Each worker has its own trace cache — the stand-in for a remote
 	// host's memory. Real deployments run these as `resimd -role worker`.
@@ -51,13 +71,15 @@ func main() {
 	for coord.WorkerCount() < 2 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	fmt.Printf("cluster up: coordinator %s, %d workers\n\n", addr, coord.WorkerCount())
+	fmt.Printf("cluster up: coordinator %s, job service %s, %d workers\n\n",
+		addr, server, coord.WorkerCount())
 
 	// --- the sweep: RB sizes on parser, via the service -------------------
-	// WithCoordinator makes Sweep transparently remote; SweepRemote does the
-	// same for one call. The observer receives coordinator-side progress.
+	// WithCoordinator takes the job service's base URL and makes Sweep
+	// transparently remote; SweepRemote does the same for one call. The
+	// observer sees each point as its result streams in.
 	ses, err := resim.New(
-		resim.WithCoordinator(addr),
+		resim.WithCoordinator(server),
 		resim.WithOrganization(resim.OrgImproved),
 		resim.WithMemoryPorts(2, 1),
 		resim.WithObserver(resim.ObserverFunc(func(p resim.Progress) {

@@ -21,7 +21,7 @@ import (
 // wirePoints builds submission points named "<tag>/rb=R/lsq=L". RB size
 // feeds the trace key (one key-group per distinct RB), LSQ size is
 // engine-only, so rbs selects the group count and lsqs the group width.
-func wirePoints(t *testing.T, tag string, rbs, lsqs []int) []sweepd.WirePoint {
+func wirePoints(t testing.TB, tag string, rbs, lsqs []int) []sweepd.WirePoint {
 	t.Helper()
 	var pts []sweepd.WirePoint
 	for _, rb := range rbs {

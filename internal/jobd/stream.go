@@ -187,15 +187,18 @@ func readStream[T any](ctx context.Context, c *Client, s stream[T], id string, f
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
 		// Item lines decode in one pass; only the trailer, whose values do
-		// not fit T, takes a second.
-		var item map[string]T
+		// not fit T, takes a second. The server never sends a null item.
+		var item map[string]*T
 		err := json.Unmarshal(sc.Bytes(), &item)
 		if v, ok := item[s.key]; ok {
+			if err == nil && v == nil {
+				err = errors.New("null item")
+			}
 			if err != nil {
 				return "", fmt.Errorf("jobd: corrupt stream line: %w", err)
 			}
 			if fn != nil {
-				if err := fn(v); err != nil {
+				if err := fn(*v); err != nil {
 					return "", err
 				}
 			}
@@ -207,6 +210,9 @@ func readStream[T any](ctx context.Context, c *Client, s stream[T], id string, f
 		}
 		if !end.Done {
 			continue
+		}
+		if !end.State.Terminal() {
+			return "", fmt.Errorf("jobd: %s stream for %s ended in non-terminal state %q", s.path, id, end.State)
 		}
 		// A failure reason is an error; a cancellation note is just color
 		// on a state the caller inspects anyway.

@@ -95,7 +95,7 @@ func TestChaosWireFaults(t *testing.T) {
 			// schedule having already fired.
 			waitChaosVictim(t, coord, inj, sc.rule.Site)
 
-			got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+			got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 			if err != nil {
 				t.Fatalf("job did not survive the fault schedule: %v", err)
 			}
@@ -193,7 +193,7 @@ func TestChaosHungWorkerResumesFromCheckpoint(t *testing.T) {
 	}
 	job := &sweepd.Job{Profile: p, Instructions: 600_000, Points: pts}
 	want := mustJSON(t, reference(t, job))
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,14 @@ import (
 	"repro/internal/tracecache"
 )
 
-// Coordinator is the sweep service's control plane: it accepts worker
-// registrations and client job submissions on one listener, shards each
-// job's points into trace-key groups, assigns every group to a single
-// worker (shipping the group's trace from its own cache when it already
-// holds the container), streams per-point results back to the client as
-// they finish, and requeues a dead worker's unfinished groups on the
-// survivors.
+// Coordinator is the sweep service's worker fabric: it accepts worker
+// registrations on one listener and exposes the live workers as the pool
+// a scheduler dispatches trace-key groups onto (Workers). Each remote
+// worker runs one group per assignment, with the group's trace shipped
+// from the coordinator's cache when it already holds the container; a
+// worker that dies or hangs fails its pending groups, so the scheduler
+// requeues them on survivors. Jobs reach it only through the job service
+// (internal/jobd), which schedules over Workers.
 type Coordinator struct {
 	// Traces, when non-nil, is the coordinator's trace cache: groups whose
 	// trace it already holds (resident or spilled — e.g. warmed by local
@@ -33,10 +34,6 @@ type Coordinator struct {
 	Traces *tracecache.Cache
 	// Log, when non-nil, receives service log events.
 	Log *obs.Logger
-	// CheckpointBudget caps the resume-checkpoint bytes the scheduler
-	// retains per job (see Job.CheckpointBudget): 0 applies
-	// DefaultCheckpointBudget, negative disables the cap.
-	CheckpointBudget int64
 	// OnWorkersChanged, when non-nil, is called (without the coordinator
 	// lock held) after a worker registers or disconnects — the dispatch
 	// hook the job platform (internal/jobd) uses to re-schedule queued
@@ -175,9 +172,9 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener, tears down every connection and waits for the
-// accept loop and every per-connection goroutine (including client
-// cancellation watchers) to drain — after Close returns, the coordinator
-// holds no open connections and has leaked no goroutines.
+// accept loop and every per-connection goroutine to drain — after Close
+// returns, the coordinator holds no open connections and has leaked no
+// goroutines.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -220,7 +217,8 @@ func (c *Coordinator) hsTimeout() time.Duration {
 	return c.HandshakeTimeout
 }
 
-// handleConn performs the hello handshake and dispatches on the peer role.
+// handleConn performs the hello handshake, which admits only workers, and
+// serves the worker until it disconnects.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	w := newWire(conn)
 	w.clock = c.Clock
@@ -233,7 +231,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		Role:       roleCoordinator,
 		PingMillis: c.hbInterval().Milliseconds(),
 		DeadMillis: c.hbTimeout().Milliseconds(),
-	}, roleWorker, roleClient)
+	}, roleWorker)
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			c.Metrics.handshakeTimeout()
@@ -251,12 +249,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		defer close(stop)
 		go w.heartbeat(iv, stop)
 	}
-	switch hello.Role {
-	case roleWorker:
-		c.serveWorker(w, hello.Name)
-	case roleClient:
-		c.serveClient(w)
-	}
+	c.serveWorker(w, hello.Name)
 }
 
 // serveWorker registers the connection as a worker and pumps its messages
@@ -312,78 +305,6 @@ func (c *Coordinator) Workers() []Worker {
 		ws = append(ws, rw)
 	}
 	return ws
-}
-
-// serveClient receives one job, runs it over the registered workers and
-// streams results until done. The job is aborted if the client disconnects;
-// the cancellation watcher is drained before returning so a coordinator
-// Close never leaves watcher goroutines behind.
-func (c *Coordinator) serveClient(w *wire) {
-	m, err := w.recv()
-	if err != nil {
-		return
-	}
-	if m.Type != msgJob || m.Job == nil {
-		w.send(&Message{Type: msgDone, Done: &Done{Err: fmt.Sprintf("expected job, got %q", m.Type)}}) //nolint:errcheck
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watcherDone := make(chan struct{})
-	defer func() {
-		// Unblock the watcher's pending recv and wait for it: teardown is
-		// deterministic, not left to whenever the conn-close defer in Serve
-		// happens to run after this handler already returned.
-		w.conn.Close()
-		<-watcherDone
-	}()
-	go func() {
-		defer close(watcherDone)
-		// The only traffic a client sends after the job is a disconnect;
-		// use the read side as the cancellation signal.
-		for {
-			if _, err := w.recv(); err != nil {
-				cancel()
-				return
-			}
-		}
-	}()
-
-	fail := func(err error) {
-		w.send(&Message{Type: msgDone, Done: &Done{Err: errString(err)}}) //nolint:errcheck
-	}
-	job, err := JobFromWire(m.Job)
-	if err != nil {
-		fail(err)
-		return
-	}
-	job.CheckpointBudget = c.CheckpointBudget
-	if job.TelemetryEvery > 0 {
-		// Relay live snapshots to the client on the same framed connection
-		// the results ride; wire.send serializes concurrent writers. Call is
-		// meaningless client-side and stays zero.
-		job.OnTelemetry = func(index int, snap core.IntervalSnapshot) {
-			w.send(&Message{Type: msgTelemetry, Telemetry: &TelemetryShip{ //nolint:errcheck
-				Index: index, Snap: snap,
-			}})
-		}
-	}
-	workers := c.Workers()
-	if len(workers) == 0 {
-		fail(errors.New("sweepd: no workers registered"))
-		return
-	}
-	c.Log.Event("sweepd.job_start", "points", len(job.Points), "workers", len(workers),
-		"workload", job.Profile.Name, "instructions", job.Instructions)
-	emit := func(pr PointResult, done, total int) {
-		wr := WireResultOf(pr.Index, pr.Result)
-		wr.Done, wr.Total = done, total
-		if err := w.send(&Message{Type: msgResult, Result: wr}); err != nil {
-			cancel() // client gone; stop burning worker time
-		}
-	}
-	_, err = Run(ctx, job, workers, emit)
-	fail(err) // err == nil sends the clean Done
 }
 
 // groupCall is one in-flight assignment on a remote worker.

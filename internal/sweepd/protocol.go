@@ -40,7 +40,7 @@ import (
 // Version 3 added live telemetry streaming: jobs and assignments carry a
 // TelemetryEvery cadence, and workers stream msgTelemetry messages — one
 // core.IntervalSnapshot window delta per in-flight point per boundary —
-// which the coordinator forwards to the submitting client.
+// which the coordinator hands to the job's scheduler.
 // Version 4 added liveness: both ends of every connection stream msgPing
 // heartbeat frames and arm read/write deadlines, so a hung peer — TCP
 // established, nothing flowing — is detected within the heartbeat timeout
@@ -69,24 +69,29 @@ const (
 // while still rejecting a corrupt length prefix immediately.
 const maxMessageBytes = 1 << 30
 
-// Roles sent in the hello handshake.
+// recvChunk is the most recv allocates for a frame before its payload
+// arrives. A length prefix is only the peer's claim, read before the
+// coordinator even knows who the peer is, so larger frames grow as their
+// bytes are read instead of being allocated up front.
+const recvChunk = 64 << 10
+
+// Roles sent in the hello handshake. Sweeps are submitted through the job
+// service's HTTP API (internal/jobd), never over this wire, so a peer
+// claiming any other role is refused at the hello.
 const (
 	roleWorker      = "worker"
-	roleClient      = "client"
 	roleCoordinator = "coordinator"
 )
 
 // Message types.
 const (
 	msgHello      = "hello"      // both directions, first message on a connection
-	msgJob        = "job"        // client -> coordinator: submit a sweep
 	msgAssign     = "assign"     // coordinator -> worker: run one key-group
 	msgCancel     = "cancel"     // coordinator -> worker: abort one assignment
-	msgResult     = "result"     // worker -> coordinator -> client: one point done
+	msgResult     = "result"     // worker -> coordinator: one point done
 	msgCheckpoint = "checkpoint" // worker -> coordinator: one point's latest engine state
-	msgTelemetry  = "telemetry"  // worker -> coordinator -> client: one point's interval snapshot
+	msgTelemetry  = "telemetry"  // worker -> coordinator: one point's interval snapshot
 	msgGroupEnd   = "group_end"  // worker -> coordinator: assignment finished
-	msgDone       = "done"       // coordinator -> client: job finished
 	msgPing       = "ping"       // both directions: liveness heartbeat, no payload
 )
 
@@ -101,7 +106,7 @@ const (
 	// FaultWorkerRecv guards every frame a worker reads.
 	FaultWorkerRecv = "sweepd.worker.recv"
 	// FaultCoordSend guards every frame the coordinator writes to one
-	// peer (assignments, forwarded results, heartbeats).
+	// worker (assignments, cancellations, heartbeats).
 	FaultCoordSend = "sweepd.coordinator.send"
 	// FaultCoordRecv guards every frame the coordinator reads.
 	FaultCoordRecv = "sweepd.coordinator.recv"
@@ -117,14 +122,12 @@ var ErrKillMidFrame = errors.New("sweepd: injected mid-frame kill")
 type Message struct {
 	Type       string          `json:"type"`
 	Hello      *Hello          `json:"hello,omitempty"`
-	Job        *WireJob        `json:"job,omitempty"`
 	Assign     *Assignment     `json:"assign,omitempty"`
 	Cancel     *Cancel         `json:"cancel,omitempty"`
 	Result     *WireResult     `json:"result,omitempty"`
 	Checkpoint *CheckpointShip `json:"checkpoint,omitempty"`
 	Telemetry  *TelemetryShip  `json:"telemetry,omitempty"`
 	GroupEnd   *GroupEnd       `json:"group_end,omitempty"`
-	Done       *Done           `json:"done,omitempty"`
 }
 
 // Hello opens every connection.
@@ -133,8 +136,8 @@ type Hello struct {
 	Role  string `json:"role"`
 	Name  string `json:"name,omitempty"`
 	// PingMillis and DeadMillis, set in the coordinator's hello, advertise
-	// the fabric's heartbeat cadence and silence tolerance. Workers and
-	// clients without explicit overrides adopt them, so one coordinator
+	// the fabric's heartbeat cadence and silence tolerance. Workers
+	// without explicit overrides adopt them, so one coordinator
 	// setting tunes the whole cluster's liveness — and a peer never pings
 	// slower than the coordinator's patience.
 	PingMillis int64 `json:"ping_ms,omitempty"`
@@ -198,20 +201,21 @@ type WirePoint struct {
 	Config ConfigSpec `json:"config"`
 }
 
-// WireJob is a client's sweep submission.
+// WireJob is the serialized form of a sweep job, as the job service
+// journals it.
 type WireJob struct {
 	Profile      workload.Profile `json:"profile"`
 	Instructions uint64           `json:"instructions"`
 	Points       []WirePoint      `json:"points"`
 	// TelemetryEvery, when non-zero, asks workers to stream per-interval
 	// engine telemetry for every in-flight point at this cycle cadence
-	// (msgTelemetry messages, forwarded to the client).
+	// (msgTelemetry messages from the workers).
 	TelemetryEvery uint64 `json:"telemetry_every,omitempty"`
 }
 
 // WireJobOf converts an in-process job for submission, validating every
-// point is expressible on the wire. The job platform (internal/jobd) and
-// the TCP client share this as the canonical job serialization.
+// point is expressible on the wire: the canonical job serialization, shared
+// by the job platform (internal/jobd) and its clients.
 func WireJobOf(job *Job) (*WireJob, error) {
 	wj := &WireJob{Profile: job.Profile, Instructions: job.Instructions,
 		TelemetryEvery: job.TelemetryEvery,
@@ -284,10 +288,9 @@ type CheckpointShip struct {
 }
 
 // TelemetryShip streams one point's per-interval telemetry snapshot.
-// Worker -> coordinator it carries Call and the group-relative point is
-// already remapped: Index (and Snap.Core) are the job-wide point index.
-// Coordinator -> client the Call is cleared. Pipe-trace tails never cross
-// the wire (they are a local-sink feature).
+// It carries Call, and the group-relative point is already remapped:
+// Index (and Snap.Core) are the job-wide point index. Pipe-trace tails
+// never cross the wire (they are a local-sink feature).
 type TelemetryShip struct {
 	Call  uint64                `json:"call,omitempty"`
 	Index int                   `json:"index"`
@@ -320,17 +323,13 @@ func (w *WireRunResult) Result(cfg core.Config) core.Result {
 }
 
 // WireResult reports one completed point. Worker -> coordinator it carries
-// Call; coordinator -> client it instead carries the job-wide progress
-// counters Done/Total (the coordinator-side progress the client forwards to
-// its session observer).
+// Call; the job service's result stream and journal carry it without.
 type WireResult struct {
 	Call  uint64         `json:"call,omitempty"`
 	Index int            `json:"index"`
 	Name  string         `json:"name,omitempty"`
 	Err   string         `json:"err,omitempty"`
 	Res   *WireRunResult `json:"res,omitempty"`
-	Done  int            `json:"done,omitempty"`
-	Total int            `json:"total,omitempty"`
 }
 
 // WireResultOf is the wire form of point index's result.
@@ -362,11 +361,6 @@ func (r *WireResult) Result(pt sweep.Point) sweep.Result {
 type GroupEnd struct {
 	Call uint64 `json:"call"`
 	Err  string `json:"err,omitempty"`
-}
-
-// Done closes a client job.
-type Done struct {
-	Err string `json:"err,omitempty"`
 }
 
 // wire frames messages over one connection: a 4-byte big-endian length
@@ -466,11 +460,11 @@ func (w *wire) recv() (*Message, error) {
 	if n > maxMessageBytes {
 		return nil, fmt.Errorf("sweepd: frame of %d bytes exceeds the %d-byte limit", n, maxMessageBytes)
 	}
-	payload := make([]byte, n)
 	if w.readTimeout > 0 {
 		_ = w.conn.SetReadDeadline(w.now().Add(w.readTimeout))
 	}
-	if _, err := io.ReadFull(w.br, payload); err != nil {
+	payload, err := readPayload(w.br, int(n))
+	if err != nil {
 		return nil, err
 	}
 	var m Message
@@ -478,6 +472,29 @@ func (w *wire) recv() (*Message, error) {
 		return nil, fmt.Errorf("sweepd: corrupt frame: %w", err)
 	}
 	return &m, nil
+}
+
+// readPayload reads an n-byte frame payload. It starts with at most
+// recvChunk bytes and at most doubles what it has received before reading
+// on, so memory tracks the bytes that actually arrive; a frame within
+// recvChunk costs one allocation.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, recvChunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
+	}
 }
 
 // heartbeat streams msgPing frames every interval until stop closes or a
@@ -499,8 +516,9 @@ func (w *wire) heartbeat(interval time.Duration, stop <-chan struct{}) {
 
 func (w *wire) Close() error { return w.conn.Close() }
 
-// handshake sends our hello (Proto filled in) and validates the peer's.
-func handshake(w *wire, hello Hello, wantRoles ...string) (*Hello, error) {
+// handshake sends our hello (Proto filled in) and validates the peer's,
+// which must carry role want.
+func handshake(w *wire, hello Hello, want string) (*Hello, error) {
 	hello.Proto = protoVersion
 	if err := w.send(&Message{Type: msgHello, Hello: &hello}); err != nil {
 		return nil, err
@@ -515,16 +533,8 @@ func handshake(w *wire, hello Hello, wantRoles ...string) (*Hello, error) {
 	if m.Hello.Proto != protoVersion {
 		return nil, fmt.Errorf("sweepd: protocol version %d, want %d", m.Hello.Proto, protoVersion)
 	}
-	if len(wantRoles) > 0 {
-		ok := false
-		for _, r := range wantRoles {
-			if m.Hello.Role == r {
-				ok = true
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("sweepd: unexpected peer role %q", m.Hello.Role)
-		}
+	if m.Hello.Role != want {
+		return nil, fmt.Errorf("sweepd: unexpected peer role %q", m.Hello.Role)
 	}
 	return m.Hello, nil
 }

@@ -20,8 +20,8 @@ import (
 )
 
 // cluster spins up a coordinator and n workers on a real localhost TCP
-// listener, returning the address and the per-worker caches.
-func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (string, []*tracecache.Cache) {
+// listener, returning the coordinator and the per-worker caches.
+func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (*sweepd.Coordinator, []*tracecache.Cache) {
 	t.Helper()
 	coord := sweepd.NewCoordinator()
 	coord.Traces = coordTraces
@@ -47,7 +47,7 @@ func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (string, []*tra
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return addr, caches
+	return coord, caches
 }
 
 // TestRemoteEndToEnd is the service's acceptance shape at the sweepd level:
@@ -55,11 +55,11 @@ func cluster(t *testing.T, n int, coordTraces *tracecache.Cache) (string, []*tra
 // results byte-identical to the local path, with exactly 2 trace
 // generations across the cluster.
 func TestRemoteEndToEnd(t *testing.T) {
-	addr, caches := cluster(t, 2, nil)
+	coord, caches := cluster(t, 2, nil)
 	job := testJob(t)
 	want := reference(t, job)
 
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestRemoteEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRemoteProgressForwarded: the client observer receives one callback
-// per completed point with the coordinator-side Done/Total counters and
-// exactly one Final.
+// TestRemoteProgressForwarded: an observer fed from the scheduler's
+// progress stream over TCP workers receives one callback per completed
+// point with the Done/Total counters and exactly one Final.
 func TestRemoteProgressForwarded(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	coord, _ := cluster(t, 2, nil)
 	job := testJob(t)
 	type ev struct{ done, total int }
 	ch := make(chan ev, len(job.Points))
@@ -102,7 +102,12 @@ func TestRemoteProgressForwarded(t *testing.T) {
 			finals++
 		}
 	})
-	if _, err := sweepd.RunRemote(context.Background(), addr, job, obs); err != nil {
+	emit := func(pr sweepd.PointResult, done, total int) {
+		p := sweep.PointProgress(pr.Index, pr.Result.Res, done, total)
+		p.Final = done == total
+		obs.Progress(p)
+	}
+	if _, err := sweepd.Run(context.Background(), job, coord.Workers(), emit); err != nil {
 		t.Fatal(err)
 	}
 	close(ch)
@@ -135,11 +140,11 @@ func TestRemoteTraceShipping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, caches := cluster(t, 1, warm)
+	coord, caches := cluster(t, 1, warm)
 	job := &sweepd.Job{Profile: p, Instructions: testInstrs, Points: []sweep.Point{
 		{Name: "a", Config: cfg}, {Name: "b", Config: cfg},
 	}}
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,28 +158,27 @@ func TestRemoteTraceShipping(t *testing.T) {
 	}
 }
 
-// TestRemoteNoWorkers: submitting to a workerless coordinator fails
+// TestRemoteNoWorkers: scheduling onto a workerless coordinator fails
 // cleanly instead of queueing forever.
 func TestRemoteNoWorkers(t *testing.T) {
 	coord := sweepd.NewCoordinator()
-	addr, err := coord.Start("127.0.0.1:0")
-	if err != nil {
+	if _, err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	_, err = sweepd.RunRemote(context.Background(), addr, testJob(t), nil)
+	_, err := sweepd.Run(context.Background(), testJob(t), coord.Workers(), nil)
 	if err == nil || !strings.Contains(err.Error(), "no workers") {
 		t.Fatalf("err = %v, want a no-workers failure", err)
 	}
 }
 
 // TestRemoteRejectsUnserializablePoints: custom cache models cannot cross
-// the network; the client fails fast before dialing (the address here is
-// unreachable on purpose).
+// the network; serializing the job for submission fails and names the
+// point.
 func TestRemoteRejectsUnserializablePoints(t *testing.T) {
 	job := testJob(t)
 	job.Points[1].Config.DCache = customModel{}
-	_, err := sweepd.RunRemote(context.Background(), "127.0.0.1:1", job, nil)
+	_, err := sweepd.WireJobOf(job)
 	if err == nil || !strings.Contains(err.Error(), "not serializable") {
 		t.Fatalf("err = %v, want a serialization failure naming the point", err)
 	}
@@ -189,10 +193,10 @@ func (customModel) Access(uint32, bool) (bool, int) { return true, 1 }
 func (customModel) Stats() cache.Stats              { return cache.Stats{} }
 func (customModel) Reset()                          {}
 
-// TestRemoteCancellation: cancelling the client context aborts the job and
-// returns promptly.
+// TestRemoteCancellation: cancelling the job's context aborts it on the
+// TCP workers and returns promptly.
 func TestRemoteCancellation(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	coord, _ := cluster(t, 2, nil)
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +218,7 @@ func TestRemoteCancellation(t *testing.T) {
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = sweepd.RunRemote(ctx, addr, job, nil)
+		_, runErr = sweepd.Run(ctx, job, coord.Workers(), nil)
 		close(done)
 	}()
 	select {
@@ -268,7 +272,7 @@ func TestRemoteWorkerDeathMidJobRequeues(t *testing.T) {
 
 	job := testJob(t)
 	want := reference(t, job)
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +356,7 @@ func TestRemoteWorkerDeathResumesFromCheckpoint(t *testing.T) {
 	}
 	job := &sweepd.Job{Profile: p, Instructions: 600_000, Points: pts}
 	want := reference(t, job)
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,13 @@ package sweepd_test
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"io"
 	"log/slog"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +18,10 @@ import (
 )
 
 // TestCoordinatorCloseDrainsGoroutines: closing the coordinator while a
-// client job is mid-flight must deterministically cancel and drain every
-// goroutine the service spawned — accept loops, per-connection handlers,
-// client cancellation watchers, scheduler requeue machinery — and the
-// worker and client processes must unwind too. The assertion is a hard
+// job is mid-flight on its workers must deterministically cancel and
+// drain every goroutine the service spawned — accept loops,
+// per-connection handlers, heartbeats, scheduler requeue machinery — and
+// the worker processes and the job's scheduler must unwind too. The assertion is a hard
 // goroutine count: everything the test started is gone afterwards, so a
 // leaked conn handler racing Close fails loudly here instead of
 // accumulating in a long-lived daemon.
@@ -30,7 +34,9 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	coord := sweepd.NewCoordinator()
 	coord.HandshakeTimeout = 150 * time.Millisecond
 	coord.Log = recordLog(func(event string, _ map[string]string) {
-		if event == "sweepd.job_start" {
+		// A point's first shipped checkpoint: the job is running and
+		// still mid-point.
+		if event == "sweepd.checkpoint_received" {
 			once.Do(func() { close(started) })
 		}
 		if event == "sweepd.handshake_timeout" {
@@ -75,12 +81,12 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// A client job big enough to still be running when Close lands.
+	// A job big enough to still be running when Close lands.
 	job := testJob(t)
 	job.Instructions = 500_000
 	clientErr := make(chan error, 1)
 	go func() {
-		_, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+		_, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 		clientErr <- err
 	}()
 	select {
@@ -97,10 +103,10 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 	select {
 	case err := <-clientErr:
 		if err == nil {
-			t.Fatal("client job reported success across a coordinator shutdown")
+			t.Fatal("job reported success across a coordinator shutdown")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("client still blocked 10s after coordinator Close returned")
+		t.Fatal("job still blocked 10s after coordinator Close returned")
 	}
 	stop()
 	workers.Wait()
@@ -120,6 +126,89 @@ func TestCoordinatorCloseDrainsGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestClientHelloRefused: sweeps enter through the job service, never the
+// worker wire, so a peer that says hello as a "client" is refused at the
+// handshake — logged, disconnected, and leaving no handler goroutine.
+func TestClientHelloRefused(t *testing.T) {
+	failed := make(chan map[string]string, 1)
+	coord := sweepd.NewCoordinator()
+	coord.Log = recordLog(func(event string, attrs map[string]string) {
+		if event == "sweepd.handshake_failed" {
+			failed <- attrs
+		}
+	})
+	addr, err := coord.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	before := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// The coordinator speaks first; answer its hello in its own protocol
+	// version so only the role can be at fault.
+	var theirs struct {
+		Hello struct {
+			Proto int `json:"proto"`
+		} `json:"hello"`
+	}
+	if err := json.Unmarshal(readFrame(t, conn), &theirs); err != nil {
+		t.Fatal(err)
+	}
+	hello, err := json.Marshal(sweepd.Message{Type: "hello",
+		Hello: &sweepd.Hello{Proto: theirs.Hello.Proto, Role: "client"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(hello)))
+	if _, err := conn.Write(append(frame, hello...)); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case attrs := <-failed:
+		if !strings.Contains(attrs["err"], `role "client"`) {
+			t.Errorf("handshake_failed err = %q, want the client role named", attrs["err"])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator never logged sweepd.handshake_failed for a client hello")
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the refused hello = %v, want io.EOF (connection closed)", err)
+	}
+	if n := coord.WorkerCount(); n != 0 {
+		t.Fatalf("a client hello registered %d workers", n)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("handler goroutine left behind: before=%d after=%d\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readFrame reads one length-prefixed frame's payload.
+func readFrame(t *testing.T, r io.Reader) []byte {
+	t.Helper()
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, binary.BigEndian.Uint32(prefix[:]))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // recordLog returns a logger handing fn every event with its attributes

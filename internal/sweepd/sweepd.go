@@ -13,13 +13,16 @@
 // shared trace cache; across groups the scheduler fans out over every live
 // worker and requeues a dead worker's unfinished points on a survivor.
 //
-// The same scheduler serves three surfaces: the in-process loopback mode
-// (LoopbackWorker — used by tests and in-process job platforms), the
-// network coordinator (Coordinator + cmd/resimd), and the client
-// (RunRemote behind Session.SweepRemote). Session.Sweep does not go
-// through it: a local sweep runs one sweep.Runner, with no requeue and no
-// checkpoint shipping, and shares only result order, the observer
-// contract and telemetry with the remote path.
+// Workers come in two transports behind one Worker interface: the
+// in-process LoopbackWorker (tests and in-process job platforms) and the
+// network coordinator's registered workers (Coordinator + cmd/resimd).
+// Jobs reach a coordinator through one door, the job service
+// (internal/jobd): its HTTP API admits and fair-schedules every remote
+// sweep, Session.SweepRemote included, over Coordinator.Workers. Run is
+// the standalone scheduler over the same Ledger rules; the job service's
+// contract tests and the benchmark's traced sweep drive it directly.
+// Session.Sweep uses neither: a local sweep runs one sweep.Runner, with
+// no requeue and no checkpoint shipping.
 package sweepd
 
 import (
@@ -50,8 +53,8 @@ type Job struct {
 	// points simply restart from cycle 0 if their worker dies, so a long
 	// design-space job degrades resume granularity instead of growing
 	// without bound. 0 means DefaultCheckpointBudget; negative disables
-	// the cap. Scheduler policy, never serialized: the coordinator applies
-	// its own budget to jobs received over the wire.
+	// the cap. Scheduler policy, never serialized: the job service applies
+	// its own budget to every job it admits.
 	CheckpointBudget int64 `json:"-"`
 
 	// TelemetryEvery, when non-zero, makes workers stream per-interval
@@ -244,12 +247,11 @@ func (s *CheckpointStore) evictLocked(index int) {
 // Run schedules the job's key-groups across workers and returns results in
 // point order regardless of shard or worker completion order. emit, when
 // non-nil, is called once per completed point (serialized) with the running
-// completed/total counts — the coordinator-side progress stream. On worker
-// failure the group's unfinished points are requeued on a live worker,
-// which resumes each point from the latest checkpoint the dead worker
-// shipped (engines are deterministic, so a resumed point's result is
-// bit-identical to a from-scratch run); when no live worker remains the job
-// fails. Cancelling the context aborts in-flight groups and returns
+// completed/total counts. On worker failure the group's unfinished points
+// are requeued on a live worker, which resumes each point from the latest
+// checkpoint the dead worker shipped (engines are deterministic, so a
+// resumed point's result is bit-identical to a from-scratch run); when no
+// live worker remains the job fails. Cancelling the context aborts in-flight groups and returns
 // ctx.Err() once every worker has drained.
 func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointResult, done, total int)) ([]sweep.Result, error) {
 	if len(job.Points) == 0 {

@@ -106,18 +106,18 @@ func TestLoopbackTelemetryEquivalence(t *testing.T) {
 }
 
 // TestRemoteTelemetryEquivalence: the same guarantee across a real TCP
-// cluster — snapshots ride the worker→coordinator→client wire tagged with
+// cluster — snapshots ride the worker→coordinator wire tagged with
 // job-wide point indices, and the results stay byte-identical to a
 // non-telemetry run.
 func TestRemoteTelemetryEquivalence(t *testing.T) {
-	addr, _ := cluster(t, 2, nil)
+	coord, _ := cluster(t, 2, nil)
 	job := testJob(t)
 	want := reference(t, job)
 	const every = 2048
 	col := newTelemetryCollector()
 	job.TelemetryEvery = every
 	job.OnTelemetry = col.add
-	got, err := sweepd.RunRemote(context.Background(), addr, job, nil)
+	got, err := sweepd.Run(context.Background(), job, coord.Workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func serveAssignment(ctx context.Context, w *wire, asg *Assignment, opts WorkerO
 	// Telemetry streams at the job's cadence, carried by the assignment.
 	job := &Job{Profile: asg.Profile, Instructions: asg.Instructions, TelemetryEvery: asg.TelemetryEvery}
 	// Every sink ships a frame tagged with the job-wide point index, so the
-	// coordinator and client never see group-relative slots.
+	// coordinator and the job service never see group-relative slots.
 	err := runGroup(ctx, job, pts, indices, asg.Checkpoints, groupHost{
 		parallelism:     opts.Parallelism,
 		traces:          opts.Traces,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/jobd"
+	"repro/internal/sweep"
 	"repro/internal/sweepd"
 )
 
@@ -26,11 +27,11 @@ type JobStatus = jobd.JobStatus
 // JobHandle.Telemetry.
 type JobState = jobd.State
 
-// JobHandle tracks one job submitted to a job service. Unlike SweepRemote,
-// the submission is durable server-side the moment SubmitRemote returns:
-// the handle's owner can exit and a later process (or `resim jobs`) can
-// pick the results up by ID, and a crashed coordinator recovers the job
-// from its journal.
+// JobHandle tracks one job submitted to a job service. The submission is
+// durable server-side the moment SubmitRemote returns (on a service
+// running with -journal): the handle's owner can exit and a later process
+// (or `resim jobs`) can pick the results up by ID, and a crashed
+// coordinator recovers the job from its journal.
 type JobHandle struct {
 	client *jobd.Client
 	id     string
@@ -39,8 +40,8 @@ type JobHandle struct {
 
 // SubmitRemote submits a sweep to the job service at server (base URL,
 // e.g. "http://coordinator:8080") and returns immediately with a handle.
-// The design points must be expressible on the wire — the same
-// serializability contract as SweepRemote, validated before submitting.
+// The design points must be expressible on the wire, which is validated
+// before submitting.
 //
 // Where Sweep and SweepRemote block for results, SubmitRemote queues: the
 // service admits the job (or refuses with queue-full/tenant-busy, a
@@ -120,12 +121,32 @@ func (h *JobHandle) Trace(ctx context.Context, sink func(TraceSpan) error) (JobS
 // service is byte-for-byte comparable to a local one. A canceled or failed
 // job returns an error.
 func (h *JobHandle) Results(ctx context.Context) ([]SweepResult, error) {
-	wrs := make([]*sweepd.WireResult, len(h.job.Points))
+	return h.results(ctx, nil)
+}
+
+// results is Results that also reports each point to obs, when non-nil,
+// as its result first streams in: Done counts the distinct points received
+// so far, Total is the job's point count, and Final fires when the two
+// meet.
+func (h *JobHandle) results(ctx context.Context, obs Observer) ([]SweepResult, error) {
+	results := make([]SweepResult, len(h.job.Points))
+	got := make([]bool, len(results))
+	done := 0
 	state, err := h.client.Results(ctx, h.id, func(wr *sweepd.WireResult) error {
-		if wr.Index < 0 || wr.Index >= len(wrs) {
+		if wr.Index < 0 || wr.Index >= len(results) {
 			return fmt.Errorf("resim: job %s streamed result for unknown point %d", h.id, wr.Index)
 		}
-		wrs[wr.Index] = wr
+		results[wr.Index] = wr.Result(h.job.Points[wr.Index])
+		if got[wr.Index] {
+			return nil
+		}
+		got[wr.Index] = true
+		done++
+		if obs != nil {
+			p := sweep.PointProgress(wr.Index, results[wr.Index].Res, done, len(results))
+			p.Final = done == len(results)
+			obs.Progress(p)
+		}
 		return nil
 	})
 	if err != nil {
@@ -134,12 +155,10 @@ func (h *JobHandle) Results(ctx context.Context) ([]SweepResult, error) {
 	if state != jobd.StateDone {
 		return nil, fmt.Errorf("resim: job %s ended %s", h.id, state)
 	}
-	results := make([]SweepResult, len(h.job.Points))
-	for i, wr := range wrs {
-		if wr == nil {
+	for i, ok := range got {
+		if !ok {
 			return nil, fmt.Errorf("resim: job %s finished without a result for point %d", h.id, i)
 		}
-		results[i] = wr.Result(h.job.Points[i])
 	}
 	return results, nil
 }

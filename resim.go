@@ -23,14 +23,16 @@
 //	fmt.Printf("IPC %.2f -> %.1f simulation MIPS on Virtex-5\n",
 //		res.IPC(), resim.SimulationMIPS(resim.Virtex5, ses.Config(), res))
 //
-// Design-space sweeps also run distributed: cmd/resimd serves a
-// coordinator/worker sweep service over TCP, (*Session).SweepRemote (or a
-// session built WithCoordinator) submits sweeps to it, and points are
+// Design-space sweeps also run distributed: cmd/resimd runs a coordinator
+// whose workers register over TCP, and one front door, the job service's
+// HTTP API. (*Session).SweepRemote (or a session built WithCoordinator)
+// submits a sweep there as a job and blocks for its results;
+// (*Session).SubmitRemote submits and returns a JobHandle. Points are
 // sharded across worker hosts by trace key so every distinct trace is
 // generated — or shipped as a delta-compressed container — exactly once
 // per host. A local Sweep call runs one in-process sweep.Runner over
-// every point; local and remote sweeps share result ordering, the observer
-// contract and telemetry, and only remote workers requeue points or ship
+// every point; local and remote sweeps share result ordering and the
+// observer contract, and only remote workers requeue points or ship
 // checkpoints.
 //
 // The cmd/resim, cmd/tracegen, cmd/resim-bench and cmd/resimd tools and

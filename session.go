@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -35,10 +37,9 @@ type Session struct {
 	// traces memoizes generated workload traces across runs, sweeps and
 	// clusters; nil disables caching (streaming regeneration per run).
 	traces *tracecache.Cache
-	// coordAddr, when non-empty, routes Sweep through the sweepd
-	// coordinator at that address instead of a local sweep.Runner
-	// (WithCoordinator).
-	coordAddr string
+	// coordURL, when non-empty, routes Sweep through the job service at
+	// that base URL instead of a local sweep.Runner (WithCoordinator).
+	coordURL string
 	// ckptEvery/ckptSink enable periodic engine-state serialization
 	// (WithCheckpointEvery); resume, when non-nil, starts single-engine
 	// runs from a restored checkpoint instead of cycle 0 (ResumeFrom).
@@ -61,7 +62,7 @@ type settings struct {
 	// tracesSet distinguishes WithTraceCache(nil) — caching explicitly off —
 	// from the default of the process-wide shared cache.
 	tracesSet bool
-	coordAddr string
+	coordURL  string
 	ckptEvery uint64
 	ckptSink  func(*core.Checkpoint) error
 	resume    *core.Checkpoint
@@ -94,7 +95,7 @@ func New(opts ...Option) (*Session, error) {
 	if !s.tracesSet {
 		s.traces = tracecache.Shared()
 	}
-	return &Session{cfg: s.cfg, il1: s.il1, dl1: s.dl1, traces: s.traces, coordAddr: s.coordAddr,
+	return &Session{cfg: s.cfg, il1: s.il1, dl1: s.dl1, traces: s.traces, coordURL: s.coordURL,
 		ckptEvery: s.ckptEvery, ckptSink: s.ckptSink, resume: s.resume}, nil
 }
 
@@ -245,8 +246,10 @@ func WithObserver(obs Observer, everyCycles uint64) Option {
 // (local and remote) stream every in-flight point's snapshots tagged with
 // the point's job-wide index in Snapshot.Core; delivery there is
 // fire-and-forget and may be concurrent across points, so the sink must be
-// safe for concurrent use and its error is ignored. Multicore clusters do
-// not stream telemetry.
+// safe for concurrent use and its error is ignored. A remote sweep streams
+// at the job service's cadence (`resimd -telemetry-every`), not
+// everyCycles, and a snapshot the service's bounded buffer dropped never
+// arrives. Multicore clusters do not stream telemetry.
 func WithTelemetry(sink func(IntervalSnapshot) error, everyCycles uint64) Option {
 	return func(s *settings) error {
 		if sink == nil {
@@ -307,15 +310,15 @@ func ResumeFrom(cp *Checkpoint) Option {
 	}
 }
 
-// WithCoordinator routes the session's Sweep calls through the sharded
-// sweep service coordinator at addr (host:port, as served by
-// `resimd -role coordinator`): points are sharded by trace key across the
-// coordinator's registered workers and results stream back in point order,
-// exactly as SweepRemote. The empty address restores the default local
-// sweep. Other run modes are unaffected.
-func WithCoordinator(addr string) Option {
+// WithCoordinator routes the session's Sweep calls through the job service
+// at server, its base URL (e.g. "http://coordinator:8080", as served by
+// `resimd -role coordinator`), exactly as SweepRemote: points are sharded
+// by trace key across the coordinator's registered workers and results
+// return in point order. The empty URL restores the default local sweep.
+// Other run modes are unaffected.
+func WithCoordinator(server string) Option {
 	return func(s *settings) error {
-		s.coordAddr = addr
+		s.coordURL = server
 		return nil
 	}
 }
@@ -497,13 +500,13 @@ func newTraceSink(w io.Writer, hdr trace.Header, compress bool) (traceSink, erro
 // A local sweep runs one sweep.Runner over every point, up to GOMAXPROCS
 // engines at once; points sharing a trace key share one generation
 // through the session's trace cache. A session built WithCoordinator
-// instead ships the points to that coordinator's worker fleet
-// (SweepRemote). Both paths return results in point order and give the
-// observer and the telemetry sink the same contract; requeueing a dead
-// worker's points and shipping checkpoints exist only for remote workers.
+// instead submits the points to that job service (SweepRemote). Both
+// paths return results in point order and give the observer the same
+// contract; requeueing a dead worker's points and shipping checkpoints
+// exist only for remote workers.
 func (s *Session) Sweep(ctx context.Context, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
-	if s.coordAddr != "" {
-		return s.SweepRemote(ctx, s.coordAddr, workloadName, instructions, points)
+	if s.coordURL != "" {
+		return s.SweepRemote(ctx, s.coordURL, workloadName, instructions, points)
 	}
 	job, err := s.sweepJob(workloadName, instructions, points)
 	if err != nil {
@@ -520,20 +523,53 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	return r.Run(ctx, job.Points)
 }
 
-// SweepRemote runs the sweep through the sweepd coordinator at addr — the
-// client side of the sharded sweep service (cmd/resimd). The signature,
-// result ordering and observer behavior match Sweep: results return in
-// point order regardless of which worker host finished what, and the
-// session's observer receives one callback per completed point with the
-// coordinator-side Done/Total counters as they stream in. Points must be
-// expressible on the wire: custom cache models and pipe tracers cannot
-// cross the network and fail fast before dialing.
-func (s *Session) SweepRemote(ctx context.Context, addr, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
-	job, err := s.sweepJob(workloadName, instructions, points)
+// SweepRemote runs the sweep on the job service at server, its base URL
+// (e.g. "http://coordinator:8080", as served by `resimd -role
+// coordinator`), and blocks until it finishes: SubmitRemote with no token
+// at priority 0, then JobHandle.Results. The job is admitted and
+// fair-scheduled like any other, so a service with tenants configured
+// refuses it; use SubmitRemote with a token there. Result ordering and
+// the observer contract match Sweep: the session's observer receives one
+// callback per point as its result streams in, with Done counting the
+// points received so far against Total, and Final on the last. With
+// WithTelemetry the session sink follows the job's telemetry stream at
+// the service's cadence. Points must be expressible on the wire: custom
+// cache models and pipe tracers cannot cross the network and fail before
+// anything is sent. Cancelling ctx cancels the job on the service.
+func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
+	h, err := s.SubmitRemote(ctx, server, workloadName, instructions, points, nil)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, err
 	}
-	return sweepd.RunRemote(ctx, addr, job, s.cfg.Observer)
+	tctx, stopTelemetry := context.WithCancel(ctx)
+	defer stopTelemetry()
+	var telemetry sync.WaitGroup
+	if sink := s.cfg.TelemetrySink; sink != nil {
+		telemetry.Add(1)
+		go func() {
+			defer telemetry.Done()
+			h.Telemetry(tctx, func(snap IntervalSnapshot) error { //nolint:errcheck // ends with the job
+				sink(snap) //nolint:errcheck // sweep telemetry is fire-and-forget
+				return nil
+			})
+		}()
+	}
+	res, err := h.results(ctx, s.cfg.Observer)
+	if err != nil {
+		stopTelemetry()
+	}
+	telemetry.Wait()
+	if ctx.Err() != nil {
+		// The job outlives a dropped stream, so cancel it explicitly.
+		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		h.Cancel(cctx) //nolint:errcheck // best effort; the caller's error is ctx's
+		cancel()
+		return nil, ctx.Err()
+	}
+	return res, err
 }
 
 // sweepTelemetryEvery returns the per-point telemetry cadence for sweeps:
@@ -550,9 +586,9 @@ func (s *Session) sweepTelemetryEvery() uint64 {
 }
 
 // sweepJob resolves a sweep invocation for the local Runner and the remote
-// paths alike. A session that opted into telemetry extends it to sweeps:
-// the job carries the cadence (which crosses the wire for remote sweeps)
-// and adapts the session sink to indexed fire-and-forget delivery.
+// paths alike. A session that opted into telemetry extends it to local
+// sweeps: the job carries the cadence and adapts the session sink to
+// indexed fire-and-forget delivery.
 func (s *Session) sweepJob(workloadName string, instructions uint64, points []SweepPoint) (*sweepd.Job, error) {
 	p, err := workload.ByName(workloadName)
 	if err != nil {

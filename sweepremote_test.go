@@ -3,41 +3,66 @@ package resim_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	resim "repro"
+	"repro/internal/jobd"
 	"repro/internal/sweepd"
 	"repro/internal/tracecache"
 )
 
-// startCluster brings up a coordinator and n resimd-style workers (each
-// with its own trace cache, standing in for distinct hosts) on localhost.
+// startCluster brings up what `resimd -role coordinator` runs — a
+// coordinator with n resimd-style workers (each with its own trace cache,
+// standing in for distinct hosts) on localhost, and the job service
+// scheduling over them — and returns the job service's base URL.
 func startCluster(t *testing.T, n int) (string, []*tracecache.Cache) {
 	t.Helper()
+	caches := make([]*tracecache.Cache, n)
+	for i := range caches {
+		caches[i] = tracecache.New(tracecache.Config{})
+	}
+	return startClusterWith(t, caches), caches
+}
+
+// startClusterWith is startCluster with one worker per given trace cache.
+func startClusterWith(t testing.TB, caches []*tracecache.Cache) string {
+	t.Helper()
 	coord := sweepd.NewCoordinator()
+	p, err := jobd.New(jobd.Options{Pool: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.OnWorkersChanged = p.Kick
 	addr, err := coord.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(p.Handler())
+	// Cleanups run last-in first-out: HTTP, then the platform, then the
+	// coordinator, the order resimd shuts down in.
 	t.Cleanup(func() { coord.Close() })
+	t.Cleanup(func() { p.Close() })
+	t.Cleanup(srv.Close)
 	wctx, stop := context.WithCancel(context.Background())
 	t.Cleanup(stop)
-	caches := make([]*tracecache.Cache, n)
-	for i := range caches {
-		caches[i] = tracecache.New(tracecache.Config{})
-		go sweepd.Work(wctx, addr, sweepd.WorkerOptions{Traces: caches[i]}) //nolint:errcheck
+	for _, c := range caches {
+		go sweepd.Work(wctx, addr, sweepd.WorkerOptions{Traces: c}) //nolint:errcheck
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() < n {
+	for coord.WorkerCount() < len(caches) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d workers registered", coord.WorkerCount(), n)
+			t.Fatalf("only %d of %d workers registered", coord.WorkerCount(), len(caches))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return addr, caches
+	return srv.URL
 }
 
 // acceptancePoints is a 4-point sweep with exactly 2 distinct trace keys:
@@ -64,7 +89,7 @@ func acceptancePoints(base resim.Config) []resim.SweepPoint {
 func TestSweepRemoteMatchesSweep(t *testing.T) {
 	const instrs = 8000
 	ctx := context.Background()
-	addr, caches := startCluster(t, 2)
+	server, caches := startCluster(t, 2)
 
 	local, err := resim.New(resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
 	if err != nil {
@@ -80,7 +105,7 @@ func TestSweepRemoteMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := remote.SweepRemote(ctx, addr, "gzip", instrs, pts)
+	got, err := remote.SweepRemote(ctx, server, "gzip", instrs, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +140,9 @@ func TestSweepRemoteMatchesSweep(t *testing.T) {
 func TestWithCoordinatorRoutesSweep(t *testing.T) {
 	const instrs = 6000
 	ctx := context.Background()
-	addr, caches := startCluster(t, 1)
+	server, caches := startCluster(t, 1)
 
-	ses, err := resim.New(resim.WithCoordinator(addr))
+	ses, err := resim.New(resim.WithCoordinator(server))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +208,9 @@ func TestSweepObserverDoneTotal(t *testing.T) {
 }
 
 // TestSweepRemoteForwardsObserver: SweepRemote feeds the session observer
-// the coordinator-side progress stream.
+// from the job's result stream.
 func TestSweepRemoteForwardsObserver(t *testing.T) {
-	addr, _ := startCluster(t, 2)
+	server, _ := startCluster(t, 2)
 	var (
 		mu     sync.Mutex
 		calls  int
@@ -211,7 +236,7 @@ func TestSweepRemoteForwardsObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := acceptancePoints(ses.Config())
-	if _, err := ses.SweepRemote(context.Background(), addr, "gzip", 5000, pts); err != nil {
+	if _, err := ses.SweepRemote(context.Background(), server, "gzip", 5000, pts); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -221,5 +246,83 @@ func TestSweepRemoteForwardsObserver(t *testing.T) {
 	}
 	if finals != 1 {
 		t.Errorf("final callbacks = %d, want exactly 1 (and monotonic Done)", finals)
+	}
+}
+
+// TestSweepRemoteCancelCancelsJob: a remote sweep's job lives on the
+// service, not on the caller's connection, so cancelling SweepRemote's
+// context must cancel the job there too — promptly, and without leaving
+// the caller's streams or the service's engines running.
+func TestSweepRemoteCancelCancelsJob(t *testing.T) {
+	server := startJobService(t, nil)
+	ses, err := resim.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := acceptancePoints(ses.Config())
+	before := runtime.NumGoroutine()
+
+	// Far past the trace cache's per-trace cap: the engines stream their
+	// traces and run until the cancellation reaches them.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sweepErr := make(chan error, 1)
+	go func() {
+		_, err := ses.SweepRemote(ctx, server, "gzip", 1<<40, pts)
+		sweepErr <- err
+	}()
+
+	c := &jobd.Client{Server: server}
+	var id string
+	deadline := time.Now().Add(10 * time.Second)
+	for id == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the remote sweep's job never started running")
+		}
+		jobs, err := c.List(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) == 1 && jobs[0].State == jobd.StateRunning {
+			id = jobs[0].ID
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-sweepErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled SweepRemote returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled SweepRemote did not return within 5s")
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		st, err := c.Status(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == jobd.StateCanceled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job state %s 5s after SweepRemote was cancelled, want %s", st.State, jobd.StateCanceled)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Kept-alive HTTP connections are the transport's, not leaks.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	deadline = time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines did not settle after the cancelled sweep: before=%d after=%d\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
