@@ -638,7 +638,7 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 // leave cold generation noise in the timed region). The delta against
 // BenchmarkSweepWarmCache is the full service overhead — HTTP, admission
 // and scheduling, framing, JSON and result streaming. Gated in CI against
-// the committed BENCH_baseline.json entry.
+// the same benchmark at the parent commit (cmd/benchguard).
 func BenchmarkSweepRemoteLoopback(b *testing.B) {
 	traces := tracecache.New(tracecache.Config{})
 	server := startClusterWith(b, []*tracecache.Cache{traces, traces})
@@ -672,7 +672,7 @@ func BenchmarkSweepRemoteLoopback(b *testing.B) {
 // completion. The delta against BenchmarkSweepWarmCache's per-point cost is
 // the platform overhead — admission, journal-free queueing, fair
 // scheduling, JSON framing and the NDJSON result stream. Gated in CI
-// against the committed BENCH_baseline.json entry.
+// against the same benchmark at the parent commit (cmd/benchguard).
 func BenchmarkJobSubmitThroughput(b *testing.B) {
 	// One shared cache: worker pick is load-based, so a per-worker cache
 	// would leave cold generation noise in the timed region.

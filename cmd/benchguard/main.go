@@ -1,251 +1,237 @@
-// Command benchguard is the CI benchmark-regression gate: it parses
-// `go test -bench` output, compares the ns/op of each benchmark listed in a
-// committed baseline (BENCH_baseline.json) and fails when any of them
-// regressed beyond a threshold (default 20%). A benchmark present in the
-// bench output but absent from the baseline also fails — a newly added gate
-// benchmark must be committed to the baseline (`-update`) before it guards
-// anything, instead of passing silently forever.
+// Command benchguard is the CI benchmark-regression gate. It times every
+// gate benchmark in two test binaries, one built at the parent commit and
+// one at the change, back to back on the same host, and fails when the
+// change is slower than the parent beyond a threshold (default 20%):
 //
-// The comparison is deliberately conservative against noise: when the bench
-// output holds several samples of one benchmark (-count=N), the minimum
-// ns/op is used on both sides — the minimum is the least noisy estimator of
-// a benchmark's true cost on a busy CI machine.
+//	go run ./cmd/benchguard [-threshold 0.20] parent.test change.test "$BENCH_GATE"
 //
-// Because the committed baseline comes from one machine and CI runners
-// vary, -calibrate names a reference benchmark measured in the same run:
-// every other benchmark's current ns/op is divided by the calibrator's
-// current/baseline ratio before comparison, cancelling out raw hardware
-// speed. The calibrator itself is reported but not gated (a real
-// regression in it would also scale the gated benchmarks, which all
-// include or dwarf its work). Without -calibrate, absolute ns/op compare.
+// Build each binary with `go test -c` into the root of its own checkout:
+// a binary runs in the directory that holds it, as `go test` would run it.
 //
-// Usage:
-//
-//	go test -run '^$' -bench 'Sweep|Table1' -count 6 . | go run ./cmd/benchguard
-//	go run ./cmd/benchguard -update bench.txt      # refresh the baseline
-//	go run ./cmd/benchguard -threshold 0.30 bench.txt
+// Each of the pattern's |-separated alternatives runs on its own, with
+// -test.benchtime=200ms -test.count=1. A round runs every alternative in
+// both binaries, the parent first in even rounds and the change first in
+// odd ones, so drift in the host's speed lands on both sides alike. Each
+// round yields one change/parent ns/op ratio per benchmark, and a benchmark
+// fails when the median of its ratios is above 1+threshold. The host's
+// speed divides out of every ratio, so there is no committed baseline to
+// refresh. A gate benchmark the change does not run fails; one only the
+// change runs is new and not gated. A run that exits non-zero fails the
+// gate.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Baseline is the committed reference point for the regression gate.
-type Baseline struct {
-	Note string `json:"note,omitempty"`
-	// Context of the machine that produced the baseline; informational.
-	Goos   string `json:"goos,omitempty"`
-	Goarch string `json:"goarch,omitempty"`
-	CPU    string `json:"cpu,omitempty"`
-	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to the
-	// reference ns/op.
-	Benchmarks map[string]float64 `json:"benchmarks"`
-}
+// rounds is the number of paired runs per benchmark; CHANGES.md records
+// the local A/A runs it was set from.
+const rounds = 20
 
 // benchLine matches one result line of `go test -bench` output, e.g.
 // "BenchmarkSweepWarmCache-8   30   38463802 ns/op   1.23 IPC".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// machineLine captures the goos/goarch/cpu context lines.
-var machineLine = regexp.MustCompile(`^(goos|goarch|cpu):\s*(.+)$`)
-
-// parseBench reads bench output, returning minimum ns/op per benchmark and
-// the machine context.
-func parseBench(r io.Reader) (map[string]float64, map[string]string, error) {
+// parseBench reads bench output into ns/op per benchmark, with the
+// GOMAXPROCS suffix stripped from the names.
+func parseBench(out string) (map[string]float64, error) {
 	res := map[string]float64{}
-	machine := map[string]string{}
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(strings.NewReader(out))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if m := machineLine.FindStringSubmatch(line); m != nil {
-			machine[m[1]] = strings.TrimSpace(m[2])
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("benchguard: bad ns/op in %q: %w", line, err)
+			return nil, fmt.Errorf("benchguard: bad ns/op in %q: %w", sc.Text(), err)
 		}
-		if old, ok := res[m[1]]; !ok || ns < old {
-			res[m[1]] = ns
-		}
+		res[m[1]] = ns
 	}
-	return res, machine, sc.Err()
+	return res, sc.Err()
 }
 
-// verdict is one benchmark's comparison outcome.
+// runner runs one test binary on one benchmark pattern and returns its
+// output.
+type runner func(bin, bench string) (string, error)
+
+// runBinary is the real runner: the binary runs in its own directory.
+func runBinary(bin, bench string) (string, error) {
+	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", bench,
+		"-test.benchtime=200ms", "-test.count=1")
+	cmd.Dir = filepath.Dir(bin)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("benchguard: %s -test.bench %q: %w\n%s", bin, bench, err, out)
+	}
+	return string(out), nil
+}
+
+// samples holds one benchmark's ns/op per side and its per-round
+// change/parent ratios.
+type samples struct {
+	parent, change, ratios []float64
+}
+
+// measure runs every alternative of the gate pattern in both binaries for
+// n rounds, alternating which binary goes first. An alternative that
+// matches no benchmark in either binary is recorded under its own pattern
+// with no samples, so it fails as missing.
+func measure(run runner, parent, change string, alts []string, n int) (map[string]*samples, error) {
+	got := map[string]*samples{}
+	entry := func(name string) *samples {
+		if got[name] == nil {
+			got[name] = &samples{}
+		}
+		return got[name]
+	}
+	bins := [2]string{parent, change}
+	for r := 0; r < n; r++ {
+		order := [2]int{0, 1}
+		if r%2 == 1 {
+			order = [2]int{1, 0}
+		}
+		for _, alt := range alts {
+			var res [2]map[string]float64
+			for _, k := range order {
+				out, err := run(bins[k], alt)
+				if err != nil {
+					return nil, err
+				}
+				if res[k], err = parseBench(out); err != nil {
+					return nil, err
+				}
+			}
+			p, c := res[0], res[1]
+			if len(p) == 0 && len(c) == 0 {
+				entry(alt)
+			}
+			for name, ns := range p {
+				s := entry(name)
+				s.parent = append(s.parent, ns)
+			}
+			for name, ns := range c {
+				s := entry(name)
+				s.change = append(s.change, ns)
+				if pns, ok := p[name]; ok && pns > 0 {
+					s.ratios = append(s.ratios, ns/pns)
+				}
+			}
+		}
+	}
+	return got, nil
+}
+
+// verdict is one benchmark's gate outcome.
 type verdict struct {
-	name       string
-	base, cur  float64
-	delta      float64 // (cur-base)/base
-	regressed  bool
-	missing    bool // listed in the baseline, absent from the bench output
-	unknown    bool // present in the bench output, absent from the baseline
-	overweight bool // improved past the threshold: baseline is stale
+	name                  string
+	parent, change, ratio float64 // medians
+	wins, rounds          int     // rounds in which the change was faster, of all paired rounds
+	regressed             bool
+	missing               bool // not run at the change
+	added                 bool // run at the change only: new, not gated
 }
 
-// compare evaluates current results against the baseline at the given
-// regression threshold. A non-empty calibrate benchmark normalizes every
-// current value by that benchmark's current/baseline ratio (and exempts
-// the calibrator itself from the gate); it returns the scale used.
-func compare(base Baseline, cur map[string]float64, threshold float64, calibrate string) ([]verdict, float64, error) {
-	scale := 1.0
-	if calibrate != "" {
-		cb, okB := base.Benchmarks[calibrate]
-		cc, okC := cur[calibrate]
-		if !okB || !okC || cb <= 0 {
-			return nil, 0, fmt.Errorf("benchguard: calibration benchmark %q missing from baseline or bench output", calibrate)
+// judge turns measured samples into verdicts, sorted by name.
+func judge(got map[string]*samples, threshold float64) []verdict {
+	out := make([]verdict, 0, len(got))
+	for name, s := range got {
+		v := verdict{name: name, parent: median(s.parent), change: median(s.change),
+			ratio: median(s.ratios), rounds: len(s.ratios)}
+		for _, r := range s.ratios {
+			if r < 1 {
+				v.wins++
+			}
 		}
-		scale = cc / cb
-	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for n := range base.Benchmarks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []verdict
-	for _, n := range names {
-		b := base.Benchmarks[n]
-		c, ok := cur[n]
-		if !ok {
-			out = append(out, verdict{name: n, base: b, missing: true})
-			continue
+		switch {
+		case len(s.change) == 0:
+			v.missing = true
+		case len(s.parent) == 0:
+			v.added = true
+		default:
+			v.regressed = v.ratio > 1+threshold
 		}
-		d := (c/scale - b) / b
-		gated := n != calibrate
-		out = append(out, verdict{
-			name: n, base: b, cur: c, delta: d,
-			regressed:  gated && d > threshold,
-			overweight: gated && d < -threshold,
-		})
+		out = append(out, v)
 	}
-	// A benchmark that runs in the gate but has no committed reference
-	// would otherwise pass silently forever — fail until the baseline
-	// learns it.
-	extras := make([]string, 0)
-	for n := range cur {
-		if _, ok := base.Benchmarks[n]; !ok {
-			extras = append(extras, n)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// report prints the verdict table and reports whether the gate passed.
+func report(w io.Writer, vs []verdict, threshold float64) bool {
+	ok := true
+	fmt.Fprintf(w, "%-40s %14s %14s %7s %6s\n", "benchmark", "parent ns/op", "change ns/op", "ratio", "wins")
+	for _, v := range vs {
+		switch {
+		case v.missing:
+			ok = false
+			fmt.Fprintf(w, "%-40s %14.0f %14s %7s %6s  MISSING at the change\n", v.name, v.parent, "-", "-", "-")
+		case v.added:
+			fmt.Fprintf(w, "%-40s %14s %14.0f %7s %6s  new, not gated\n", v.name, "-", v.change, "-", "-")
+		default:
+			tag := ""
+			if v.regressed {
+				ok = false
+				tag = fmt.Sprintf("  REGRESSED (> %.2fx)", 1+threshold)
+			}
+			fmt.Fprintf(w, "%-40s %14.0f %14.0f %6.3fx %6s%s\n", v.name, v.parent, v.change, v.ratio,
+				fmt.Sprintf("%d/%d", v.wins, v.rounds), tag)
 		}
 	}
-	sort.Strings(extras)
-	for _, n := range extras {
-		out = append(out, verdict{name: n, cur: cur[n], unknown: true})
-	}
-	return out, scale, nil
+	return ok
 }
 
 func run() error {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_baseline.json", "committed baseline file")
-		threshold    = flag.Float64("threshold", 0.20, "ns/op regression tolerance (0.20 = +20%)")
-		update       = flag.Bool("update", false, "rewrite the baseline from the given bench output")
-		note         = flag.String("note", "", "note to store when updating the baseline")
-		calibrate    = flag.String("calibrate", "", "benchmark used to normalize out machine speed (exempt from the gate)")
-	)
+	threshold := flag.Float64("threshold", 0.20, "tolerated rise of the median change/parent ns/op ratio (0.20 = 1.20x)")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: benchguard [-threshold 0.20] parent.test change.test PATTERN")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-
-	in := io.Reader(os.Stdin)
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+	if flag.NArg() != 3 {
+		flag.Usage()
+		os.Exit(2)
 	}
-	cur, machine, err := parseBench(in)
+	parent, err := filepath.Abs(flag.Arg(0))
 	if err != nil {
 		return err
 	}
-	if len(cur) == 0 {
-		return fmt.Errorf("benchguard: no benchmark results in input")
-	}
-
-	if *update {
-		b := Baseline{
-			Note:       *note,
-			Goos:       machine["goos"],
-			Goarch:     machine["goarch"],
-			CPU:        machine["cpu"],
-			Benchmarks: cur,
-		}
-		if b.Note == "" {
-			b.Note = "min ns/op per benchmark; refresh with: go run ./cmd/benchguard -update"
-		}
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*baselinePath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("benchguard: wrote %d benchmarks to %s\n", len(cur), *baselinePath)
-		return nil
-	}
-
-	data, err := os.ReadFile(*baselinePath)
+	change, err := filepath.Abs(flag.Arg(1))
 	if err != nil {
 		return err
 	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("benchguard: bad baseline %s: %w", *baselinePath, err)
-	}
-	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("benchguard: baseline %s lists no benchmarks", *baselinePath)
-	}
-
-	verdicts, scale, err := compare(base, cur, *threshold, *calibrate)
+	got, err := measure(runBinary, parent, change, strings.Split(flag.Arg(2), "|"), rounds)
 	if err != nil {
 		return err
 	}
-	if *calibrate != "" {
-		fmt.Printf("calibrated by %s: this machine runs %.2fx the baseline's ns/op\n", *calibrate, scale)
+	if !report(os.Stdout, judge(got, *threshold), *threshold) {
+		return fmt.Errorf("benchguard: a gate benchmark is slower than %.2fx its parent, or the change does not run it", 1+*threshold)
 	}
-	failed := false
-	fmt.Printf("%-44s %14s %14s %8s\n", "benchmark", "base ns/op", "cur ns/op", "delta")
-	for _, v := range verdicts {
-		if v.missing {
-			failed = true
-			fmt.Printf("%-44s %14.0f %14s %8s  MISSING from bench output\n", v.name, v.base, "-", "-")
-			continue
-		}
-		if v.unknown {
-			failed = true
-			fmt.Printf("%-44s %14s %14.0f %8s  NOT IN BASELINE: run `go run ./cmd/benchguard -update` to add it\n", v.name, "-", v.cur, "-")
-			continue
-		}
-		tag := ""
-		if v.name == *calibrate {
-			tag = "  (calibrator, not gated)"
-		}
-		switch {
-		case v.regressed:
-			failed = true
-			tag = fmt.Sprintf("  REGRESSED (> %+.0f%%)", *threshold*100)
-		case v.overweight:
-			tag = "  improved; consider refreshing the baseline"
-		}
-		fmt.Printf("%-44s %14.0f %14.0f %+7.1f%%%s\n", v.name, v.base, v.cur, v.delta*100, tag)
-	}
-	if failed {
-		return fmt.Errorf("benchguard: benchmark regression beyond %.0f%% (or benchmark missing from the run or the baseline)", *threshold*100)
-	}
-	fmt.Println("benchguard: OK")
+	fmt.Printf("benchguard: OK (%d paired rounds)\n", rounds)
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -10,121 +13,160 @@ goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSweepWarmCache-8   	      30	  38463802 ns/op	         1.23 IPC
-BenchmarkSweepWarmCache-8   	      31	  37000000 ns/op	         1.23 IPC
-BenchmarkSweepUncached-8    	      15	  76014654 ns/op
+BenchmarkSweepUncached      	      15	  76014654 ns/op
 BenchmarkTable1PerfectMemory/gzip-8 	 50	  20000000 ns/op
 PASS
 ok  	repro	0.6s
 `
 
-func TestParseBenchTakesMinimum(t *testing.T) {
-	got, machine, err := parseBench(strings.NewReader(sample))
+func TestParseBench(t *testing.T) {
+	got, err := parseBench(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
+	want := map[string]float64{
+		"BenchmarkSweepWarmCache":           38463802,
+		"BenchmarkSweepUncached":            76014654,
+		"BenchmarkTable1PerfectMemory/gzip": 20000000,
 	}
-	if got["BenchmarkSweepWarmCache"] != 37000000 {
-		t.Errorf("WarmCache = %v, want the minimum of the two samples", got["BenchmarkSweepWarmCache"])
+	if len(got) != len(want) {
+		t.Fatalf("parsed %v, want %v", got, want)
 	}
-	if got["BenchmarkTable1PerfectMemory/gzip"] != 20000000 {
-		t.Errorf("sub-benchmark name not parsed: %v", got)
+	for name, ns := range want {
+		if got[name] != ns {
+			t.Errorf("%s = %v, want %v", name, got[name], ns)
+		}
 	}
-	if machine["goos"] != "linux" || machine["cpu"] == "" {
-		t.Errorf("machine context = %v", machine)
+}
+
+// fakeBins serves synthetic `go test -bench` output in place of two test
+// binaries: ns holds each binary's ns/op per benchmark, and every run is
+// scaled by seeded noise of up to ±4%.
+type fakeBins struct {
+	ns    map[string]map[string]float64
+	fail  string // runs of this binary exit non-zero
+	rng   *rand.Rand
+	calls []string // "bin bench", in run order
+}
+
+func newFake(parent, change map[string]float64) *fakeBins {
+	return &fakeBins{ns: map[string]map[string]float64{"parent": parent, "change": change},
+		rng: rand.New(rand.NewSource(1))}
+}
+
+func (f *fakeBins) run(bin, bench string) (string, error) {
+	f.calls = append(f.calls, bin+" "+bench)
+	if bin == f.fail {
+		return "", errors.New("exit status 1")
+	}
+	var b strings.Builder
+	b.WriteString("goos: linux\npkg: repro\n")
+	name := strings.TrimSuffix(bench, "$")
+	if ns, ok := f.ns[bin][name]; ok {
+		fmt.Fprintf(&b, "%s-2   \t      10\t  %.0f ns/op\n", name, ns*(0.96+0.08*f.rng.Float64()))
+	}
+	b.WriteString("PASS\n")
+	return b.String(), nil
+}
+
+// gate runs the whole pipeline on the fake binaries.
+func (f *fakeBins) gate(t *testing.T, pattern string) (map[string]verdict, string, bool) {
+	t.Helper()
+	got, err := measure(f.run, "parent", "change", strings.Split(pattern, "|"), rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	vs := judge(got, 0.20)
+	ok := report(&out, vs, 0.20)
+	byName := map[string]verdict{}
+	for _, v := range vs {
+		byName[v.name] = v
+	}
+	return byName, out.String(), ok
+}
+
+var gateNs = map[string]float64{"BenchmarkA": 1e6, "BenchmarkB": 5e6, "BenchmarkC": 2e7}
+
+const gatePattern = "BenchmarkA$|BenchmarkB$|BenchmarkC$"
+
+func TestGateAAPasses(t *testing.T) {
+	f := newFake(gateNs, gateNs)
+	vs, out, ok := f.gate(t, gatePattern)
+	if !ok {
+		t.Fatalf("A/A gate failed:\n%s", out)
+	}
+	if len(vs) != 3 {
+		t.Fatalf("verdicts %v, want three", vs)
+	}
+	for _, v := range vs {
+		if v.rounds != rounds || v.ratio < 0.85 || v.ratio > 1.15 {
+			t.Errorf("%s: median ratio %.3f over %d rounds", v.name, v.ratio, v.rounds)
+		}
+	}
+	// Every alternative runs alone, and the binaries take turns going first.
+	if len(f.calls) != 2*3*rounds {
+		t.Fatalf("%d runs, want %d", len(f.calls), 2*3*rounds)
+	}
+	if f.calls[0] != "parent BenchmarkA$" || f.calls[1] != "change BenchmarkA$" ||
+		f.calls[6] != "change BenchmarkA$" || f.calls[7] != "parent BenchmarkA$" {
+		t.Errorf("run order %v: want parent first in even rounds, change first in odd ones", f.calls[:8])
 	}
 }
 
 func TestCompareFlagsRegressions(t *testing.T) {
-	base := Baseline{Benchmarks: map[string]float64{
-		"BenchA": 100, // will regress
-		"BenchB": 100, // within tolerance
-		"BenchC": 100, // missing from current
-		"BenchD": 100, // improved past threshold
-	}}
-	cur := map[string]float64{"BenchA": 125, "BenchB": 115, "BenchD": 60, "BenchE": 1}
-	vs, scale, err := compare(base, cur, 0.20, "")
-	if err != nil || scale != 1.0 {
-		t.Fatalf("uncalibrated compare: scale=%v err=%v", scale, err)
+	slower := map[string]float64{}
+	for name, ns := range gateNs {
+		slower[name] = ns
 	}
-	if len(vs) != 5 {
-		t.Fatalf("verdicts = %d, want 5 (baseline's four plus the unknown BenchE)", len(vs))
+	slower["BenchmarkB"] *= 1.25
+	vs, out, ok := newFake(gateNs, slower).gate(t, gatePattern)
+	if ok {
+		t.Fatalf("a 1.25x regression passed:\n%s", out)
 	}
-	byName := map[string]verdict{}
-	for _, v := range vs {
-		byName[v.name] = v
-	}
-	if !byName["BenchA"].regressed {
-		t.Error("BenchA +25% not flagged at 20% threshold")
-	}
-	if byName["BenchB"].regressed || byName["BenchB"].missing {
-		t.Error("BenchB +15% wrongly flagged")
-	}
-	if !byName["BenchC"].missing {
-		t.Error("BenchC absence not flagged")
-	}
-	if !byName["BenchD"].overweight || byName["BenchD"].regressed {
-		t.Error("BenchD improvement not marked as stale-baseline hint")
-	}
-	if !byName["BenchE"].unknown {
-		t.Error("BenchE (run but absent from the baseline) not flagged; gate benchmarks must not pass silently before the baseline learns them")
-	}
-}
-
-// TestCompareUnknownBenchmarkFails pins the run-side behavior: a gate run
-// containing a benchmark the baseline does not list fails the gate (with
-// the -update hint printed by run), rather than passing silently.
-func TestCompareUnknownBenchmarkFails(t *testing.T) {
-	base := Baseline{Benchmarks: map[string]float64{"BenchA": 100}}
-	cur := map[string]float64{"BenchA": 100, "BenchNew": 42}
-	vs, _, err := compare(base, cur, 0.20, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unknown *verdict
-	for i := range vs {
-		if vs[i].name == "BenchNew" {
-			unknown = &vs[i]
+	for name, v := range vs {
+		if v.regressed != (name == "BenchmarkB") {
+			t.Errorf("%s: regressed=%v at median ratio %.3f", name, v.regressed, v.ratio)
 		}
 	}
-	if unknown == nil || !unknown.unknown {
-		t.Fatalf("BenchNew verdict = %+v, want unknown=true", unknown)
-	}
-	if unknown.cur != 42 {
-		t.Errorf("unknown verdict cur = %v, want the measured 42", unknown.cur)
+	if strings.Count(out, "REGRESSED") != 1 {
+		t.Errorf("report should flag BenchmarkB alone:\n%s", out)
 	}
 }
 
-func TestCompareCalibratesOutMachineSpeed(t *testing.T) {
-	base := Baseline{Benchmarks: map[string]float64{
-		"BenchCal": 100, // machine-speed reference
-		"BenchA":   100, // scales with the machine: fine after calibration
-		"BenchB":   100, // regressed even accounting for the slower machine
-	}}
-	// This "machine" is 1.5x slower across the board; BenchB regressed 2x.
-	cur := map[string]float64{"BenchCal": 150, "BenchA": 150, "BenchB": 300}
-	vs, scale, err := compare(base, cur, 0.20, "BenchCal")
-	if err != nil {
-		t.Fatal(err)
+func TestGateMissingAtChangeFails(t *testing.T) {
+	change := map[string]float64{"BenchmarkA": 1e6, "BenchmarkB": 5e6}
+	vs, out, ok := newFake(gateNs, change).gate(t, gatePattern)
+	if ok || !vs["BenchmarkC"].missing {
+		t.Fatalf("a gate benchmark the change does not run passed:\n%s", out)
 	}
-	if scale != 1.5 {
-		t.Errorf("scale = %v, want 1.5", scale)
+	if !strings.Contains(out, "MISSING") {
+		t.Errorf("report does not name the missing benchmark:\n%s", out)
 	}
-	byName := map[string]verdict{}
-	for _, v := range vs {
-		byName[v.name] = v
+	// A pattern matching nothing on either side fails under its own name.
+	vs, _, ok = newFake(gateNs, gateNs).gate(t, "BenchmarkA$|BenchmarkGone$")
+	if ok || !vs["BenchmarkGone$"].missing {
+		t.Errorf("a gate alternative that matches no benchmark passed: %v", vs)
 	}
-	if byName["BenchA"].regressed {
-		t.Error("BenchA flagged despite tracking machine speed exactly")
+}
+
+func TestGateNewBenchmarkNotGated(t *testing.T) {
+	parent := map[string]float64{"BenchmarkA": 1e6, "BenchmarkB": 5e6}
+	vs, out, ok := newFake(parent, gateNs).gate(t, gatePattern)
+	if !ok {
+		t.Fatalf("a benchmark new at the change failed the gate:\n%s", out)
 	}
-	if !byName["BenchB"].regressed {
-		t.Error("BenchB's real 2x regression hidden by calibration")
+	if !vs["BenchmarkC"].added || !strings.Contains(out, "new, not gated") {
+		t.Errorf("BenchmarkC not reported as new:\n%s", out)
 	}
-	if byName["BenchCal"].regressed || byName["BenchCal"].overweight {
-		t.Error("calibrator must be exempt from the gate")
-	}
-	if _, _, err := compare(base, map[string]float64{"BenchA": 1}, 0.20, "BenchCal"); err == nil {
-		t.Error("missing calibrator accepted")
+}
+
+func TestGateFailedRunFails(t *testing.T) {
+	for _, bin := range []string{"parent", "change"} {
+		f := newFake(gateNs, gateNs)
+		f.fail = bin
+		if _, err := measure(f.run, "parent", "change", strings.Split(gatePattern, "|"), rounds); err == nil {
+			t.Errorf("a failing %s run passed the gate", bin)
+		}
 	}
 }

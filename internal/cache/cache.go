@@ -33,6 +33,10 @@ func L1Config32K(name string) Config {
 		HitLatency: 1, MissLatency: 20}
 }
 
+// maxBlocks bounds a cache's tag state (64 MiB of 64-byte blocks), so a
+// mistyped geometry fails validation instead of allocating gigabytes.
+const maxBlocks = 1 << 20
+
 // Validate reports geometry errors.
 func (c Config) Validate() error {
 	pow2 := func(field string, v int) error {
@@ -47,11 +51,15 @@ func (c Config) Validate() error {
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: Assoc must be positive", c.Name)
 	}
-	if c.SizeBytes <= 0 || c.SizeBytes%(c.BlockBytes*c.Assoc) != 0 {
+	// Divide step by step: BlockBytes*Assoc can overflow.
+	if c.SizeBytes <= 0 || c.SizeBytes%c.BlockBytes != 0 || (c.SizeBytes/c.BlockBytes)%c.Assoc != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible into %d-way sets of %d-byte blocks",
 			c.Name, c.SizeBytes, c.Assoc, c.BlockBytes)
 	}
-	sets := c.SizeBytes / (c.BlockBytes * c.Assoc)
+	if blocks := c.SizeBytes / c.BlockBytes; blocks > maxBlocks {
+		return fmt.Errorf("cache %s: %d blocks, more than the %d a cache may hold", c.Name, blocks, maxBlocks)
+	}
+	sets := c.SizeBytes / c.BlockBytes / c.Assoc
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", c.Name, sets)
 	}

@@ -23,7 +23,9 @@ func TestValidate(t *testing.T) {
 		{Name: "x", SizeBytes: 1024, Assoc: 0, BlockBytes: 64, MissLatency: 1},
 		{Name: "x", SizeBytes: 1024, Assoc: 2, BlockBytes: 60, MissLatency: 1},
 		{Name: "x", SizeBytes: 1024, Assoc: 2, BlockBytes: 64, HitLatency: 5, MissLatency: 1},
-		{Name: "x", SizeBytes: 1536, Assoc: 2, BlockBytes: 64, MissLatency: 1}, // 12 sets
+		{Name: "x", SizeBytes: 1536, Assoc: 2, BlockBytes: 64, MissLatency: 1},      // 12 sets
+		{Name: "x", SizeBytes: 1024, Assoc: 4, BlockBytes: 1 << 62, MissLatency: 1}, // BlockBytes*Assoc overflows to 0
+		{Name: "x", SizeBytes: 1 << 40, Assoc: 1, BlockBytes: 64, MissLatency: 1},   // 2^34 blocks of tag state
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

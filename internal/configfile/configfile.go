@@ -70,14 +70,15 @@ func FromConfig(cfg core.Config) File {
 		Organization:    cfg.Organization.String(),
 		PerfectBP:       cfg.PerfectBP,
 	}
-	if !cfg.PerfectBP {
-		p := cfg.Predictor
-		f.Predictor = &PredictorSpec{
-			Kind: p.Dir.String(), BHTSize: p.BHTSize, HistLen: p.HistLen,
-			PHTSize: p.PHTSize, XORIndex: p.XORIndex, BimodSize: p.BimodSize,
-			MetaSize: p.MetaSize, BTBEntries: p.BTBEntries, BTBAssoc: p.BTBAssoc,
-			BTBTagBits: p.BTBTagBits, RASSize: p.RASSize,
-		}
+	// The predictor is written under PerfectBP too: it is part of the
+	// trace key (core.Config.TraceConfig), so dropping it would change
+	// which cached trace the configuration names.
+	p := cfg.Predictor
+	f.Predictor = &PredictorSpec{
+		Kind: p.Dir.String(), BHTSize: p.BHTSize, HistLen: p.HistLen,
+		PHTSize: p.PHTSize, XORIndex: p.XORIndex, BimodSize: p.BimodSize,
+		MetaSize: p.MetaSize, BTBEntries: p.BTBEntries, BTBAssoc: p.BTBAssoc,
+		BTBTagBits: p.BTBTagBits, RASSize: p.RASSize,
 	}
 	f.ICache = cacheSpecOf(cfg.ICache)
 	f.DCache = cacheSpecOf(cfg.DCache)

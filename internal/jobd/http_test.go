@@ -160,7 +160,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-func mustProfile(t *testing.T, name string) workload.Profile {
+func mustProfile(t testing.TB, name string) workload.Profile {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {

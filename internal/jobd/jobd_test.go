@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -454,5 +455,61 @@ func TestCrashRecoveryResumesMidRun(t *testing.T) {
 	}
 	if _, err := os.ReadDir(ckptDir); !os.IsNotExist(err) {
 		t.Errorf("terminal job's checkpoint directory survived: %v", err)
+	}
+}
+
+// TestOverBudgetCheckpointNotRecorded: a checkpoint larger than the job's
+// whole budget is dropped by the job's ledger, so the platform neither
+// records a checkpoint span for it nor counts it as recovered, and the
+// point reruns from scratch to the same done state.
+func TestOverBudgetCheckpointNotRecorded(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Live: every shipped checkpoint is a few kilobytes, over a 10-byte
+	// budget.
+	w := sweepd.NewLoopbackWorker(sweepd.LoopbackOptions{CheckpointEvery: 2000})
+	p, err := New(Options{Pool: StaticPool{w}, CheckpointBudget: 10,
+		Tenants: []Tenant{{Name: "alice", Token: "tok-a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	st, err := p.Submit("alice", SubmitRequest{Workload: "gzip", Instructions: 20_000,
+		Points: wirePoints(t, "B1", []int{8}, []int{4})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, state := collectTrace(t, srv, "tok-a", st.ID)
+	if state != StateDone {
+		t.Fatalf("job ended %s", state)
+	}
+	for _, s := range spans {
+		if s.Event == SpanCheckpoint {
+			t.Errorf("checkpoint span for a checkpoint over the budget: %+v", s)
+		}
+	}
+
+	// Recovery: a journaled checkpoint over the restarted platform's
+	// budget.
+	dir := t.TempDir()
+	jn, id := seedJournal(t, dir, 0)
+	if err := jn.saveCheckpoint(id, 0, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := New(Options{Pool: StaticPool{sweepd.NewLoopbackWorker(sweepd.LoopbackOptions{})},
+		JournalDir: dir, CheckpointBudget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if m := p2.Snapshot(); m.RecoveredJobs != 1 || m.RecoveredCkpts != 0 {
+		t.Fatalf("recovered jobs=%d ckpts=%d, want 1/0", m.RecoveredJobs, m.RecoveredCkpts)
+	}
+	state, errStr, err := follow(ctx, p2, resultStream, "alice", id, func(*sweepd.WireResult) error { return nil })
+	if err != nil || state != StateDone || errStr != "" {
+		t.Fatalf("recovered job ended state=%s err=%q streamErr=%v, want done", state, errStr, err)
 	}
 }

@@ -288,7 +288,8 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 	// Results log: verify every record's integrity envelope and stop at
 	// the first torn or corrupt one, truncating the file back to the last
 	// good byte so future appends extend a consistent log. Everything
-	// before the cut stands; everything after reruns deterministically.
+	// before the cut stands; everything after reruns deterministically. A
+	// result naming no point of the spec counts as corrupt.
 	file := filepath.Join(dir, "results.ndjson")
 	if data, err := os.ReadFile(file); err == nil {
 		good := 0
@@ -300,7 +301,7 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 				next = good + nl + 1
 			}
 			line, ok := jn.decodeResultLine(id, raw)
-			if !ok {
+			if !ok || line.Result != nil && (line.Result.Index < 0 || line.Result.Index >= len(spec.Job.Points)) {
 				break
 			}
 			switch {

@@ -20,13 +20,13 @@ import (
 
 // seedJournal writes a minimal valid job journal — spec plus n result
 // records — and returns the journal and the job id.
-func seedJournal(t *testing.T, dir string, n int) (*journal, string) {
+func seedJournal(t testing.TB, dir string, n int) (*journal, string) {
 	t.Helper()
 	jn, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := wirePoints(t, "J", []int{8}, []int{4, 8})
+	pts := reindex(wirePoints(t, "J", []int{8}, []int{4, 8}))
 	const id = "job-1"
 	err = jn.writeSpec(&specRecord{ID: id, Tenant: "alice", Seq: 1,
 		Job: &sweepd.WireJob{Profile: mustProfile(t, "gzip"), Instructions: 6000, Points: pts}})

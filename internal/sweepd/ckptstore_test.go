@@ -3,6 +3,8 @@ package sweepd
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // TestCkptStoreBudget exercises the scheduler's checkpoint retention
@@ -151,5 +153,24 @@ func TestCkptStoreConcurrentJobs(t *testing.T) {
 	}
 	if s.Dropped() != 3 {
 		t.Errorf("dropped = %d, want 3", s.Dropped())
+	}
+}
+
+// TestLedgerCheckpointRejectsOverBudget: a checkpoint the store rejects
+// for being larger than the job's whole budget is not accepted by the
+// ledger either, so a scheduler neither journals nor counts it, and the
+// point's next assignment carries no resume state.
+func TestLedgerCheckpointRejectsOverBudget(t *testing.T) {
+	job := &Job{Points: make([]sweep.Point, 2), CheckpointBudget: 10}
+	l := NewLedger(job)
+	if l.Checkpoint(0, make([]byte, 100)) {
+		t.Error("Checkpoint accepted a 100-byte checkpoint under a 10-byte budget")
+	}
+	if !l.Checkpoint(1, make([]byte, 8)) {
+		t.Error("Checkpoint rejected an 8-byte checkpoint under a 10-byte budget")
+	}
+	gr := l.Assign(0)
+	if _, ok := gr.Checkpoints[0]; ok || len(gr.Checkpoints) != 1 {
+		t.Errorf("assignment carries checkpoints for %v, want point 1's alone", gr.Checkpoints)
 	}
 }

@@ -94,19 +94,19 @@ func (l *Ledger) Record(index int) bool {
 }
 
 // Checkpoint retains data as point index's resume state if the point is
-// still unfinished, and reports whether it did. Workers checkpoint each
-// point monotonically and a requeued owner resumes from the stored cycle,
-// so the latest shipment is always the furthest along; the store caps
-// total retained bytes job-wide, evicting other points' resume state
-// first.
+// still unfinished and the store kept it, and reports whether it did.
+// Workers checkpoint each point monotonically and a requeued owner resumes
+// from the stored cycle, so the latest shipment is always the furthest
+// along; the store caps total retained bytes job-wide, evicting other
+// points' resume state first, and rejects a checkpoint larger than the
+// whole budget.
 func (l *Ledger) Checkpoint(index int, data []byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(data) == 0 || !l.pendingLocked(index) {
 		return false
 	}
-	l.ckpts.Put(index, data)
-	return true
+	return l.ckpts.Put(index, data)
 }
 
 // Pending reports whether index names a point still without a result —

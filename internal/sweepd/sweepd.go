@@ -174,13 +174,14 @@ func NewCheckpointStore(budget int64) *CheckpointStore {
 // least-recently-updated other points as needed to stay under budget. A
 // checkpoint that could never fit even alone is rejected up front — the
 // point keeps whatever older (still valid, just earlier) resume state it
-// had, and no other point's state is harmed making room for it.
-func (s *CheckpointStore) Put(index int, b []byte) {
+// had, and no other point's state is harmed making room for it. Put
+// reports whether it kept b.
+func (s *CheckpointStore) Put(index int, b []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.budget > 0 && int64(len(b)) > s.budget {
 		s.dropped++
-		return
+		return false
 	}
 	s.dropLocked(index) // a replaced shipment no longer counts toward the budget
 	if s.budget > 0 {
@@ -198,6 +199,7 @@ func (s *CheckpointStore) Put(index int, b []byte) {
 	s.data[index] = b
 	s.stamp[index] = s.tick
 	s.total += int64(len(b))
+	return true
 }
 
 // Get returns the stored checkpoint for index, or nil.
