@@ -755,8 +755,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	}
 	slice := trace.NewSliceSource(recs)
 	var ckpts, bytes int
-	cfg.CheckpointEvery = 8192
-	cfg.CheckpointSink = func(cp *core.Checkpoint) error {
+	hooks := core.Hooks{CheckpointEvery: 8192, Checkpoint: func(cp *core.Checkpoint) error {
 		data, err := cp.Encode()
 		if err != nil {
 			return err
@@ -764,7 +763,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 		ckpts++
 		bytes += len(data)
 		return nil
-	}
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ckpts, bytes = 0, 0
@@ -773,7 +772,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(); err != nil {
+		if _, err := eng.RunHooks(context.Background(), hooks); err != nil {
 			b.Fatal(err)
 		}
 	}

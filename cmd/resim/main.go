@@ -136,13 +136,12 @@ func main() {
 		}
 	}
 
+	opts := []resim.Option{resim.WithConfig(cfg)}
 	var collector *ptrace.Collector
 	if *pipeTrace > 0 {
 		collector = ptrace.New(*pipeTrace)
-		cfg.PipeTracer = collector
+		opts = append(opts, resim.WithPipeTracer(collector))
 	}
-
-	opts := []resim.Option{resim.WithConfig(cfg)}
 	if *ckptEvery > 0 && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "resim: -checkpoint-every has no effect without -checkpoint FILE")
 	}

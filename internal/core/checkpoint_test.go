@@ -203,7 +203,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestRunContextCheckpointSink: RunContext captures at absolute
+// TestRunContextCheckpointSink: RunHooks captures at absolute
 // CheckpointEvery boundaries and every captured checkpoint is independently
 // resumable to the same final statistics.
 func TestRunContextCheckpointSink(t *testing.T) {
@@ -211,17 +211,15 @@ func TestRunContextCheckpointSink(t *testing.T) {
 	recs := ckptRecords(t, "parser", cfg, 20_000)
 
 	var cps []*core.Checkpoint
-	run := cfg
-	run.CheckpointEvery = 1024
-	run.CheckpointSink = func(cp *core.Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	}
-	eng, err := core.New(run, trace.NewSliceSource(recs), funcsim.CodeBase)
+	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.RunContext(context.Background())
+	want, err := eng.RunHooks(context.Background(), core.Hooks{CheckpointEvery: 1024,
+		Checkpoint: func(cp *core.Checkpoint) error {
+			cps = append(cps, cp)
+			return nil
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}

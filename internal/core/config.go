@@ -22,6 +22,8 @@ import (
 )
 
 // Config parameterizes the simulated processor and the engine organization.
+// It describes the machine only; a run's callbacks are its Hooks (see
+// (*Engine).RunHooks).
 type Config struct {
 	// Width is N: fetch, dispatch, issue, writeback and commit bandwidth.
 	Width int
@@ -58,38 +60,6 @@ type Config struct {
 	Organization sched.Organization
 	// MaxCycles aborts runaway simulations; 0 means no limit.
 	MaxCycles uint64
-	// PipeTracer, when non-nil, receives per-instruction pipeline events
-	// (the sim-outorder "ptrace" facility); see internal/ptrace.
-	PipeTracer PipeTracer
-	// Observer, when non-nil, receives periodic Progress callbacks from
-	// (*Engine).RunContext every ObserverInterval major cycles
-	// (0 = DefaultObserverInterval).
-	Observer         Observer
-	ObserverInterval uint64
-	// CheckpointSink, when non-nil, receives the engine's serialized state
-	// (a complete Checkpoint) at every CheckpointEvery-cycle boundary of
-	// RunContext (0 = DefaultObserverInterval). A sink error aborts the run.
-	// Like Observer and PipeTracer this is a per-run hook, not part of the
-	// simulated machine: it never affects simulated state, cannot cross the
-	// sweep-service wire, and is excluded from the checkpoint ConfigDigest.
-	// The func type would break the otherwise JSON-able Config (results
-	// embed their Config), so it is explicitly untagged for encoding.
-	CheckpointSink  func(*Checkpoint) error `json:"-"`
-	CheckpointEvery uint64
-	// TelemetrySink, when non-nil, receives an IntervalSnapshot — the
-	// window delta of every counter, cache statistic and occupancy — at
-	// every TelemetryEvery-cycle boundary of RunContext
-	// (0 = DefaultObserverInterval), a Final snapshot covering the last
-	// partial window when the run drains, and one last non-Final snapshot
-	// when the run is cancelled or fails, so the streamed windows always
-	// sum to the returned Result. A sink error aborts the run. Like
-	// CheckpointSink this is a per-run hook, not part of the simulated
-	// machine: it never affects simulated state, cannot cross the
-	// sweep-service wire, and is excluded from the checkpoint ConfigDigest;
-	// the func type is untagged for encoding because results embed their
-	// Config.
-	TelemetrySink  func(IntervalSnapshot) error `json:"-"`
-	TelemetryEvery uint64
 }
 
 // PipeTracer observes instruction flow through the simulated pipeline.

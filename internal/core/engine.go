@@ -163,7 +163,11 @@ type Counters struct {
 // out-of-order processor.
 type Engine struct {
 	cfg Config //resim:ckpt-exempt immutable configuration; guarded by ConfigDigest, rebuilt by New on restore
-	src *trace.Buffered
+	// tracer is the PipeTracer of the RunHooks call in progress; nil
+	// otherwise, so engines stepped through Cycle alone never trace.
+	//resim:ckpt-exempt per-run hook, not simulated state
+	tracer PipeTracer
+	src    *trace.Buffered
 	// startPC is the fetch PC a fresh run starts at (Reset re-arms to it).
 	//resim:ckpt-exempt set by New; a restored engine re-arms at the checkpoint's fetch PC
 	startPC uint32
@@ -349,7 +353,7 @@ func (e *Engine) checkWatchdog() error {
 	return nil
 }
 
-// stepFast is the run-loop step RunContext drives: it advances the
+// stepFast is the run-loop step RunHooks drives: it advances the
 // simulation until the next control boundary (the earliest pending hook
 // boundary, cycle budget, completion), bulk-skipping provably idle regions
 // on the way. When fetch is serving a penalty or
@@ -465,14 +469,37 @@ func (e *Engine) skipIdle(n int64) {
 }
 
 // CtxCheckInterval is how many major cycles elapse between context polls in
-// RunContext: frequent enough that cancellation lands promptly, amortized
+// RunHooks: frequent enough that cancellation lands promptly, amortized
 // enough that the cycle loop stays fast.
 const CtxCheckInterval = 8192
 
 // DefaultObserverInterval is the period (major cycles) of every interval
-// hook — Observer, CheckpointSink, TelemetrySink — whose Config interval is
-// zero.
+// hook — Observer, Checkpoint, Telemetry — whose Hooks interval is zero.
 const DefaultObserverInterval = 65536
+
+// Hooks are one run's callbacks, handed to RunHooks. They are not part of
+// the simulated machine: no hook affects simulated state, so a run with
+// hooks returns the Result a hook-free run does. Each interval hook fires
+// at absolute multiples of its interval (0 = DefaultObserverInterval).
+type Hooks struct {
+	// PipeTracer, when non-nil, receives per-instruction pipeline events
+	// (the sim-outorder "ptrace" facility; see internal/ptrace).
+	PipeTracer PipeTracer
+	// Observer, when non-nil, receives a Progress every ObserverEvery
+	// major cycles.
+	Observer      Observer
+	ObserverEvery uint64
+	// Checkpoint, when non-nil, receives the engine's serialized state (a
+	// complete Checkpoint) every CheckpointEvery cycles. An error aborts
+	// the run.
+	Checkpoint      func(*Checkpoint) error
+	CheckpointEvery uint64
+	// Telemetry, when non-nil, receives an IntervalSnapshot — the window
+	// delta of every counter, cache statistic and occupancy — every
+	// TelemetryEvery cycles. An error aborts the run.
+	Telemetry      func(IntervalSnapshot) error
+	TelemetryEvery uint64
+}
 
 // Run simulates until the trace drains (or cfg.MaxCycles elapse) and returns
 // the result.
@@ -480,28 +507,34 @@ func (e *Engine) Run() (Result, error) {
 	return e.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation and the per-run hooks the
-// Config enables, each at absolute multiples of its interval
-// (0 = DefaultObserverInterval) and, at a shared boundary, in this order:
+// RunContext is Run with cooperative cancellation: a cancelled run returns
+// the statistics accumulated so far together with ctx.Err(). It runs no
+// hooks; RunHooks does.
+func (e *Engine) RunContext(ctx context.Context) (Result, error) {
+	return e.RunHooks(ctx, Hooks{})
+}
+
+// RunHooks is RunContext with the hooks h enables. The tracer sees every
+// instruction of this run. The interval hooks run at a shared boundary in
+// this order:
 //
 //  1. the context poll every CtxCheckInterval cycles; a cancelled run
 //     returns the statistics accumulated so far together with ctx.Err();
-//  2. CheckpointSink, handed the engine's complete serialized state every
-//     CheckpointEvery cycles;
-//  3. TelemetrySink, handed an IntervalSnapshot window delta every
-//     TelemetryEvery cycles and a Final one covering the last partial
-//     window when the run drains;
-//  4. Observer, handed a Progress every ObserverInterval cycles and a Final
-//     one when the run drains.
+//  2. Checkpoint, handed the engine's complete serialized state;
+//  3. Telemetry, handed an IntervalSnapshot window delta, and a Final one
+//     covering the last partial window when the run drains;
+//  4. Observer, handed a Progress, and a Final one when the run drains.
 //
 // When the step or a hook fails, telemetry and observer — the hooks with a
 // final call — each get one last non-Final call instead (the failing hook
 // excepted), so streamed windows sum to and observers see exactly the
 // statistics the run returns.
-func (e *Engine) RunContext(ctx context.Context) (Result, error) {
+func (e *Engine) RunHooks(ctx context.Context, h Hooks) (Result, error) {
+	e.tracer = h.PipeTracer
+	defer func() { e.tracer = nil }()
 	var sinks []hook
-	if sink := e.cfg.CheckpointSink; sink != nil {
-		sinks = append(sinks, hook{every: e.cfg.CheckpointEvery, fn: func(bool) error {
+	if sink := h.Checkpoint; sink != nil {
+		sinks = append(sinks, hook{every: h.CheckpointEvery, fn: func(bool) error {
 			cp, err := e.Checkpoint()
 			if err != nil {
 				return err
@@ -509,11 +542,11 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			return sink(cp)
 		}})
 	}
-	if e.cfg.TelemetrySink != nil {
-		tel := e.startTelemetry()
-		sinks = append(sinks, hook{every: e.cfg.TelemetryEvery, fn: tel.emit, final: true})
+	if h.Telemetry != nil {
+		tel := e.startTelemetry(h.Telemetry)
+		sinks = append(sinks, hook{every: h.TelemetryEvery, fn: tel.emit, final: true})
 	}
-	hooks, err := runHooks(ctx, e.cfg.Observer, e.cfg.ObserverInterval, e.progress, sinks...)
+	hooks, err := hookList(ctx, h.Observer, h.ObserverEvery, e.progress, sinks...)
 	if err == nil {
 		err = drive(hooks,
 			func() uint64 { return e.c.Cycles },
@@ -525,7 +558,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	return e.result(), err
 }
 
-// Drive is the run loop shared by Engine.RunContext and the multicore
+// Drive is the run loop shared by Engine.RunHooks and the multicore
 // cluster: it calls step until done reports true, polling the context
 // every CtxCheckInterval simulated cycles and delivering Progress
 // callbacks at every interval-cycle boundary (0 = DefaultObserverInterval)
@@ -541,12 +574,12 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 //
 // Cancellation and step errors deliver one last non-Final progress snapshot
 // (so observers see the state the returned statistics describe) and end the
-// loop; the Final callback marks successful completion only. RunContext
+// loop; the Final callback marks successful completion only. RunHooks
 // documents the full hook order and interruption rule.
 func Drive(ctx context.Context, obs Observer, interval uint64,
 	cycles func() uint64, done func() bool, step func() error,
 	progress func(final bool) Progress) error {
-	hooks, err := runHooks(ctx, obs, interval, progress)
+	hooks, err := hookList(ctx, obs, interval, progress)
 	if err != nil {
 		return err
 	}
@@ -564,10 +597,10 @@ type hook struct {
 	next  uint64 // the pending boundary: drive advances it, stepLimit stops at it
 }
 
-// runHooks builds a run's hook list in RunContext's order — the context
+// hookList builds a run's hook list in RunHooks's order — the context
 // poll, then sinks, then the observer when one is set — with zero intervals
 // defaulted, or returns the context's error when it is already done.
-func runHooks(ctx context.Context, obs Observer, interval uint64,
+func hookList(ctx context.Context, obs Observer, interval uint64,
 	progress func(final bool) Progress, sinks ...hook) ([]hook, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -592,7 +625,7 @@ func runHooks(ctx context.Context, obs Observer, interval uint64,
 	return hooks, nil
 }
 
-// drive is the loop behind Drive and RunContext: after every step it calls
+// drive is the loop behind Drive and RunHooks: after every step it calls
 // each hook whose boundary the step reached, in list order; on completion
 // it calls the final hooks with final=true. When the step or hook k fails,
 // every final hook other than k gets fn(false), in list order, and the
@@ -746,8 +779,8 @@ func (e *Engine) commit() error {
 
 		e.c.Committed++
 		e.lastCommitAt = e.now
-		if e.cfg.PipeTracer != nil {
-			e.cfg.PipeTracer.Stage(en.seq, e.now, "commit")
+		if e.tracer != nil {
+			e.tracer.Stage(en.seq, e.now, "commit")
 		}
 		switch en.rec.Kind {
 		case trace.KindMem:
@@ -803,12 +836,12 @@ func (e *Engine) trainPredictor(en *robEntry) {
 // (resumePC) after the mis-speculation penalty.
 func (e *Engine) recover(resumePC uint32) {
 	e.c.MispredResolved++
-	if e.cfg.PipeTracer != nil {
+	if e.tracer != nil {
 		for i := 0; i < e.rob.Len(); i++ {
-			e.cfg.PipeTracer.Stage(e.rob.At(i).seq, e.now, "squash")
+			e.tracer.Stage(e.rob.At(i).seq, e.now, "squash")
 		}
 		for i := 0; i < e.ifq.Len(); i++ {
-			e.cfg.PipeTracer.Stage(e.ifq.At(i).seq, e.now, "squash")
+			e.tracer.Stage(e.ifq.At(i).seq, e.now, "squash")
 		}
 	}
 	e.ifq.Clear()
@@ -877,8 +910,8 @@ func (e *Engine) writeback() {
 // wakeup.
 func (e *Engine) broadcast(en *robEntry) {
 	en.state = stCompleted
-	if e.cfg.PipeTracer != nil {
-		e.cfg.PipeTracer.Stage(en.seq, e.now, "writeback")
+	if e.tracer != nil {
+		e.tracer.Stage(en.seq, e.now, "writeback")
 	}
 	if en.rec.Dest != isa.NoReg {
 		e.rt.ClearIfProducer(en.rec.Dest, en.seq)
@@ -1172,8 +1205,8 @@ func (e *Engine) issueOne(en *robEntry) bool {
 		e.heapPush(en.completeAt, en)
 	}
 	e.c.Issued++
-	if e.cfg.PipeTracer != nil {
-		e.cfg.PipeTracer.Stage(en.seq, e.now, "issue")
+	if e.tracer != nil {
+		e.tracer.Stage(en.seq, e.now, "issue")
 	}
 	return true
 }
@@ -1217,8 +1250,8 @@ func (e *Engine) dispatch() {
 		en.completeAt = 0
 		en.lsq = nil
 		en.slot = int32(abs & e.consMask)
-		if e.cfg.PipeTracer != nil {
-			e.cfg.PipeTracer.Stage(en.seq, e.now, "dispatch")
+		if e.tracer != nil {
+			e.tracer.Stage(en.seq, e.now, "dispatch")
 		}
 		en.src1Rdy = en.src1Seq == uarch.NoProducer
 		en.src2Rdy = en.src2Seq == uarch.NoProducer
@@ -1422,8 +1455,8 @@ func (e *Engine) fetch() {
 		if rec.Tag {
 			e.c.WrongPathFetched++
 		}
-		if e.cfg.PipeTracer != nil {
-			e.cfg.PipeTracer.Fetched(fi.seq, e.now, fi.pc, rec.String(), rec.Tag)
+		if e.tracer != nil {
+			e.tracer.Fetched(fi.seq, e.now, fi.pc, rec.String(), rec.Tag)
 		}
 
 		if rec.Kind != trace.KindBranch {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -46,16 +48,15 @@ func TestHookErrorSemantics(t *testing.T) {
 				}
 				return nil
 			}
-			cfg.CheckpointEvery = 2048
-			cfg.CheckpointSink = func(cp *core.Checkpoint) error {
+			h := core.Hooks{CheckpointEvery: 2048, TelemetryEvery: 2048, ObserverEvery: 2048}
+			h.Checkpoint = func(cp *core.Checkpoint) error {
 				events = append(events, event{"ckpt", cp.Counters.Cycles, false})
 				if tc.failCkpt {
 					return fail()
 				}
 				return nil
 			}
-			cfg.TelemetryEvery = 2048
-			cfg.TelemetrySink = func(s core.IntervalSnapshot) error {
+			h.Telemetry = func(s core.IntervalSnapshot) error {
 				events = append(events, event{"tel", s.EndCycle, s.Final})
 				snaps = append(snaps, s)
 				if !tc.failCkpt {
@@ -63,15 +64,14 @@ func TestHookErrorSemantics(t *testing.T) {
 				}
 				return nil
 			}
-			cfg.ObserverInterval = 2048
-			cfg.Observer = core.ObserverFunc(func(p core.Progress) {
+			h.Observer = core.ObserverFunc(func(p core.Progress) {
 				events = append(events, event{"obs", p.Cycles, p.Final})
 			})
 			eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Run()
+			res, err := eng.RunHooks(context.Background(), h)
 			if !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want the sink error", err)
 			}
@@ -102,3 +102,71 @@ func TestHookErrorSemantics(t *testing.T) {
 		})
 	}
 }
+
+// TestHooksChangeNoResult: no hook touches simulated state, so a run with
+// every hook set — tracer, observer, checkpoint and telemetry — returns a
+// Result equal to the hook-free run's, Config included.
+func TestHooksChangeNoResult(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func() core.Config
+	}{
+		{"default", core.DefaultConfig},
+		{"fast-caches", core.FASTComparisonConfig},
+		{"tiny-lsq", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.LSQSize = 2
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := ckptRecords(t, "vpr", tc.cfg(), 20_000)
+			run := func(h core.Hooks) core.Result {
+				eng, err := core.New(tc.cfg(), trace.NewSliceSource(recs), funcsim.CodeBase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.RunHooks(context.Background(), h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := run(core.Hooks{})
+
+			calls := map[string]int{}
+			tracer := &countingTracer{}
+			got := run(core.Hooks{
+				PipeTracer:    tracer,
+				Observer:      core.ObserverFunc(func(core.Progress) { calls["observer"]++ }),
+				ObserverEvery: 512,
+				Checkpoint: func(*core.Checkpoint) error {
+					calls["checkpoint"]++
+					return nil
+				},
+				CheckpointEvery: 1024,
+				Telemetry: func(core.IntervalSnapshot) error {
+					calls["telemetry"]++
+					return nil
+				},
+				TelemetryEvery: 1024,
+			})
+			calls["tracer"] = tracer.n
+			for _, hook := range []string{"tracer", "observer", "checkpoint", "telemetry"} {
+				if calls[hook] == 0 {
+					t.Errorf("the %s hook was never called", hook)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("hooked run differs from the hook-free run:\n%+v\n%+v", got, want)
+			}
+		})
+	}
+}
+
+// countingTracer counts pipeline events.
+type countingTracer struct{ n int }
+
+func (c *countingTracer) Fetched(int64, int64, uint32, string, bool) { c.n++ }
+func (c *countingTracer) Stage(int64, int64, string)                 { c.n++ }

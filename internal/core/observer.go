@@ -29,14 +29,14 @@ type Progress struct {
 // progress while a run is in flight. It generalizes the per-instruction
 // PipeTracer hook to coarse per-interval statistics: callbacks arrive from
 // a single goroutine per run at absolute multiples of
-// Config.ObserverInterval (cycle N fires the callback for boundary N when
+// Hooks.ObserverEvery (cycle N fires the callback for boundary N when
 // N % interval == 0), NOT at intervals re-anchored to wherever the previous
 // callback happened to land — so the callback cycle sequence is
 // deterministic across runs and, for a run resumed from a checkpoint taken
 // at a boundary, identical to the uninterrupted run's tail (see Drive).
 // At a boundary shared with other hooks the observer runs last, after the
 // context poll, checkpoint and telemetry; when any of them or the step
-// fails it gets the last non-Final snapshot instead (see RunContext).
+// fails it gets the last non-Final snapshot instead (see RunHooks).
 // Implementations must be fast; they execute on the simulation path.
 type Observer interface {
 	Progress(Progress)

@@ -16,8 +16,8 @@ import (
 // fields are derived from the window alone, so a dashboard can plot IPC or
 // miss-rate trajectories without keeping running totals.
 //
-// Snapshots are produced by (*Engine).RunContext when Config.TelemetrySink
-// is set, at absolute multiples of Config.TelemetryEvery (the same boundary
+// Snapshots are produced by (*Engine).RunHooks when Hooks.Telemetry is
+// set, at absolute multiples of Hooks.TelemetryEvery (the same boundary
 // discipline as Observer callbacks); the Final snapshot covers the partial
 // window between the last boundary and run completion. An interrupted run
 // (cancellation, step error) delivers one last non-Final snapshot so the
@@ -126,8 +126,8 @@ func addCacheStats(a, b cache.Stats) cache.Stats {
 	}
 }
 
-// telemetryRun holds the per-run emission state RunContext threads through
-// the drive loop when Config.TelemetrySink is set: the baseline statistics
+// telemetryRun holds the per-run emission state RunHooks threads through
+// the drive loop when Hooks.Telemetry is set: the baseline statistics
 // at the previous boundary and the snapshot sequence number.
 type telemetryRun struct {
 	e    *Engine
@@ -145,8 +145,8 @@ type telemetryRun struct {
 
 // startTelemetry captures the baseline at the current engine state (cycle 0
 // for fresh runs, the restore point for checkpoint-resumed ones).
-func (e *Engine) startTelemetry() *telemetryRun {
-	t := &telemetryRun{e: e, sink: e.cfg.TelemetrySink}
+func (e *Engine) startTelemetry(sink func(IntervalSnapshot) error) *telemetryRun {
+	t := &telemetryRun{e: e, sink: sink}
 	t.rebase()
 	return t
 }

@@ -15,16 +15,15 @@ import (
 func telemetryRun(t *testing.T, cfg core.Config, recs []trace.Record, every uint64) ([]core.IntervalSnapshot, core.Result) {
 	t.Helper()
 	var snaps []core.IntervalSnapshot
-	cfg.TelemetryEvery = every
-	cfg.TelemetrySink = func(s core.IntervalSnapshot) error {
-		snaps = append(snaps, s)
-		return nil
-	}
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunHooks(context.Background(), core.Hooks{TelemetryEvery: every,
+		Telemetry: func(s core.IntervalSnapshot) error {
+			snaps = append(snaps, s)
+			return nil
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +114,18 @@ func TestTelemetryCancelFlushesPartialWindow(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var snaps []core.IntervalSnapshot
-	cfg.TelemetryEvery = 2048
-	cfg.TelemetrySink = func(s core.IntervalSnapshot) error {
-		snaps = append(snaps, s)
-		if len(snaps) == 3 {
-			cancel()
-		}
-		return nil
-	}
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunContext(ctx)
+	res, err := eng.RunHooks(ctx, core.Hooks{TelemetryEvery: 2048,
+		Telemetry: func(s core.IntervalSnapshot) error {
+			snaps = append(snaps, s)
+			if len(snaps) == 3 {
+				cancel()
+			}
+			return nil
+		}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -152,8 +150,8 @@ func TestTelemetryCancelFlushesPartialWindow(t *testing.T) {
 }
 
 // TestEngineObserverCadenceDocumented pins, at the engine level, the
-// cadence observer.go documents: RunContext delivers non-Final callbacks at
-// exactly the absolute multiples of ObserverInterval, in order, regardless
+// cadence observer.go documents: RunHooks delivers non-Final callbacks at
+// exactly the absolute multiples of ObserverEvery, in order, regardless
 // of how far stepFast batches between polls.
 func TestEngineObserverCadenceDocumented(t *testing.T) {
 	cfg := core.DefaultConfig()
@@ -162,8 +160,7 @@ func TestEngineObserverCadenceDocumented(t *testing.T) {
 	const iv = 4096
 	var at []uint64
 	var finals int
-	cfg.ObserverInterval = iv
-	cfg.Observer = core.ObserverFunc(func(p core.Progress) {
+	obs := core.ObserverFunc(func(p core.Progress) {
 		if p.Final {
 			finals++
 			return
@@ -174,7 +171,7 @@ func TestEngineObserverCadenceDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
+	res, err := eng.RunHooks(context.Background(), core.Hooks{Observer: obs, ObserverEvery: iv})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // sweepd/jobd wire and journal types serializable by construction.
 //
 // Everything that crosses the sweep fabric or lands in the job journal
-// travels as JSON. The runtime guard (sweepd.SpecOf rejecting live sinks
-// and tracers) only fires when a bad config is actually shipped; this
-// analyzer promotes the rule to compile time. It discovers the wire
+// travels as JSON, so a func, channel or interface field on a wire type
+// would fail only when a value is first encoded; this analyzer fails the
+// build instead. It discovers the wire
 // surface from the code itself — every type that flows into an
 // encoding/json call in the package, including through thin helpers that
 // take an `any` parameter, plus every in-package struct reachable from
@@ -42,7 +42,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "wiresafe",
 	Doc: "wire/journal structs must be fully serializable: json tags on exported fields, no func/chan/interface values\n" +
-		"\nPromotes sweepd.SpecOf's runtime rejection of unserializable config\nto compile time; see docs/STATIC_ANALYSIS.md#wiresafe.",
+		"\nCatches an unencodable wire field at compile time rather than at\nthe first encode; see docs/STATIC_ANALYSIS.md#wiresafe.",
 	Run: run,
 }
 

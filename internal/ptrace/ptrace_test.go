@@ -1,6 +1,7 @@
 package ptrace
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,12 +21,11 @@ func run(t *testing.T, recs []trace.Record, limit int) *Collector {
 	col := New(limit)
 	cfg := core.DefaultConfig()
 	cfg.PerfectBP = true
-	cfg.PipeTracer = col
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), 0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunHooks(context.Background(), core.Hooks{PipeTracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	return col
@@ -77,12 +77,11 @@ func TestSquashRecorded(t *testing.T) {
 	col := New(10)
 	cfg := core.DefaultConfig()
 	cfg.Predictor.Dir = bpred.DirNotTaken
-	cfg.PipeTracer = col
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), 0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunHooks(context.Background(), core.Hooks{PipeTracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	// The wrong-path instructions (seq 1..4) must record a squash at the

@@ -23,13 +23,12 @@ import (
 // internal/core, which fails when one is added or moved.
 
 // ladderKey returns the key shared by points that differ only in LSQSize,
-// or false for a point that must be a ladder of one: one with a
-// PipeTracer, or with a cache model other than *cache.Perfect and
-// *cache.Cache.
+// or false for a point that must be a ladder of one: one with a cache
+// model other than *cache.Perfect and *cache.Cache.
 func ladderKey(c core.Config) (string, bool) {
 	im, iok := memKey(c.ICache)
 	dm, dok := memKey(c.DCache)
-	if c.PipeTracer != nil || !iok || !dok {
+	if !iok || !dok {
 		return "", false
 	}
 	// Both models are nil or pointers here, so == cannot panic.

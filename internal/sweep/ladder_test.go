@@ -3,12 +3,15 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/tracecache"
 	"repro/internal/workload"
 )
@@ -269,4 +272,139 @@ func TestLaddersNeverSpanTraceKeys(t *testing.T) {
 	if len(lads) != len(pts)/3 {
 		t.Errorf("%d ladders from %d points, want %d", len(lads), len(pts), len(pts)/3)
 	}
+}
+
+// TestRandomLaddersMatchDirectRuns is the randomized oracle for ladder
+// shortcuts: seeded random machines (width, RB, IFQ, organization,
+// predictor, PerfectBP and memory system), each swept over 3-5 random LSQ
+// rungs on every workload profile. Every result Runner.Run returns, and so
+// every point it answers without simulating, equals a direct run of the
+// same configuration. The test reports how many points were answered and
+// checks that count against the cache's simulated-point count.
+func TestRandomLaddersMatchDirectRuns(t *testing.T) {
+	const seed = 1
+	perProfile := 10
+	if testing.Short() {
+		perProfile = 4
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var total, answered int
+	for _, name := range workload.Names() {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []Point
+		var want []core.Result
+		var wantAnswered int
+		seen := map[string]bool{}
+		for len(seen) < perProfile {
+			machine := randomMachine(rng)
+			key, ok := ladderKey(machine())
+			if !ok || seen[key] {
+				continue
+			}
+			seen[key] = true
+			lsqs := randomRungs(rng, machine().RBSize)
+			results := map[int]core.Result{}
+			for _, lsq := range lsqs {
+				c := machine()
+				c.LSQSize = lsq
+				pts = append(pts, Point{Name: fmt.Sprintf("%s/%d/lsq=%d", name, len(seen), lsq), Config: c})
+				c = machine()
+				c.LSQSize = lsq
+				results[lsq] = directRun(t, p, ladderInstr, c)
+				want = append(want, results[lsq])
+			}
+			// A ladder simulates its rungs smallest LSQ first, up to the
+			// first whose LSQ never filled, and answers every larger one.
+			slices.Sort(lsqs)
+			for i, lsq := range lsqs {
+				if res := results[lsq]; res.LSQ.FullFrac() == 0 {
+					wantAnswered += len(lsqs) - 1 - i
+					break
+				}
+			}
+		}
+		r := Runner{Workload: p, Instructions: ladderInstr, Parallelism: 2,
+			Traces: tracecache.New(tracecache.Config{})}
+		got, err := r.Run(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range got {
+			if g.Err != nil {
+				t.Fatalf("%s: %v", g.Name, g.Err)
+			}
+			if !reflect.DeepEqual(g.Res, want[i]) {
+				t.Errorf("%s (%+v): sweep result differs from the direct run", g.Name, g.Config)
+			}
+		}
+		st := r.Traces.Stats()
+		if n := len(pts) - int(st.Hits+st.Generations); n != wantAnswered {
+			t.Errorf("%s: answered %d points, want %d", name, n, wantAnswered)
+		}
+		total += len(pts)
+		answered += wantAnswered
+	}
+	t.Logf("seed %d: %d of %d points answered from a smaller rung", seed, answered, total)
+	if answered == 0 {
+		t.Error("no point was answered, so no shortcut was checked")
+	}
+}
+
+// randomMachine draws one ladder's machine and returns a builder, so the
+// sweep and each direct run get their own cache models.
+func randomMachine(rng *rand.Rand) func() core.Config {
+	width := 1 + rng.Intn(4)
+	rb := []int{4, 8, 16, 32}[rng.Intn(4)]
+	ifq := []int{2, 4, 8}[rng.Intn(3)]
+	org := []sched.Organization{sched.OrgSimple, sched.OrgImproved, sched.OrgOptimized}[rng.Intn(3)]
+	if org.MaxMemPorts(width) < 1 {
+		org = sched.OrgImproved
+	}
+	pred := bpred.Default()
+	pred.Dir = bpred.DirKind(rng.Intn(5))
+	pred.HistLen = 2 + rng.Intn(10)
+	pred.PHTSize = 256 << rng.Intn(5)
+	pred.BimodSize = 256 << rng.Intn(4)
+	pred.MetaSize = 256 << rng.Intn(4)
+	perfectBP := rng.Intn(4) == 0
+	mem := rng.Intn(4)
+	latency := 1 + rng.Intn(4)
+	geom := cache.Config{SizeBytes: 1 << (10 + rng.Intn(4)), Assoc: 1 << rng.Intn(3),
+		BlockBytes: 16 << rng.Intn(3), HitLatency: 1, MissLatency: 6 + rng.Intn(15)}
+	return func() core.Config {
+		c := core.DefaultConfig()
+		c.Width, c.RBSize, c.IFQSize, c.Organization = width, rb, ifq, org
+		c.MemReadPorts = min(c.MemReadPorts, org.MaxMemPorts(width))
+		c.Predictor, c.PerfectBP = pred, perfectBP
+		switch mem {
+		case 1:
+			c.ICache, c.DCache = cache.NewPerfect(latency), cache.NewPerfect(latency)
+		case 2:
+			ic, dc := geom, geom
+			ic.Name, dc.Name = "il1", "dl1"
+			c.ICache, c.DCache = cache.New(ic), cache.New(dc)
+		case 3:
+			u := geom
+			u.Name = "ul1"
+			c.ICache = cache.New(u)
+			c.DCache = c.ICache
+		}
+		return c
+	}
+}
+
+// randomRungs draws 3-5 distinct LSQ sizes in random order, spanning sizes
+// below and above rb so some rungs fill and some never can.
+func randomRungs(rng *rand.Rand, rb int) []int {
+	var sizes []int
+	for _, s := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} {
+		if s <= 2*rb {
+			sizes = append(sizes, s)
+		}
+	}
+	rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+	return sizes[:3+rng.Intn(3)]
 }

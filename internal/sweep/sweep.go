@@ -15,7 +15,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 
@@ -60,9 +59,7 @@ type Runner struct {
 	// point: Core is the point's index, the counters are that point's,
 	// Done/Total carry sweep completion, and Final marks the last point to
 	// finish. Callbacks are serialized and stop once the sweep's context is
-	// cancelled. It is the sweep's single reporting channel: per-point
-	// Config.Observer fields are ignored, so a base configuration carrying
-	// an observer does not double-report through every derived point.
+	// cancelled. It is the sweep's single reporting channel.
 	Observer core.Observer
 	// OnResult, when non-nil, receives each point's full result as it
 	// completes — the streaming hook the sharded sweep service builds on:
@@ -85,8 +82,7 @@ type Runner struct {
 	// OnCheckpoint must be safe for concurrent use. Points whose cache
 	// models cannot be serialized (custom Model implementations) silently
 	// run without capture — checkpointing is an optimization, never a
-	// correctness requirement. Per-point Config.CheckpointSink fields are
-	// always cleared, like per-point Observers.
+	// correctness requirement.
 	CheckpointEvery uint64
 	OnCheckpoint    func(index int, cp *core.Checkpoint)
 	// TelemetryEvery, with OnTelemetry, streams per-interval engine
@@ -96,9 +92,7 @@ type Runner struct {
 	// into Snapshot.Core). Same concurrency contract as OnCheckpoint:
 	// callbacks arrive from concurrent point engines, in window order
 	// within a point, and must be safe for concurrent use. Forwarding is
-	// fire-and-forget — OnTelemetry cannot abort a point. Per-point
-	// Config.TelemetrySink fields are always cleared, like per-point
-	// Observers.
+	// fire-and-forget — OnTelemetry cannot abort a point.
 	TelemetryEvery uint64
 	OnTelemetry    func(index int, snap core.IntervalSnapshot)
 	// Resume maps point indices to checkpoints to restore instead of
@@ -139,8 +133,8 @@ type Runner struct {
 // restored to the source's final cache state) and its own LSQ capacity,
 // and streams the source's telemetry windows re-stamped with its own index
 // and LSQ capacity, so every point's windows sum to its result. A point
-// with a PipeTracer, a Resume checkpoint or a cache model other than a
-// *cache.Perfect or *cache.Cache is a ladder of one. A ladder runs one
+// with a Resume checkpoint or a cache model other than a *cache.Perfect or
+// *cache.Cache is a ladder of one. A ladder runs one
 // rung at a time, each once every smaller rung is done, so which points a
 // sweep simulates never depends on timing; ladders run in parallel, so a
 // sweep runs at most as many points at once as it has ladders. A run's
@@ -156,11 +150,9 @@ type Runner struct {
 // shared — they must be safe for concurrent access, or the sweep must run
 // with Parallelism = 1.
 //
-// A PipeTracer unique to one point is kept (serial pipeline tracing keeps
-// working); an instance shared by several points is cleared when the sweep
-// runs in parallel (clearSharedPipeTracers).
-// Per-point Observers are always cleared — the Runner's Observer is the
-// sweep's reporting channel.
+// A point is a Config, which carries no hooks: the Runner's Observer,
+// OnCheckpoint and OnTelemetry are a sweep's only channels, and sweeps do
+// not pipe-trace.
 func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: no design points")
@@ -174,9 +166,6 @@ func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 	}
 	if par > len(points) {
 		par = len(points)
-	}
-	if par > 1 {
-		points = clearSharedPipeTracers(points)
 	}
 	s := newScheduler(ctx, r, points)
 	var wg sync.WaitGroup
@@ -214,16 +203,17 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 	out := Result{Point: pt}
 	cfg := pointConfig(pt.Config)
+	var h core.Hooks
 	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil && serializableModels(cfg) {
-		cfg.CheckpointEvery = r.CheckpointEvery
-		cfg.CheckpointSink = func(cp *core.Checkpoint) error {
+		h.CheckpointEvery = r.CheckpointEvery
+		h.Checkpoint = func(cp *core.Checkpoint) error {
 			r.OnCheckpoint(idx, cp)
 			return nil
 		}
 	}
 	if r.TelemetryEvery > 0 && r.OnTelemetry != nil {
-		cfg.TelemetryEvery = r.TelemetryEvery
-		cfg.TelemetrySink = func(snap core.IntervalSnapshot) error {
+		h.TelemetryEvery = r.TelemetryEvery
+		h.Telemetry = func(snap core.IntervalSnapshot) error {
 			rn.note(snap)
 			snap.Core = idx
 			r.OnTelemetry(idx, snap)
@@ -258,24 +248,13 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 			return out
 		}
 	}
-	out.Res, out.Err = eng.RunContext(ctx)
-	// The runner-installed capture hook is an execution detail, not part of
-	// the point's design configuration: results must compare equal between
-	// checkpointed and plain runs.
-	out.Res.Config.CheckpointSink = nil
-	out.Res.Config.CheckpointEvery = 0
-	out.Res.Config.TelemetrySink = nil
-	out.Res.Config.TelemetryEvery = 0
+	out.Res, out.Err = eng.RunHooks(ctx, h)
 	return out
 }
 
 // pointConfig is the configuration a point's engine runs: the point's own
-// with its per-run hooks cleared (the Runner's hooks are the sweep's
-// channels) and its memory system cloned cold as a whole.
+// with its memory system cloned cold as a whole.
 func pointConfig(c core.Config) core.Config {
-	c.Observer = nil
-	c.CheckpointSink, c.CheckpointEvery = nil, 0
-	c.TelemetrySink, c.TelemetryEvery = nil, 0
 	mem := cache.CloneColdAll(c.ICache, c.DCache)
 	c.ICache, c.DCache = mem[0], mem[1]
 	return c
@@ -286,46 +265,4 @@ func pointConfig(c core.Config) core.Config {
 // failing their point.
 func serializableModels(cfg core.Config) bool {
 	return cache.Serializable(cfg.ICache) && cache.Serializable(cfg.DCache)
-}
-
-// ptrOf returns v's pointer identity, or 0 for nil and value-typed
-// implementations.
-func ptrOf(v any) uintptr {
-	if v == nil {
-		return 0
-	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer {
-		return 0
-	}
-	return rv.Pointer()
-}
-
-// clearSharedPipeTracers returns the points with any PipeTracer instance
-// referenced by more than one point cleared, copying on write (the caller's
-// slice and configs are never mutated). The built-in ptrace collector is
-// unsynchronized, so concurrent engines would corrupt a shared instance
-// (typically a leak from deriving every point from one base Config); a
-// tracer unique to a single point is kept, since only one engine ever
-// touches it. Run applies it whenever it runs points in parallel.
-func clearSharedPipeTracers(points []Point) []Point {
-	counts := map[uintptr]int{}
-	for i := range points {
-		if p := ptrOf(points[i].Config.PipeTracer); p != 0 {
-			counts[p]++
-		}
-	}
-	var out []Point
-	for i := range points {
-		if counts[ptrOf(points[i].Config.PipeTracer)] > 1 {
-			if out == nil {
-				out = append([]Point(nil), points...)
-			}
-			out[i].Config.PipeTracer = nil
-		}
-	}
-	if out == nil {
-		return points
-	}
-	return out
 }

@@ -226,38 +226,3 @@ func TestOnResultStreamsEveryPoint(t *testing.T) {
 		t.Errorf("observer reported %d distinct points, want %d", len(seen), len(pts))
 	}
 }
-
-// TestClearSharedPipeTracers: a tracer instance referenced by several
-// points is cleared (copy-on-write), a unique one is kept — the
-// sanitization Run applies before running points in parallel.
-func TestClearSharedPipeTracers(t *testing.T) {
-	shared := &countingTracer{}
-	unique := &countingTracer{}
-	base := core.DefaultConfig()
-	pts := Grid("rb", base, []int{8, 16, 32}, func(c *core.Config, v int) { c.RBSize = v })
-	pts[0].Config.PipeTracer = shared
-	pts[1].Config.PipeTracer = shared
-	pts[2].Config.PipeTracer = unique
-
-	out := clearSharedPipeTracers(pts)
-	if out[0].Config.PipeTracer != nil || out[1].Config.PipeTracer != nil {
-		t.Error("shared tracer survived across points")
-	}
-	if out[2].Config.PipeTracer != core.PipeTracer(unique) {
-		t.Error("unique tracer was cleared")
-	}
-	// The caller's points are untouched.
-	if pts[0].Config.PipeTracer != core.PipeTracer(shared) || pts[1].Config.PipeTracer != core.PipeTracer(shared) {
-		t.Error("input slice was mutated")
-	}
-	// No sharing at all: the input comes back as-is, no copy.
-	solo := Grid("rb", base, []int{8, 16}, func(c *core.Config, v int) { c.RBSize = v })
-	if got := clearSharedPipeTracers(solo); &got[0] != &solo[0] {
-		t.Error("tracer-free sweep was needlessly copied")
-	}
-}
-
-type countingTracer struct{ n int }
-
-func (c *countingTracer) Fetched(int64, int64, uint32, string, bool) { c.n++ }
-func (c *countingTracer) Stage(int64, int64, string)                 { c.n++ }

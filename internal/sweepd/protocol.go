@@ -145,9 +145,8 @@ type Hello struct {
 }
 
 // ConfigSpec is the wire form of core.Config: the configfile schema plus
-// the engine fields that schema does not carry. Live hooks (PipeTracer,
-// Observer) and custom cache models have no wire form — remote sweeps
-// reject points that need them.
+// the engine fields that schema does not carry. Custom cache models have
+// no wire form — remote sweeps reject points that need them.
 type ConfigSpec struct {
 	configfile.File
 	FUs       uarch.FUConfig `json:"fus"`
@@ -156,17 +155,8 @@ type ConfigSpec struct {
 
 // SpecOf converts an engine configuration for the wire. It fails on
 // configurations a remote worker cannot reconstruct: custom cache models
-// (anything but the built-in set-associative cache) and pipeline tracers.
+// (anything but the built-in set-associative cache).
 func SpecOf(cfg core.Config) (ConfigSpec, error) {
-	if cfg.PipeTracer != nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: a PipeTracer cannot cross the network; clear it or sweep locally")
-	}
-	if cfg.CheckpointSink != nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: a CheckpointSink cannot cross the network; clear it or sweep locally (workers checkpoint on their own cadence)")
-	}
-	if cfg.TelemetrySink != nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: a TelemetrySink cannot cross the network; clear it or sweep locally (remote telemetry streams via the job's TelemetryEvery instead)")
-	}
 	f := configfile.FromConfig(cfg)
 	if cfg.ICache != nil && f.ICache == nil {
 		return ConfigSpec{}, fmt.Errorf("sweepd: custom instruction-cache model %T is not serializable for a remote sweep", cfg.ICache)

@@ -20,16 +20,21 @@ import (
 )
 
 // Session is the single entry point to every ReSim run mode: it holds one
-// validated processor configuration and exposes workload simulation, trace
-// file simulation, trace writing, parallel design-space sweeps and lockstep
-// multicore clusters, all context-aware. Build one with New; a Session is
-// immutable and safe for concurrent use — each run owns its engine, and
-// cache geometry given via WithL1Caches is instantiated fresh per engine.
-// Models installed directly with WithICache/WithDCache (and PipeTracer /
-// Observer hooks) are shared across runs and stay the caller's to
-// synchronize.
+// validated processor configuration and the run hooks (tracer, observer,
+// telemetry and checkpoint sinks) its runs report through, and exposes
+// workload simulation, trace file simulation, trace writing, parallel
+// design-space sweeps and lockstep multicore clusters, all context-aware.
+// Build one with New; a Session is immutable and safe for concurrent use —
+// each run owns its engine, and cache geometry given via WithL1Caches is
+// instantiated fresh per engine. Models installed directly with
+// WithICache/WithDCache, and the hooks, are shared across runs and stay the
+// caller's to synchronize.
 type Session struct {
 	cfg Config
+	// hooks are every run's callbacks (WithPipeTracer, WithObserver,
+	// WithTelemetry, WithCheckpointEvery); each run mode takes the ones
+	// it supports.
+	hooks core.Hooks
 	// il1/dl1 are WithL1Caches geometries; engines get fresh instances so
 	// runs never share tag state or statistics. A later WithICache /
 	// WithDCache / WithConfig option clears the corresponding side.
@@ -40,18 +45,16 @@ type Session struct {
 	// coordURL, when non-empty, routes Sweep through the job service at
 	// that base URL instead of a local sweep.Runner (WithCoordinator).
 	coordURL string
-	// ckptEvery/ckptSink enable periodic engine-state serialization
-	// (WithCheckpointEvery); resume, when non-nil, starts single-engine
-	// runs from a restored checkpoint instead of cycle 0 (ResumeFrom).
-	ckptEvery uint64
-	ckptSink  func(*core.Checkpoint) error
-	resume    *core.Checkpoint
+	// resume, when non-nil, starts single-engine runs from a restored
+	// checkpoint instead of cycle 0 (ResumeFrom).
+	resume *core.Checkpoint
 }
 
 // settings is the mutable state the functional options operate on before
 // New validates it once.
 type settings struct {
 	cfg      Config
+	hooks    core.Hooks
 	il1, dl1 *CacheConfig
 	// portsSet records an explicit memory-port choice (WithMemoryPorts or
 	// WithConfig); without one, New clamps the default read-port count to
@@ -63,8 +66,6 @@ type settings struct {
 	// from the default of the process-wide shared cache.
 	tracesSet bool
 	coordURL  string
-	ckptEvery uint64
-	ckptSink  func(*core.Checkpoint) error
 	resume    *core.Checkpoint
 }
 
@@ -95,13 +96,16 @@ func New(opts ...Option) (*Session, error) {
 	if !s.tracesSet {
 		s.traces = tracecache.Shared()
 	}
-	return &Session{cfg: s.cfg, il1: s.il1, dl1: s.dl1, traces: s.traces, coordURL: s.coordURL,
-		ckptEvery: s.ckptEvery, ckptSink: s.ckptSink, resume: s.resume}, nil
+	return &Session{cfg: s.cfg, hooks: s.hooks, il1: s.il1, dl1: s.dl1, traces: s.traces,
+		coordURL: s.coordURL, resume: s.resume}, nil
 }
 
-// WithConfig replaces the whole configuration; apply it first when combining
-// with field-level options. The configuration is taken as-is (no automatic
-// memory-port clamping).
+// WithConfig replaces the whole simulated-machine configuration; apply it
+// before field-level options such as WithWidth, which it would otherwise
+// overwrite. Hook options (WithPipeTracer, WithObserver, WithTelemetry,
+// WithCheckpointEvery) hold no configuration and survive it in either
+// order. The configuration is taken as-is (no automatic memory-port
+// clamping).
 func WithConfig(cfg Config) Option {
 	return func(s *settings) error {
 		s.cfg = cfg
@@ -221,9 +225,12 @@ func WithMaxCycles(n uint64) Option {
 }
 
 // WithPipeTracer installs a per-instruction pipeline event hook (the
-// sim-outorder "ptrace" facility; see internal/ptrace).
+// sim-outorder "ptrace" facility; see internal/ptrace) on single-engine runs
+// (RunWorkload, RunTrace, RunSource). Sweeps and multicore clusters do not
+// pipe-trace: their engines each number instructions from 0, so one
+// tracer could not tell them apart.
 func WithPipeTracer(pt PipeTracer) Option {
-	return func(s *settings) error { s.cfg.PipeTracer = pt; return nil }
+	return func(s *settings) error { s.hooks.PipeTracer = pt; return nil }
 }
 
 // WithObserver installs a progress observer invoked every everyCycles major
@@ -231,8 +238,8 @@ func WithPipeTracer(pt PipeTracer) Option {
 // completed point; multicore clusters report the lockstep aggregate.
 func WithObserver(obs Observer, everyCycles uint64) Option {
 	return func(s *settings) error {
-		s.cfg.Observer = obs
-		s.cfg.ObserverInterval = everyCycles
+		s.hooks.Observer = obs
+		s.hooks.ObserverEvery = everyCycles
 		return nil
 	}
 }
@@ -255,8 +262,8 @@ func WithTelemetry(sink func(IntervalSnapshot) error, everyCycles uint64) Option
 		if sink == nil {
 			return fmt.Errorf("resim: WithTelemetry needs a sink")
 		}
-		s.cfg.TelemetrySink = sink
-		s.cfg.TelemetryEvery = everyCycles
+		s.hooks.Telemetry = sink
+		s.hooks.TelemetryEvery = everyCycles
 		return nil
 	}
 }
@@ -286,8 +293,8 @@ func WithCheckpointEvery(everyCycles uint64, sink func(*Checkpoint) error) Optio
 		if sink == nil {
 			return fmt.Errorf("resim: WithCheckpointEvery needs a sink")
 		}
-		s.ckptEvery = everyCycles
-		s.ckptSink = sink
+		s.hooks.CheckpointEvery = everyCycles
+		s.hooks.Checkpoint = sink
 		return nil
 	}
 }
@@ -379,10 +386,9 @@ func (s *Session) RunSource(ctx context.Context, src Source, startPC uint32) (Re
 // captured below the session layer) skip the check.
 func (s *Session) runSource(ctx context.Context, src Source, startPC uint32, inputTag string) (Result, error) {
 	cfg := s.engineConfig()
-	cfg.CheckpointEvery = s.ckptEvery
-	if s.ckptSink != nil {
-		sink := s.ckptSink
-		cfg.CheckpointSink = func(cp *core.Checkpoint) error {
+	h := s.hooks
+	if sink := h.Checkpoint; sink != nil {
+		h.Checkpoint = func(cp *core.Checkpoint) error {
 			cp.Input = inputTag
 			return sink(cp)
 		}
@@ -400,7 +406,7 @@ func (s *Session) runSource(ctx context.Context, src Source, startPC uint32, inp
 	if err != nil {
 		return Result{}, err
 	}
-	return eng.RunContext(ctx)
+	return eng.RunHooks(ctx, h)
 }
 
 // RunTrace opens a trace container previously produced by WriteTrace or
@@ -515,7 +521,7 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	r := sweep.Runner{
 		Workload:       job.Profile,
 		Instructions:   job.Instructions,
-		Observer:       s.cfg.Observer,
+		Observer:       s.hooks.Observer,
 		Traces:         s.traces,
 		TelemetryEvery: job.TelemetryEvery,
 		OnTelemetry:    job.OnTelemetry,
@@ -534,8 +540,8 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 // points received so far against Total, and Final on the last. With
 // WithTelemetry the session sink follows the job's telemetry stream at
 // the service's cadence. Points must be expressible on the wire: custom
-// cache models and pipe tracers cannot cross the network and fail before
-// anything is sent. Cancelling ctx cancels the job on the service.
+// cache models cannot cross the network and fail before anything is
+// sent. Cancelling ctx cancels the job on the service.
 func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
 	h, err := s.SubmitRemote(ctx, server, workloadName, instructions, points, nil)
 	if err != nil {
@@ -547,7 +553,7 @@ func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, 
 	tctx, stopTelemetry := context.WithCancel(ctx)
 	defer stopTelemetry()
 	var telemetry sync.WaitGroup
-	if sink := s.cfg.TelemetrySink; sink != nil {
+	if sink := s.hooks.Telemetry; sink != nil {
 		telemetry.Add(1)
 		go func() {
 			defer telemetry.Done()
@@ -557,7 +563,7 @@ func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, 
 			})
 		}()
 	}
-	res, err := h.results(ctx, s.cfg.Observer)
+	res, err := h.results(ctx, s.hooks.Observer)
 	if err != nil {
 		stopTelemetry()
 	}
@@ -576,13 +582,13 @@ func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, 
 // the WithTelemetry cadence (with the same zero-means-default rule single
 // runs use), or 0 — no streaming — when the session never opted in.
 func (s *Session) sweepTelemetryEvery() uint64 {
-	if s.cfg.TelemetrySink == nil {
+	if s.hooks.Telemetry == nil {
 		return 0
 	}
-	if s.cfg.TelemetryEvery == 0 {
+	if s.hooks.TelemetryEvery == 0 {
 		return core.DefaultObserverInterval
 	}
-	return s.cfg.TelemetryEvery
+	return s.hooks.TelemetryEvery
 }
 
 // sweepJob resolves a sweep invocation for the local Runner and the remote
@@ -595,7 +601,7 @@ func (s *Session) sweepJob(workloadName string, instructions uint64, points []Sw
 		return nil, err
 	}
 	job := &sweepd.Job{Profile: p, Instructions: instructions, Points: points}
-	if sink := s.cfg.TelemetrySink; sink != nil {
+	if sink := s.hooks.Telemetry; sink != nil {
 		job.TelemetryEvery = s.sweepTelemetryEvery()
 		// Workers stamp the job-wide point index into snap.Core.
 		job.OnTelemetry = func(_ int, snap core.IntervalSnapshot) {
@@ -609,7 +615,9 @@ func (s *Session) sweepJob(workloadName string, instructions uint64, points []Sw
 // the paper's future-work mode of fitting multiple instances in one FPGA
 // (§VI). Every core uses the session's configuration (width, predictor,
 // organization). The session's observer, when set, receives cluster
-// aggregates (Progress.Core = -1).
+// aggregates (Progress.Core = -1). Clusters step their engines cycle by
+// cycle, so they neither pipe-trace nor stream telemetry: a WithPipeTracer
+// tracer sees nothing of them.
 func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (MulticoreResult, error) {
 	if len(opts.Workloads) == 0 {
 		return MulticoreResult{}, fmt.Errorf("resim: no workloads given")
@@ -631,15 +639,8 @@ func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (Multico
 		if err != nil {
 			return MulticoreResult{}, err
 		}
-		// Each core gets its own fresh L1 instances (engineConfig); the
-		// cluster is the single reporting channel (aggregate progress), so
-		// per-engine observers stay unset.
+		// Each core gets its own fresh L1 instances (engineConfig).
 		coreCfg := s.engineConfig()
-		coreCfg.Observer = nil
-		// Clusters step engines per-cycle below RunContext, so per-engine
-		// telemetry has no emission point; keep the hook off the cores.
-		coreCfg.TelemetrySink = nil
-		coreCfg.TelemetryEvery = 0
 		if shared != nil {
 			if err := multicore.AttachSharedDL1(&coreCfg, *opts.L1, shared); err != nil {
 				return MulticoreResult{}, err
@@ -660,8 +661,8 @@ func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (Multico
 	if err != nil {
 		return MulticoreResult{}, err
 	}
-	if s.cfg.Observer != nil {
-		cl.Observe(s.cfg.Observer, s.cfg.ObserverInterval)
+	if s.hooks.Observer != nil {
+		cl.Observe(s.hooks.Observer, s.hooks.ObserverEvery)
 	}
 	// WithMaxCycles bounds the lockstep cycle count, same as single runs.
 	return cl.Run(ctx, s.cfg.MaxCycles)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,55 +96,6 @@ func TestRunWorkloadTelemetrySumsToResult(t *testing.T) {
 	}
 	if !sumsTo(log.snaps, res) {
 		t.Error("snapshots do not sum to the result")
-	}
-}
-
-// countingPipe counts pipeline events; atomic so a wrongly shared
-// instance fails the assertion rather than racing.
-type countingPipe struct{ n atomic.Int64 }
-
-func (c *countingPipe) Fetched(int64, int64, uint32, string, bool) { c.n.Add(1) }
-func (c *countingPipe) Stage(int64, int64, string)                 { c.n.Add(1) }
-
-// TestSweepClearsCrossGroupPipeTracer: with two host threads, a PipeTracer
-// shared by points in different trace-key groups is cleared (the groups'
-// engines run concurrently and the tracer is unsynchronized), a tracer
-// unique to one point keeps tracing, and tracing changes no counter.
-func TestSweepClearsCrossGroupPipeTracer(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	ses := mustSession(t, resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
-	base := ses.Config()
-	// Groups: {rb=8} and {rb=16, rb=16 lsq=32}.
-	points := resim.SweepGrid("rb", base, []int{8, 16, 16}, func(c *resim.Config, v int) { c.RBSize = v })
-	points[2].Config.LSQSize = 32
-	ctx := context.Background()
-	want, err := ses.Sweep(ctx, "gzip", 20_000, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shared, unique := &countingPipe{}, &countingPipe{}
-	traced := append([]resim.SweepPoint(nil), points...)
-	traced[0].Config.PipeTracer = shared
-	traced[1].Config.PipeTracer = shared
-	traced[2].Config.PipeTracer = unique
-	got, err := ses.Sweep(ctx, "gzip", 20_000, traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := shared.n.Load(); n != 0 {
-		t.Errorf("shared tracer saw %d events, want 0", n)
-	}
-	if unique.n.Load() == 0 {
-		t.Error("unique tracer saw no events")
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("point %d errs: %v / %v", i, want[i].Err, got[i].Err)
-		}
-		if want[i].Res.Counters != got[i].Res.Counters {
-			t.Errorf("point %d: traced sweep differs from tracer-free sweep", i)
-		}
 	}
 }
 

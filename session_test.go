@@ -13,6 +13,7 @@ import (
 	"time"
 
 	resim "repro"
+	"repro/internal/ptrace"
 )
 
 func TestSessionOptionComposition(t *testing.T) {
@@ -506,6 +507,60 @@ func TestMulticoreObserverAggregates(t *testing.T) {
 	}
 	if lastCommitted != committed {
 		t.Errorf("final aggregate committed %d, cluster total %d", lastCommitted, committed)
+	}
+}
+
+// TestMulticoreDoesNotPipeTrace: a cluster steps its engines cycle by cycle
+// and never pipe-traces — every engine numbers its instructions from 0, so
+// one collector would mix the cores' rows — and a session tracer changes
+// no counter.
+func TestMulticoreDoesNotPipeTrace(t *testing.T) {
+	ctx := context.Background()
+	opts := resim.MulticoreOptions{Workloads: []string{"gzip", "vpr"}, Limit: 10_000}
+	want, err := mustSession(t).Multicore(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := ptrace.New(64)
+	got, err := mustSession(t, resim.WithPipeTracer(col)).Multicore(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := col.Count(); n != 0 {
+		t.Errorf("the cluster traced %d instructions, want none", n)
+	}
+	for i := range want.PerCore {
+		if got.PerCore[i].Counters != want.PerCore[i].Counters {
+			t.Errorf("core %d: counters differ from an untraced cluster:\n%+v\n%+v",
+				i, got.PerCore[i].Counters, want.PerCore[i].Counters)
+		}
+	}
+}
+
+// TestHooksSurviveWithConfig: WithConfig replaces the simulated machine
+// only, so observer, telemetry and tracer options given before or after it
+// all reach RunWorkload.
+func TestHooksSurviveWithConfig(t *testing.T) {
+	for _, configFirst := range []bool{false, true} {
+		var progress, windows int
+		col := ptrace.New(16)
+		hooks := []resim.Option{
+			resim.WithObserver(resim.ObserverFunc(func(resim.Progress) { progress++ }), 1024),
+			resim.WithTelemetry(func(resim.IntervalSnapshot) error { windows++; return nil }, 1024),
+			resim.WithPipeTracer(col),
+		}
+		cfg := resim.WithConfig(resim.DefaultConfig())
+		opts := append(hooks, cfg)
+		if configFirst {
+			opts = append([]resim.Option{cfg}, hooks...)
+		}
+		if _, err := mustSession(t, opts...).RunWorkload(context.Background(), "gzip", 10_000); err != nil {
+			t.Fatal(err)
+		}
+		if progress == 0 || windows == 0 || col.Count() == 0 {
+			t.Errorf("WithConfig first=%t: observer %d calls, telemetry %d windows, tracer %d instructions; want all non-zero",
+				configFirst, progress, windows, col.Count())
+		}
 	}
 }
 
