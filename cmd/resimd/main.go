@@ -24,9 +24,12 @@
 // or `resim jobs`; see the README's "Distributed sweeps" and "Job service"
 // sections and examples/distsweep.
 //
-// Both roles maintain a trace cache. A coordinator whose -spill directory
-// already holds delta-compressed trace containers (for example written by
-// earlier local sweeps with the same spill directory) ships them to
+// Both roles maintain a trace cache. With -spill, its spill directory is
+// a disk tier of delta-compressed trace containers, one per trace key:
+// evicted traces are written there, and a trace the node needs is read
+// from there before it would be generated, so a restarted node reuses
+// its directory. A coordinator whose directory holds a group's container
+// (written by an earlier run or synced from another host) ships it to
 // workers with the assignment, so a warm coordinator saves every worker
 // the generation cost.
 //
@@ -64,7 +67,7 @@ func main() {
 		coordinator = flag.String("coordinator", "", "worker: coordinator address to register with (required for workers)")
 		name        = flag.String("name", "", "worker: name shown in coordinator logs (default: hostname)")
 		parallelism = flag.Int("parallelism", 0, "worker: concurrent engines per assigned key-group (0 = GOMAXPROCS)")
-		spill       = flag.String("spill", "", "trace-cache spill directory (evicted traces persist as containers)")
+		spill       = flag.String("spill", "", "trace-cache spill directory: evicted traces persist there as containers and are read back before generating")
 		cacheMB     = flag.Int64("cache-mb", 0, "trace-cache resident budget in MiB (0 = default 1 GiB)")
 		retry       = flag.Duration("retry", 5*time.Second, "worker: reconnect delay after losing the coordinator (0 = exit instead)")
 		ckptEvery   = flag.Uint64("checkpoint-every", 0, "worker: cycles between engine checkpoints shipped to the coordinator (0 = 65536); requeued groups resume from them")

@@ -73,8 +73,8 @@ type resultLine struct {
 // journalLine is the integrity envelope around every results.ndjson
 // record: Line carries the encoded resultLine verbatim and CRC its
 // crc32-Castagnoli checksum, so recovery can tell a whole record from a
-// torn or silently corrupted one. Plain pre-envelope lines still decode
-// (legacy journals recover unchanged).
+// torn or silently corrupted one. A line without the envelope is
+// treated as corrupt.
 type journalLine struct {
 	CRC  uint32          `json:"crc"`
 	Line json.RawMessage `json:"line"`
@@ -355,20 +355,13 @@ func (jn *journal) loadJob(id string) (*recoveredJob, error) {
 }
 
 // decodeResultLine decodes one journal record, unwrapping and verifying
-// the CRC envelope; plain pre-envelope lines pass through. ok=false marks
-// the record torn or corrupt — the caller truncates from there.
+// the CRC envelope. ok=false marks the record torn, corrupt or without an
+// envelope — the caller truncates from there.
 func (jn *journal) decodeResultLine(id string, raw []byte) (resultLine, bool) {
 	var env journalLine
 	var line resultLine
-	if err := json.Unmarshal(raw, &env); err != nil {
+	if err := json.Unmarshal(raw, &env); err != nil || env.Line == nil {
 		return line, false
-	}
-	if env.Line == nil {
-		// Legacy record written before the integrity envelope existed.
-		if err := json.Unmarshal(raw, &line); err != nil || (line.Result == nil && line.Terminal == "") {
-			return line, false
-		}
-		return line, true
 	}
 	if crc32.Checksum(env.Line, crcTable) != env.CRC {
 		jn.crcErrors++

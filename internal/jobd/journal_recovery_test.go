@@ -199,8 +199,10 @@ func TestRecoveryTempFileLeftovers(t *testing.T) {
 	}
 }
 
-// TestRecoveryLegacyPlainLines: journals written before the integrity
-// envelope existed carry bare resultLine records; they must still decode.
+// TestRecoveryLegacyPlainLines: a bare resultLine record without the
+// integrity envelope (the pre-envelope format) is not trusted. Recovery
+// cuts the log there like at a CRC failure: the torn tail is counted and
+// the point it named reruns.
 func TestRecoveryLegacyPlainLines(t *testing.T) {
 	dir := t.TempDir()
 	_, id := seedJournal(t, dir, 0)
@@ -225,12 +227,14 @@ func TestRecoveryLegacyPlainLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.results) != 1 || rec.terminal != StateDone {
-		t.Fatalf("legacy journal decoded results=%d terminal=%q, want 1/done", len(rec.results), rec.terminal)
+	if len(rec.results) != 0 || rec.terminal != "" {
+		t.Fatalf("plain lines decoded results=%d terminal=%q, want none (point 0 reruns)", len(rec.results), rec.terminal)
 	}
-	if jn.tornTails != 0 || jn.crcErrors != 0 || jn.degraded != 0 {
-		t.Fatalf("legacy journal counted as damage: torn=%d crc=%d degraded=%d",
-			jn.tornTails, jn.crcErrors, jn.degraded)
+	if jn.tornTails != 1 {
+		t.Fatalf("tornTails = %d, want 1", jn.tornTails)
+	}
+	if data, err := os.ReadFile(resultsFile(dir, id)); err != nil || len(data) != 0 {
+		t.Fatalf("results log after recovery = %q, %v; want it cut to empty", data, err)
 	}
 }
 

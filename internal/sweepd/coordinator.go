@@ -49,15 +49,14 @@ type Coordinator struct {
 	// declared hung and torn down (its groups requeue from their latest
 	// checkpoints). Zero applies DefaultHeartbeatInterval /
 	// DefaultHeartbeatTimeout; negative disables that side of liveness.
+	// Workers adopt both from the coordinator's hello, or the defaults
+	// for a disabled side.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// HandshakeTimeout bounds the hello exchange on accepted connections
 	// (zero: a 10s default), so a silent peer cannot pin a handler
 	// goroutine until Close.
 	HandshakeTimeout time.Duration
-	// Clock, when non-nil, replaces the wall clock for deadlines and
-	// heartbeat pacing (chaos tests drive liveness virtually).
-	Clock faults.Clock
 	// Faults, when non-nil, arms the coordinator side of the wire with a
 	// fault-injection schedule (sites sweepd.coordinator.send/recv); nil
 	// injects nothing. See internal/faults.
@@ -221,12 +220,11 @@ func (c *Coordinator) hsTimeout() time.Duration {
 // serves the worker until it disconnects.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	w := newWire(conn)
-	w.clock = c.Clock
 	w.inj = c.Faults
 	w.sendSite, w.recvSite = FaultCoordSend, FaultCoordRecv
 	// Bound the hello exchange: a peer that connects and never speaks
 	// (or dies mid-handshake) must not pin this goroutine until Close.
-	_ = conn.SetDeadline(w.now().Add(c.hsTimeout()))
+	_ = conn.SetDeadline(faults.System.Now().Add(c.hsTimeout()))
 	hello, err := handshake(w, Hello{
 		Role:       roleCoordinator,
 		PingMillis: c.hbInterval().Milliseconds(),

@@ -197,10 +197,6 @@ type WireJob struct {
 	Profile      workload.Profile `json:"profile"`
 	Instructions uint64           `json:"instructions"`
 	Points       []WirePoint      `json:"points"`
-	// TelemetryEvery, when non-zero, asks workers to stream per-interval
-	// engine telemetry for every in-flight point at this cycle cadence
-	// (msgTelemetry messages from the workers).
-	TelemetryEvery uint64 `json:"telemetry_every,omitempty"`
 }
 
 // WireJobOf converts an in-process job for submission, validating every
@@ -208,8 +204,7 @@ type WireJob struct {
 // by the job platform (internal/jobd) and its clients.
 func WireJobOf(job *Job) (*WireJob, error) {
 	wj := &WireJob{Profile: job.Profile, Instructions: job.Instructions,
-		TelemetryEvery: job.TelemetryEvery,
-		Points:         make([]WirePoint, len(job.Points))}
+		Points: make([]WirePoint, len(job.Points))}
 	for i, pt := range job.Points {
 		spec, err := SpecOf(pt.Config)
 		if err != nil {
@@ -225,8 +220,7 @@ func WireJobOf(job *Job) (*WireJob, error) {
 // must equal its position.
 func JobFromWire(wj *WireJob) (*Job, error) {
 	job := &Job{Profile: wj.Profile, Instructions: wj.Instructions,
-		TelemetryEvery: wj.TelemetryEvery,
-		Points:         make([]sweep.Point, len(wj.Points))}
+		Points: make([]sweep.Point, len(wj.Points))}
 	for i, wp := range wj.Points {
 		if wp.Index != i {
 			return nil, fmt.Errorf("sweepd: point %d arrived with index %d", i, wp.Index)
@@ -359,7 +353,7 @@ type GroupEnd struct {
 // interleave whole messages.
 //
 // Liveness (protocol v4): when readTimeout/writeTimeout are set, every
-// framed operation arms a connection deadline from the injectable clock,
+// framed operation arms a connection deadline from faults.System,
 // and a heartbeat goroutine keeps frames flowing in quiet periods — so a
 // hung peer surfaces as os.ErrDeadlineExceeded on this end. sendSite and
 // recvSite name the wire's fault-injection points (nil inj injects
@@ -370,7 +364,6 @@ type wire struct {
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 
-	clock        faults.Clock // nil means faults.System
 	inj          *faults.Injector
 	sendSite     string
 	recvSite     string
@@ -380,22 +373,6 @@ type wire struct {
 
 func newWire(conn net.Conn) *wire {
 	return &wire{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-}
-
-// now reads the wire's clock; the fabric never consults time.Now directly.
-func (w *wire) now() time.Time {
-	if w.clock != nil {
-		return w.clock.Now()
-	}
-	return faults.System.Now()
-}
-
-// after defers to the wire's clock for heartbeat pacing.
-func (w *wire) after(d time.Duration) <-chan time.Time {
-	if w.clock != nil {
-		return w.clock.After(d)
-	}
-	return faults.System.After(d)
 }
 
 func (w *wire) send(m *Message) error {
@@ -423,7 +400,7 @@ func (w *wire) send(m *Message) error {
 		return err
 	}
 	if w.writeTimeout > 0 {
-		_ = w.conn.SetWriteDeadline(w.now().Add(w.writeTimeout))
+		_ = w.conn.SetWriteDeadline(faults.System.Now().Add(w.writeTimeout))
 	}
 	if _, err := w.bw.Write(prefix[:]); err != nil {
 		return err
@@ -441,7 +418,7 @@ func (w *wire) recv() (*Message, error) {
 	}
 	var prefix [4]byte
 	if w.readTimeout > 0 {
-		_ = w.conn.SetReadDeadline(w.now().Add(w.readTimeout))
+		_ = w.conn.SetReadDeadline(faults.System.Now().Add(w.readTimeout))
 	}
 	if _, err := io.ReadFull(w.br, prefix[:]); err != nil {
 		return nil, err
@@ -451,7 +428,7 @@ func (w *wire) recv() (*Message, error) {
 		return nil, fmt.Errorf("sweepd: frame of %d bytes exceeds the %d-byte limit", n, maxMessageBytes)
 	}
 	if w.readTimeout > 0 {
-		_ = w.conn.SetReadDeadline(w.now().Add(w.readTimeout))
+		_ = w.conn.SetReadDeadline(faults.System.Now().Add(w.readTimeout))
 	}
 	payload, err := readPayload(w.br, int(n))
 	if err != nil {
@@ -496,7 +473,7 @@ func (w *wire) heartbeat(interval time.Duration, stop <-chan struct{}) {
 		select {
 		case <-stop:
 			return
-		case <-w.after(interval):
+		case <-faults.System.After(interval):
 			if w.send(&Message{Type: msgPing}) != nil {
 				return
 			}
@@ -529,25 +506,16 @@ func handshake(w *wire, hello Hello, want string) (*Hello, error) {
 	return m.Hello, nil
 }
 
-// livenessParams resolves a peer's heartbeat interval and timeout: an
-// explicit local override wins, then the coordinator's advertised values,
-// then the protocol defaults. Negative overrides disable.
-func livenessParams(interval, timeout time.Duration, hello *Hello) (time.Duration, time.Duration) {
-	switch {
-	case interval < 0:
-		interval = 0
-	case interval == 0 && hello != nil && hello.PingMillis > 0:
+// livenessParams resolves a worker's heartbeat interval and timeout from
+// the coordinator's hello: its advertised values, or the protocol
+// defaults where it advertised none.
+func livenessParams(hello *Hello) (interval, timeout time.Duration) {
+	interval, timeout = DefaultHeartbeatInterval, DefaultHeartbeatTimeout
+	if hello.PingMillis > 0 {
 		interval = time.Duration(hello.PingMillis) * time.Millisecond
-	case interval == 0:
-		interval = DefaultHeartbeatInterval
 	}
-	switch {
-	case timeout < 0:
-		timeout = 0
-	case timeout == 0 && hello != nil && hello.DeadMillis > 0:
+	if hello.DeadMillis > 0 {
 		timeout = time.Duration(hello.DeadMillis) * time.Millisecond
-	case timeout == 0:
-		timeout = DefaultHeartbeatTimeout
 	}
 	return interval, timeout
 }

@@ -38,16 +38,6 @@ type WorkerOptions struct {
 	CheckpointEvery uint64
 	// Log, when non-nil, receives worker log events.
 	Log *obs.Logger
-	// HeartbeatInterval is the msgPing cadence toward the coordinator and
-	// HeartbeatTimeout the silence after which the coordinator is declared
-	// hung and the connection dropped (Work returns, and the resimd loop
-	// reconnects with backoff). Zero applies DefaultHeartbeatInterval /
-	// DefaultHeartbeatTimeout; negative disables that side of liveness.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// Clock, when non-nil, replaces the wall clock for deadlines and
-	// heartbeat pacing (chaos tests drive liveness virtually).
-	Clock faults.Clock
 	// Faults, when non-nil, arms the worker side of the wire with a
 	// fault-injection schedule (sites sweepd.worker.send/recv); nil
 	// injects nothing. See internal/faults.
@@ -74,23 +64,18 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 	}
 	w := newWire(conn)
 	defer w.Close()
-	w.clock = opts.Clock
 	w.inj = opts.Faults
 	w.sendSite, w.recvSite = FaultWorkerSend, FaultWorkerRecv
 	// Bound the handshake too: a hung coordinator must not wedge the
 	// reconnect loop before liveness is even armed.
-	_ = conn.SetDeadline(w.now().Add(defaultHandshakeTimeout))
+	_ = conn.SetDeadline(faults.System.Now().Add(defaultHandshakeTimeout))
 	hello, err := handshake(w, Hello{Role: roleWorker, Name: opts.Name}, roleCoordinator)
 	if err != nil {
 		return err
 	}
 	_ = conn.SetDeadline(time.Time{})
-	hbInterval, hbTimeout := livenessParams(
-		opts.HeartbeatInterval, opts.HeartbeatTimeout, hello)
-	if hbTimeout > 0 {
-		w.readTimeout = hbTimeout
-		w.writeTimeout = hbTimeout
-	}
+	hbInterval, hbTimeout := livenessParams(hello)
+	w.readTimeout, w.writeTimeout = hbTimeout, hbTimeout
 	opts.Log.Event("sweepd.worker_connected", "worker", opts.Name, "coordinator", addr)
 
 	// Tear the connection down on cancellation so the blocking recv returns.
@@ -103,9 +88,7 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 		case <-stop:
 		}
 	}()
-	if hbInterval > 0 {
-		go w.heartbeat(hbInterval, stop)
-	}
+	go w.heartbeat(hbInterval, stop)
 
 	var (
 		mu      sync.Mutex

@@ -26,13 +26,13 @@ func RegisterMetrics(reg *obs.Registry, c *Cache) {
 		"Container bytes written to the spill directory.",
 		func() float64 { return float64(c.spillBytes.Load()) })
 	reg.CounterFunc("tracecache_spill_loads_total",
-		"Trace requests served by reloading a spilled entry.",
+		"Cache misses served from the spill directory.",
 		func() float64 { return float64(c.spillLoads.Load()) })
 	reg.CounterFunc("tracecache_evictions_total",
 		"Entries pushed out of memory (spilled or dropped).",
 		func() float64 { return float64(c.evictions.Load()) })
 	reg.GaugeFunc("tracecache_entries",
-		"Keys currently known (resident or spilled).",
+		"Keys resident or in flight.",
 		func() float64 { return float64(c.Stats().Entries) })
 	reg.GaugeFunc("tracecache_resident_bytes",
 		"Bytes of record data currently in memory.",

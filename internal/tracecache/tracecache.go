@@ -20,11 +20,14 @@
 // than duplicating work.
 //
 // Memory is bounded by an optional resident-byte budget. Over budget, the
-// least-recently-used entries are evicted; with a spill directory
-// configured they are first written to disk in the delta-compressed
-// container format (internal/trace version 2, built on internal/bitio) and
-// transparently reloaded on the next request, otherwise they are dropped
-// and would regenerate on demand.
+// least-recently-used entries are evicted. With a spill directory
+// configured, an evicted trace is first written there once, as a
+// delta-compressed container (internal/trace version 2, built on
+// internal/bitio) named by the key's content address. That directory is a
+// plain tier below memory: every miss consults it before generating, so a
+// restarted process, or a directory synced from another host, serves its
+// containers without regenerating. Shipped containers (Seed) and spill
+// files are decoded by one checked reader.
 package tracecache
 
 import (
@@ -43,6 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/funcsim"
+	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -100,6 +104,18 @@ func (t *Trace) WrongPath() uint64 { return t.tagged }
 // container payload, the quantity Table 3 reports per instruction).
 func (t *Trace) Bits() uint64 { return t.bits }
 
+// add appends one record and its share of the trace statistics.
+func (t *Trace) add(r trace.Record) {
+	if r.Tag {
+		t.tagged++
+	}
+	t.bits += uint64(r.BitLen())
+	t.recs = append(t.recs, r)
+}
+
+// residentBytes is the trace's in-memory record footprint.
+func (t *Trace) residentBytes() int64 { return int64(len(t.recs)) * recordBytes }
+
 // Source returns a fresh replayable snapshot: an independent cursor over
 // the shared record slice. Each engine must consume its own snapshot;
 // snapshots are cheap and any number may be read concurrently.
@@ -137,12 +153,17 @@ func (t *Trace) WriteContainer(w io.Writer) error {
 // recordBytes approximates the resident cost of one record.
 const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
+// maxReserve caps the records reserved up front for one trace, whether the
+// size hint comes from an instruction budget or a container header.
+const maxReserve = 1 << 20
+
 // Config bounds a Cache. The zero value means: no disk spill, the default
 // resident-byte budget and the default per-trace instruction cap.
 type Config struct {
-	// SpillDir, when non-empty, is where evicted entries are written (one
-	// delta-compressed container per key) instead of being dropped. The
-	// directory is created on first use.
+	// SpillDir, when non-empty, is a disk tier holding one delta-compressed
+	// container per key, named <Key.ID()>.rstc. Evicted traces are written
+	// there, and every miss reads its key's file before generating, so
+	// the directory outlives the process. It is created on first use.
 	SpillDir string
 	// MaxResidentBytes bounds the total in-memory record footprint;
 	// 0 selects DefaultMaxResidentBytes, negative means unbounded.
@@ -169,10 +190,10 @@ type Stats struct {
 	Seeds       uint64 // entries installed from shipped containers (Seed)
 	SpillWrites uint64 // entries written to the spill directory
 	SpillBytes  uint64 // container bytes written to the spill directory
-	SpillLoads  uint64 // requests served by reloading a spilled entry
+	SpillLoads  uint64 // misses served from the spill directory
 	Evictions   uint64 // entries pushed out of memory (spilled or dropped)
 
-	Entries  int   // keys currently known (resident or spilled)
+	Entries  int   // keys resident or in flight
 	Resident int64 // bytes of record data currently in memory
 }
 
@@ -184,8 +205,8 @@ type Cache struct {
 	maxInstr uint64
 
 	mu       sync.Mutex
-	entries  map[Key]*entry
-	lru      *list.List // resident entries, front = most recently used
+	entries  map[Key]*entry // resident and in-flight keys
+	lru      *list.List     // resident entries, front = most recently used
 	resident int64
 
 	gens        atomic.Uint64
@@ -197,27 +218,17 @@ type Cache struct {
 	evictions   atomic.Uint64
 }
 
-// entry is one key's slot. done is closed when generation finishes (tr and
-// err are immutable afterwards, except tr moving to/from the spill under
-// the cache mutex). A failed generation removes the entry from the map
-// before closing done, so waiters retry and the error never sticks.
+// entry is one key's slot. done is closed when the fill finishes; tr and
+// err are immutable afterwards. A failed fill removes the entry from the
+// map before closing done, so waiters retry and the error never sticks.
+// Eviction removes the entry too, so a waiter still holding it is served
+// its trace.
 type entry struct {
 	key  Key
 	done chan struct{}
 	err  error
-
-	tr    *Trace // nil while spilled
-	bytes int64
-
-	// Post-generation metadata kept across spills so a reload can rebuild
-	// the Trace without recomputing statistics.
-	startPC uint32
-	records uint64
-	tagged  uint64
-	bits    uint64
-
-	spillPath string        // written container, "" until first spill
-	elem      *list.Element // lru position while resident
+	tr   *Trace
+	elem *list.Element // lru position while resident, guarded by c.mu
 }
 
 // New builds a cache bounded by cfg.
@@ -283,11 +294,12 @@ func (c *Cache) Stats() Stats {
 // ErrUncacheable reports a Get whose limit fails Cacheable.
 var ErrUncacheable = errors.New("tracecache: trace not cacheable (unbounded or over the instruction cap)")
 
-// Get returns the trace for (p, tc, limit), generating it on the first
-// request. Concurrent requests for one key are single-flight: one caller
-// generates while the rest wait. If the generating caller's context is
-// cancelled mid-generation the entry is discarded and a surviving waiter
-// takes over, so one caller's cancellation never poisons the key.
+// Get returns the trace for (p, tc, limit), loading it from the spill
+// directory or generating it on the first request. Concurrent requests for
+// one key are single-flight: one caller fills the entry while the rest
+// wait. If the filling caller's context is cancelled mid-generation the
+// entry is discarded and a surviving waiter takes over, so one caller's
+// cancellation never poisons the key.
 func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceConfig, limit uint64) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -306,7 +318,7 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 			e = &entry{key: k, done: make(chan struct{})}
 			c.entries[k] = e
 			c.mu.Unlock()
-			return c.generateInto(ctx, e)
+			return c.fill(ctx, e)
 		}
 		c.mu.Unlock()
 
@@ -316,69 +328,68 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 			return nil, ctx.Err()
 		}
 		if e.err != nil {
-			// The generator failed and removed the slot; loop to retry
-			// under our own context (deterministic failures simply fail
-			// again, cancellation of the old leader does not outlive it).
+			// The fill failed and removed the slot; loop to retry under our
+			// own context (deterministic failures simply fail again,
+			// cancellation of the old leader does not outlive it).
 			continue
 		}
-
 		c.mu.Lock()
-		if tr := e.tr; tr != nil {
+		if e.elem != nil {
 			c.lru.MoveToFront(e.elem)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return tr, nil
 		}
-		if e.spillPath == "" {
-			// Evicted without a spill (or the spill write failed): the slot
-			// is gone; loop and regenerate.
-			if c.entries[k] == e {
-				delete(c.entries, k)
-			}
-			c.mu.Unlock()
-			continue
-		}
-		// Spilled: reload under the cache mutex. Reloads only happen once a
-		// byte budget is configured and exceeded; simplicity over maximal
-		// concurrency is the right trade there.
-		tr, err := c.reloadLocked(e)
 		c.mu.Unlock()
-		if err != nil {
-			// The spill file was lost or corrupted; reloadLocked dropped the
-			// slot, so treat it as an ordinary miss and regenerate rather
-			// than surfacing a disk hiccup to one unlucky caller.
-			continue
-		}
-		c.spillLoads.Add(1)
-		return tr, nil
+		c.hits.Add(1)
+		return e.tr, nil
 	}
 }
 
-// generateInto runs the trace generator for e's key and publishes the
-// result. It is called without the cache mutex held.
-func (c *Cache) generateInto(ctx context.Context, e *entry) (*Trace, error) {
-	tr, err := generate(ctx, e.key)
+// fill is the one miss path: it loads e's key from the spill directory or
+// generates it, without the cache mutex held, then publishes the result.
+func (c *Cache) fill(ctx context.Context, e *entry) (*Trace, error) {
+	tr, spilled, err := c.load(ctx, e.key)
+	e.tr, e.err = tr, err
 	c.mu.Lock()
 	if err != nil {
-		if c.entries[e.key] == e {
-			delete(c.entries, e.key)
-		}
-		c.mu.Unlock()
-		e.err = err
-		close(e.done)
-		return nil, err
+		delete(c.entries, e.key)
+	} else {
+		c.insertResidentLocked(e)
 	}
-	e.tr = tr
-	e.bytes = int64(len(tr.recs)) * recordBytes
-	e.startPC = tr.startPC
-	e.records = uint64(len(tr.recs))
-	e.tagged = tr.tagged
-	e.bits = tr.bits
-	c.insertResidentLocked(e)
 	c.mu.Unlock()
 	close(e.done)
-	c.gens.Add(1)
+	switch {
+	case err != nil:
+		return nil, err
+	case spilled:
+		c.spillLoads.Add(1)
+	default:
+		c.gens.Add(1)
+	}
 	return tr, nil
+}
+
+// load reads k's container from the spill directory when there is one
+// (reporting true) and generates the trace otherwise. A spill file that
+// fails to decode is removed, so the key regenerates and a later eviction
+// rewrites it.
+func (c *Cache) load(ctx context.Context, k Key) (*Trace, bool, error) {
+	if c.spillDir != "" {
+		path := c.spillFile(k)
+		if f, err := os.Open(path); err == nil {
+			tr, err := readContainer(k, f)
+			f.Close()
+			if err == nil {
+				return tr, true, nil
+			}
+			_ = os.Remove(path) // if it stays, the next miss refuses it again
+		}
+	}
+	tr, err := generate(ctx, k)
+	return tr, false, err
+}
+
+// spillFile is k's container path in the spill directory.
+func (c *Cache) spillFile(k Key) string {
+	return filepath.Join(c.spillDir, k.ID()+".rstc")
 }
 
 // generate materializes the full record stream for k, polling ctx every
@@ -399,11 +410,7 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 	}
 	src := funcsim.NewSource(m, k.TC, k.Limit)
 
-	capHint := k.Limit + k.Limit/4
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	t := &Trace{key: k, startPC: prog.Entry, recs: make([]trace.Record, 0, capHint)}
+	t := &Trace{key: k, startPC: prog.Entry, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
 	sinceCheck := 0
 	for {
 		r, err := src.Next()
@@ -419,12 +426,41 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 				return nil, err
 			}
 		}
-		if r.Tag {
-			t.tagged++
-		}
-		t.bits += uint64(r.BitLen())
-		t.recs = append(t.recs, r)
+		t.add(r)
 	}
+}
+
+// readContainer decodes one container as k's trace. It is the only way a
+// container enters the cache: shipped ones through Seed, spilled ones
+// through the miss path. A cut container still decodes to a plausible
+// prefix, so one whose record count differs from its header's is refused,
+// as is a record naming a register no encoder writes; and the header sizes
+// the up-front reservation only up to maxReserve.
+func readContainer(k Key, r io.Reader) (*Trace, error) {
+	src, hdr, err := trace.Open(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{key: k, startPC: hdr.StartPC, recs: make([]trace.Record, 0, min(hdr.Records, maxReserve))}
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, reg := range [...]isa.Reg{rec.Dest, rec.Src1, rec.Src2} {
+			if reg >= isa.NumRegs && reg != isa.NoReg {
+				return nil, fmt.Errorf("record %d names register %d", len(t.recs), reg)
+			}
+		}
+		t.add(rec)
+	}
+	if n := uint64(len(t.recs)); n != hdr.Records {
+		return nil, fmt.Errorf("container holds %d records, its header %d", n, hdr.Records)
+	}
+	return t, nil
 }
 
 // SourceFor is the shared cached-or-streaming source selection every trace
@@ -448,107 +484,53 @@ func SourceFor(ctx context.Context, c *Cache, p workload.Profile, tc funcsim.Tra
 }
 
 // ExportContainer writes the delta-compressed container for k to w when the
-// cache already holds the trace — resident, spilled, or sitting in the
-// spill directory under k's content address from an earlier process (a
-// restarted coordinator finds containers its predecessor spilled, and a
-// spill directory synced from another host works the same way) — and
-// reports whether it did. It never generates: shipping a trace to a remote
-// worker is an optimization, and a cold key simply regenerates on the
-// receiving host. An in-flight generation is treated as absent rather than
-// waited for.
+// cache holds the trace, resident or in its spill directory, and reports
+// whether it did. The spill file is found by content address, so one left
+// by an earlier process or synced from another host ships the same way. It
+// never generates: shipping a trace to a remote worker is an optimization,
+// and a cold key simply regenerates on the receiving host.
 func (c *Cache) ExportContainer(k Key, w io.Writer) (bool, error) {
+	var tr *Trace
 	c.mu.Lock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.mu.Unlock()
-		if c.spillDir != "" {
-			// The container file name is the key's content address, so a
-			// file left by another cache instance is exactly k's bytes.
-			return copySpillFile(filepath.Join(c.spillDir, k.ID()+".rstc"), w)
-		}
-		return false, nil
+	if e := c.entries[k]; e != nil && e.elem != nil {
+		tr = e.tr
 	}
-	select {
-	case <-e.done:
-	default: // still generating
-		c.mu.Unlock()
-		return false, nil
-	}
-	if e.err != nil {
-		c.mu.Unlock()
-		return false, nil
-	}
-	tr, spillPath := e.tr, e.spillPath
 	c.mu.Unlock()
 	if tr != nil {
 		// The record slice is immutable once published, so encoding outside
 		// the lock never races with concurrent readers or eviction.
 		return true, tr.WriteContainer(w)
 	}
-	if spillPath != "" {
-		// Spill files are content-addressed and written atomically, so the
-		// bytes on disk are exactly the container we would re-encode.
-		return copySpillFile(spillPath, w)
+	if c.spillDir == "" {
+		return false, nil
 	}
-	return false, nil
-}
-
-// copySpillFile streams one on-disk container to w; a missing file behaves
-// like a cold key.
-func copySpillFile(path string, w io.Writer) (bool, error) {
-	f, err := os.Open(path)
+	f, err := os.Open(c.spillFile(k))
 	if err != nil {
-		return false, nil // lost or never-written spill: cold key
+		return false, nil // never spilled or lost: a cold key
 	}
 	defer f.Close()
-	if _, err := io.Copy(w, f); err != nil {
-		return true, err
-	}
-	return true, nil
+	_, err = io.Copy(w, f)
+	return true, err
 }
 
 // Seed installs the trace for k from a shipped container (the bytes written
-// by ExportContainer or found under a spill directory), so a worker that
-// receives a trace over the network never pays the generation cost. The
-// decoded trace is returned either way; if the key is already present —
-// resident, spilled or mid-generation — the cache is left untouched and the
-// existing entry wins, keeping Seed safe to call concurrently with Get.
+// by ExportContainer), so a worker that receives a trace over the network
+// never pays the generation cost. The decoded trace is returned either way;
+// if the key is already resident or in flight the cache is left untouched
+// and the existing entry wins, keeping Seed safe to call concurrently with
+// Get.
 func (c *Cache) Seed(k Key, r io.Reader) (*Trace, error) {
-	src, hdr, err := trace.Open(r)
+	t, err := readContainer(k, r)
 	if err != nil {
 		return nil, fmt.Errorf("tracecache: seed container: %w", err)
-	}
-	t := &Trace{key: k, startPC: hdr.StartPC}
-	if hdr.Records > 0 {
-		t.recs = make([]trace.Record, 0, hdr.Records)
-	}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("tracecache: seed container: %w", err)
-		}
-		if rec.Tag {
-			t.tagged++
-		}
-		t.bits += uint64(rec.BitLen())
-		t.recs = append(t.recs, rec)
 	}
 	c.mu.Lock()
 	if _, ok := c.entries[k]; ok {
 		c.mu.Unlock()
 		return t, nil
 	}
-	e := &entry{key: k, done: make(chan struct{})}
+	e := &entry{key: k, done: make(chan struct{}), tr: t}
 	close(e.done)
-	e.tr = t
-	e.bytes = int64(len(t.recs)) * recordBytes
-	e.startPC = t.startPC
-	e.records = uint64(len(t.recs))
-	e.tagged = t.tagged
-	e.bits = t.bits
 	c.entries[k] = e
 	c.insertResidentLocked(e)
 	c.mu.Unlock()
@@ -556,58 +538,53 @@ func (c *Cache) Seed(k Key, r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// insertResidentLocked accounts a freshly generated or reloaded entry and
-// evicts over-budget entries, least recently used first. Callers hold c.mu.
+// insertResidentLocked accounts a freshly filled or seeded entry and evicts
+// over-budget entries, least recently used first. Callers hold c.mu.
 func (c *Cache) insertResidentLocked(e *entry) {
 	e.elem = c.lru.PushFront(e)
-	c.resident += e.bytes
+	c.resident += e.tr.residentBytes()
 	if c.maxBytes < 0 {
 		return
 	}
 	// Never evict the entry just inserted: a single over-budget trace still
 	// has to serve its requester.
 	for c.resident > c.maxBytes && c.lru.Len() > 1 {
-		victim := c.lru.Back().Value.(*entry)
-		c.evictLocked(victim)
+		c.evictLocked(c.lru.Back().Value.(*entry))
 	}
 }
 
-// evictLocked pushes one resident entry out of memory: spilled to disk when
-// a spill directory is configured (and re-readable later), dropped entirely
-// otherwise (a future request regenerates).
+// evictLocked pushes one resident entry out of memory: written to the
+// spill directory when one is configured (a failed write just drops it),
+// then removed from the map, so the next request for its key misses and
+// reads the spill file or regenerates. Callers hold c.mu.
 func (c *Cache) evictLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	e.elem = nil
-	c.resident -= e.bytes
+	c.resident -= e.tr.residentBytes()
 	c.evictions.Add(1)
 	if c.spillDir != "" {
-		if err := c.spill(e); err == nil {
-			e.tr = nil
-			return
-		}
-		// Spill failed (disk full, permissions): fall through to drop.
+		_ = c.spill(e.key, e.tr) // unwritten, the key just regenerates on its next miss
 	}
-	e.tr = nil
 	delete(c.entries, e.key)
 }
 
-// spill writes e's records as a delta-compressed container under the spill
-// directory, atomically via a temp file. Already-spilled entries are reused
-// as-is (the content address guarantees the bytes still match).
-func (c *Cache) spill(e *entry) error {
-	if e.spillPath != "" {
+// spill writes tr as k's container in the spill directory, atomically via
+// a temp file. A file already there is kept: the content address
+// guarantees it holds the same records.
+func (c *Cache) spill(k Key, tr *Trace) error {
+	path := c.spillFile(k)
+	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
 	if err := os.MkdirAll(c.spillDir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(c.spillDir, e.key.ID()+".rstc")
 	tmp, err := os.CreateTemp(c.spillDir, "spill-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := e.tr.WriteContainer(tmp); err != nil {
+	if err := tr.WriteContainer(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -617,61 +594,9 @@ func (c *Cache) spill(e *entry) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	e.spillPath = path
 	c.spillWrites.Add(1)
 	if fi, err := os.Stat(path); err == nil {
 		c.spillBytes.Add(uint64(fi.Size()))
 	}
 	return nil
-}
-
-// reloadLocked reads a spilled entry back into memory and re-accounts it as
-// resident. Callers hold c.mu. On failure the slot is dropped — but only if
-// e still owns it: a concurrent caller may already have replaced a broken
-// slot with a fresh generating entry, which must not be deleted.
-func (c *Cache) reloadLocked(e *entry) (*Trace, error) {
-	owned := c.entries[e.key] == e
-	dropSlot := func() {
-		if owned {
-			delete(c.entries, e.key)
-		}
-	}
-	f, err := os.Open(e.spillPath)
-	if err != nil {
-		// The spill vanished under us; drop the slot so the next request
-		// regenerates instead of failing forever.
-		dropSlot()
-		return nil, fmt.Errorf("tracecache: spilled trace lost: %w", err)
-	}
-	defer f.Close()
-	src, hdr, err := trace.Open(f)
-	if err != nil {
-		dropSlot()
-		return nil, fmt.Errorf("tracecache: corrupt spill %s: %w", e.spillPath, err)
-	}
-	recs := make([]trace.Record, 0, e.records)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			dropSlot()
-			return nil, fmt.Errorf("tracecache: corrupt spill %s: %w", e.spillPath, err)
-		}
-		recs = append(recs, r)
-	}
-	if uint64(len(recs)) != e.records {
-		dropSlot()
-		return nil, fmt.Errorf("tracecache: spill %s holds %d records, want %d", e.spillPath, len(recs), e.records)
-	}
-	tr := &Trace{key: e.key, startPC: hdr.StartPC, recs: recs, tagged: e.tagged, bits: e.bits}
-	if owned {
-		// Only a slot that still owns its key re-enters the LRU/resident
-		// bookkeeping; a stale entry (replaced by a newer generation) just
-		// serves its reader and is left for the GC.
-		e.tr = tr
-		c.insertResidentLocked(e)
-	}
-	return tr, nil
 }

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/funcsim"
@@ -486,4 +488,224 @@ func TestExportContainerFromSpill(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("restart-path container bytes differ from the live-path container")
 	}
+}
+
+// spillOne fills dir with the spill file of gzip's limit-instruction trace,
+// evicted from a cache whose budget holds one trace, and returns that
+// trace's records.
+func spillOne(t *testing.T, dir string, limit uint64) []trace.Record {
+	t.Helper()
+	p := gzipProfile(t)
+	c := New(Config{SpillDir: dir, MaxResidentBytes: 1})
+	tr, err := c.Get(context.Background(), p, defaultTC(), limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second key over-budgets the cache and evicts the first to disk.
+	if _, err := c.Get(context.Background(), p, defaultTC(), limit+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, KeyFor(p, defaultTC(), limit).ID()+".rstc")); err != nil {
+		t.Fatalf("no spill file written: %v", err)
+	}
+	return drain(t, tr.Source())
+}
+
+// exportOf returns the container ExportContainer writes for a freshly
+// generated trace of profile name.
+func exportOf(t testing.TB, name string, limit uint64) (Key, []byte) {
+	t.Helper()
+	p, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{})
+	if _, err := c.Get(context.Background(), p, defaultTC(), limit); err != nil {
+		t.Fatal(err)
+	}
+	k := KeyFor(p, defaultTC(), limit)
+	var buf bytes.Buffer
+	if ok, err := c.ExportContainer(k, &buf); !ok || err != nil {
+		t.Fatalf("ExportContainer = %v, %v; want true, nil", ok, err)
+	}
+	return k, buf.Bytes()
+}
+
+// TestFreshCacheReadsSpillDir: the spill directory is a tier every miss
+// consults, so a restarted process serves a spilled key from disk.
+func TestFreshCacheReadsSpillDir(t *testing.T) {
+	dir := t.TempDir()
+	want := spillOne(t, dir, 3000)
+
+	fresh := New(Config{SpillDir: dir})
+	tr, err := fresh.Get(context.Background(), gzipProfile(t), defaultTC(), 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, tr.Source()); !reflect.DeepEqual(got, want) {
+		t.Fatal("trace read from the spill directory differs from the original")
+	}
+	if st := fresh.Stats(); st.Generations != 0 || st.SpillLoads != 1 {
+		t.Fatalf("stats = %+v; want 0 generations and 1 spill load", st)
+	}
+}
+
+// TestConcurrentSpillLoadsOnce: concurrent misses on a spilled key share
+// one single-flight fill, so the file is read once and the rest are hits.
+func TestConcurrentSpillLoadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	want := spillOne(t, dir, 3000)
+	p := gzipProfile(t)
+
+	c := New(Config{SpillDir: dir})
+	const readers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := c.Get(context.Background(), p, defaultTC(), 3000)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if tr.Records() != len(want) {
+				t.Errorf("reader saw %d records, want %d", tr.Records(), len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.SpillLoads != 1 || st.Generations != 0 || st.Hits != readers-1 {
+		t.Fatalf("stats = %+v; want 1 spill load, 0 generations, %d hits", st, readers-1)
+	}
+}
+
+// TestCutContainerRefused: a container cut short still decodes to a
+// plausible prefix; Seed must refuse it, and a miss that finds it as a
+// spill file must remove it and regenerate.
+func TestCutContainerRefused(t *testing.T) {
+	k, whole := exportOf(t, "gzip", 5000)
+	cut := whole[:len(whole)*9/10]
+	if _, err := New(Config{}).Seed(k, bytes.NewReader(cut)); err == nil {
+		t.Fatal("Seed accepted a container cut at 90%")
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, k.ID()+".rstc")
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{SpillDir: dir})
+	tr, err := c.Get(context.Background(), k.Profile, k.TC, k.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := trace.Open(bytes.NewReader(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(drain(t, tr.Source()), drain(t, src)) {
+		t.Fatal("Get served records other than the whole trace")
+	}
+	if st := c.Stats(); st.Generations != 1 || st.SpillLoads != 0 {
+		t.Fatalf("stats = %+v; want 1 generation and 0 spill loads", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("cut spill file still present (stat err = %v)", err)
+	}
+}
+
+// TestHugeHeaderAllocatesLittle: the header's record count must not size
+// the allocation. A few records under a header claiming 2^40 are refused
+// without reserving more than the cap generate uses.
+func TestHugeHeaderAllocatesLittle(t *testing.T) {
+	k, whole := exportOf(t, "gzip", 2000)
+	var buf bytes.Buffer
+	w, err := trace.NewCompressedWriter(&buf, trace.Header{StartPC: funcsim.CodeBase, Records: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := trace.Open(bytes.NewReader(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range drain(t, src)[:100] {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = New(Config{}).Seed(k, &buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Seed accepted 100 records under a header claiming 2^40")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Fatalf("a 2^40-record header made Seed allocate %d MiB", d>>20)
+	}
+}
+
+// TestOutOfRangeRegisterRefused: the container's 6-bit register fields
+// can name registers 32..62, which no encoder writes (re-encoding turns
+// them into "no register"); such a record is refused, not replayed.
+func TestOutOfRangeRegisterRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := trace.NewCompressedWriter(&buf, trace.Header{StartPC: funcsim.CodeBase, Records: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil { // header only
+		t.Fatal(err)
+	}
+	// One ALU record, hand-packed: kind (2 bits), tag, class (3 bits),
+	// then dest, src1 and src2 (6 bits each), src2 out of range.
+	bw := bitio.NewWriter(&buf)
+	for _, f := range []struct {
+		v     uint64
+		width uint
+	}{{0, 2}, {0, 1}, {0, 3}, {1, 6}, {2, 6}, {45, 6}} {
+		if err := bw.WriteBits(f.v, f.width); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{}).Seed(Key{}, &buf); err == nil {
+		t.Fatal("Seed accepted a record naming register 45")
+	}
+}
+
+// FuzzSeed feeds arbitrary bytes to the container decoder behind Seed and
+// the spill tier: it must never panic, and a container it accepts must
+// survive a WriteContainer/Seed round trip record for record.
+func FuzzSeed(f *testing.F) {
+	k, gzip := exportOf(f, "gzip", 1500)
+	_, vpr := exportOf(f, "vpr", 1500)
+	f.Add(gzip)
+	f.Add(vpr)
+	f.Add(gzip[:len(gzip)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := New(Config{}).Seed(k, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteContainer(&buf); err != nil {
+			t.Fatalf("accepted container does not re-encode: %v", err)
+		}
+		again, err := New(Config{}).Seed(k, &buf)
+		if err != nil {
+			t.Fatalf("re-encoded container refused: %v", err)
+		}
+		if again.StartPC() != tr.StartPC() || !reflect.DeepEqual(again.recs, tr.recs) {
+			t.Fatal("round trip changed the trace")
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/jobd"
 	"repro/internal/sweep"
 	"repro/internal/sweepd"
+	"repro/internal/workload"
 )
 
 // SubmitOptions configures a SubmitRemote submission.
@@ -35,7 +36,7 @@ type JobState = jobd.State
 type JobHandle struct {
 	client *jobd.Client
 	id     string
-	job    *sweepd.Job
+	points []SweepPoint
 }
 
 // SubmitRemote submits a sweep to the job service at server (base URL,
@@ -48,11 +49,11 @@ type JobHandle struct {
 // retryable error), schedules it fairly against other tenants' work, and
 // streams results to Results whenever the caller asks.
 func (s *Session) SubmitRemote(ctx context.Context, server, workloadName string, instructions uint64, points []SweepPoint, opts *SubmitOptions) (*JobHandle, error) {
-	job, err := s.sweepJob(workloadName, instructions, points)
+	p, err := workload.ByName(workloadName)
 	if err != nil {
 		return nil, err
 	}
-	wj, err := sweepd.WireJobOf(job)
+	wj, err := sweepd.WireJobOf(&sweepd.Job{Profile: p, Instructions: instructions, Points: points})
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +71,7 @@ func (s *Session) SubmitRemote(ctx context.Context, server, workloadName string,
 	if err != nil {
 		return nil, err
 	}
-	return &JobHandle{client: c, id: st.ID, job: job}, nil
+	return &JobHandle{client: c, id: st.ID, points: points}, nil
 }
 
 // ID returns the service-assigned job ID.
@@ -129,14 +130,14 @@ func (h *JobHandle) Results(ctx context.Context) ([]SweepResult, error) {
 // so far, Total is the job's point count, and Final fires when the two
 // meet.
 func (h *JobHandle) results(ctx context.Context, obs Observer) ([]SweepResult, error) {
-	results := make([]SweepResult, len(h.job.Points))
+	results := make([]SweepResult, len(h.points))
 	got := make([]bool, len(results))
 	done := 0
 	state, err := h.client.Results(ctx, h.id, func(wr *sweepd.WireResult) error {
 		if wr.Index < 0 || wr.Index >= len(results) {
 			return fmt.Errorf("resim: job %s streamed result for unknown point %d", h.id, wr.Index)
 		}
-		results[wr.Index] = wr.Result(h.job.Points[wr.Index])
+		results[wr.Index] = wr.Result(h.points[wr.Index])
 		if got[wr.Index] {
 			return nil
 		}

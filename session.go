@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/multicore"
 	"repro/internal/sweep"
-	"repro/internal/sweepd"
 	"repro/internal/trace"
 	"repro/internal/tracecache"
 	"repro/internal/workload"
@@ -514,19 +513,28 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 	if s.coordURL != "" {
 		return s.SweepRemote(ctx, s.coordURL, workloadName, instructions, points)
 	}
-	job, err := s.sweepJob(workloadName, instructions, points)
+	p, err := workload.ByName(workloadName)
 	if err != nil {
 		return nil, err
 	}
 	r := sweep.Runner{
-		Workload:       job.Profile,
-		Instructions:   job.Instructions,
-		Observer:       s.hooks.Observer,
-		Traces:         s.traces,
-		TelemetryEvery: job.TelemetryEvery,
-		OnTelemetry:    job.OnTelemetry,
+		Workload:     p,
+		Instructions: instructions,
+		Observer:     s.hooks.Observer,
+		Traces:       s.traces,
 	}
-	return r.Run(ctx, job.Points)
+	if sink := s.hooks.Telemetry; sink != nil {
+		// The same zero-means-default cadence rule single runs use.
+		r.TelemetryEvery = s.hooks.TelemetryEvery
+		if r.TelemetryEvery == 0 {
+			r.TelemetryEvery = core.DefaultObserverInterval
+		}
+		// The runner stamps the point index into snap.Core.
+		r.OnTelemetry = func(_ int, snap core.IntervalSnapshot) {
+			sink(snap) //nolint:errcheck // sweep telemetry is fire-and-forget
+		}
+	}
+	return r.Run(ctx, points)
 }
 
 // SweepRemote runs the sweep on the job service at server, its base URL
@@ -576,39 +584,6 @@ func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, 
 		return nil, ctx.Err()
 	}
 	return res, err
-}
-
-// sweepTelemetryEvery returns the per-point telemetry cadence for sweeps:
-// the WithTelemetry cadence (with the same zero-means-default rule single
-// runs use), or 0 — no streaming — when the session never opted in.
-func (s *Session) sweepTelemetryEvery() uint64 {
-	if s.hooks.Telemetry == nil {
-		return 0
-	}
-	if s.hooks.TelemetryEvery == 0 {
-		return core.DefaultObserverInterval
-	}
-	return s.hooks.TelemetryEvery
-}
-
-// sweepJob resolves a sweep invocation for the local Runner and the remote
-// paths alike. A session that opted into telemetry extends it to local
-// sweeps: the job carries the cadence and adapts the session sink to
-// indexed fire-and-forget delivery.
-func (s *Session) sweepJob(workloadName string, instructions uint64, points []SweepPoint) (*sweepd.Job, error) {
-	p, err := workload.ByName(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	job := &sweepd.Job{Profile: p, Instructions: instructions, Points: points}
-	if sink := s.hooks.Telemetry; sink != nil {
-		job.TelemetryEvery = s.sweepTelemetryEvery()
-		// Workers stamp the job-wide point index into snap.Core.
-		job.OnTelemetry = func(_ int, snap core.IntervalSnapshot) {
-			sink(snap) //nolint:errcheck // sweep telemetry is fire-and-forget
-		}
-	}
-	return job, nil
 }
 
 // Multicore runs one ReSim instance per workload in lockstep major cycles —
