@@ -105,19 +105,10 @@ func main() {
 	}
 	if set["caches"] { // -caches attaches the 32K L1s, -caches=false strips the file's
 		if *caches {
-			il1, err := resim.NewL1Cache(resim.CacheConfig{Name: "il1", SizeBytes: 32 << 10,
-				Assoc: 8, BlockBytes: 64, HitLatency: 1, MissLatency: 20})
-			if err != nil {
-				fatal(err)
-			}
-			dl1, err := resim.NewL1Cache(resim.CacheConfig{Name: "dl1", SizeBytes: 32 << 10,
-				Assoc: 8, BlockBytes: 64, HitLatency: 1, MissLatency: 20})
-			if err != nil {
-				fatal(err)
-			}
-			cfg.ICache, cfg.DCache = il1, dl1
+			fast := resim.FASTComparisonConfig() // Table 1's 32K L1s
+			cfg.ICache, cfg.DCache = fast.ICache, fast.DCache
 		} else {
-			cfg.ICache, cfg.DCache = nil, nil
+			cfg.ICache, cfg.DCache = resim.CacheSide{}, resim.CacheSide{}
 		}
 	}
 	if *readPorts > 0 {

@@ -72,6 +72,8 @@ func main() {
 		fmt.Printf("  core %-8s IPC %.3f (dl1 miss rate %.3f)\n",
 			name, shared.PerCore[i].IPC(), shared.PerCore[i].DCache.MissRate())
 	}
+	fmt.Printf("  shared l2: %d accesses from all cores, miss rate %.3f\n",
+		shared.SharedL2.Accesses(), shared.SharedL2.MissRate())
 	fmt.Printf("  aggregate IPC %.2f (vs %.2f with private memories)\n",
 		shared.AggregateIPC(), res.AggregateIPC())
 	fmt.Println("\nshared-L2 interference lowers per-core IPC; the lockstep cluster's")

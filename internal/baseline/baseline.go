@@ -18,7 +18,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
 	"repro/internal/isa"
@@ -59,8 +58,6 @@ func ExecutionDriven(ctx context.Context, cfg core.Config, prog *funcsim.Program
 type InOrderConfig struct {
 	MispredPenalty int // refetch penalty on a wrong prediction
 	FUs            uarch.FUConfig
-	ICache         cache.Model // nil = perfect
-	DCache         cache.Model // nil = perfect
 }
 
 // DefaultInOrderConfig matches the out-of-order engine's FU latencies with
@@ -85,23 +82,16 @@ func (r InOrderResult) IPC() float64 {
 
 // InOrder simulates a single-issue, in-order, blocking pipeline over a
 // trace: every instruction pays its functional-unit latency serially
-// against its producers, loads pay the cache latency, taken branches cost a
+// against its producers, memory is perfect, taken branches cost a
 // one-cycle redirect bubble, and wrong-path records are charged the
 // mispredict penalty and skipped (an in-order scalar core gains nothing
-// from wrong-path overlap).
+// from wrong-path overlap). startPC is unused: with perfect memory, fetch
+// addresses cost nothing.
 func InOrder(cfg InOrderConfig, src trace.Source, startPC uint32) (InOrderResult, error) {
-	ic, dc := cfg.ICache, cfg.DCache
-	if ic == nil {
-		ic = cache.NewPerfect(1)
-	}
-	if dc == nil {
-		dc = cache.NewPerfect(1)
-	}
 	var (
 		res     InOrderResult
 		now     uint64
 		readyAt [isa.NumRegs]uint64
-		pc      = startPC
 	)
 	buf := trace.NewBuffered(src)
 	for {
@@ -117,12 +107,6 @@ func InOrder(cfg InOrderConfig, src trace.Source, startPC uint32) (InOrderResult
 			// the branch and skips the block.
 			continue
 		}
-		if rec.Kind == trace.KindBranch && rec.PC != 0 {
-			pc = rec.PC
-		}
-		if _, lat := ic.Access(pc, false); lat > 1 {
-			now += uint64(lat - 1)
-		}
 		// Wait for source operands.
 		for _, s := range []isa.Reg{rec.Src1, rec.Src2} {
 			if s != isa.NoReg && s < isa.NumRegs && readyAt[s] > now {
@@ -133,12 +117,7 @@ func InOrder(cfg InOrderConfig, src trace.Source, startPC uint32) (InOrderResult
 		var done uint64
 		switch rec.Kind {
 		case trace.KindMem:
-			_, lat := dc.Access(rec.Addr, rec.Store)
-			if rec.Store {
-				done = issue + 1 // write buffer absorbs store latency
-			} else {
-				done = issue + uint64(lat)
-			}
+			done = issue + 1 // perfect memory; a write buffer absorbs stores
 		case trace.KindBranch:
 			done = issue + 1
 			if rec.Taken {
@@ -163,15 +142,6 @@ func InOrder(cfg InOrderConfig, src trace.Source, startPC uint32) (InOrderResult
 			_ = done
 		}
 		res.Committed++
-		if rec.Kind == trace.KindBranch {
-			if rec.Taken {
-				pc = rec.Target
-			} else {
-				pc += 4
-			}
-		} else {
-			pc += 4
-		}
 	}
 	res.Cycles = now
 	if res.Cycles == 0 && res.Committed > 0 {

@@ -7,8 +7,8 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
-	"reflect"
 )
 
 // Config describes one cache level.
@@ -96,6 +96,64 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses())
 }
 
+// Side is one side (instruction or data) of a memory system as a value:
+// the geometry the engine builds its own models from. Sides compare with
+// ==, so a configuration holding them does too.
+type Side struct {
+	// L1 is the level-1 cache; the zero Config selects perfect memory.
+	L1 Config
+	// L2, when set, backs L1: an L1 miss pays L1.HitLatency plus the L2's
+	// access latency. The zero Config means an L1 miss pays
+	// L1.MissLatency.
+	L2 Config
+	// Latency is the perfect-memory access latency, used only when L1 is
+	// zero; 0 means 1 cycle.
+	Latency int
+}
+
+// Perfect reports whether s is perfect memory.
+func (s Side) Perfect() bool { return s.L1 == Config{} }
+
+// Validate reports errors in the side's geometry.
+func (s Side) Validate() error {
+	if s.Perfect() {
+		if s.L2 != (Config{}) {
+			return errors.New("cache: an L2 needs an L1 in front of it")
+		}
+		if s.Latency < 0 {
+			return fmt.Errorf("cache: perfect-memory latency %d", s.Latency)
+		}
+		return nil
+	}
+	if s.Latency != 0 {
+		return fmt.Errorf("cache %s: Latency applies to perfect memory only", s.L1.Name)
+	}
+	if err := s.L1.Validate(); err != nil {
+		return err
+	}
+	if s.L2 != (Config{}) {
+		return s.L2.Validate()
+	}
+	return nil
+}
+
+// Build returns a cold model of s, which must be valid: perfect memory, an
+// L1, or an L1 in front of an L2. lower, when non-nil, is the L2 instance
+// to use instead of a private one built from s.L2 (a multicore cluster's
+// shared L2).
+func (s Side) Build(lower *Cache) Model {
+	switch {
+	case s.Perfect():
+		return NewPerfect(max(s.Latency, 1))
+	case s.L2 == Config{}:
+		return New(s.L1)
+	}
+	if lower == nil {
+		lower = New(s.L2)
+	}
+	return &Hierarchy{l1: New(s.L1), lower: lower}
+}
+
 // Model is the interface the engine uses: an access returns the hit/miss
 // indication and the access latency in simulated cycles.
 type Model interface {
@@ -140,10 +198,6 @@ func New(cfg Config) *Cache {
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
-
-// CloneCold returns a new cache with the same geometry and empty tag state
-// and counters.
-func (c *Cache) CloneCold() Model { return New(c.cfg) }
 
 // Access implements Model. Misses allocate (write-allocate for stores,
 // demand fill for loads) and evict the true-LRU way.
@@ -238,52 +292,3 @@ func (p *Perfect) Stats() Stats { return p.st }
 
 // Reset implements Model.
 func (p *Perfect) Reset() { p.st = Stats{} }
-
-// CloneCold returns a fresh perfect model with the same latency and zero
-// counters.
-func (p *Perfect) CloneCold() Model { return NewPerfect(p.Latency) }
-
-// CloneCold returns a cold private copy of m when the model supports it —
-// a fresh instance with the same parameters, empty state and counters — so
-// parallel simulations never share mutable tag state. Models that do not
-// support cloning (custom implementations) are returned as-is; nil stays
-// nil.
-func CloneCold(m Model) Model {
-	type cloner interface{ CloneCold() Model }
-	if c, ok := m.(cloner); ok {
-		return c.CloneCold()
-	}
-	return m
-}
-
-// CloneColdAll clones a memory system cold, as CloneCold does model by
-// model, but keeps the sharing among ms: a pointer-typed model reached
-// more than once — one cache in both the I and D fields, or one lower
-// level under two hierarchies — maps to a single clone.
-func CloneColdAll(ms ...Model) []Model {
-	clones := map[Model]Model{}
-	out := make([]Model, len(ms))
-	for i, m := range ms {
-		out[i] = cloneShared(m, clones)
-	}
-	return out
-}
-
-func cloneShared(m Model, clones map[Model]Model) Model {
-	// Only pointer-typed models are safe map keys; value-typed custom
-	// models cannot be shared anyway.
-	if m == nil || reflect.TypeOf(m).Kind() != reflect.Pointer {
-		return CloneCold(m)
-	}
-	if c, ok := clones[m]; ok {
-		return c
-	}
-	var c Model
-	if h, ok := m.(*Hierarchy); ok {
-		c = &Hierarchy{l1: New(h.l1.cfg), lower: cloneShared(h.lower, clones)}
-	} else {
-		c = CloneCold(m)
-	}
-	clones[m] = c
-	return c
-}

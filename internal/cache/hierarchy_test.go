@@ -2,33 +2,29 @@ package cache
 
 import "testing"
 
+// twoLevel is a side with small()'s L1 in front of a 4 KiB L2.
+func twoLevel() Side {
+	return Side{L1: small(), L2: Config{Name: "l2", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 64,
+		HitLatency: 6, MissLatency: 40}}
+}
+
 func TestHierarchyHitDoesNotTouchLower(t *testing.T) {
-	l2 := New(Config{Name: "l2", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 64,
-		HitLatency: 6, MissLatency: 40})
-	h, err := NewHierarchy(small(), l2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := twoLevel().Build(nil).(*Hierarchy)
 	h.Access(0x100, false) // cold: L1 miss -> L2 access
-	if l2.Stats().Accesses() != 1 {
-		t.Fatalf("L2 accesses = %d, want 1", l2.Stats().Accesses())
+	if h.lower.Stats().Accesses() != 1 {
+		t.Fatalf("L2 accesses = %d, want 1", h.lower.Stats().Accesses())
 	}
 	hit, lat := h.Access(0x100, false) // L1 hit
 	if !hit || lat != 1 {
 		t.Errorf("L1 hit = %t/%d", hit, lat)
 	}
-	if l2.Stats().Accesses() != 1 {
-		t.Errorf("L1 hit leaked to L2: %d accesses", l2.Stats().Accesses())
+	if h.lower.Stats().Accesses() != 1 {
+		t.Errorf("L1 hit leaked to L2: %d accesses", h.lower.Stats().Accesses())
 	}
 }
 
 func TestHierarchyMissLatencies(t *testing.T) {
-	l2 := New(Config{Name: "l2", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 64,
-		HitLatency: 6, MissLatency: 40})
-	h, err := NewHierarchy(small(), l2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := twoLevel().Build(nil)
 	// Cold: L1 miss + L2 miss -> 1 + 40.
 	if hit, lat := h.Access(0x200, false); hit || lat != 41 {
 		t.Errorf("cold access = %t/%d, want miss/41", hit, lat)
@@ -44,46 +40,71 @@ func TestHierarchyMissLatencies(t *testing.T) {
 }
 
 func TestHierarchySharedLower(t *testing.T) {
-	l2 := New(Config{Name: "l2", SizeBytes: 4 << 10, Assoc: 4, BlockBytes: 64,
-		HitLatency: 6, MissLatency: 40})
-	ha, err := NewHierarchy(small(), l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := NewHierarchy(small(), l2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	side := twoLevel()
+	l2 := New(side.L2)
+	ha, hb := side.Build(l2), side.Build(l2)
 	ha.Access(0x300, false) // fills shared L2
 	// Core B misses its private L1 but hits the shared L2 warmed by A.
 	if hit, lat := hb.Access(0x300, false); hit || lat != 7 {
 		t.Errorf("cross-core access = %t/%d, want miss/7 (shared L2 hit)", hit, lat)
 	}
-	if ha.LowerStats() != hb.LowerStats() {
-		t.Error("LowerStats differ despite shared lower level")
+	if l2.Stats().Accesses() != 2 {
+		t.Errorf("shared L2 saw %d accesses, want 2", l2.Stats().Accesses())
 	}
 }
 
 func TestHierarchyStatsAndReset(t *testing.T) {
-	h, err := NewHierarchy(small(), NewPerfect(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := twoLevel().Build(nil).(*Hierarchy)
 	h.Access(0x40, true)
 	if h.Stats().Writes != 1 {
 		t.Errorf("L1 stats = %+v", h.Stats())
 	}
-	if h.L1().Config().Name != "t" {
-		t.Error("L1 accessor broken")
-	}
 	h.Reset()
-	if h.Stats().Accesses() != 0 || h.LowerStats().Accesses() != 0 {
+	if h.Stats().Accesses() != 0 || h.lower.Stats().Accesses() != 0 {
 		t.Error("Reset did not clear both levels")
 	}
 }
 
 func TestHierarchyRejectsBadL1(t *testing.T) {
-	if _, err := NewHierarchy(Config{Name: "bad", SizeBytes: 7}, NewPerfect(1)); err == nil {
+	side := twoLevel()
+	side.L1 = Config{Name: "bad", SizeBytes: 7}
+	if err := side.Validate(); err == nil {
 		t.Error("invalid L1 geometry accepted")
+	}
+}
+
+// TestSideBuildsEachKind: the zero L1 is perfect memory at Latency (0
+// means 1), an L1 alone is a Cache, and an L2 makes a Hierarchy.
+func TestSideBuildsEachKind(t *testing.T) {
+	if p, ok := (Side{}).Build(nil).(*Perfect); !ok || p.Latency != 1 {
+		t.Errorf("zero side built %#v, want 1-cycle perfect memory", p)
+	}
+	if p, ok := (Side{Latency: 3}).Build(nil).(*Perfect); !ok || p.Latency != 3 {
+		t.Errorf("Latency 3 built %#v", p)
+	}
+	if c, ok := (Side{L1: small()}).Build(nil).(*Cache); !ok || c.Config() != small() {
+		t.Errorf("L1 side built %T", c)
+	}
+	if _, ok := twoLevel().Build(nil).(*Hierarchy); !ok {
+		t.Error("L1+L2 side did not build a hierarchy")
+	}
+}
+
+func TestSideValidate(t *testing.T) {
+	for name, s := range map[string]Side{
+		"bad L1":             {L1: Config{Name: "bad", SizeBytes: 7}},
+		"bad L2":             {L1: small(), L2: Config{Name: "bad", SizeBytes: 7}},
+		"L2 without L1":      {L2: small()},
+		"negative latency":   {Latency: -1},
+		"latency with an L1": {L1: small(), Latency: 2},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for name, s := range map[string]Side{"perfect": {}, "slow perfect": {Latency: 4}, "L1": {L1: small()}, "L1+L2": twoLevel()} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s refused: %v", name, err)
+		}
 	}
 }

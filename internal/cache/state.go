@@ -35,19 +35,6 @@ type State struct {
 	Lower *State `json:"lower,omitempty"`
 }
 
-// Serializable reports whether CaptureState supports m (a built-in model
-// tree, or nil) without paying for a capture.
-func Serializable(m Model) bool {
-	switch c := m.(type) {
-	case nil, *Cache, *Perfect:
-		return true
-	case *Hierarchy:
-		return Serializable(c.lower)
-	default:
-		return false
-	}
-}
-
 // CaptureState serializes the mutable state of a built-in model (Cache,
 // Perfect or Hierarchy; nil maps to nil). Custom Model implementations have
 // no generic serialization and make the capture fail — the caller decides

@@ -25,25 +25,16 @@ func fillDeterministic(m Model) {
 // TestCacheStateRoundTrip: CaptureState -> JSON -> RestoreState reproduces
 // bit-identical hit/miss behavior and counters for every built-in model.
 func TestCacheStateRoundTrip(t *testing.T) {
-	lower := New(Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32,
-		HitLatency: 4, MissLatency: 30})
-	h, err := NewHierarchy(Config{Name: "l1", SizeBytes: 128, Assoc: 2, BlockBytes: 32,
-		HitLatency: 1, MissLatency: 9}, lower)
-	if err != nil {
-		t.Fatal(err)
+	hier := Side{
+		L1: Config{Name: "l1", SizeBytes: 128, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 9},
+		L2: Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32, HitLatency: 4, MissLatency: 30},
 	}
 	models := map[string]struct {
 		orig, fresh Model
 	}{
-		"cache":   {stateTestCache(), stateTestCache()},
-		"perfect": {NewPerfect(2), NewPerfect(2)},
-		"hierarchy": {h, func() Model {
-			l2 := New(Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32,
-				HitLatency: 4, MissLatency: 30})
-			h2, _ := NewHierarchy(Config{Name: "l1", SizeBytes: 128, Assoc: 2, BlockBytes: 32,
-				HitLatency: 1, MissLatency: 9}, l2)
-			return h2
-		}()},
+		"cache":     {stateTestCache(), stateTestCache()},
+		"perfect":   {NewPerfect(2), NewPerfect(2)},
+		"hierarchy": {hier.Build(nil), hier.Build(nil)},
 	}
 	for name, mm := range models {
 		fillDeterministic(mm.orig)
@@ -134,11 +125,5 @@ func TestCacheStateRejectsMismatches(t *testing.T) {
 	type custom struct{ Model }
 	if _, err := CaptureState(custom{c}); err == nil {
 		t.Error("custom model captured without error")
-	}
-	if Serializable(custom{c}) {
-		t.Error("custom model reported serializable")
-	}
-	if !Serializable(nil) || !Serializable(c) {
-		t.Error("built-in models must report serializable")
 	}
 }

@@ -1,7 +1,7 @@
 // Package configfile loads and saves engine configurations as JSON, so
 // bulk design-space sweeps (the paper's off-line use case) can be driven by
 // declarative per-point files instead of flag soup. The schema mirrors
-// core.Config but replaces the live cache models with geometry blocks.
+// core.Config; cache names are not part of it.
 package configfile
 
 import (
@@ -15,13 +15,17 @@ import (
 	"repro/internal/sched"
 )
 
-// CacheSpec is the JSON form of a cache level.
+// CacheSpec is the JSON form of one side of the memory system: its L1,
+// with an optional L2 behind it. A spec with no size is perfect memory
+// whose accesses take HitLatency cycles; an absent spec is perfect memory
+// with 1-cycle access.
 type CacheSpec struct {
-	SizeBytes   int `json:"size_bytes"`
-	Assoc       int `json:"assoc"`
-	BlockBytes  int `json:"block_bytes"`
-	HitLatency  int `json:"hit_latency"`
-	MissLatency int `json:"miss_latency"`
+	SizeBytes   int        `json:"size_bytes"`
+	Assoc       int        `json:"assoc"`
+	BlockBytes  int        `json:"block_bytes"`
+	HitLatency  int        `json:"hit_latency"`
+	MissLatency int        `json:"miss_latency"`
+	L2          *CacheSpec `json:"l2,omitempty"`
 }
 
 // PredictorSpec is the JSON form of the branch predictor block.
@@ -85,12 +89,21 @@ func FromConfig(cfg core.Config) File {
 	return f
 }
 
-func cacheSpecOf(m cache.Model) *CacheSpec {
-	c, ok := m.(*cache.Cache)
-	if !ok {
-		return nil
+func cacheSpecOf(side cache.Side) *CacheSpec {
+	if side.Perfect() {
+		if side.Latency == 0 {
+			return nil
+		}
+		return &CacheSpec{HitLatency: side.Latency}
 	}
-	g := c.Config()
+	spec := levelSpec(side.L1)
+	if side.L2 != (cache.Config{}) {
+		spec.L2 = levelSpec(side.L2)
+	}
+	return spec
+}
+
+func levelSpec(g cache.Config) *CacheSpec {
 	return &CacheSpec{SizeBytes: g.SizeBytes, Assoc: g.Assoc, BlockBytes: g.BlockBytes,
 		HitLatency: g.HitLatency, MissLatency: g.MissLatency}
 }
@@ -143,29 +156,37 @@ func (f File) ToConfig() (core.Config, error) {
 		cfg.Predictor = p
 	}
 
-	var err error
-	if cfg.ICache, err = buildCache("il1", f.ICache); err != nil {
-		return cfg, err
+	for _, c := range []*CacheSpec{f.ICache, f.DCache} {
+		if c != nil && c.L2 != nil && c.L2.L2 != nil {
+			return cfg, fmt.Errorf("configfile: an L2 cannot have an l2 of its own")
+		}
 	}
-	if cfg.DCache, err = buildCache("dl1", f.DCache); err != nil {
-		return cfg, err
-	}
+	cfg.ICache = sideOf("il1", "il2", f.ICache)
+	cfg.DCache = sideOf("dl1", "dl2", f.DCache)
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
 	return cfg, nil
 }
 
-func buildCache(name string, s *CacheSpec) (cache.Model, error) {
+// sideOf is the memory-system side s describes, its levels named l1 and l2.
+func sideOf(l1, l2 string, s *CacheSpec) cache.Side {
 	if s == nil {
-		return nil, nil
+		return cache.Side{}
 	}
-	c := cache.Config{Name: name, SizeBytes: s.SizeBytes, Assoc: s.Assoc,
+	side := cache.Side{L1: levelOf(l1, s), L2: levelOf(l2, s.L2)}
+	if s.SizeBytes == 0 {
+		side.L1, side.Latency = cache.Config{}, s.HitLatency
+	}
+	return side
+}
+
+func levelOf(name string, s *CacheSpec) cache.Config {
+	if s == nil {
+		return cache.Config{}
+	}
+	return cache.Config{Name: name, SizeBytes: s.SizeBytes, Assoc: s.Assoc,
 		BlockBytes: s.BlockBytes, HitLatency: s.HitLatency, MissLatency: s.MissLatency}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return cache.New(c), nil
 }
 
 // Load reads and materializes a configuration file.

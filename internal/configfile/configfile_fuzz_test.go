@@ -2,7 +2,6 @@ package configfile
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -20,6 +19,9 @@ func FuzzConfigFile(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"width":2,"ifq_size":4,"rb_size":8,"lsq_size":4,"mem_read_ports":1,"mem_write_ports":1,` +
+		`"icache":{"hit_latency":3},"dcache":{"size_bytes":4096,"assoc":2,"block_bytes":64,"hit_latency":1,"miss_latency":9,` +
+		`"l2":{"size_bytes":65536,"assoc":8,"block_bytes":64,"hit_latency":6,"miss_latency":40}}}`))
 	f.Add([]byte(`{"width":2,"ifq_size":4,"rb_size":8,"lsq_size":4,"mem_read_ports":1,"mem_write_ports":1,` +
 		`"perfect_bp":true,"predictor":{"kind":"bimod","bimod_size":512,"btb_entries":64,"btb_assoc":1,"ras_size":4}}`))
 	f.Add([]byte(`{"width":1,"ifq_size":1,"rb_size":1,"lsq_size":1,"mem_read_ports":1,"mem_write_ports":1,` +
@@ -40,7 +42,7 @@ func FuzzConfigFile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromConfig → ToConfig rejected a valid config: %v", err)
 		}
-		if !reflect.DeepEqual(again, cfg) {
+		if again != cfg {
 			t.Fatalf("FromConfig → ToConfig changed the config:\n got %+v\nwant %+v", again, cfg)
 		}
 	})

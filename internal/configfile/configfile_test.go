@@ -27,7 +27,7 @@ func TestRoundTripDefault(t *testing.T) {
 	if got.Predictor != want.Predictor {
 		t.Errorf("predictor mismatch:\n%+v\n%+v", got.Predictor, want.Predictor)
 	}
-	if got.ICache != nil || got.DCache != nil {
+	if got.ICache != (cache.Side{}) || got.DCache != (cache.Side{}) {
 		t.Error("perfect memory did not round-trip")
 	}
 }
@@ -44,12 +44,33 @@ func TestRoundTripFASTConfig(t *testing.T) {
 	if got.Organization != sched.OrgImproved {
 		t.Errorf("organization = %v", got.Organization)
 	}
-	dl1, ok := got.DCache.(*cache.Cache)
-	if !ok {
-		t.Fatal("D-cache lost")
+	if got.ICache != want.ICache || got.DCache != want.DCache {
+		t.Errorf("memory system = %+v / %+v, want %+v / %+v", got.ICache, got.DCache, want.ICache, want.DCache)
 	}
-	if g := dl1.Config(); g.SizeBytes != 32<<10 || g.Assoc != 8 || g.BlockBytes != 64 {
-		t.Errorf("cache geometry = %+v", g)
+}
+
+// TestRoundTripMemorySystems: every kind of side — perfect memory at a
+// latency, an L1, an L1 with an L2 — survives the file exactly when its
+// caches carry the names ToConfig gives them.
+func TestRoundTripMemorySystems(t *testing.T) {
+	level := func(name string, size int) cache.Config {
+		return cache.Config{Name: name, SizeBytes: size, Assoc: 4, BlockBytes: 64, HitLatency: 2, MissLatency: 30}
+	}
+	for _, sides := range [][2]cache.Side{
+		{{Latency: 3}, {Latency: 1}},
+		{{L1: level("il1", 8<<10)}, {L1: level("dl1", 16<<10), L2: level("dl2", 256<<10)}},
+		{{L1: level("il1", 8<<10), L2: level("il2", 64<<10)}, {}},
+	} {
+		want := core.DefaultConfig()
+		want.ICache, want.DCache = sides[0], sides[1]
+		got, err := FromConfig(want).ToConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("round trip changed the memory system:\ngot  %+v / %+v\nwant %+v / %+v",
+				got.ICache, got.DCache, want.ICache, want.DCache)
+		}
 	}
 }
 
@@ -112,6 +133,16 @@ func TestToConfigRejectsBadValues(t *testing.T) {
 	f.ICache = &CacheSpec{SizeBytes: 100, Assoc: 1, BlockBytes: 64, HitLatency: 1, MissLatency: 2}
 	if _, err := f.ToConfig(); err == nil {
 		t.Error("invalid cache geometry accepted")
+	}
+	l2 := &CacheSpec{SizeBytes: 64 << 10, Assoc: 4, BlockBytes: 64, HitLatency: 6, MissLatency: 40}
+	f.ICache = &CacheSpec{HitLatency: 1, L2: l2}
+	if _, err := f.ToConfig(); err == nil {
+		t.Error("an L2 behind perfect memory accepted")
+	}
+	f.ICache = &CacheSpec{SizeBytes: 1 << 10, Assoc: 1, BlockBytes: 64, HitLatency: 1, MissLatency: 2,
+		L2: &CacheSpec{SizeBytes: 64 << 10, Assoc: 4, BlockBytes: 64, HitLatency: 6, MissLatency: 40, L2: l2}}
+	if _, err := f.ToConfig(); err == nil {
+		t.Error("an L2 with an l2 of its own accepted")
 	}
 }
 

@@ -150,7 +150,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // simulated behavior — a checkpoint only restores into an engine whose
 // digest matches, so resuming under a silently different machine fails
 // loudly. MaxCycles is excluded: a resumed run may legitimately extend its
-// cycle budget. Cache models are validated separately, by the
+// cycle budget. The memory system is validated separately, by the
 // geometry carried in the serialized cache state itself.
 func (c Config) CheckpointDigest() string {
 	id := fmt.Sprintf("v%d w=%d ifq=%d rb=%d lsq=%d fus=%#v rp=%d wp=%d mf=%d mp=%d pbp=%t pred=%#v org=%d",
@@ -163,8 +163,7 @@ func (c Config) CheckpointDigest() string {
 
 // Checkpoint captures the engine's complete per-run state. It must be
 // called between major cycles (never from inside Cycle); RunHooks invokes
-// it at checkpoint-interval boundaries. It fails when the memory system
-// uses a custom cache model with no serializable state.
+// it at checkpoint-interval boundaries.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	ic, err := cache.CaptureState(e.icache)
 	if err != nil {
@@ -232,8 +231,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // consumed (the same trace file, or a tracecache snapshot of the same key) —
 // Restore skips the already-consumed prefix and the engine continues from
 // cp.Now exactly as the original would have. cfg must carry the same
-// simulated-machine parameters (ConfigDigest) and equally parameterized
-// cache models.
+// simulated-machine parameters (ConfigDigest) and the same memory system.
 func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")

@@ -11,14 +11,13 @@ import (
 
 // fuzzCkptConfig is the machine FuzzCheckpointRestore checkpoints and
 // restores: the default engine with simulated branch prediction and real
-// L1 caches, so predictor and cache state both cross the encoding. Each
-// call builds fresh cache models, since Restore writes into them.
+// L1 caches, so predictor and cache state both cross the encoding.
 func fuzzCkptConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 1 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 12})
-	cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 12})
+	cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 1 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
+	cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
 	cfg.MaxCycles = 20_000
 	return cfg
 }

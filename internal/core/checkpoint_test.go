@@ -66,10 +66,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		{"default", core.DefaultConfig},
 		{"caches", func() core.Config {
 			cfg := core.DefaultConfig()
-			cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 4 << 10, Assoc: 2,
-				BlockBytes: 32, HitLatency: 1, MissLatency: 12})
-			cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
-				BlockBytes: 32, HitLatency: 1, MissLatency: 12})
+			cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 4 << 10, Assoc: 2,
+				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
+			cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
+				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
 			return cfg
 		}},
 		{"perfect-bp", func() core.Config {
@@ -250,10 +250,10 @@ func TestRunContextCheckpointSink(t *testing.T) {
 // fresh engine, for every serialized subsystem.
 func TestEngineResetEquivalence(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9})
-	cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9})
+	cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
+	cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
 	recs := ckptRecords(t, "vpr", cfg, 10_000)
 
 	fresh, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
@@ -282,10 +282,10 @@ func TestEngineResetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
-	cfg2.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9})
-	cfg2.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9})
+	cfg2.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
+	cfg2.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
+		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
 	virgin, err := core.New(cfg2, trace.NewSliceSource(recs), funcsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)

@@ -50,10 +50,11 @@ type Config struct {
 	PerfectBP bool
 	// Predictor configures the simulated branch predictor.
 	Predictor bpred.Config
-	// ICache and DCache are the memory system; nil selects perfect memory
-	// with 1-cycle access (Table 1, left portion).
-	ICache cache.Model
-	DCache cache.Model
+	// ICache and DCache describe the memory system; each engine builds its
+	// own cold models from them. The zero Side is perfect memory with
+	// 1-cycle access (Table 1, left portion).
+	ICache cache.Side
+	DCache cache.Side
 	// Organization selects the internal minor-cycle pipeline. It does not
 	// change simulated timing except that the Optimized organization bars
 	// loads from the first issue slot of each major cycle.
@@ -100,8 +101,8 @@ func FASTComparisonConfig() Config {
 	c := DefaultConfig()
 	c.Width = 2
 	c.PerfectBP = true
-	c.ICache = cache.New(cache.L1Config32K("il1"))
-	c.DCache = cache.New(cache.L1Config32K("dl1"))
+	c.ICache = cache.Side{L1: cache.L1Config32K("il1")}
+	c.DCache = cache.Side{L1: cache.L1Config32K("dl1")}
 	c.Organization = sched.OrgImproved
 	c.MemReadPorts = 1
 	c.MemWritePorts = 1
@@ -136,6 +137,12 @@ func (c Config) Validate() error {
 		if err := c.Predictor.Validate(); err != nil {
 			return err
 		}
+	}
+	if err := c.ICache.Validate(); err != nil {
+		return err
+	}
+	if err := c.DCache.Validate(); err != nil {
+		return err
 	}
 	if maxPorts := c.Organization.MaxMemPorts(c.Width); c.MemReadPorts > maxPorts {
 		return fmt.Errorf("core: %v organization supports at most %d memory ports for width %d, got %d read ports",

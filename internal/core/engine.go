@@ -255,17 +255,28 @@ const watchdogCycles = 200_000
 
 // New builds an engine over the given trace source. startPC seeds the fetch
 // PC (trace.Header.StartPC for file traces; the program entry point for
-// on-the-fly sources).
+// on-the-fly sources). The engine builds its own cold cache models from
+// cfg.ICache and cfg.DCache.
 func New(cfg Config, src trace.Source, startPC uint32) (*Engine, error) {
+	return NewSharing(cfg, src, startPC, nil)
+}
+
+// NewSharing is New for an engine whose D-side L2 is the given instance,
+// shared with other engines (a multicore cluster's one L2), instead of a
+// private one. l2, when non-nil, must have cfg.DCache.L2's geometry.
+func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if l2 != nil && l2.Config() != cfg.DCache.L2 {
+		return nil, fmt.Errorf("core: shared L2 %+v, the configuration names %+v", l2.Config(), cfg.DCache.L2)
 	}
 	e := &Engine{
 		cfg:     cfg,
 		src:     trace.NewBuffered(src),
 		startPC: startPC,
-		icache:  cfg.ICache,
-		dcache:  cfg.DCache,
+		icache:  cfg.ICache.Build(nil),
+		dcache:  cfg.DCache.Build(l2),
 		ifq:     uarch.NewRing[fetchedInst](cfg.IFQSize),
 		rob:     uarch.NewRing[robEntry](cfg.RBSize),
 		lsq:     uarch.NewRing[lsqEntry](cfg.LSQSize),
@@ -273,12 +284,6 @@ func New(cfg Config, src trace.Source, startPC uint32) (*Engine, error) {
 		fus:     uarch.NewFUPool(cfg.FUs),
 		ports:   uarch.NewMemPorts(cfg.MemReadPorts, cfg.MemWritePorts),
 		fetchPC: startPC,
-	}
-	if e.icache == nil {
-		e.icache = cache.NewPerfect(1)
-	}
-	if e.dcache == nil {
-		e.dcache = cache.NewPerfect(1)
 	}
 	if !cfg.PerfectBP {
 		e.bp = bpred.New(cfg.Predictor)
@@ -687,11 +692,10 @@ func (e *Engine) Result() Result { return e.result() }
 // Reset re-arms the engine for a fresh run over src starting at startPC,
 // clearing every per-run field: cycle/sequence counters, fetch state
 // (including fetchResumeAt and the fetch mode), queue contents, rename and
-// functional-unit occupancy, predictor tables, cache arrays (models
-// installed via Config.ICache/DCache are reset in place — callers sharing a
-// model across engines must not Reset concurrently with its other users),
-// event counters and occupancy accumulators. A second run on a reset engine
-// is bit-identical to a run on a newly built one. This enumeration is the
+// functional-unit occupancy, predictor tables, cache arrays (a shared L2
+// too — engines sharing one must not Reset concurrently with its other
+// users), event counters and occupancy accumulators. A second run on a
+// reset engine is bit-identical to a run on a newly built one. This enumeration is the
 // explicit statement of what "per-run state" means; the checkpoint test
 // comparing a reset engine's serialized state against a virgin engine's
 // keeps it in lockstep with Checkpoint/Restore, so a new per-run field

@@ -83,8 +83,8 @@ func TestLSQFullStalls(t *testing.T) {
 
 func TestICacheMissStallsFetch(t *testing.T) {
 	cfg := perfectCfg()
-	cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 512, Assoc: 1,
-		BlockBytes: 64, HitLatency: 1, MissLatency: 15})
+	cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 512, Assoc: 1,
+		BlockBytes: 64, HitLatency: 1, MissLatency: 15}}
 	res := run(t, cfg, indep(32))
 	if res.ICache.Misses() == 0 {
 		t.Fatal("no I-cache misses")
@@ -409,8 +409,8 @@ func TestWrongPathLoadsPolluteDCache(t *testing.T) {
 	recs = append(recs, indep(4)...)
 
 	cfg := notTakenCfg()
-	cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
-		BlockBytes: 64, HitLatency: 1, MissLatency: 20})
+	cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
+		BlockBytes: 64, HitLatency: 1, MissLatency: 20}}
 	res := run(t, cfg, recs)
 	if res.WrongPathFetched == 0 {
 		t.Fatal("no wrong path fetched")

@@ -442,10 +442,10 @@ func TestCacheConfigSlowsSimulation(t *testing.T) {
 	fast := run(t, perfectCfg(), recs)
 
 	cfg := perfectCfg()
-	cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 1 << 10, Assoc: 2,
-		BlockBytes: 64, HitLatency: 1, MissLatency: 20})
-	cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2,
-		BlockBytes: 64, HitLatency: 1, MissLatency: 20})
+	cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 1 << 10, Assoc: 2,
+		BlockBytes: 64, HitLatency: 1, MissLatency: 20}}
+	cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2,
+		BlockBytes: 64, HitLatency: 1, MissLatency: 20}}
 	slow := run(t, cfg, recs)
 	if slow.Cycles <= fast.Cycles {
 		t.Errorf("tiny caches did not slow simulation: %d <= %d", slow.Cycles, fast.Cycles)

@@ -41,7 +41,7 @@ const equivStartPC = 0x0000_1000
 
 // equivSnapshot is the byte-comparable projection of a core.Result: every
 // statistic the engine accumulates, excluding only the Config echo (which
-// carries live cache models and is not a statistic).
+// is not a statistic).
 type equivSnapshot struct {
 	Counters core.Counters   `json:"counters"`
 	ICache   cache.Stats     `json:"icache"`
@@ -62,8 +62,7 @@ func snapshotOf(res core.Result) equivSnapshot {
 // equivCase is one (configuration, workload) pair. Record streams are
 // pre-materialized so both the fixture generator and the verifier consume
 // the identical input regardless of any trace-generation changes. mkcfg
-// builds a fresh Config — with fresh, cold cache models — on every call, so
-// each engine run starts from virgin state.
+// re-draws the case's Config on every call.
 type equivCase struct {
 	name  string
 	mkcfg func() core.Config
@@ -79,7 +78,7 @@ func equivCases(t testing.TB) []equivCase {
 	for i := 0; i < equivCaseCount; i++ {
 		seed := 0xE0_0000 + int64(i)
 		// Replayable: every mkcfg call re-draws the identical configuration
-		// (with fresh cache models) from the case seed.
+		// from the case seed.
 		mkcfg := func() core.Config { return randomEquivConfig(rand.New(rand.NewSource(seed))) }
 		rng := rand.New(rand.NewSource(seed))
 		cfg := randomEquivConfig(rng) // advance rng past the config draws
@@ -157,23 +156,19 @@ func randomEquivConfig(rng *rand.Rand) core.Config {
 	}
 	switch rng.Intn(4) {
 	case 0:
-		// Perfect memory (nil models).
+		// Perfect memory (zero sides).
 	case 1:
-		cfg.ICache = cache.NewPerfect(1 + rng.Intn(2))
-		cfg.DCache = cache.NewPerfect(1 + rng.Intn(3))
+		cfg.ICache = cache.Side{Latency: 1 + rng.Intn(2)}
+		cfg.DCache = cache.Side{Latency: 1 + rng.Intn(3)}
 	case 2:
-		cfg.ICache = cache.New(smallCache("il1", rng))
-		cfg.DCache = cache.New(smallCache("dl1", rng))
+		cfg.ICache = cache.Side{L1: smallCache("il1", rng)}
+		cfg.DCache = cache.Side{L1: smallCache("dl1", rng)}
 	case 3:
 		l2 := smallCache("l2", rng)
 		l2.SizeBytes *= 8
 		l2.MissLatency = 40 + rng.Intn(160)
-		h, err := cache.NewHierarchy(smallCache("dl1", rng), cache.New(l2))
-		if err != nil {
-			panic(err)
-		}
-		cfg.DCache = h
-		cfg.ICache = cache.New(smallCache("il1", rng))
+		cfg.DCache = cache.Side{L1: smallCache("dl1", rng), L2: l2}
+		cfg.ICache = cache.Side{L1: smallCache("il1", rng)}
 	}
 
 	if rng.Intn(5) == 0 {
@@ -213,9 +208,9 @@ func randomEquivStream(t testing.TB, rng *rand.Rand, cfg core.Config, seed int64
 // idle-cycle fast-forward must take without disturbing a single counter.
 func fastForwardCases(t testing.TB) []equivCase {
 	var cases []equivCase
-	tiny := func(name string, miss int) cache.Model {
-		return cache.New(cache.Config{Name: name, SizeBytes: 512, Assoc: 1, BlockBytes: 32,
-			HitLatency: 1, MissLatency: miss})
+	tiny := func(name string, miss int) cache.Side {
+		return cache.Side{L1: cache.Config{Name: name, SizeBytes: 512, Assoc: 1, BlockBytes: 32,
+			HitLatency: 1, MissLatency: miss}}
 	}
 	stream := func(seed int64, mut func(*workload.StreamProfile)) []trace.Record {
 		sp := workload.DefaultStreamProfile(seed)

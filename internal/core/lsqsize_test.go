@@ -20,7 +20,7 @@ import (
 // may let LSQSize change a run that never filled its LSQ.
 func TestLSQSizeReadsArePinned(t *testing.T) {
 	want := map[string]int{
-		"engine.go New":                         3,
+		"engine.go NewSharing":                  3,
 		"checkpoint.go Config.CheckpointDigest": 1,
 		"config.go Config.Validate":             2,
 	}

@@ -20,7 +20,7 @@ import (
 func TestMetamorphicInvariants(t *testing.T) {
 	const limit = 20_000
 	perfectCaches := func(c core.Config) core.Config {
-		c.ICache, c.DCache = cache.NewPerfect(1), cache.NewPerfect(1)
+		c.ICache, c.DCache = cache.Side{}, cache.Side{}
 		return c
 	}
 	configs := []struct {
@@ -78,8 +78,8 @@ func TestMetamorphicInvariants(t *testing.T) {
 							res.WrongPathFetched, res.WPBlocksEntered)
 					}
 				}
-				for side, m := range map[string]cache.Model{"I": cfg.ICache, "D": cfg.DCache} {
-					if _, ok := m.(*cache.Perfect); !ok {
+				for side, m := range map[string]cache.Side{"I": cfg.ICache, "D": cfg.DCache} {
+					if !m.Perfect() {
 						continue
 					}
 					st := res.ICache

@@ -42,10 +42,10 @@ func TestTelemetryEquivalenceLocal(t *testing.T) {
 		{"default", core.DefaultConfig},
 		{"caches", func() core.Config {
 			cfg := core.DefaultConfig()
-			cfg.ICache = cache.New(cache.Config{Name: "il1", SizeBytes: 4 << 10, Assoc: 2,
-				BlockBytes: 32, HitLatency: 1, MissLatency: 12})
-			cfg.DCache = cache.New(cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
-				BlockBytes: 32, HitLatency: 1, MissLatency: 12})
+			cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 4 << 10, Assoc: 2,
+				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
+			cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
+				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
 			return cfg
 		}},
 	}

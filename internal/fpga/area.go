@@ -67,8 +67,8 @@ var refStages = []struct {
 // processor of §V.C with the 32K L1 caches present.
 func referenceConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.ICache = cache.New(cache.L1Config32K("il1"))
-	cfg.DCache = cache.New(cache.L1Config32K("dl1"))
+	cfg.ICache = cache.Side{L1: cache.L1Config32K("il1")}
+	cfg.DCache = cache.Side{L1: cache.L1Config32K("dl1")}
 	return cfg
 }
 
@@ -114,9 +114,9 @@ func scale(name string, cfg, ref core.Config) float64 {
 		}
 		return 0.7 + 0.3*ras
 	case "D-C":
-		return cacheTagScale(cfg.DCache) / cacheTagScale(ref.DCache)
+		return cacheTagScale(cfg.DCache.L1) / cacheTagScale(ref.DCache.L1)
 	case "I-C":
-		if cacheModelOf(cfg.ICache) == nil {
+		if cfg.ICache.Perfect() {
 			return 0
 		}
 		return 1
@@ -124,25 +124,14 @@ func scale(name string, cfg, ref core.Config) float64 {
 	return 1
 }
 
-// cacheModelOf narrows a cache.Model to a real tag-array cache, or nil for
-// perfect memory.
-func cacheModelOf(m cache.Model) *cache.Cache {
-	c, ok := m.(*cache.Cache)
-	if !ok {
-		return nil
-	}
-	return c
-}
-
-// cacheTagScale is proportional to the distributed-RAM tag state of a cache
+// cacheTagScale is proportional to the distributed-RAM tag state of an L1
 // (ReSim stores no data: "we need to provide only the hit/miss indication",
-// §V).
-func cacheTagScale(m cache.Model) float64 {
-	c := cacheModelOf(m)
-	if c == nil {
+// §V); perfect memory (the zero Config) has none. An L2 behind the L1 is
+// outside the modeled design.
+func cacheTagScale(cfg cache.Config) float64 {
+	if cfg == (cache.Config{}) {
 		return 0
 	}
-	cfg := c.Config()
 	tagBits := 32 - math.Log2(float64(cfg.Sets())) - math.Log2(float64(cfg.BlockBytes))
 	return float64(cfg.Sets()*cfg.Assoc) * (tagBits + 2) // tag + valid + dirty
 }
@@ -191,11 +180,10 @@ func bpBRAMs(cfg core.Config) int {
 // tag array (2 at the 32K configuration, 29% of 7 in Table 4). The D-cache
 // tags use distributed RAM (hence its 17% slice share and zero BRAMs).
 func icacheBRAMs(cfg core.Config) int {
-	c := cacheModelOf(cfg.ICache)
-	if c == nil {
+	if cfg.ICache.Perfect() {
 		return 0
 	}
-	tagBits := int(cacheTagScale(cfg.ICache))
+	tagBits := int(cacheTagScale(cfg.ICache.L1))
 	return 1 + (tagBits+bram18Kbits-1)/bram18Kbits
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -156,6 +157,32 @@ func TestAreaScalesWithStructures(t *testing.T) {
 	if bb.Total().Slices <= bs.Total().Slices {
 		t.Errorf("bigger windows did not grow area: %d <= %d",
 			bb.Total().Slices, bs.Total().Slices)
+	}
+}
+
+// TestDCacheRowIgnoresL2: the D-C row is the L1's tag state, so an L2
+// behind a 32K L1 leaves it (and the whole breakdown) unchanged rather
+// than dropping the row to zero.
+func TestDCacheRowIgnoresL2(t *testing.T) {
+	l1Only := referenceConfig()
+	withL2 := l1Only
+	withL2.DCache.L2 = cache.Config{Name: "dl2", SizeBytes: 256 << 10, Assoc: 8, BlockBytes: 64,
+		HitLatency: 6, MissLatency: 40}
+	want, err := EstimateArea(l1Only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EstimateArea(withL2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range got.Stages {
+		if s != want.Stages[i] {
+			t.Errorf("stage %s: %+v with an L2, %+v without", s.Name, s.Area, want.Stages[i].Area)
+		}
+		if s.Name == "D-C" && s.Area.Slices == 0 {
+			t.Error("D-C row charged nothing for a 32K L1")
+		}
 	}
 }
 

@@ -111,18 +111,11 @@ func Generate(cfg core.Config, dev fpga.Device) (string, error) {
 	return sb.String(), nil
 }
 
-func cacheDesc(name string, m cache.Model) string {
-	c, ok := m.(*cache.Cache)
-	if !ok {
-		if h, isHier := m.(*cache.Hierarchy); isHier {
-			c = h.L1()
-			ok = true
-		}
-	}
-	if !ok || c == nil {
+func cacheDesc(name string, side cache.Side) string {
+	if side.Perfect() {
 		return fmt.Sprintf("-- %s omitted: perfect memory configuration", name)
 	}
-	g := c.Config()
+	g := side.L1
 	return fmt.Sprintf("u_%s: cache_tag_unit; -- %dKB, %d-way, %dB blocks (%d sets, hit/miss only)",
 		name, g.SizeBytes>>10, g.Assoc, g.BlockBytes, g.Sets())
 }

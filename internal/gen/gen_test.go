@@ -54,19 +54,28 @@ func TestGeneratePerfectBPAndCaches(t *testing.T) {
 	}
 }
 
+// TestGenerateHierarchyCache: an L2 behind the D-side L1 is outside the
+// generated design, so the L1's tag unit is listed and the modeled total
+// is the one without the L2.
 func TestGenerateHierarchyCache(t *testing.T) {
-	cfg := core.DefaultConfig()
-	h, err := cache.NewHierarchy(cache.L1Config32K("dl1"), cache.NewPerfect(20))
+	l1Only := core.DefaultConfig()
+	l1Only.DCache = cache.Side{L1: cache.L1Config32K("dl1")}
+	withL2 := l1Only
+	withL2.DCache.L2 = cache.Config{Name: "dl2", SizeBytes: 256 << 10, Assoc: 8, BlockBytes: 64,
+		HitLatency: 6, MissLatency: 40}
+	want, err := Generate(l1Only, fpga.Virtex4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DCache = h
-	out, err := Generate(cfg, fpga.Virtex4)
+	out, err := Generate(withL2, fpga.Virtex4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "u_dcache_tags: cache_tag_unit") {
 		t.Error("hierarchy L1 not described")
+	}
+	if out != want {
+		t.Errorf("an L2 behind the L1 changed the generated design:\n%s\nwant\n%s", out, want)
 	}
 }
 

@@ -30,53 +30,45 @@ type CoreSpec struct {
 type Cluster struct {
 	names   []string
 	engines []*core.Engine
+	l2      *cache.Cache // the shared D-side L2, or nil
 	cycles  uint64
 
 	observer core.Observer
 	obsEvery uint64
 }
 
-// New builds a cluster from the given core specifications.
+// New builds a cluster from the given core specifications. The cluster
+// builds one D-side L2 and every core whose Config.DCache names an L2
+// shares it, so those cores must name the same L2 geometry; each core's
+// other caches are its own.
 func New(specs []CoreSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("multicore: no cores")
 	}
 	c := &Cluster{}
 	for i, s := range specs {
-		eng, err := core.New(s.Config, s.Source, s.StartPC)
-		if err != nil {
-			return nil, fmt.Errorf("multicore: core %d (%s): %w", i, s.Name, err)
-		}
 		name := s.Name
 		if name == "" {
 			name = fmt.Sprintf("core%d", i)
+		}
+		var shared *cache.Cache
+		if g := s.Config.DCache.L2; g != (cache.Config{}) {
+			if c.l2 == nil {
+				if err := g.Validate(); err != nil {
+					return nil, fmt.Errorf("multicore: core %d (%s): %w", i, name, err)
+				}
+				c.l2 = cache.New(g)
+			}
+			shared = c.l2
+		}
+		eng, err := core.NewSharing(s.Config, s.Source, s.StartPC, shared)
+		if err != nil {
+			return nil, fmt.Errorf("multicore: core %d (%s): %w", i, name, err)
 		}
 		c.names = append(c.names, name)
 		c.engines = append(c.engines, eng)
 	}
 	return c, nil
-}
-
-// SharedL2 builds one L2 to be shared by all cores' data caches (pass it to
-// AttachSharedDL1 per config before New).
-func SharedL2(sizeBytes, assoc, blockBytes, hitLat, missLat int) (cache.Model, error) {
-	cfg := cache.Config{Name: "l2", SizeBytes: sizeBytes, Assoc: assoc,
-		BlockBytes: blockBytes, HitLatency: hitLat, MissLatency: missLat}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cache.New(cfg), nil
-}
-
-// AttachSharedDL1 gives cfg a private L1 data cache backed by the shared
-// lower level.
-func AttachSharedDL1(cfg *core.Config, l1 cache.Config, shared cache.Model) error {
-	h, err := cache.NewHierarchy(l1, shared)
-	if err != nil {
-		return err
-	}
-	cfg.DCache = h
-	return nil
 }
 
 // Step advances every unfinished core by one major cycle (lockstep).
@@ -108,6 +100,9 @@ type Result struct {
 	Cycles  uint64 // lockstep major cycles until the slowest core drained
 	Names   []string
 	PerCore []core.Result
+	// SharedL2 counts the shared L2's accesses from every core (zero
+	// without one).
+	SharedL2 cache.Stats
 }
 
 // Observe registers an observer that receives cluster-aggregate Progress
@@ -148,6 +143,9 @@ func (c *Cluster) progress(final bool) core.Progress {
 
 func (c *Cluster) result() Result {
 	r := Result{Cycles: c.cycles, Names: c.names}
+	if c.l2 != nil {
+		r.SharedL2 = c.l2.Stats()
+	}
 	for _, eng := range c.engines {
 		r.PerCore = append(r.PerCore, eng.Result())
 	}

@@ -81,42 +81,17 @@ func TestSharedL2Interference(t *testing.T) {
 	// Two cores with tiny private L1s sharing a small L2 must see more L2
 	// misses than one core running alone with the same L2: the shared tags
 	// are a real interference channel.
-	l1 := cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64,
-		HitLatency: 1, MissLatency: 20}
+	cfg := core.DefaultConfig()
+	cfg.DCache = cache.Side{
+		L1: cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64,
+			HitLatency: 1, MissLatency: 20},
+		L2: cache.Config{Name: "l2", SizeBytes: 8 << 10, Assoc: 4, BlockBytes: 64,
+			HitLatency: 6, MissLatency: 40},
+	}
 	const limit = 15000
-
-	soloMisses := func() uint64 {
-		shared, err := SharedL2(8<<10, 4, 64, 6, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.DefaultConfig()
-		if err := AttachSharedDL1(&cfg, l1, shared); err != nil {
-			t.Fatal(err)
-		}
-		cl, err := New([]CoreSpec{
-			{Name: "bzip2", Config: cfg, Source: source(t, "bzip2", limit, cfg), StartPC: funcsim.CodeBase},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Run(context.Background(), 0); err != nil {
-			t.Fatal(err)
-		}
-		return shared.Stats().Misses()
-	}()
-
-	sharedMisses := func() uint64 {
-		shared, err := SharedL2(8<<10, 4, 64, 6, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
+	l2Misses := func(names ...string) uint64 {
 		var specs []CoreSpec
-		for _, name := range []string{"bzip2", "vortex"} {
-			cfg := core.DefaultConfig()
-			if err := AttachSharedDL1(&cfg, l1, shared); err != nil {
-				t.Fatal(err)
-			}
+		for _, name := range names {
 			specs = append(specs, CoreSpec{
 				Name: name, Config: cfg,
 				Source: source(t, name, limit, cfg), StartPC: funcsim.CodeBase,
@@ -126,14 +101,35 @@ func TestSharedL2Interference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Run(context.Background(), 0); err != nil {
+		res, err := cl.Run(context.Background(), 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return shared.Stats().Misses()
-	}()
-
+		return res.SharedL2.Misses()
+	}
+	soloMisses := l2Misses("bzip2")
+	sharedMisses := l2Misses("bzip2", "vortex")
 	if sharedMisses <= soloMisses {
 		t.Errorf("shared L2 misses %d not above solo %d", sharedMisses, soloMisses)
+	}
+}
+
+// TestSharedL2GeometryMustAgree: the cluster builds one L2, so cores naming
+// different L2 geometries are refused.
+func TestSharedL2GeometryMustAgree(t *testing.T) {
+	a := core.DefaultConfig()
+	a.DCache = cache.Side{
+		L1: cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2, BlockBytes: 64, HitLatency: 1, MissLatency: 20},
+		L2: cache.Config{Name: "l2", SizeBytes: 8 << 10, Assoc: 4, BlockBytes: 64, HitLatency: 6, MissLatency: 40},
+	}
+	b := a
+	b.DCache.L2.SizeBytes = 16 << 10
+	_, err := New([]CoreSpec{
+		{Name: "a", Config: a, Source: source(t, "gzip", 1000, a), StartPC: funcsim.CodeBase},
+		{Name: "b", Config: b, Source: source(t, "gzip", 1000, b), StartPC: funcsim.CodeBase},
+	})
+	if err == nil {
+		t.Error("cores with different L2 geometries shared one L2")
 	}
 }
 

@@ -3,11 +3,9 @@ package sweep
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -22,44 +20,17 @@ import (
 // reads of LSQSize are pinned by TestLSQSizeReadsArePinned in
 // internal/core, which fails when one is added or moved.
 
-// ladderKey returns the key shared by points that differ only in LSQSize,
-// or false for a point that must be a ladder of one: one with a cache
-// model other than *cache.Perfect and *cache.Cache.
-func ladderKey(c core.Config) (string, bool) {
-	im, iok := memKey(c.ICache)
-	dm, dok := memKey(c.DCache)
-	if !iok || !dok {
-		return "", false
-	}
-	// Both models are nil or pointers here, so == cannot panic.
-	unified := c.ICache != nil && c.ICache == c.DCache
-	c.LSQSize = 0
-	return fmt.Sprintf("%s max=%d i=%s d=%s unified=%t", c.CheckpointDigest(), c.MaxCycles, im, dm, unified), true
-}
-
-// memKey describes one ladder-eligible memory model: nil, perfect memory
-// by latency, or a set-associative cache by geometry.
-func memKey(m cache.Model) (string, bool) {
-	switch c := m.(type) {
-	case nil:
-		return "none", true
-	case *cache.Perfect:
-		return fmt.Sprintf("perfect/%d", c.Latency), true
-	case *cache.Cache:
-		return fmt.Sprintf("cache/%+v", c.Config()), true
-	}
-	return "", false
-}
-
 // ladders groups point indices into ladders, ordered by their first point,
 // each sorted smallest LSQ first (stably, so equal sizes keep point
 // order). Resumed points are ladders of one.
 func ladders(points []Point, resume map[int]*core.Checkpoint) [][]int {
-	byKey := map[string]int{}
+	// A ladder's key is its points' shared Config with LSQSize zeroed.
+	byKey := map[core.Config]int{}
 	var out [][]int
 	for i, pt := range points {
-		key, ok := ladderKey(pt.Config)
-		if ok && resume[i] == nil {
+		key := pt.Config
+		key.LSQSize = 0
+		if resume[i] == nil {
 			if l, seen := byKey[key]; seen {
 				out[l] = append(out[l], i)
 				continue
@@ -77,24 +48,13 @@ func ladders(points []Point, resume map[int]*core.Checkpoint) [][]int {
 }
 
 // answerFrom builds pt's result from src, the result of a smaller rung of
-// its ladder whose LSQ never filled: src's statistics under pt's own
-// Config, whose memory-system copy is restored to src's final cache state,
-// and pt's LSQ capacity.
-func answerFrom(pt Point, src core.Result) (core.Result, error) {
-	cfg := pointConfig(pt.Config)
-	for _, m := range [][2]cache.Model{{cfg.ICache, src.Config.ICache}, {cfg.DCache, src.Config.DCache}} {
-		st, err := cache.CaptureState(m[1])
-		if err == nil {
-			err = cache.RestoreState(m[0], st)
-		}
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
+// its ladder whose LSQ never filled: src's statistics under pt's own Config
+// and LSQ capacity.
+func answerFrom(pt Point, src core.Result) core.Result {
 	res := src
-	res.Config = cfg
-	res.LSQ.Cap = cfg.LSQSize
-	return res, nil
+	res.Config = pt.Config
+	res.LSQ.Cap = pt.Config.LSQSize
+	return res
 }
 
 // run is one simulation of a point. A run with larger rungs records its
@@ -240,16 +200,8 @@ func (s *scheduler) finish(idx int, res Result) []int {
 		return nil
 	}
 	larger := s.ladders[l][s.rung[idx]+1:]
-	answers := make([]Result, len(larger))
-	for k, j := range larger {
-		ans, err := answerFrom(s.points[j], res.Res)
-		if err != nil {
-			return nil // unreachable for ladder models; the rungs simply run
-		}
-		answers[k] = Result{Point: s.points[j], Res: ans}
-	}
-	for k, j := range larger {
-		s.results[j] = answers[k]
+	for _, j := range larger {
+		s.results[j] = Result{Point: s.points[j], Res: answerFrom(s.points[j], res.Res)}
 	}
 	s.pend[l] = len(s.ladders[l])
 	s.skip[l] = l + 1

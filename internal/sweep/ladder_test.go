@@ -20,27 +20,27 @@ import (
 // enough for LSQ pressure to show, short enough for -race.
 const ladderInstr = 6000
 
-// memorySetup builds one point's configuration with fresh cache models on
-// every call, so a direct run never shares a model with the sweep.
+// memorySetup builds one point's configuration.
 type memorySetup struct {
 	name string
 	base func() core.Config
 }
 
 func memorySetups() []memorySetup {
-	small := cache.Config{Name: "ul1", SizeBytes: 2 << 10, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 12}
 	return []memorySetup{
 		{"perfect", core.DefaultConfig},
 		{"fast-l1", core.FASTComparisonConfig},
-		{"unified", func() core.Config {
+		{"l2", func() core.Config {
 			c := core.DefaultConfig()
-			u := cache.New(small)
-			c.ICache, c.DCache = u, u
+			c.DCache = cache.Side{
+				L1: cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 12},
+				L2: cache.Config{Name: "dl2", SizeBytes: 16 << 10, Assoc: 4, BlockBytes: 32, HitLatency: 4, MissLatency: 30},
+			}
 			return c
 		}},
 		{"maxcycles", func() core.Config {
 			c := core.DefaultConfig()
-			c.DCache = cache.NewPerfect(3)
+			c.DCache = cache.Side{Latency: 3}
 			c.MaxCycles = 2500
 			return c
 		}},
@@ -82,8 +82,7 @@ func directRun(t *testing.T, p workload.Profile, n uint64, cfg core.Config) core
 }
 
 // TestSweepMatchesDirectRuns is the differential pin for LSQ ladders:
-// every Runner.Run result, Config included (cache models compared by
-// value), equals a direct engine run of that point, over several profiles,
+// every Runner.Run result, Config included, equals a direct engine run of that point, over several profiles,
 // memory systems and a MaxCycles-truncated ladder; and a sweep simulates
 // only the rungs no smaller rung could answer, serial or parallel.
 func TestSweepMatchesDirectRuns(t *testing.T) {
@@ -144,51 +143,6 @@ func simulated(want []core.Result) uint64 {
 		}
 	}
 	return n
-}
-
-// TestSweepKeepsSharedLowerLevel: a point whose I and D hierarchies share
-// one L2 keeps one L2 in the sweep, so its result equals the direct run.
-func TestSweepKeepsSharedLowerLevel(t *testing.T) {
-	p, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	point := func() core.Config {
-		c := core.DefaultConfig()
-		l2 := cache.New(cache.Config{Name: "l2", SizeBytes: 1 << 10, Assoc: 1, BlockBytes: 32, HitLatency: 4, MissLatency: 30})
-		l1 := cache.Config{SizeBytes: 256, Assoc: 1, BlockBytes: 32, HitLatency: 1, MissLatency: 1}
-		l1.Name = "il1"
-		ic, err := cache.NewHierarchy(l1, l2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l1.Name = "dl1"
-		dc, err := cache.NewHierarchy(l1, l2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.ICache, c.DCache = ic, dc
-		return c
-	}
-	want := directRun(t, p, ladderInstr, point())
-	r := Runner{Workload: p, Instructions: ladderInstr}
-	got, err := r.Run(context.Background(), []Point{{Name: "shared-l2", Config: point()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Err != nil {
-		t.Fatal(got[0].Err)
-	}
-	if got[0].Res.Counters != want.Counters {
-		t.Errorf("counters differ from the direct run: cycles %d, want %d", got[0].Res.Cycles, want.Cycles)
-	}
-	if !reflect.DeepEqual(got[0].Res, want) {
-		t.Error("result differs from the direct run")
-	}
-	ih, dh := got[0].Res.Config.ICache.(*cache.Hierarchy), got[0].Res.Config.DCache.(*cache.Hierarchy)
-	if ih.LowerStats() != dh.LowerStats() {
-		t.Error("the point's I and D hierarchies no longer share their L2")
-	}
 }
 
 // TestFilledRunKeepsNoWindows: a run with larger rungs records its
@@ -288,7 +242,7 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 		perProfile = 4
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var total, answered int
+	var total, answered, answeredL2 int
 	for _, name := range workload.Names() {
 		p, err := workload.ByName(name)
 		if err != nil {
@@ -297,11 +251,12 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 		var pts []Point
 		var want []core.Result
 		var wantAnswered int
-		seen := map[string]bool{}
+		seen := map[core.Config]bool{}
 		for len(seen) < perProfile {
 			machine := randomMachine(rng)
-			key, ok := ladderKey(machine())
-			if !ok || seen[key] {
+			key := machine()
+			key.LSQSize = 0
+			if seen[key] {
 				continue
 			}
 			seen[key] = true
@@ -322,6 +277,9 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 			for i, lsq := range lsqs {
 				if res := results[lsq]; res.LSQ.FullFrac() == 0 {
 					wantAnswered += len(lsqs) - 1 - i
+					if key.DCache.L2 != (cache.Config{}) {
+						answeredL2 += len(lsqs) - 1 - i
+					}
 					break
 				}
 			}
@@ -347,14 +305,15 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 		total += len(pts)
 		answered += wantAnswered
 	}
-	t.Logf("seed %d: %d of %d points answered from a smaller rung", seed, answered, total)
-	if answered == 0 {
-		t.Error("no point was answered, so no shortcut was checked")
+	t.Logf("seed %d: %d of %d points answered from a smaller rung, %d of them with a D-side L2",
+		seed, answered, total, answeredL2)
+	if answered == 0 || answeredL2 == 0 {
+		t.Error("no point (or no point with a D-side L2) was answered, so that shortcut was not checked")
 	}
 }
 
-// randomMachine draws one ladder's machine and returns a builder, so the
-// sweep and each direct run get their own cache models.
+// randomMachine draws one ladder's machine and returns a builder of its
+// Config.
 func randomMachine(rng *rand.Rand) func() core.Config {
 	width := 1 + rng.Intn(4)
 	rb := []int{4, 8, 16, 32}[rng.Intn(4)]
@@ -381,16 +340,16 @@ func randomMachine(rng *rand.Rand) func() core.Config {
 		c.Predictor, c.PerfectBP = pred, perfectBP
 		switch mem {
 		case 1:
-			c.ICache, c.DCache = cache.NewPerfect(latency), cache.NewPerfect(latency)
-		case 2:
+			c.ICache, c.DCache = cache.Side{Latency: latency}, cache.Side{Latency: latency}
+		case 2, 3:
 			ic, dc := geom, geom
 			ic.Name, dc.Name = "il1", "dl1"
-			c.ICache, c.DCache = cache.New(ic), cache.New(dc)
-		case 3:
-			u := geom
-			u.Name = "ul1"
-			c.ICache = cache.New(u)
-			c.DCache = c.ICache
+			c.ICache, c.DCache = cache.Side{L1: ic}, cache.Side{L1: dc}
+			if mem == 3 {
+				l2 := geom
+				l2.Name, l2.SizeBytes, l2.HitLatency, l2.MissLatency = "dl2", geom.SizeBytes*8, 4, 40
+				c.DCache.L2 = l2
+			}
 		}
 		return c
 	}

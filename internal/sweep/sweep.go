@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/tracecache"
 	"repro/internal/workload"
@@ -79,10 +78,7 @@ type Runner struct {
 	// every CheckpointEvery-cycle boundary and hands it to OnCheckpoint with
 	// the point's index. Callbacks arrive from concurrent point engines (one
 	// goroutine per in-flight point, in cycle order within a point);
-	// OnCheckpoint must be safe for concurrent use. Points whose cache
-	// models cannot be serialized (custom Model implementations) silently
-	// run without capture — checkpointing is an optimization, never a
-	// correctness requirement.
+	// OnCheckpoint must be safe for concurrent use.
 	CheckpointEvery uint64
 	OnCheckpoint    func(index int, cp *core.Checkpoint)
 	// TelemetryEvery, with OnTelemetry, streams per-interval engine
@@ -129,30 +125,19 @@ type Runner struct {
 // first. A run whose LSQ never filled never stalled dispatch on it, so
 // every larger rung would replay its trajectory exactly: Run answers those
 // rungs from its result instead of simulating them. An answered point gets
-// its own Point and Config (its LSQ size, and its own memory-system copy
-// restored to the source's final cache state) and its own LSQ capacity,
-// and streams the source's telemetry windows re-stamped with its own index
-// and LSQ capacity, so every point's windows sum to its result. A point
-// with a Resume checkpoint or a cache model other than a *cache.Perfect or
-// *cache.Cache is a ladder of one. A ladder runs one
-// rung at a time, each once every smaller rung is done, so which points a
-// sweep simulates never depends on timing; ladders run in parallel, so a
-// sweep runs at most as many points at once as it has ladders. A run's
-// telemetry and checkpoints are its point's own and pass through as it
-// runs.
+// its own Point, Config and LSQ capacity, and streams the source's
+// telemetry windows re-stamped with its own index and LSQ capacity, so
+// every point's windows sum to its result. A point with a Resume
+// checkpoint is a ladder of one. A ladder runs one rung at a time, each
+// once every smaller rung is done, so which points a sweep simulates never
+// depends on timing; ladders run in parallel, so a sweep runs at most as
+// many points at once as it has ladders. A run's telemetry and checkpoints
+// are its point's own and pass through as it runs.
 //
-// Points run in parallel, so per-point state is isolated where the sweep
-// can do it: each point's memory system is cloned cold as a whole
-// (cache.CloneColdAll), since points derived from one base Config would
-// otherwise race on shared tag state, and sharing within the point — one
-// cache in both ICache and DCache, or one L2 under both hierarchies —
-// stays shared. Custom Model implementations cannot be cloned and stay
-// shared — they must be safe for concurrent access, or the sweep must run
-// with Parallelism = 1.
-//
-// A point is a Config, which carries no hooks: the Runner's Observer,
-// OnCheckpoint and OnTelemetry are a sweep's only channels, and sweeps do
-// not pipe-trace.
+// A point is a Config: a value from which its engine builds its own cold
+// caches, so points running in parallel share no mutable state. It
+// carries no hooks: the Runner's Observer, OnCheckpoint and OnTelemetry
+// are a sweep's only channels, and sweeps do not pipe-trace.
 func (r Runner) Run(ctx context.Context, points []Point) ([]Result, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: no design points")
@@ -202,9 +187,9 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 // also noted in rn.
 func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 	out := Result{Point: pt}
-	cfg := pointConfig(pt.Config)
+	cfg := pt.Config
 	var h core.Hooks
-	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil && serializableModels(cfg) {
+	if r.CheckpointEvery > 0 && r.OnCheckpoint != nil {
 		h.CheckpointEvery = r.CheckpointEvery
 		h.Checkpoint = func(cp *core.Checkpoint) error {
 			r.OnCheckpoint(idx, cp)
@@ -250,19 +235,4 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 	}
 	out.Res, out.Err = eng.RunHooks(ctx, h)
 	return out
-}
-
-// pointConfig is the configuration a point's engine runs: the point's own
-// with its memory system cloned cold as a whole.
-func pointConfig(c core.Config) core.Config {
-	mem := cache.CloneColdAll(c.ICache, c.DCache)
-	c.ICache, c.DCache = mem[0], mem[1]
-	return c
-}
-
-// serializableModels reports whether the point's memory system supports
-// state capture — custom cache models run without checkpointing rather than
-// failing their point.
-func serializableModels(cfg core.Config) bool {
-	return cache.Serializable(cfg.ICache) && cache.Serializable(cfg.DCache)
 }

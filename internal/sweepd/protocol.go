@@ -1,10 +1,10 @@
 // Wire protocol for the sharded sweep service. Everything that crosses the
 // network is defined in this file: length-prefixed JSON envelopes over TCP,
 // with the engine configuration shipped as the declarative configfile
-// schema (plus the fields that schema omits) rather than live Go values —
-// cache models travel as geometry, observers and pipe tracers never travel
-// at all. Trace payloads ride along as delta-compressed containers (the
-// tracecache spill format), base64-coded by JSON.
+// schema (plus the fields that schema omits) rather than Go values —
+// hooks are not part of a configuration and never travel. Trace payloads
+// ride along as delta-compressed containers (the tracecache spill format),
+// base64-coded by JSON.
 //
 // Compatibility: protoVersion gates the envelope shape, and the trace-key
 // content address (tracecache.Key.ID()) gates routing — a golden test pins
@@ -145,26 +145,35 @@ type Hello struct {
 }
 
 // ConfigSpec is the wire form of core.Config: the configfile schema plus
-// the engine fields that schema does not carry. Custom cache models have
-// no wire form — remote sweeps reject points that need them.
+// the engine fields that schema does not carry.
 type ConfigSpec struct {
 	configfile.File
 	FUs       uarch.FUConfig `json:"fus"`
 	MaxCycles uint64         `json:"max_cycles,omitempty"`
 }
 
-// SpecOf converts an engine configuration for the wire. It fails on
-// configurations a remote worker cannot reconstruct: custom cache models
-// (anything but the built-in set-associative cache).
+// SpecOf converts an engine configuration for the wire. It fails on a
+// configuration the spec does not materialize back to, cache names aside:
+// an invalid one.
 func SpecOf(cfg core.Config) (ConfigSpec, error) {
-	f := configfile.FromConfig(cfg)
-	if cfg.ICache != nil && f.ICache == nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: custom instruction-cache model %T is not serializable for a remote sweep", cfg.ICache)
+	spec := ConfigSpec{File: configfile.FromConfig(cfg), FUs: cfg.FUs, MaxCycles: cfg.MaxCycles}
+	back, err := spec.Config()
+	if err == nil && unnamed(back) != unnamed(cfg) {
+		err = errors.New("its spec materializes to a different machine")
 	}
-	if cfg.DCache != nil && f.DCache == nil {
-		return ConfigSpec{}, fmt.Errorf("sweepd: custom data-cache model %T is not serializable for a remote sweep", cfg.DCache)
+	if err != nil {
+		return ConfigSpec{}, fmt.Errorf("sweepd: configuration has no wire form: %w", err)
 	}
-	return ConfigSpec{File: f, FUs: cfg.FUs, MaxCycles: cfg.MaxCycles}, nil
+	return spec, nil
+}
+
+// unnamed is cfg with its cache names cleared, which the wire does not
+// carry.
+func unnamed(cfg core.Config) core.Config {
+	for _, side := range []*cache.Side{&cfg.ICache, &cfg.DCache} {
+		side.L1.Name, side.L2.Name = "", ""
+	}
+	return cfg
 }
 
 // Config materializes the spec into a validated engine configuration.

@@ -172,26 +172,20 @@ func TestRemoteNoWorkers(t *testing.T) {
 	}
 }
 
-// TestRemoteRejectsUnserializablePoints: custom cache models cannot cross
-// the network; serializing the job for submission fails and names the
-// point.
+// TestRemoteRejectsUnserializablePoints: a point whose configuration does
+// not materialize back from its wire form (here an L2 behind perfect
+// memory, which is invalid) fails serialization and names the point.
 func TestRemoteRejectsUnserializablePoints(t *testing.T) {
 	job := testJob(t)
-	job.Points[1].Config.DCache = customModel{}
+	job.Points[1].Config.DCache = cache.Side{L2: cache.L1Config32K("l2")}
 	_, err := sweepd.WireJobOf(job)
-	if err == nil || !strings.Contains(err.Error(), "not serializable") {
+	if err == nil || !strings.Contains(err.Error(), "no wire form") {
 		t.Fatalf("err = %v, want a serialization failure naming the point", err)
 	}
 	if !strings.Contains(err.Error(), "point 1") {
 		t.Fatalf("err = %v, want the failing point identified", err)
 	}
 }
-
-type customModel struct{}
-
-func (customModel) Access(uint32, bool) (bool, int) { return true, 1 }
-func (customModel) Stats() cache.Stats              { return cache.Stats{} }
-func (customModel) Reset()                          {}
 
 // TestRemoteCancellation: cancelling the job's context aborts it on the
 // TCP workers and returns promptly.

@@ -19,8 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// newL1 builds the paper's 32K/8-way/64B L1 configuration.
-func newL1(name string) cache.Model { return cache.New(cache.L1Config32K(name)) }
+// newL1 is a memory-system side with the paper's 32K/8-way/64B L1.
+func newL1(name string) cache.Side { return cache.Side{L1: cache.L1Config32K(name)} }
 
 // Options bound the simulated instruction budget per benchmark point.
 type Options struct {

@@ -293,13 +293,9 @@ func (r *CompressedReader) Next() (Record, error) {
 			return rec, err
 		}
 		rec.Class = OpClass(c)
-		regs := [3]uint64{}
-		for i := range regs {
-			if regs[i], err = r.br.ReadBits(regBits); err != nil {
-				return rec, err
-			}
+		if err := readRegs(r.br, &rec); err != nil {
+			return rec, err
 		}
-		rec.Dest, rec.Src1, rec.Src2 = decodeReg(regs[0]), decodeReg(regs[1]), decodeReg(regs[2])
 	case KindMem:
 		if rec.Store, err = r.br.ReadBool(); err != nil {
 			return rec, err
@@ -309,25 +305,12 @@ func (r *CompressedReader) Next() (Record, error) {
 			return rec, err
 		}
 		rec.Size = sizeFromCode(sc)
-		reg, err := r.br.ReadBits(regBits)
-		if err != nil {
-			return rec, err
-		}
-		base, err := r.br.ReadBits(regBits)
-		if err != nil {
+		if err := readMemRegs(r.br, &rec); err != nil {
 			return rec, err
 		}
 		delta, err := readVarint(r.br)
 		if err != nil {
 			return rec, err
-		}
-		rec.Src1 = decodeReg(base)
-		if rec.Store {
-			rec.Src2 = decodeReg(reg)
-			rec.Dest = decodeReg(regNone)
-		} else {
-			rec.Dest = decodeReg(reg)
-			rec.Src2 = decodeReg(regNone)
 		}
 		rec.Addr = uint32(int64(r.st.lastMemAddr) + delta)
 	case KindBranch:
@@ -339,13 +322,9 @@ func (r *CompressedReader) Next() (Record, error) {
 		if rec.Taken, err = r.br.ReadBool(); err != nil {
 			return rec, err
 		}
-		regs := [3]uint64{}
-		for i := range regs {
-			if regs[i], err = r.br.ReadBits(regBits); err != nil {
-				return rec, err
-			}
+		if err := readRegs(r.br, &rec); err != nil {
+			return rec, err
 		}
-		rec.Dest, rec.Src1, rec.Src2 = decodeReg(regs[0]), decodeReg(regs[1]), decodeReg(regs[2])
 		dpc, err := readVarint(r.br)
 		if err != nil {
 			return rec, err

@@ -2,10 +2,10 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/isa"
 )
 
 // FuzzDecodeFrom feeds arbitrary bytes to the raw record decoder: it must
@@ -33,6 +33,7 @@ func FuzzDecodeFrom(f *testing.F) {
 			if err != nil {
 				return // clean error/EOF is fine
 			}
+			checkRegs(t, rec)
 			// Decoded records must be re-encodable.
 			var buf bytes.Buffer
 			bw := bitio.NewWriter(&buf)
@@ -48,7 +49,8 @@ func FuzzDecodeFrom(f *testing.F) {
 }
 
 // FuzzCompressedReader feeds arbitrary containers to the compressed reader:
-// it must never panic and never loop forever.
+// it must never panic, never loop forever and never accept a record naming
+// a register outside 0–31 or isa.NoReg.
 func FuzzCompressedReader(f *testing.F) {
 	var seed bytes.Buffer
 	w, _ := NewCompressedWriter(&seed, Header{StartPC: 0x1000, Records: 2})
@@ -64,14 +66,24 @@ func FuzzCompressedReader(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1024; i++ {
-			if _, err := r.Next(); err != nil {
-				if err == io.EOF {
-					return
-				}
-				return // any clean error is acceptable
+			rec, err := r.Next()
+			if err != nil {
+				return // EOF or any clean error is acceptable
 			}
+			checkRegs(t, rec)
 		}
 	})
+}
+
+// checkRegs fails t unless rec names only registers 0–31 or isa.NoReg: a
+// decoder must refuse the 6-bit fields' other values, not replay them.
+func checkRegs(t *testing.T, rec Record) {
+	t.Helper()
+	for _, reg := range [...]isa.Reg{rec.Dest, rec.Src1, rec.Src2} {
+		if reg >= isa.NumRegs && reg != isa.NoReg {
+			t.Fatalf("accepted record %+v names register %d", rec, reg)
+		}
+	}
 }
 
 // FuzzRawReader does the same for the version-1 container.
@@ -88,9 +100,11 @@ func FuzzRawReader(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1024; i++ {
-			if _, err := r.Next(); err != nil {
+			rec, err := r.Next()
+			if err != nil {
 				return
 			}
+			checkRegs(t, rec)
 		}
 	})
 }

@@ -179,11 +179,51 @@ func encodeReg(r isa.Reg) uint64 {
 	return uint64(r)
 }
 
-func decodeReg(v uint64) isa.Reg {
-	if v == regNone {
-		return isa.NoReg
+// readReg reads one register field. The 6-bit field can also name 32–62,
+// which no encoder writes (encodeReg turns them into "no register") and the
+// engine would replay as no dependency, so a record naming one is refused.
+func readReg(br *bitio.Reader) (isa.Reg, error) {
+	v, err := br.ReadBits(regBits)
+	switch {
+	case err != nil:
+		return isa.NoReg, err
+	case v == regNone:
+		return isa.NoReg, nil
+	case v >= isa.NumRegs:
+		return isa.NoReg, fmt.Errorf("%w: register field %d", ErrBadRecord, v)
 	}
-	return isa.Reg(v)
+	return isa.Reg(v), nil
+}
+
+// readMemRegs reads a format-M record's two register fields, r.Store
+// already set: the loaded destination or the stored data source, then the
+// address base.
+func readMemRegs(br *bitio.Reader, r *Record) error {
+	reg, err := readReg(br)
+	if err != nil {
+		return err
+	}
+	if r.Src1, err = readReg(br); err != nil {
+		return err
+	}
+	r.Dest, r.Src2 = reg, isa.NoReg
+	if r.Store {
+		r.Dest, r.Src2 = isa.NoReg, reg
+	}
+	return nil
+}
+
+// readRegs reads the three register fields of a format-O or format-B
+// record: destination, then the two sources.
+func readRegs(br *bitio.Reader, r *Record) (err error) {
+	if r.Dest, err = readReg(br); err != nil {
+		return err
+	}
+	if r.Src1, err = readReg(br); err != nil {
+		return err
+	}
+	r.Src2, err = readReg(br)
+	return err
 }
 
 // EncodeTo writes the record to bw in its wire format.
@@ -267,15 +307,9 @@ func DecodeFrom(br *bitio.Reader) (Record, error) {
 			return r, err
 		}
 		r.Class = OpClass(c)
-		regs := [3]isa.Reg{}
-		for i := range regs {
-			v, err := br.ReadBits(regBits)
-			if err != nil {
-				return r, err
-			}
-			regs[i] = decodeReg(v)
+		if err := readRegs(br, &r); err != nil {
+			return r, err
 		}
-		r.Dest, r.Src1, r.Src2 = regs[0], regs[1], regs[2]
 	case KindMem:
 		if r.Store, err = br.ReadBool(); err != nil {
 			return r, err
@@ -285,25 +319,12 @@ func DecodeFrom(br *bitio.Reader) (Record, error) {
 			return r, err
 		}
 		r.Size = sizeFromCode(sc)
-		reg, err := br.ReadBits(regBits)
-		if err != nil {
-			return r, err
-		}
-		base, err := br.ReadBits(regBits)
-		if err != nil {
+		if err := readMemRegs(br, &r); err != nil {
 			return r, err
 		}
 		addr, err := br.ReadBits(addrBits)
 		if err != nil {
 			return r, err
-		}
-		r.Src1 = decodeReg(base)
-		if r.Store {
-			r.Src2 = decodeReg(reg)
-			r.Dest = isa.NoReg
-		} else {
-			r.Dest = decodeReg(reg)
-			r.Src2 = isa.NoReg
 		}
 		r.Addr = uint32(addr)
 	case KindBranch:
@@ -315,15 +336,9 @@ func DecodeFrom(br *bitio.Reader) (Record, error) {
 		if r.Taken, err = br.ReadBool(); err != nil {
 			return r, err
 		}
-		regs := [3]isa.Reg{}
-		for i := range regs {
-			v, err := br.ReadBits(regBits)
-			if err != nil {
-				return r, err
-			}
-			regs[i] = decodeReg(v)
+		if err := readRegs(br, &r); err != nil {
+			return r, err
 		}
-		r.Dest, r.Src1, r.Src2 = regs[0], regs[1], regs[2]
 		pc, err := br.ReadBits(pcBits)
 		if err != nil {
 			return r, err

@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/funcsim"
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -433,9 +432,10 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 // readContainer decodes one container as k's trace. It is the only way a
 // container enters the cache: shipped ones through Seed, spilled ones
 // through the miss path. A cut container still decodes to a plausible
-// prefix, so one whose record count differs from its header's is refused,
-// as is a record naming a register no encoder writes; and the header sizes
-// the up-front reservation only up to maxReserve.
+// prefix, so one whose record count differs from its header's is refused
+// (the record decoders refuse a record naming a register no encoder
+// writes); and the header sizes the up-front reservation only up to
+// maxReserve.
 func readContainer(k Key, r io.Reader) (*Trace, error) {
 	src, hdr, err := trace.Open(r)
 	if err != nil {
@@ -449,11 +449,6 @@ func readContainer(k Key, r io.Reader) (*Trace, error) {
 		}
 		if err != nil {
 			return nil, err
-		}
-		for _, reg := range [...]isa.Reg{rec.Dest, rec.Src1, rec.Src2} {
-			if reg >= isa.NumRegs && reg != isa.NoReg {
-				return nil, fmt.Errorf("record %d names register %d", len(t.recs), reg)
-			}
 		}
 		t.add(rec)
 	}

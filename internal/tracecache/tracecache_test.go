@@ -654,30 +654,45 @@ func TestHugeHeaderAllocatesLittle(t *testing.T) {
 // can name registers 32..62, which no encoder writes (re-encoding turns
 // them into "no register"); such a record is refused, not replayed.
 func TestOutOfRangeRegisterRefused(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewCompressedWriter(&buf, trace.Header{StartPC: funcsim.CodeBase, Records: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil { // header only
-		t.Fatal(err)
-	}
-	// One ALU record, hand-packed: kind (2 bits), tag, class (3 bits),
-	// then dest, src1 and src2 (6 bits each), src2 out of range.
-	bw := bitio.NewWriter(&buf)
-	for _, f := range []struct {
-		v     uint64
-		width uint
-	}{{0, 2}, {0, 1}, {0, 3}, {1, 6}, {2, 6}, {45, 6}} {
-		if err := bw.WriteBits(f.v, f.width); err != nil {
+	hdr := trace.Header{StartPC: funcsim.CodeBase, Records: 1}
+	for name, open := range map[string]func(io.Writer) (interface{ Close() error }, error){
+		"raw":        func(w io.Writer) (interface{ Close() error }, error) { return trace.NewWriter(w, hdr) },
+		"compressed": func(w io.Writer) (interface{ Close() error }, error) { return trace.NewCompressedWriter(w, hdr) },
+	} {
+		var buf bytes.Buffer
+		w, err := open(&buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{}).Seed(Key{}, &buf); err == nil {
-		t.Fatal("Seed accepted a record naming register 45")
+		if err := w.Close(); err != nil { // header only
+			t.Fatal(err)
+		}
+		// One ALU record, hand-packed (the same bits in both formats):
+		// kind (2 bits), tag, class (3 bits), then dest, src1 and src2
+		// (6 bits each), src2 out of range.
+		bw := bitio.NewWriter(&buf)
+		for _, f := range []struct {
+			v     uint64
+			width uint
+		}{{0, 2}, {0, 1}, {0, 3}, {1, 6}, {2, 6}, {45, 6}} {
+			if err := bw.WriteBits(f.v, f.width); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		if _, err := New(Config{}).Seed(Key{}, bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Seed accepted a record naming register 45", name)
+		}
+		src, _, err := trace.Open(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := src.Next(); !errors.Is(err, trace.ErrBadRecord) {
+			t.Errorf("%s: trace.Open read %+v, %v; want trace.ErrBadRecord", name, rec, err)
+		}
 	}
 }
 

@@ -64,9 +64,10 @@ type (
 	PredictorConfig = bpred.Config
 	// CacheConfig describes one timing-only cache.
 	CacheConfig = cache.Config
-	// CacheModel is the memory-system interface (hit/miss + latency) the
-	// engine consumes; assign to Config.ICache / Config.DCache.
-	CacheModel = cache.Model
+	// CacheSide is one side of the memory system — an optional L1, an
+	// optional L2 behind it, or perfect memory — as Config.ICache and
+	// Config.DCache hold it. Every engine builds its own caches from it.
+	CacheSide = cache.Side
 	// FUConfig configures the functional-unit pools.
 	FUConfig = uarch.FUConfig
 	// Organization selects the internal minor-cycle pipeline (§IV).
@@ -136,15 +137,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // FASTComparisonConfig returns the 2-issue configuration of Table 1's right
 // portion: perfect branch prediction and 32 KB 8-way L1 caches.
 func FASTComparisonConfig() Config { return core.FASTComparisonConfig() }
-
-// NewL1Cache attaches a timing-only set-associative cache built from cfg to
-// a Config (assign to Config.ICache / Config.DCache).
-func NewL1Cache(cfg CacheConfig) (CacheModel, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cache.New(cfg), nil
-}
 
 // NewTraceCache builds a private trace cache bounded by cfg. Pass it to
 // sessions via WithTraceCache when the process-wide default (shared memory
@@ -227,7 +219,8 @@ type MulticoreOptions struct {
 	// with one shared L2, modeling inter-core cache interference. L1 must
 	// then be set too.
 	SharedL2 *CacheConfig
-	// L1 is the private data-cache geometry used with SharedL2.
+	// L1 is the private data-cache geometry in front of SharedL2; it
+	// replaces the session's D side. Set both or neither.
 	L1 *CacheConfig
 }
 
@@ -238,4 +231,4 @@ func AggregateMIPS(dev Device, cfg Config, res MulticoreResult) float64 {
 }
 
 // Version identifies this reproduction.
-const Version = "1.2.0"
+const Version = "1.3.0"

@@ -150,14 +150,10 @@ func TestCompressedTraceFileRoundTrip(t *testing.T) {
 
 func TestCustomCacheConfig(t *testing.T) {
 	cfg := resim.DefaultConfig()
-	dl1, err := resim.NewL1Cache(resim.CacheConfig{
+	cfg.DCache = resim.CacheSide{L1: resim.CacheConfig{
 		Name: "dl1", SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 32,
 		HitLatency: 1, MissLatency: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DCache = dl1
+	}}
 	res, err := mustSession(t, resim.WithConfig(cfg)).RunWorkload(context.Background(), "parser", 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +161,8 @@ func TestCustomCacheConfig(t *testing.T) {
 	if res.DCache.Accesses() == 0 {
 		t.Error("custom D-cache saw no accesses")
 	}
-	if _, err := resim.NewL1Cache(resim.CacheConfig{Name: "bad", SizeBytes: 100}); err == nil {
+	cfg.DCache = resim.CacheSide{L1: resim.CacheConfig{Name: "bad", SizeBytes: 100}}
+	if _, err := resim.New(resim.WithConfig(cfg)); err == nil {
 		t.Error("invalid cache config accepted")
 	}
 }
@@ -239,6 +236,12 @@ func TestSimulateMulticoreFacade(t *testing.T) {
 		SharedL2:  &resim.CacheConfig{Name: "l2", SizeBytes: 32 << 10, Assoc: 8, BlockBytes: 64, HitLatency: 6, MissLatency: 40},
 	}); err == nil {
 		t.Error("SharedL2 without L1 accepted")
+	}
+	if _, err := ses.Multicore(ctx, resim.MulticoreOptions{
+		Workloads: []string{"gzip"},
+		L1:        &resim.CacheConfig{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2, BlockBytes: 64, HitLatency: 1, MissLatency: 20},
+	}); err == nil {
+		t.Error("L1 without SharedL2 accepted")
 	}
 }
 

@@ -24,20 +24,15 @@ import (
 // workload simulation, trace file simulation, trace writing, parallel
 // design-space sweeps and lockstep multicore clusters, all context-aware.
 // Build one with New; a Session is immutable and safe for concurrent use —
-// each run owns its engine, and cache geometry given via WithL1Caches is
-// instantiated fresh per engine. Models installed directly with
-// WithICache/WithDCache, and the hooks, are shared across runs and stay the
-// caller's to synchronize.
+// each run owns its engine, and every engine builds its own caches from the
+// configuration's memory-system geometry. The hooks are shared across runs
+// and stay the caller's to synchronize.
 type Session struct {
 	cfg Config
 	// hooks are every run's callbacks (WithPipeTracer, WithObserver,
 	// WithTelemetry, WithCheckpointEvery); each run mode takes the ones
 	// it supports.
 	hooks core.Hooks
-	// il1/dl1 are WithL1Caches geometries; engines get fresh instances so
-	// runs never share tag state or statistics. A later WithICache /
-	// WithDCache / WithConfig option clears the corresponding side.
-	il1, dl1 *CacheConfig
 	// traces memoizes generated workload traces across runs, sweeps and
 	// clusters; nil disables caching (streaming regeneration per run).
 	traces *tracecache.Cache
@@ -52,9 +47,8 @@ type Session struct {
 // settings is the mutable state the functional options operate on before
 // New validates it once.
 type settings struct {
-	cfg      Config
-	hooks    core.Hooks
-	il1, dl1 *CacheConfig
+	cfg   Config
+	hooks core.Hooks
 	// portsSet records an explicit memory-port choice (WithMemoryPorts or
 	// WithConfig); without one, New clamps the default read-port count to
 	// the organization's limit so e.g. New(WithWidth(2)) stays valid under
@@ -95,7 +89,7 @@ func New(opts ...Option) (*Session, error) {
 	if !s.tracesSet {
 		s.traces = tracecache.Shared()
 	}
-	return &Session{cfg: s.cfg, hooks: s.hooks, il1: s.il1, dl1: s.dl1, traces: s.traces,
+	return &Session{cfg: s.cfg, hooks: s.hooks, traces: s.traces,
 		coordURL: s.coordURL, resume: s.resume}, nil
 }
 
@@ -108,7 +102,6 @@ func New(opts ...Option) (*Session, error) {
 func WithConfig(cfg Config) Option {
 	return func(s *settings) error {
 		s.cfg = cfg
-		s.il1, s.dl1 = nil, nil
 		s.portsSet = true
 		return nil
 	}
@@ -155,10 +148,11 @@ func WithPerfectBP() Option {
 }
 
 // WithL1Caches attaches timing-only L1 instruction and data caches sharing
-// the given geometry (they are named "il1" and "dl1" in reports). Unlike
-// WithICache/WithDCache, only the geometry is stored: every engine the
-// session builds gets its own fresh cache instances, so concurrent or
-// repeated runs never share tag state and stay deterministic.
+// the given geometry (they are named "il1" and "dl1" in reports) and no L2.
+// Every engine the session builds gets its own cold caches, so concurrent
+// or repeated runs never share tag state and stay deterministic. Set
+// Config.ICache and Config.DCache through WithConfig for anything else: an
+// L2, different sides, or a perfect-memory latency.
 func WithL1Caches(cc CacheConfig) Option {
 	return func(s *settings) error {
 		icc, dcc := cc, cc
@@ -166,29 +160,7 @@ func WithL1Caches(cc CacheConfig) Option {
 		if err := icc.Validate(); err != nil {
 			return err
 		}
-		s.il1, s.dl1 = &icc, &dcc
-		return nil
-	}
-}
-
-// WithICache installs a custom instruction-cache model (nil = perfect),
-// overriding an earlier WithL1Caches on the instruction side. The model is
-// shared by every run the session starts.
-func WithICache(m CacheModel) Option {
-	return func(s *settings) error {
-		s.cfg.ICache = m
-		s.il1 = nil
-		return nil
-	}
-}
-
-// WithDCache installs a custom data-cache model (nil = perfect), overriding
-// an earlier WithL1Caches on the data side. The model is shared by every
-// run the session starts.
-func WithDCache(m CacheModel) Option {
-	return func(s *settings) error {
-		s.cfg.DCache = m
-		s.dl1 = nil
+		s.cfg.ICache, s.cfg.DCache = cache.Side{L1: icc}, cache.Side{L1: dcc}
 		return nil
 	}
 }
@@ -329,24 +301,8 @@ func WithCoordinator(server string) Option {
 	}
 }
 
-// Config returns the session's validated configuration. When the session
-// was built with WithL1Caches the returned Config carries newly built cache
-// instances, owned by the caller.
-func (s *Session) Config() Config { return s.engineConfig() }
-
-// engineConfig derives the per-engine configuration: the shared validated
-// core plus fresh L1 instances for WithL1Caches geometry (validated at
-// option time), so engines never share mutable cache state.
-func (s *Session) engineConfig() Config {
-	cfg := s.cfg
-	if s.il1 != nil {
-		cfg.ICache = cache.New(*s.il1)
-	}
-	if s.dl1 != nil {
-		cfg.DCache = cache.New(*s.dl1)
-	}
-	return cfg
-}
+// Config returns the session's validated configuration.
+func (s *Session) Config() Config { return s.cfg }
 
 // RunWorkload simulates up to limit correct-path instructions of the named
 // synthetic workload through the engine. The trace comes from the session's
@@ -384,7 +340,7 @@ func (s *Session) RunSource(ctx context.Context, src Source, startPC uint32) (Re
 // produce plausible wrong statistics. Empty tags (RunSource, or checkpoints
 // captured below the session layer) skip the check.
 func (s *Session) runSource(ctx context.Context, src Source, startPC uint32, inputTag string) (Result, error) {
-	cfg := s.engineConfig()
+	cfg := s.cfg
 	h := s.hooks
 	if sink := h.Checkpoint; sink != nil {
 		h.Checkpoint = func(cp *core.Checkpoint) error {
@@ -547,9 +503,7 @@ func (s *Session) Sweep(ctx context.Context, workloadName string, instructions u
 // callback per point as its result streams in, with Done counting the
 // points received so far against Total, and Final on the last. With
 // WithTelemetry the session sink follows the job's telemetry stream at
-// the service's cadence. Points must be expressible on the wire: custom
-// cache models cannot cross the network and fail before anything is
-// sent. Cancelling ctx cancels the job on the service.
+// the service's cadence. Cancelling ctx cancels the job on the service.
 func (s *Session) SweepRemote(ctx context.Context, server, workloadName string, instructions uint64, points []SweepPoint) ([]SweepResult, error) {
 	h, err := s.SubmitRemote(ctx, server, workloadName, instructions, points, nil)
 	if err != nil {
@@ -597,29 +551,18 @@ func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (Multico
 	if len(opts.Workloads) == 0 {
 		return MulticoreResult{}, fmt.Errorf("resim: no workloads given")
 	}
-	var shared CacheModel
-	if opts.SharedL2 != nil {
-		if opts.L1 == nil {
-			return MulticoreResult{}, fmt.Errorf("resim: SharedL2 requires an L1 geometry")
+	coreCfg := s.cfg
+	if opts.SharedL2 != nil || opts.L1 != nil {
+		if opts.SharedL2 == nil || opts.L1 == nil {
+			return MulticoreResult{}, fmt.Errorf("resim: L1 and SharedL2 go together; set both or neither")
 		}
-		var err error
-		shared, err = NewL1Cache(*opts.SharedL2)
-		if err != nil {
-			return MulticoreResult{}, err
-		}
+		coreCfg.DCache = cache.Side{L1: *opts.L1, L2: *opts.SharedL2}
 	}
 	var specs []multicore.CoreSpec
 	for _, name := range opts.Workloads {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return MulticoreResult{}, err
-		}
-		// Each core gets its own fresh L1 instances (engineConfig).
-		coreCfg := s.engineConfig()
-		if shared != nil {
-			if err := multicore.AttachSharedDL1(&coreCfg, *opts.L1, shared); err != nil {
-				return MulticoreResult{}, err
-			}
 		}
 		// Homogeneous clusters (the same workload on several cores, all
 		// under the session's one configuration) share a single generated

@@ -50,30 +50,16 @@ func TestSessionOptionComposition(t *testing.T) {
 		t.Errorf("width = %d, want last option to win", ses.Config().Width)
 	}
 
-	// ... including across the two cache option families: a later WithDCache
-	// replaces the WithL1Caches data side but keeps its instruction side.
-	custom, err := resim.NewL1Cache(resim.CacheConfig{
-		Name: "custom", SizeBytes: 1 << 10, Assoc: 1, BlockBytes: 32,
-		HitLatency: 1, MissLatency: 9,
-	})
+	// WithL1Caches sets both sides, named for reports.
+	ses, err = resim.New(resim.WithL1Caches(resim.CacheConfig{
+		SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64, HitLatency: 1, MissLatency: 20,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ses, err = resim.New(
-		resim.WithL1Caches(resim.CacheConfig{
-			SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64, HitLatency: 1, MissLatency: 20,
-		}),
-		resim.WithDCache(custom),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ses.Config()
-	if got.DCache != resim.CacheModel(custom) {
-		t.Error("later WithDCache did not override WithL1Caches")
-	}
-	if got.ICache == nil {
-		t.Error("WithL1Caches instruction side lost after WithDCache")
+	if got := ses.Config(); got.ICache.L1.Name != "il1" || got.DCache.L1.Name != "dl1" ||
+		got.ICache.L1.SizeBytes != 8<<10 || got.DCache.L2 != (resim.CacheConfig{}) {
+		t.Errorf("WithL1Caches set %+v / %+v", got.ICache, got.DCache)
 	}
 	// And WithConfig wipes earlier cache geometry entirely.
 	ses, err = resim.New(
@@ -85,7 +71,7 @@ func TestSessionOptionComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := ses.Config(); cfg.ICache != nil || cfg.DCache != nil {
+	if cfg := ses.Config(); cfg != resim.DefaultConfig() {
 		t.Error("WithConfig did not clear earlier WithL1Caches geometry")
 	}
 }
