@@ -384,7 +384,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 	var bytes int64
 	for i := 0; i < b.N; i++ {
 		var sink countingWriter
-		w, err := trace.NewWriter(&sink, trace.Header{StartPC: funcsim.CodeBase})
+		w, err := trace.NewWriter(&sink, trace.Header{StartPC: funcsim.CodeBase}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,7 +479,7 @@ func BenchmarkExtensionCompressedCodec(b *testing.B) {
 	var compBits uint64
 	for i := 0; i < b.N; i++ {
 		var sink countingWriter
-		w, err := trace.NewCompressedWriter(&sink, trace.Header{})
+		w, err := trace.NewWriter(&sink, trace.Header{}, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -544,7 +544,7 @@ func BenchmarkInOrderBaseline(b *testing.B) {
 	var res baseline.InOrderResult
 	for i := 0; i < b.N; i++ {
 		slice.Reset()
-		res, err = baseline.InOrder(baseline.DefaultInOrderConfig(), slice, funcsim.CodeBase)
+		res, err = baseline.InOrder(baseline.DefaultInOrderConfig(), slice)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,8 +5,8 @@
 //     docs/, design notes) points at a file or directory that exists, so
 //     renames and deletions cannot silently strand the documentation.
 //   - Every exported identifier in the checked Go packages (by default the
-//     root resim package, internal/jobd and internal/obs) carries a doc
-//     comment, so the public surface stays godoc-complete.
+//     root resim package and the internal packages listed below) carries
+//     a doc comment, so the public surface stays godoc-complete.
 //   - The metric inventory tables in docs/OBSERVABILITY.md match the
 //     families the code actually registers (name, type and labels, both
 //     directions), so the documented scrape surface cannot go stale.
@@ -24,7 +24,8 @@
 // (default "docs/STATIC_ANALYSIS.md"; "" skips). Each pkgdir argument
 // names one Go package directory to check for doc comments; with no
 // arguments, ".", "./internal/faults", "./internal/jobd",
-// "./internal/obs" and the internal/lint tree are checked. Findings are printed one per line as
+// "./internal/obs", "./internal/trace", "./internal/tracecache" and the
+// internal/lint tree are checked. Findings are printed one per line as
 // file:line: message, and the exit status is non-zero if there were any.
 package main
 
@@ -57,6 +58,7 @@ func main() {
 	if len(pkgs) == 0 {
 		pkgs = []string{
 			".", "./internal/faults", "./internal/jobd", "./internal/obs",
+			"./internal/trace", "./internal/tracecache",
 			"./internal/lint", "./internal/lint/analysis", "./internal/lint/analysistest",
 			"./internal/lint/ckptcomplete", "./internal/lint/determinism",
 			"./internal/lint/lintutil", "./internal/lint/load",

@@ -3,6 +3,10 @@
 // design parameters)" mode of the paper. It runs the sim-bpred-style
 // functional simulator over a synthetic SPECINT workload and writes the
 // bit-packed B/M/O record stream, including tagged wrong-path blocks.
+// The container ends in a trailer (record count and payload CRC-32) that
+// resim -trace checks. Trace files from before the trailer (container
+// versions 1 and 2) are refused; generation is deterministic, so
+// rerunning tracegen with the same flags rebuilds the same records.
 //
 // Usage:
 //
@@ -57,7 +61,7 @@ func main() {
 	st, err := ses.WriteTrace(ctx, f, *name, *n, *compress)
 	if err != nil {
 		_ = f.Close()
-		_ = os.Remove(*out) // don't leave a truncated, footer-less container
+		_ = os.Remove(*out) // don't leave a cut container behind
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -85,9 +85,8 @@ func (r InOrderResult) IPC() float64 {
 // against its producers, memory is perfect, taken branches cost a
 // one-cycle redirect bubble, and wrong-path records are charged the
 // mispredict penalty and skipped (an in-order scalar core gains nothing
-// from wrong-path overlap). startPC is unused: with perfect memory, fetch
-// addresses cost nothing.
-func InOrder(cfg InOrderConfig, src trace.Source, startPC uint32) (InOrderResult, error) {
+// from wrong-path overlap).
+func InOrder(cfg InOrderConfig, src trace.Source) (InOrderResult, error) {
 	var (
 		res     InOrderResult
 		now     uint64

@@ -89,7 +89,7 @@ func TestInOrderScalarIPCBounds(t *testing.T) {
 		{Kind: trace.KindOther, Class: trace.OpALU, Dest: 3, Src1: 2, Src2: isa.NoReg},
 		{Kind: trace.KindOther, Class: trace.OpALU, Dest: 4, Src1: 3, Src2: isa.NoReg},
 	}
-	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs), 0x1000)
+	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestInOrderDivStalls(t *testing.T) {
 		{Kind: trace.KindOther, Class: trace.OpDiv, Dest: 2, Src1: isa.NoReg, Src2: isa.NoReg},
 		{Kind: trace.KindOther, Class: trace.OpDiv, Dest: 3, Src1: 2, Src2: isa.NoReg},
 	}
-	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs), 0)
+	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestInOrderSkipsWrongPath(t *testing.T) {
 		{Kind: trace.KindOther, Tag: true, Dest: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg},
 		{Kind: trace.KindOther, Dest: 5, Src1: isa.NoReg, Src2: isa.NoReg},
 	}
-	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs), 0x1000)
+	res, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestOutOfOrderBeatsInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ino, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs), funcsim.CodeBase)
+		ino, err := InOrder(DefaultInOrderConfig(), trace.NewSliceSource(recs))
 		if err != nil {
 			t.Fatal(err)
 		}

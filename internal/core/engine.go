@@ -382,7 +382,9 @@ func (e *Engine) stepFast(hooks []hook) error {
 			return err
 		}
 		if e.c.Cycles >= limit || e.Done() {
-			return nil
+			// A source that ended in an error, not io.EOF, fails the run
+			// instead of ending the trace early.
+			return e.src.Err()
 		}
 	}
 }

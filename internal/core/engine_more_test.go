@@ -339,7 +339,7 @@ func TestTraceFileFeedsEngineIdentically(t *testing.T) {
 	direct := run(t, cfg, recs)
 
 	var buf bytes.Buffer
-	w, err := trace.NewCompressedWriter(&buf, trace.Header{StartPC: funcsim.CodeBase, Records: uint64(len(recs))})
+	w, err := trace.NewWriter(&buf, trace.Header{StartPC: funcsim.CodeBase}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,21 +351,29 @@ func TestTraceFileFeedsEngineIdentically(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewCompressedReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	runFile := func(data []byte) (Result, error) {
+		rd, err := trace.Open(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(cfg, rd, funcsim.CodeBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.Run()
 	}
-	eng, err := New(cfg, rd, funcsim.CodeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFile, err := eng.Run()
+	viaFile, err := runFile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaFile.Counters != direct.Counters {
 		t.Errorf("compressed container changed results:\n%+v\n%+v",
 			viaFile.Counters, direct.Counters)
+	}
+	// A cut container fails the run rather than simulating its prefix.
+	if res, err := runFile(buf.Bytes()[:buf.Len()*9/10]); err == nil {
+		t.Errorf("a container cut to 90%% ran to completion: %d of %d committed",
+			res.Committed, direct.Committed)
 	}
 }
 

@@ -7,6 +7,7 @@ package tables
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/baseline"
@@ -373,21 +374,29 @@ func TraceCompression(ctx context.Context, opts Options) ([]CompressionRow, erro
 		if err != nil {
 			return nil, err
 		}
-		var rawBits, compBits, n uint64
-		var st traceCodecProbe
+		comp, err := trace.NewWriter(io.Discard, trace.Header{}, true)
+		if err != nil {
+			return nil, err
+		}
+		var rawBits uint64
 		for {
 			rec, err := src.Next()
-			if err != nil {
+			if err == io.EOF {
 				break
 			}
+			if err != nil {
+				return nil, err
+			}
 			rawBits += uint64(rec.BitLen())
-			compBits += uint64(st.bitLen(rec))
-			n++
+			if err := comp.Write(rec); err != nil {
+				return nil, err
+			}
 		}
+		n := float64(comp.Records())
 		row := CompressionRow{
 			Benchmark: p.Name,
-			RawBits:   float64(rawBits) / float64(n),
-			CompBits:  float64(compBits) / float64(n),
+			RawBits:   float64(rawBits) / n,
+			CompBits:  comp.BitsPerRecord(),
 		}
 		row.Ratio = row.RawBits / row.CompBits
 		row.RawGbps = fpga.TraceBandwidthGbps(thr[p.Name], row.RawBits)
@@ -409,18 +418,6 @@ func RenderCompression(rows []CompressionRow) string {
 			r.Benchmark, r.RawBits, r.CompBits, r.Ratio, r.RawGbps, r.CompGbps, r.FitsGigE)
 	}
 	return sb.String()
-}
-
-// traceCodecProbe mirrors trace's compressed-codec sizing without emitting
-// bytes.
-type traceCodecProbe struct {
-	st trace.CompressedSizer
-}
-
-func (p *traceCodecProbe) bitLen(r trace.Record) int {
-	n := p.st.BitLen(r)
-	p.st.Advance(r)
-	return n
 }
 
 // Table4 regenerates the area table for the reference configuration.

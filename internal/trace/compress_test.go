@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +18,7 @@ func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		var buf bytes.Buffer
 		bw := bitio.NewWriter(&buf)
-		if err := writeVarint(bw, v); err != nil {
-			t.Fatal(err)
-		}
-		if got := int(bw.BitsWritten()); got != varintBits(v) {
-			t.Errorf("varintBits(%d) = %d, wrote %d", v, varintBits(v), got)
-		}
+		writeVarint(bw, v)
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -34,6 +30,13 @@ func TestVarintRoundTrip(t *testing.T) {
 			t.Errorf("varint(%d) round-tripped to %d", v, got)
 		}
 	}
+}
+
+// varintBits returns the encoded width of delta in bits.
+func varintBits(delta int64) int {
+	bw := bitio.NewWriter(io.Discard)
+	writeVarint(bw, delta)
+	return int(bw.BitsWritten())
 }
 
 func TestZigzagSmallMagnitudesAreCheap(t *testing.T) {
@@ -53,7 +56,7 @@ func TestZigzagSmallMagnitudesAreCheap(t *testing.T) {
 func TestCompressedRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, Header{StartPC: 0x1000, Records: uint64(len(recs))})
+	w, err := NewWriter(&buf, Header{StartPC: 0x1000}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		t.Error("BitsPerRecord not tracked")
 	}
 
-	r, err := NewCompressedReader(bytes.NewReader(buf.Bytes()))
+	r, err := Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +93,6 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
-	}
-}
-
-func TestCompressedRejectsRawContainer(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Close()
-	if _, err := NewCompressedReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("compressed reader accepted a raw container")
 	}
 }
 
@@ -125,27 +116,18 @@ func TestCompressionBeatsRawOnLocalStreams(t *testing.T) {
 				Dest: isa.NoReg, Src1: 5, Src2: isa.NoReg})
 		}
 	}
-	var rawBits, compBits uint64
-	{
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, Header{})
+	var bits [2]uint64
+	for i, compress := range []bool{false, true} {
+		w, _ := NewWriter(io.Discard, Header{}, compress)
 		for _, r := range recs {
 			if err := w.Write(r); err != nil {
 				t.Fatal(err)
 			}
 		}
 		_ = w.Close()
-		rawBits = w.BitsWritten()
+		bits[i] = w.BitsWritten()
 	}
-	var buf bytes.Buffer
-	w, _ := NewCompressedWriter(&buf, Header{})
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = w.Close()
-	compBits = w.BitsWritten()
+	rawBits, compBits := bits[0], bits[1]
 	ratio := float64(rawBits) / float64(compBits)
 	if ratio < 1.4 {
 		t.Errorf("compression ratio = %.2fx, want >= 1.4x (raw %d vs %d bits)",
@@ -191,57 +173,14 @@ func TestQuickCompressedRoundTrip(t *testing.T) {
 		for i := range recs {
 			recs[i] = gen()
 		}
-		var buf bytes.Buffer
-		w, err := NewCompressedWriter(&buf, Header{Records: uint64(n)})
+		rd, err := Open(bytes.NewReader(container(t, true, 0, recs...)))
 		if err != nil {
 			return false
 		}
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
-				return false
-			}
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		rd, err := NewCompressedReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return false
-		}
-		for _, want := range recs {
-			got, err := rd.Next()
-			if err != nil || got != want {
-				return false
-			}
-		}
-		_, err = rd.Next()
-		return err == io.EOF
+		got, err := readAll(rd)
+		return err == nil && slices.Equal(got, recs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCodecStateBitLenMatchesWriter(t *testing.T) {
-	// bitLen must predict the writer's actual emission, record by record.
-	recs := sampleRecords()
-	var st codecState
-	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, Header{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev uint64
-	for i, r := range recs {
-		want := st.bitLen(r)
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-		got := int(w.BitsWritten() - prev)
-		prev = w.BitsWritten()
-		if got != want {
-			t.Errorf("record %d (%v): wrote %d bits, bitLen predicted %d", i, r, got, want)
-		}
-		st.advance(r)
 	}
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -20,7 +22,7 @@ func FuzzDecodeFrom(f *testing.F) {
 	} {
 		var buf bytes.Buffer
 		bw := bitio.NewWriter(&buf)
-		_ = r.EncodeTo(bw)
+		_ = r.encodeTo(bw, nil)
 		_ = bw.Flush()
 		f.Add(buf.Bytes())
 	}
@@ -29,7 +31,7 @@ func FuzzDecodeFrom(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bitio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ {
-			rec, err := DecodeFrom(br)
+			rec, err := decodeFrom(br, nil)
 			if err != nil {
 				return // clean error/EOF is fine
 			}
@@ -37,7 +39,7 @@ func FuzzDecodeFrom(f *testing.F) {
 			// Decoded records must be re-encodable.
 			var buf bytes.Buffer
 			bw := bitio.NewWriter(&buf)
-			if err := rec.EncodeTo(bw); err != nil {
+			if err := rec.encodeTo(bw, nil); err != nil {
 				t.Fatalf("decoded record %v does not re-encode: %v", rec, err)
 			}
 			if int(bw.BitsWritten()) != rec.BitLen() {
@@ -48,31 +50,60 @@ func FuzzDecodeFrom(f *testing.F) {
 	})
 }
 
-// FuzzCompressedReader feeds arbitrary containers to the compressed reader:
-// it must never panic, never loop forever and never accept a record naming
-// a register outside 0–31 or isa.NoReg.
-func FuzzCompressedReader(f *testing.F) {
-	var seed bytes.Buffer
-	w, _ := NewCompressedWriter(&seed, Header{StartPC: 0x1000, Records: 2})
-	_ = w.Write(Record{Kind: KindMem, Size: 4, Addr: 0x2000})
-	_ = w.Write(Record{Kind: KindBranch, Taken: true, PC: 0x1000, Target: 0x3000})
-	_ = w.Close()
-	f.Add(seed.Bytes())
+// FuzzOpen feeds arbitrary containers of either coder to the one reader.
+// It must never panic or loop forever, never accept a record naming a
+// register outside 0–31 or isa.NoReg, and an input it reads to io.EOF must
+// have a trailer counting exactly the records read and must round-trip
+// through a Writer of the same coder record for record.
+func FuzzOpen(f *testing.F) {
+	compressed := container(f, true, 0x1000,
+		Record{Kind: KindMem, Size: 4, Addr: 0x2000},
+		Record{Kind: KindBranch, Taken: true, PC: 0x1000, Target: 0x3000})
+	raw := container(f, false, 0x1000, Record{Kind: KindOther, Class: OpMul, Dest: 5})
+	f.Add(compressed)
 	f.Add([]byte{})
-	f.Add(seed.Bytes()[:8])
+	f.Add(compressed[:8])
+	f.Add(raw)
+	f.Add(make([]byte, headerLen+trailerLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewCompressedReader(bytes.NewReader(data))
+		r, err := Open(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for i := 0; i < 1024; i++ {
-			rec, err := r.Next()
-			if err != nil {
-				return // EOF or any clean error is acceptable
-			}
+		recs, err := readAll(r)
+		if err != nil {
+			return // any clean error is acceptable
+		}
+		for _, rec := range recs {
 			checkRegs(t, rec)
 		}
+		tr, err := ReadTrailer(bytes.NewReader(data), int64(len(data)))
+		if err != nil || tr.Records != uint64(len(recs)) {
+			t.Fatalf("accepted %d records; trailer %+v, %v", len(recs), tr, err)
+		}
+		again, err := Open(bytes.NewReader(container(t, r.st != nil, r.Header().StartPC, recs...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := readAll(again); err != nil || !slices.Equal(back, recs) || again.Header() != r.Header() {
+			t.Fatalf("accepted container does not round-trip: %v", err)
+		}
 	})
+}
+
+// readAll reads r to its checked end.
+func readAll(r *Reader) ([]Record, error) {
+	var recs []Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
 }
 
 // checkRegs fails t unless rec names only registers 0–31 or isa.NoReg: a
@@ -86,25 +117,21 @@ func checkRegs(t *testing.T, rec Record) {
 	}
 }
 
-// FuzzRawReader does the same for the version-1 container.
-func FuzzRawReader(f *testing.F) {
-	var seed bytes.Buffer
-	w, _ := NewWriter(&seed, Header{StartPC: 0x1000, Records: 1})
-	_ = w.Write(Record{Kind: KindOther, Class: OpMul, Dest: 5})
-	_ = w.Close()
-	f.Add(seed.Bytes())
-	f.Add(make([]byte, 20))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
+// container encodes recs as one container with the given coder.
+func container(t testing.TB, compress bool, startPC uint32, recs ...Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{StartPC: startPC}, compress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 1024; i++ {
-			rec, err := r.Next()
-			if err != nil {
-				return
-			}
-			checkRegs(t, rec)
-		}
-	})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"repro/internal/bitio"
@@ -17,83 +17,109 @@ type Source interface {
 	Next() (Record, error)
 }
 
-// fileMagic identifies a ReSim trace file ("RSTR").
-const fileMagic = 0x52535452
+// A trace container is a header, the records' bit stream flushed to a
+// byte boundary (the payload), and a trailer:
+//
+//	header:  magic(4) version(4) startPC(4)
+//	trailer: records(8) crc32(4)      the CRC-32 (IEEE) of the payload
+//
+// all big-endian. The magic picks the address coder: "RSTR" is the raw
+// container (the paper's record format), "RSTC" the delta-coded one. Both
+// share fileVersion; version 1 (raw) and 2 (delta) had no trailer.
+const (
+	fileMagic   = 0x52535452 // "RSTR"
+	fileVersion = 3
+	headerLen   = 12
+	trailerLen  = 12
+)
 
-// fileVersion is the current trace container version.
-const fileVersion = 1
-
-// Header is the trace file preamble: where execution starts and a count of
-// records, so readers can pre-validate traces produced off-line.
+// Header is the trace file preamble: where execution starts.
 type Header struct {
 	StartPC uint32
-	Records uint64 // 0 when the producer streamed without a known count
 }
 
-// Writer encodes records into a trace file: a fixed header followed by
-// bit-packed records.
+// Trailer ends every container: its record count and the CRC-32 of its
+// payload bytes. A Reader checks it, so a cut container is an error.
+type Trailer struct {
+	Records uint64
+	CRC     uint32
+}
+
+func parseTrailer(b []byte) Trailer {
+	return Trailer{Records: binary.BigEndian.Uint64(b), CRC: binary.BigEndian.Uint32(b[8:])}
+}
+
+// ReadTrailer reads the trailer of a size-byte container from r without
+// decoding its records.
+func ReadTrailer(r io.ReaderAt, size int64) (Trailer, error) {
+	var b [trailerLen]byte
+	if size < headerLen+trailerLen {
+		return Trailer{}, fmt.Errorf("trace: %d-byte container is shorter than its header and trailer", size)
+	}
+	if _, err := r.ReadAt(b[:], size-trailerLen); err != nil {
+		return Trailer{}, fmt.Errorf("trace: reading trailer: %w", err)
+	}
+	return parseTrailer(b[:]), nil
+}
+
+// Writer encodes records into a trace container.
 type Writer struct {
 	bw      *bitio.Writer
-	buf     *bufio.Writer
+	out     payloadWriter
+	st      *codecState
 	records uint64
-	byKind  [3]uint64
-	tagged  uint64
 }
 
-// NewWriter writes a trace container to w, beginning with hdr.
-func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
-	buf := bufio.NewWriterSize(w, 1<<16)
-	var raw [20]byte
-	binary.BigEndian.PutUint32(raw[0:], fileMagic)
+// NewWriter writes a trace container to w, beginning with hdr. compress
+// selects the delta-coded container, typically ~1.4x smaller than raw.
+func NewWriter(w io.Writer, hdr Header, compress bool) (*Writer, error) {
+	wr := &Writer{out: payloadWriter{w: w, buf: make([]byte, 0, 1<<16)}}
+	magic := uint32(fileMagic)
+	if compress {
+		magic, wr.st = compressedMagic, new(codecState)
+	}
+	var raw [headerLen]byte
+	binary.BigEndian.PutUint32(raw[0:], magic)
 	binary.BigEndian.PutUint32(raw[4:], fileVersion)
 	binary.BigEndian.PutUint32(raw[8:], hdr.StartPC)
-	binary.BigEndian.PutUint64(raw[12:], hdr.Records)
-	if _, err := buf.Write(raw[:]); err != nil {
+	if _, err := w.Write(raw[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{bw: bitio.NewWriter(buf), buf: buf}, nil
+	wr.bw = bitio.NewWriter(&wr.out)
+	return wr, nil
 }
 
 // Write appends one record.
 func (w *Writer) Write(r Record) error {
-	if err := r.EncodeTo(w.bw); err != nil {
+	if err := r.encodeTo(w.bw, w.st); err != nil {
 		return err
 	}
 	w.records++
-	if int(r.Kind) < len(w.byKind) {
-		w.byKind[r.Kind]++
-	}
-	if r.Tag {
-		w.tagged++
-	}
 	return nil
 }
 
-// Close flushes buffered bits and bytes. It does not close the underlying
-// writer.
+// Close flushes the payload and writes the trailer. It does not close the
+// underlying writer.
 func (w *Writer) Close() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	return w.buf.Flush()
+	if err := w.out.flush(); err != nil {
+		return err
+	}
+	var raw [trailerLen]byte
+	binary.BigEndian.PutUint64(raw[0:], w.records)
+	binary.BigEndian.PutUint32(raw[8:], w.out.crc)
+	_, err := w.out.w.Write(raw[:])
+	return err
 }
 
 // Records returns the number of records written.
 func (w *Writer) Records() uint64 { return w.records }
 
-// BitsWritten returns payload bits written (excluding header and padding).
+// BitsWritten returns payload bits written (excluding header, padding and
+// trailer).
 func (w *Writer) BitsWritten() uint64 { return w.bw.BitsWritten() }
-
-// Tagged returns the number of wrong-path (Tag=1) records written.
-func (w *Writer) Tagged() uint64 { return w.tagged }
-
-// KindCount returns the number of records written with kind k.
-func (w *Writer) KindCount(k Kind) uint64 {
-	if int(k) < len(w.byKind) {
-		return w.byKind[k]
-	}
-	return 0
-}
 
 // BitsPerRecord returns the average encoded bits per record so far. This is
 // the quantity Table 3 reports as "bits/Instr".
@@ -104,78 +130,136 @@ func (w *Writer) BitsPerRecord() float64 {
 	return float64(w.bw.BitsWritten()) / float64(w.records)
 }
 
-// Reader decodes a trace container produced by Writer.
-type Reader struct {
-	br     *bitio.Reader
-	hdr    Header
-	read   uint64
-	capped bool
+// payloadWriter buffers payload bytes on their way to w and keeps their
+// CRC.
+type payloadWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
 }
 
-// NewReader opens a trace container from r.
-func NewReader(r io.Reader) (*Reader, error) {
-	buf := bufio.NewReaderSize(r, 1<<16)
-	var raw [20]byte
-	if _, err := io.ReadFull(buf, raw[:]); err != nil {
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	p.buf = append(p.buf, b...)
+	if len(p.buf) >= cap(p.buf) {
+		return len(b), p.flush()
+	}
+	return len(b), nil
+}
+
+func (p *payloadWriter) flush() error {
+	p.crc = crc32.Update(p.crc, crc32.IEEETable, p.buf)
+	_, err := p.w.Write(p.buf)
+	p.buf = p.buf[:0]
+	return err
+}
+
+// Reader decodes a trace container produced by Writer, either coder. It
+// returns io.EOF only after the trailer checks out; a container that ends
+// early, or whose count or CRC does not match, is an error.
+type Reader struct {
+	br   *bitio.Reader
+	in   *payloadReader
+	hdr  Header
+	st   *codecState
+	read uint64
+	err  error // sticky: io.EOF after a checked trailer, or the failure
+}
+
+// Open reads a trace container's header from r and returns the Reader
+// for its records.
+func Open(r io.Reader) (*Reader, error) {
+	var raw [headerLen]byte
+	if _, err := io.ReadFull(r, raw[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("trace: short header: %w", err)
 	}
-	if binary.BigEndian.Uint32(raw[0:]) != fileMagic {
-		return nil, errors.New("trace: bad magic")
+	rd := &Reader{hdr: Header{StartPC: binary.BigEndian.Uint32(raw[8:])}}
+	switch binary.BigEndian.Uint32(raw[0:]) {
+	case fileMagic:
+	case compressedMagic:
+		rd.st = new(codecState)
+	default:
+		return nil, errors.New("trace: unrecognized container magic")
 	}
-	if v := binary.BigEndian.Uint32(raw[4:]); v != fileVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
+	switch v := binary.BigEndian.Uint32(raw[4:]); {
+	case v < fileVersion:
+		return nil, fmt.Errorf("trace: container version %d has no trailer; regenerate the file with tracegen", v)
+	case v > fileVersion:
+		return nil, fmt.Errorf("trace: unsupported container version %d", v)
 	}
-	rd := &Reader{br: bitio.NewReader(buf)}
-	rd.hdr.StartPC = binary.BigEndian.Uint32(raw[8:])
-	rd.hdr.Records = binary.BigEndian.Uint64(raw[12:])
-	rd.capped = rd.hdr.Records != 0
+	rd.in = &payloadReader{r: r, buf: make([]byte, 1<<16)}
+	rd.br = bitio.NewReader(rd.in)
 	return rd, nil
 }
 
-// Header returns the file header.
+// Header returns the container header.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Next returns the next record or io.EOF.
+// Next returns the next record, or io.EOF once every record is read and the
+// trailer matches them.
 func (r *Reader) Next() (Record, error) {
-	if r.capped && r.read >= r.hdr.Records {
-		return Record{}, io.EOF
+	if r.err != nil {
+		return Record{}, r.err
 	}
-	rec, err := DecodeFrom(r.br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Flush padding at end of stream looks like a truncated record.
-			return Record{}, io.EOF
-		}
-		return Record{}, err
+	rec, err := decodeFrom(r.br, r.st)
+	if err == nil {
+		r.read++
+		return rec, nil
 	}
-	r.read++
-	return rec, nil
+	if err == io.EOF {
+		// The payload ends in flush padding, shorter than any record.
+		err = r.in.check(r.read)
+	}
+	r.err = err
+	return Record{}, err
 }
 
-// Open detects the container format (raw or delta-compressed) by its magic
-// and returns a record source plus the header.
-func Open(r io.Reader) (Source, Header, error) {
-	buf := bufio.NewReaderSize(r, 1<<16)
-	magic, err := buf.Peek(4)
-	if err != nil {
-		return nil, Header{}, fmt.Errorf("trace: short file: %w", err)
-	}
-	switch binary.BigEndian.Uint32(magic) {
-	case fileMagic:
-		rd, err := NewReader(buf)
-		if err != nil {
-			return nil, Header{}, err
+// payloadReader serves a container's payload to the bit reader: it holds
+// back the last trailerLen bytes it has read, so no trailer byte is ever
+// decoded as a record, and at the end of the input those bytes are the
+// trailer.
+type payloadReader struct {
+	r        io.Reader
+	buf      []byte
+	off, end int    // buf[off:end] is read ahead; buf[:off] is served
+	crc      uint32 // of the payload served before buf
+	err      error  // the input's, once it has returned one
+}
+
+func (p *payloadReader) Read(b []byte) (int, error) {
+	for p.end-p.off <= trailerLen {
+		if p.err != nil {
+			return 0, p.err
 		}
-		return rd, rd.Header(), nil
-	case compressedMagic:
-		rd, err := NewCompressedReader(buf)
-		if err != nil {
-			return nil, Header{}, err
-		}
-		return rd, rd.Header(), nil
-	default:
-		return nil, Header{}, errors.New("trace: unrecognized container magic")
+		p.crc = crc32.Update(p.crc, crc32.IEEETable, p.buf[:p.off])
+		p.end = copy(p.buf, p.buf[p.off:p.end])
+		p.off = 0
+		var n int
+		n, p.err = p.r.Read(p.buf[p.end:])
+		p.end += n
 	}
+	n := copy(b, p.buf[p.off:p.end-trailerLen])
+	p.off += n
+	return n, nil
+}
+
+// check verifies the trailer once the payload is exhausted and n records
+// were decoded from it.
+func (p *payloadReader) check(n uint64) error {
+	if p.end-p.off < trailerLen {
+		return fmt.Errorf("trace: container ends before its trailer: %w", io.ErrUnexpectedEOF)
+	}
+	t := parseTrailer(p.buf[p.off:p.end])
+	crc := crc32.Update(p.crc, crc32.IEEETable, p.buf[:p.off])
+	switch {
+	case t.Records != n:
+		return fmt.Errorf("trace: container cut short or corrupt: read %d records, its trailer counts %d", n, t.Records)
+	case t.CRC != crc:
+		return fmt.Errorf("trace: container corrupt: payload CRC %08x, its trailer %08x", crc, t.CRC)
+	}
+	return io.EOF
 }
 
 // SliceSource serves records from memory; it is the Source used by
@@ -346,6 +430,16 @@ func (b *Buffered) SkipTagged() int {
 		b.count-- // discarded records are not "consumed instructions"
 		n++
 	}
+}
+
+// Err returns the error that ended the source, or nil while it has not
+// ended or when it ended with io.EOF. The engine's fetch stops at any
+// error; its run loop then reports this one, so a bad trace fails the run.
+func (b *Buffered) Err() error {
+	if b.err == io.EOF {
+		return nil
+	}
+	return b.err
 }
 
 // Consumed returns the number of records handed to the caller via Next,

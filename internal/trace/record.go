@@ -180,178 +180,111 @@ func encodeReg(r isa.Reg) uint64 {
 }
 
 // readReg reads one register field. The 6-bit field can also name 32–62,
-// which no encoder writes (encodeReg turns them into "no register") and the
-// engine would replay as no dependency, so a record naming one is refused.
-func readReg(br *bitio.Reader) (isa.Reg, error) {
-	v, err := br.ReadBits(regBits)
-	switch {
-	case err != nil:
-		return isa.NoReg, err
-	case v == regNone:
-		return isa.NoReg, nil
-	case v >= isa.NumRegs:
-		return isa.NoReg, fmt.Errorf("%w: register field %d", ErrBadRecord, v)
+// which no encoder writes (encodeReg turns them into "no register");
+// decodeFrom refuses a record naming one rather than replay it as no
+// dependency.
+func readReg(br *bitio.Reader) isa.Reg {
+	v, _ := br.ReadBits(regBits)
+	if v == regNone {
+		return isa.NoReg
 	}
-	return isa.Reg(v), nil
+	return isa.Reg(v)
 }
 
-// readMemRegs reads a format-M record's two register fields, r.Store
-// already set: the loaded destination or the stored data source, then the
-// address base.
-func readMemRegs(br *bitio.Reader, r *Record) error {
-	reg, err := readReg(br)
-	if err != nil {
-		return err
-	}
-	if r.Src1, err = readReg(br); err != nil {
-		return err
-	}
-	r.Dest, r.Src2 = reg, isa.NoReg
-	if r.Store {
-		r.Dest, r.Src2 = isa.NoReg, reg
-	}
-	return nil
-}
-
-// readRegs reads the three register fields of a format-O or format-B
-// record: destination, then the two sources.
-func readRegs(br *bitio.Reader, r *Record) (err error) {
-	if r.Dest, err = readReg(br); err != nil {
-		return err
-	}
-	if r.Src1, err = readReg(br); err != nil {
-		return err
-	}
-	r.Src2, err = readReg(br)
-	return err
-}
-
-// EncodeTo writes the record to bw in its wire format.
-func (r Record) EncodeTo(bw *bitio.Writer) error {
-	if err := bw.WriteBits(uint64(r.Kind), fmtBits); err != nil {
-		return err
-	}
-	if err := bw.WriteBool(r.Tag); err != nil {
-		return err
-	}
-	switch r.Kind {
-	case KindOther:
-		if err := bw.WriteBits(uint64(r.Class), classBits); err != nil {
-			return err
-		}
-		for _, reg := range []isa.Reg{r.Dest, r.Src1, r.Src2} {
-			if err := bw.WriteBits(encodeReg(reg), regBits); err != nil {
-				return err
-			}
-		}
-	case KindMem:
-		if err := bw.WriteBool(r.Store); err != nil {
-			return err
-		}
-		if err := bw.WriteBits(sizeCode(r.Size), sizeBits); err != nil {
-			return err
-		}
-		// reg is the destination for loads, the data source for stores.
-		reg := r.Dest
-		if r.Store {
-			reg = r.Src2
-		}
-		if err := bw.WriteBits(encodeReg(reg), regBits); err != nil {
-			return err
-		}
-		if err := bw.WriteBits(encodeReg(r.Src1), regBits); err != nil {
-			return err
-		}
-		if err := bw.WriteBits(uint64(r.Addr), addrBits); err != nil {
-			return err
-		}
-	case KindBranch:
-		if err := bw.WriteBits(uint64(r.Ctrl), ctrlBits); err != nil {
-			return err
-		}
-		if err := bw.WriteBool(r.Taken); err != nil {
-			return err
-		}
-		for _, reg := range []isa.Reg{r.Dest, r.Src1, r.Src2} {
-			if err := bw.WriteBits(encodeReg(reg), regBits); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteBits(uint64(r.PC), pcBits); err != nil {
-			return err
-		}
-		if err := bw.WriteBits(uint64(r.Target), targetBits); err != nil {
-			return err
-		}
-	default:
+// encodeTo writes the record to bw. st selects the address coder: nil
+// writes Addr, PC and Target as 32-bit fields (the raw container, the
+// paper's record format); a delta state writes them as zigzag varints
+// against its predictions and advances past r (the compressed container).
+// Every other field has one layout in both. bitio.Writer's error is
+// sticky, so fields are written unchecked and bw.Err() is the record's.
+func (r Record) encodeTo(bw *bitio.Writer, st *codecState) error {
+	if r.Kind > KindBranch {
 		return ErrBadRecord
 	}
-	return nil
-}
-
-// DecodeFrom reads one record from br.
-func DecodeFrom(br *bitio.Reader) (Record, error) {
-	var r Record
-	k, err := br.ReadBits(fmtBits)
-	if err != nil {
-		return r, err
-	}
-	r.Kind = Kind(k)
-	if r.Tag, err = br.ReadBool(); err != nil {
-		return r, err
-	}
+	prev := st.prev()
+	bw.WriteBits(uint64(r.Kind), fmtBits)
+	bw.WriteBool(r.Tag)
 	switch r.Kind {
 	case KindOther:
-		c, err := br.ReadBits(classBits)
-		if err != nil {
-			return r, err
-		}
-		r.Class = OpClass(c)
-		if err := readRegs(br, &r); err != nil {
-			return r, err
-		}
+		bw.WriteBits(uint64(r.Class), classBits)
+		writeRegs(bw, r.Dest, r.Src1, r.Src2)
 	case KindMem:
-		if r.Store, err = br.ReadBool(); err != nil {
-			return r, err
+		bw.WriteBool(r.Store)
+		bw.WriteBits(sizeCode(r.Size), sizeBits)
+		// The first register is the destination for loads, the data
+		// source for stores.
+		if r.Store {
+			writeRegs(bw, r.Src2, r.Src1)
+		} else {
+			writeRegs(bw, r.Dest, r.Src1)
 		}
-		sc, err := br.ReadBits(sizeBits)
-		if err != nil {
-			return r, err
-		}
-		r.Size = sizeFromCode(sc)
-		if err := readMemRegs(br, &r); err != nil {
-			return r, err
-		}
-		addr, err := br.ReadBits(addrBits)
-		if err != nil {
-			return r, err
-		}
-		r.Addr = uint32(addr)
+		st.putAddr(bw, r.Addr, prev.lastMemAddr)
 	case KindBranch:
-		c, err := br.ReadBits(ctrlBits)
-		if err != nil {
-			return r, err
-		}
-		r.Ctrl = isa.CtrlKind(c)
-		if r.Taken, err = br.ReadBool(); err != nil {
-			return r, err
-		}
-		if err := readRegs(br, &r); err != nil {
-			return r, err
-		}
-		pc, err := br.ReadBits(pcBits)
-		if err != nil {
-			return r, err
-		}
-		r.PC = uint32(pc)
-		tgt, err := br.ReadBits(targetBits)
-		if err != nil {
-			return r, err
-		}
-		r.Target = uint32(tgt)
-	default:
-		return r, fmt.Errorf("%w: format %d", ErrBadRecord, k)
+		bw.WriteBits(uint64(r.Ctrl), ctrlBits)
+		bw.WriteBool(r.Taken)
+		writeRegs(bw, r.Dest, r.Src1, r.Src2)
+		st.putAddr(bw, r.PC, prev.lastBranchPC)
+		st.putAddr(bw, r.Target, r.PC)
 	}
+	st.advance(r)
+	return bw.Err()
+}
+
+func writeRegs(bw *bitio.Writer, regs ...isa.Reg) {
+	for _, reg := range regs {
+		bw.WriteBits(encodeReg(reg), regBits)
+	}
+}
+
+// decodeFrom reads one record that encodeTo wrote with the same kind of
+// st. A stream that ends inside the record returns the reader's io.EOF;
+// a record naming register 32–62 or format 3 returns ErrBadRecord.
+// bitio.Reader's error is sticky too: a field read past it is zero, and
+// br.Err() reports it before any field is checked.
+func decodeFrom(br *bitio.Reader, st *codecState) (Record, error) {
+	var r Record
+	var err error
+	prev := st.prev()
+	k, _ := br.ReadBits(fmtBits)
+	r.Kind = Kind(k)
+	r.Tag, _ = br.ReadBool()
+	switch r.Kind {
+	case KindOther:
+		c, _ := br.ReadBits(classBits)
+		r.Class = OpClass(c)
+		r.Dest, r.Src1, r.Src2 = readReg(br), readReg(br), readReg(br)
+	case KindMem:
+		r.Store, _ = br.ReadBool()
+		sc, _ := br.ReadBits(sizeBits)
+		r.Size = sizeFromCode(sc)
+		r.Dest, r.Src1, r.Src2 = readReg(br), readReg(br), isa.NoReg
+		if r.Store {
+			r.Dest, r.Src2 = isa.NoReg, r.Dest
+		}
+		r.Addr, err = st.getAddr(br, prev.lastMemAddr)
+	case KindBranch:
+		c, _ := br.ReadBits(ctrlBits)
+		r.Ctrl = isa.CtrlKind(c)
+		r.Taken, _ = br.ReadBool()
+		r.Dest, r.Src1, r.Src2 = readReg(br), readReg(br), readReg(br)
+		if r.PC, err = st.getAddr(br, prev.lastBranchPC); err == nil {
+			r.Target, err = st.getAddr(br, r.PC)
+		}
+	default:
+		err = fmt.Errorf("%w: format %d", ErrBadRecord, k)
+	}
+	if err == nil {
+		err = br.Err()
+	}
+	for _, reg := range [...]isa.Reg{r.Dest, r.Src1, r.Src2} {
+		if err == nil && reg >= isa.NumRegs && reg != isa.NoReg {
+			err = fmt.Errorf("%w: register field %d", ErrBadRecord, reg)
+		}
+	}
+	if err != nil {
+		return Record{}, err
+	}
+	st.advance(r)
 	return r, nil
 }
 

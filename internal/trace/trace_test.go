@@ -2,8 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +36,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, want := range sampleRecords() {
 		var buf bytes.Buffer
 		bw := bitio.NewWriter(&buf)
-		if err := want.EncodeTo(bw); err != nil {
+		if err := want.encodeTo(bw, nil); err != nil {
 			t.Fatalf("%v: encode: %v", want, err)
 		}
 		if got := int(bw.BitsWritten()); got != want.BitLen() {
@@ -40,7 +45,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeFrom(bitio.NewReader(&buf))
+		got, err := decodeFrom(bitio.NewReader(&buf), nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want, err)
 		}
@@ -66,7 +71,7 @@ func TestRecordLengthsMatchPaperShape(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{StartPC: 0x400000, Records: uint64(len(recs))})
+	w, err := NewWriter(&buf, Header{StartPC: 0x400000}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +86,11 @@ func TestFileRoundTrip(t *testing.T) {
 	if w.Records() != uint64(len(recs)) {
 		t.Errorf("Records = %d, want %d", w.Records(), len(recs))
 	}
-	if w.Tagged() != 2 {
-		t.Errorf("Tagged = %d, want 2", w.Tagged())
-	}
-	if w.KindCount(KindOther) != 3 || w.KindCount(KindMem) != 2 || w.KindCount(KindBranch) != 3 {
-		t.Errorf("kind counts = %d/%d/%d", w.KindCount(KindOther), w.KindCount(KindMem), w.KindCount(KindBranch))
-	}
 	if bpr := w.BitsPerRecord(); bpr <= 0 {
 		t.Errorf("BitsPerRecord = %v", bpr)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,91 +111,109 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFileWithoutRecordCountStopsAtPadding(t *testing.T) {
-	// When the header count is 0 (streaming producer), the reader must stop
-	// cleanly at flush padding rather than fabricating records... unless the
-	// padding happens to decode as a record prefix; the count, when present,
-	// makes the boundary exact. Here we check the counted path only for a
-	// single record, and the uncounted path for graceful EOF on empty body.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{StartPC: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("empty body: err = %v, want EOF", err)
-	}
-}
-
 func TestOpenAutoDetectsContainers(t *testing.T) {
 	recs := sampleRecords()
 	for _, compressed := range []bool{false, true} {
-		var buf bytes.Buffer
-		var werr error
-		if compressed {
-			w, err := NewCompressedWriter(&buf, Header{StartPC: 0x1000, Records: uint64(len(recs))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if err := w.Write(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			werr = w.Close()
-		} else {
-			w, err := NewWriter(&buf, Header{StartPC: 0x1000, Records: uint64(len(recs))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if err := w.Write(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			werr = w.Close()
-		}
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		src, hdr, err := Open(bytes.NewReader(buf.Bytes()))
+		src, err := Open(bytes.NewReader(container(t, compressed, 0x1000, recs...)))
 		if err != nil {
 			t.Fatalf("compressed=%t: %v", compressed, err)
 		}
-		if hdr.StartPC != 0x1000 {
+		if hdr := src.Header(); hdr.StartPC != 0x1000 {
 			t.Errorf("compressed=%t: StartPC = %#x", compressed, hdr.StartPC)
 		}
-		for i, want := range recs {
-			got, err := src.Next()
-			if err != nil {
-				t.Fatalf("compressed=%t record %d: %v", compressed, i, err)
-			}
-			if got != want {
-				t.Errorf("compressed=%t record %d mismatch", compressed, i)
-			}
+		got, err := readAll(src)
+		if err != nil {
+			t.Fatalf("compressed=%t: %v", compressed, err)
+		}
+		if !slices.Equal(got, recs) {
+			t.Errorf("compressed=%t: records differ", compressed)
 		}
 	}
-	if _, _, err := Open(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
+	if _, err := Open(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err == nil {
 		t.Error("garbage container accepted")
 	}
-	if _, _, err := Open(bytes.NewReader([]byte{1})); err == nil {
+	if _, err := Open(bytes.NewReader([]byte{1})); err == nil {
 		t.Error("short file accepted")
 	}
 }
 
+// TestCutContainersRefused cuts a raw and a compressed container at every
+// byte offset: each cut is refused, with an error that is not io.EOF, and
+// the whole container (and an empty one) reads to io.EOF.
+func TestCutContainersRefused(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		for _, recs := range [][]Record{sampleRecords(), nil} {
+			whole := container(t, compressed, 0x1000, recs...)
+			for n := 0; n <= len(whole); n++ {
+				var got []Record
+				r, err := Open(bytes.NewReader(whole[:n]))
+				if err == nil {
+					got, err = readAll(r)
+				}
+				switch {
+				case n == len(whole) && (err != nil || !slices.Equal(got, recs)):
+					t.Errorf("compressed=%t, %d records: whole container read %d records, %v",
+						compressed, len(recs), len(got), err)
+				case n < len(whole) && (err == nil || errors.Is(err, io.EOF)):
+					t.Errorf("compressed=%t, %d records: cut at %d of %d bytes: err = %v after %d records",
+						compressed, len(recs), n, len(whole), err, len(got))
+				}
+			}
+		}
+	}
+}
+
+// TestDamagedContainersRefused: a flipped payload bit, a wrong trailer
+// count, trailing garbage and a pre-trailer version are all refused.
+func TestDamagedContainersRefused(t *testing.T) {
+	whole := container(t, true, 0x1000, sampleRecords()...)
+	damage := map[string]func([]byte) []byte{
+		"payload bit": func(b []byte) []byte { b[headerLen+3] ^= 0x10; return b },
+		"count":       func(b []byte) []byte { b[len(b)-trailerLen+7]++; return b },
+		"crc":         func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
+		"appended":    func(b []byte) []byte { return append(b, 0) },
+	}
+	for name, f := range damage {
+		r, err := Open(bytes.NewReader(f(bytes.Clone(whole))))
+		if err == nil {
+			_, err = readAll(r)
+		}
+		if err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+	for _, v := range []uint32{1, 2, fileVersion + 1} {
+		b := bytes.Clone(whole)
+		binary.BigEndian.PutUint32(b[4:], v)
+		if _, err := Open(bytes.NewReader(b)); err == nil {
+			t.Errorf("version %d accepted", v)
+		} else if v < fileVersion && !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("version %d: %v does not say to regenerate the file", v, err)
+		}
+	}
+}
+
+func TestReadTrailer(t *testing.T) {
+	whole := container(t, false, 0x1000, sampleRecords()...)
+	tr, err := ReadTrailer(bytes.NewReader(whole), int64(len(whole)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := whole[headerLen : len(whole)-trailerLen]
+	if tr.Records != uint64(len(sampleRecords())) || tr.CRC != crc32.ChecksumIEEE(payload) {
+		t.Errorf("trailer = %+v", tr)
+	}
+	if _, err := ReadTrailer(bytes.NewReader(whole), headerLen+trailerLen-1); err == nil {
+		t.Error("trailer read from a container shorter than header and trailer")
+	}
+}
+
 func TestBadMagicRejected(t *testing.T) {
-	raw := make([]byte, 20)
-	if _, err := NewReader(bytes.NewReader(raw)); err == nil {
+	raw := make([]byte, headerLen+trailerLen)
+	if _, err := Open(bytes.NewReader(raw)); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := NewReader(bytes.NewReader(raw[:5])); err == nil {
+	if _, err := Open(bytes.NewReader(raw[:5])); err == nil {
 		t.Error("short header accepted")
 	}
 }
@@ -357,7 +374,7 @@ func TestQuickStreamRoundTrip(t *testing.T) {
 		bw := bitio.NewWriter(&buf)
 		var bits uint64
 		for _, r := range recs {
-			if err := r.EncodeTo(bw); err != nil {
+			if err := r.encodeTo(bw, nil); err != nil {
 				return false
 			}
 			bits += uint64(r.BitLen())
@@ -370,7 +387,7 @@ func TestQuickStreamRoundTrip(t *testing.T) {
 		}
 		br := bitio.NewReader(&buf)
 		for _, want := range recs {
-			got, err := DecodeFrom(br)
+			got, err := decodeFrom(br, nil)
 			if err != nil || got != want {
 				return false
 			}

@@ -22,12 +22,14 @@
 // Memory is bounded by an optional resident-byte budget. Over budget, the
 // least-recently-used entries are evicted. With a spill directory
 // configured, an evicted trace is first written there once, as a
-// delta-compressed container (internal/trace version 2, built on
-// internal/bitio) named by the key's content address. That directory is a
-// plain tier below memory: every miss consults it before generating, so a
-// restarted process, or a directory synced from another host, serves its
-// containers without regenerating. Shipped containers (Seed) and spill
-// files are decoded by one checked reader.
+// delta-compressed container of internal/trace named by the key's content
+// address. That directory is a plain tier below memory: every miss
+// consults it before generating, so a restarted process, or a directory
+// synced from another host, serves its containers without regenerating.
+// Shipped containers (Seed) and spill files are decoded by trace's one
+// reader, which checks each container's trailer; a cut, corrupt or
+// pre-trailer container is refused, and a spill file that is refused is
+// removed and regenerated.
 package tracecache
 
 import (
@@ -99,8 +101,8 @@ func (t *Trace) Records() int { return len(t.recs) }
 // WrongPath returns the number of tagged (mis-speculated) records.
 func (t *Trace) WrongPath() uint64 { return t.tagged }
 
-// Bits returns the trace's raw encoded size in bits (the version-1
-// container payload, the quantity Table 3 reports per instruction).
+// Bits returns the trace's raw encoded size in bits (the raw container's
+// payload, the quantity Table 3 reports per instruction).
 func (t *Trace) Bits() uint64 { return t.bits }
 
 // add appends one record and its share of the trace statistics.
@@ -131,15 +133,12 @@ func (t *Trace) Range(fn func(trace.Record) error) error {
 	return nil
 }
 
-// WriteContainer writes the trace as a delta-compressed container (the
-// version-2 format of internal/trace) — the same bytes the spill path
-// writes, and the shipping format the sharded sweep service uses to move a
-// generated trace between hosts. Read it back with (*Cache).Seed or
-// trace.Open.
+// WriteContainer writes the trace as a delta-compressed container of
+// internal/trace — the same bytes the spill path writes, and the shipping
+// format the sharded sweep service uses to move a generated trace between
+// hosts. Read it back with (*Cache).Seed or trace.Open.
 func (t *Trace) WriteContainer(w io.Writer) error {
-	cw, err := trace.NewCompressedWriter(w, trace.Header{
-		StartPC: t.startPC, Records: uint64(len(t.recs)),
-	})
+	cw, err := trace.NewWriter(w, trace.Header{StartPC: t.startPC}, true)
 	if err != nil {
 		return err
 	}
@@ -152,9 +151,14 @@ func (t *Trace) WriteContainer(w io.Writer) error {
 // recordBytes approximates the resident cost of one record.
 const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
-// maxReserve caps the records reserved up front for one trace, whether the
-// size hint comes from an instruction budget or a container header.
+// maxReserve caps the records reserved up front for one trace.
 const maxReserve = 1 << 20
+
+// newTrace starts k's trace at startPC, reserving room for k's budget plus
+// typical wrong-path inflation, up to maxReserve records.
+func newTrace(k Key, startPC uint32) *Trace {
+	return &Trace{key: k, startPC: startPC, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
+}
 
 // Config bounds a Cache. The zero value means: no disk spill, the default
 // resident-byte budget and the default per-trace instruction cap.
@@ -409,7 +413,7 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 	}
 	src := funcsim.NewSource(m, k.TC, k.Limit)
 
-	t := &Trace{key: k, startPC: prog.Entry, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
+	t := newTrace(k, prog.Entry)
 	sinceCheck := 0
 	for {
 		r, err := src.Next()
@@ -431,31 +435,25 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 
 // readContainer decodes one container as k's trace. It is the only way a
 // container enters the cache: shipped ones through Seed, spilled ones
-// through the miss path. A cut container still decodes to a plausible
-// prefix, so one whose record count differs from its header's is refused
-// (the record decoders refuse a record naming a register no encoder
-// writes); and the header sizes the up-front reservation only up to
-// maxReserve.
+// through the miss path. The trace reader refuses a cut or corrupt
+// container (its trailer must match the records) and a record naming a
+// register no encoder writes.
 func readContainer(k Key, r io.Reader) (*Trace, error) {
-	src, hdr, err := trace.Open(r)
+	src, err := trace.Open(r)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{key: k, startPC: hdr.StartPC, recs: make([]trace.Record, 0, min(hdr.Records, maxReserve))}
+	t := newTrace(k, src.Header().StartPC)
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
-			break
+			return t, nil
 		}
 		if err != nil {
 			return nil, err
 		}
 		t.add(rec)
 	}
-	if n := uint64(len(t.recs)); n != hdr.Records {
-		return nil, fmt.Errorf("container holds %d records, its header %d", n, hdr.Records)
-	}
-	return t, nil
 }
 
 // SourceFor is the shared cached-or-streaming source selection every trace

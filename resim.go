@@ -163,15 +163,6 @@ type TraceStats struct {
 	BitsPerInstr float64
 }
 
-// traceSink abstracts the two container writers.
-type traceSink interface {
-	Write(trace.Record) error
-	Close() error
-	Records() uint64
-	BitsWritten() uint64
-	BitsPerRecord() float64
-}
-
 // SimulationMIPS converts a result's IPC into modeled wall-clock simulation
 // throughput on dev: MinorClockMHz / K(width) x IPC (Table 1's model).
 func SimulationMIPS(dev Device, cfg Config, res Result) float64 {

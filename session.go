@@ -372,16 +372,25 @@ func (s *Session) RunTrace(ctx context.Context, path string) (Result, error) {
 		return Result{}, err
 	}
 	defer f.Close()
-	src, hdr, err := trace.Open(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return Result{}, err
+	}
+	tr, err := trace.ReadTrailer(f, fi.Size())
+	if err != nil {
+		return Result{}, err
+	}
+	src, err := trace.Open(f)
 	if err != nil {
 		return Result{}, err
 	}
 	// The tag combines the file's base name (stable across directories)
-	// with the header identity, so both a renamed trace and a same-named
-	// file with different contents fail resume loudly rather than risking
-	// a silent wrong-stream attach.
-	tag := fmt.Sprintf("trace:%s@pc=%#x/records=%d", filepath.Base(path), hdr.StartPC, hdr.Records)
-	return s.runSource(ctx, src, hdr.StartPC, tag)
+	// with its start PC and trailer (record count and payload CRC), so
+	// both a renamed trace and a same-named file with different records
+	// fail resume loudly rather than risking a silent wrong-stream attach.
+	pc := src.Header().StartPC
+	tag := fmt.Sprintf("trace:%s@pc=%#x/records=%d/crc=%08x", filepath.Base(path), pc, tr.Records, tr.CRC)
+	return s.runSource(ctx, src, pc, tag)
 }
 
 // WriteTrace generates a ReSim trace for the named workload into w
@@ -405,7 +414,7 @@ func (s *Session) WriteTrace(ctx context.Context, w io.Writer, name string, limi
 	if err != nil {
 		return TraceStats{}, err
 	}
-	sink, err := newTraceSink(w, trace.Header{StartPC: startPC}, compress)
+	sink, err := trace.NewWriter(w, trace.Header{StartPC: startPC}, compress)
 	if err != nil {
 		return TraceStats{}, err
 	}
@@ -439,14 +448,6 @@ func (s *Session) WriteTrace(ctx context.Context, w io.Writer, name string, limi
 		Bits:         sink.BitsWritten(),
 		BitsPerInstr: sink.BitsPerRecord(),
 	}, nil
-}
-
-// newTraceSink opens the raw or delta-compressed container writer on w.
-func newTraceSink(w io.Writer, hdr trace.Header, compress bool) (traceSink, error) {
-	if compress {
-		return trace.NewCompressedWriter(w, hdr)
-	}
-	return trace.NewWriter(w, hdr)
 }
 
 // Sweep simulates every design point over the named workload in parallel

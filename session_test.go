@@ -722,6 +722,83 @@ func TestCheckpointResumeTraceFile(t *testing.T) {
 	}
 }
 
+// writeTraceFile writes the named workload's trace to path.
+func writeTraceFile(t *testing.T, ses *resim.Session, path, workload string, n uint64, compress bool) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.WriteTrace(context.Background(), f, workload, n, compress); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceResumeRefusesOtherRecords: a trace checkpoint names its file by
+// base name, start PC and trailer, so resuming it against a same-named
+// file holding other records is refused.
+func TestTraceResumeRefusesOtherRecords(t *testing.T) {
+	ses, err := resim.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := filepath.Join(t.TempDir(), "run.trace")
+	b := filepath.Join(t.TempDir(), "run.trace")
+	writeTraceFile(t, ses, a, "parser", 40_000, false)
+	writeTraceFile(t, ses, b, "gzip", 40_000, false)
+
+	var cp *resim.Checkpoint
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killed, err := resim.New(resim.WithCheckpointEvery(8192, func(c *resim.Checkpoint) error {
+		cp = c
+		cancel()
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := killed.RunTrace(ctx, a); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run err = %v, want context.Canceled", err)
+	}
+	resumed, err := resim.New(resim.ResumeFrom(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.RunTrace(context.Background(), b); err == nil {
+		t.Fatal("a checkpoint of one trace resumed against a same-named file with other records")
+	}
+}
+
+// TestRunTraceRefusesCutFile: a trace file cut short fails its run in
+// either encoding instead of simulating the prefix.
+func TestRunTraceRefusesCutFile(t *testing.T) {
+	ses, err := resim.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "vpr.trace")
+		writeTraceFile(t, ses, path, "vpr", 20_000, compress)
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.RunTrace(context.Background(), path); err != nil {
+			t.Fatalf("compress=%t: whole file: %v", compress, err)
+		}
+		if err := os.WriteFile(path, whole[:len(whole)*9/10], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := ses.RunTrace(context.Background(), path); err == nil {
+			t.Errorf("compress=%t: file cut to 90%% simulated %d instructions without error", compress, res.Committed)
+		}
+	}
+}
+
 // TestSessionSweepWithCheckpointingMatchesPlain: WithCheckpointEvery is a
 // single-run option, so a checkpointing session's sweeps return results
 // identical to a plain session's. Sweep-level checkpoint capture and
