@@ -50,45 +50,53 @@ func FuzzDecodeFrom(f *testing.F) {
 	})
 }
 
-// FuzzOpen feeds arbitrary containers of either coder to the one reader.
-// It must never panic or loop forever, never accept a record naming a
-// register outside 0–31 or isa.NoReg, and an input it reads to io.EOF must
-// have a trailer counting exactly the records read and must round-trip
-// through a Writer of the same coder record for record.
-func FuzzOpen(f *testing.F) {
-	compressed := container(f, true, 0x1000,
+// FuzzCompressedReader feeds arbitrary containers, seeded with delta-coded
+// ones, to the one reader; fuzzOpen states the property.
+func FuzzCompressedReader(f *testing.F) {
+	seed := container(f, true, 0x1000,
 		Record{Kind: KindMem, Size: 4, Addr: 0x2000},
 		Record{Kind: KindBranch, Taken: true, PC: 0x1000, Target: 0x3000})
-	raw := container(f, false, 0x1000, Record{Kind: KindOther, Class: OpMul, Dest: 5})
-	f.Add(compressed)
+	f.Add(seed)
 	f.Add([]byte{})
-	f.Add(compressed[:8])
-	f.Add(raw)
+	f.Add(seed[:8])
+	f.Fuzz(fuzzOpen)
+}
+
+// FuzzRawReader does the same from raw containers.
+func FuzzRawReader(f *testing.F) {
+	f.Add(container(f, false, 0x1000, Record{Kind: KindOther, Class: OpMul, Dest: 5}))
 	f.Add(make([]byte, headerLen+trailerLen))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Open(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		recs, err := readAll(r)
-		if err != nil {
-			return // any clean error is acceptable
-		}
-		for _, rec := range recs {
-			checkRegs(t, rec)
-		}
-		tr, err := ReadTrailer(bytes.NewReader(data), int64(len(data)))
-		if err != nil || tr.Records != uint64(len(recs)) {
-			t.Fatalf("accepted %d records; trailer %+v, %v", len(recs), tr, err)
-		}
-		again, err := Open(bytes.NewReader(container(t, r.st != nil, r.Header().StartPC, recs...)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back, err := readAll(again); err != nil || !slices.Equal(back, recs) || again.Header() != r.Header() {
-			t.Fatalf("accepted container does not round-trip: %v", err)
-		}
-	})
+	f.Fuzz(fuzzOpen)
+}
+
+// fuzzOpen opens data as a container of either coder. It must never panic
+// or loop forever, never accept a record naming a register outside 0–31 or
+// isa.NoReg, and an input it reads to io.EOF must have a trailer counting
+// exactly the records read and must round-trip through a Writer of the same
+// coder record for record.
+func fuzzOpen(t *testing.T, data []byte) {
+	r, err := Open(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	recs, err := readAll(r)
+	if err != nil {
+		return // any clean error is acceptable
+	}
+	for _, rec := range recs {
+		checkRegs(t, rec)
+	}
+	tr, err := ReadTrailer(bytes.NewReader(data), int64(len(data)))
+	if err != nil || tr.Records != uint64(len(recs)) {
+		t.Fatalf("accepted %d records; trailer %+v, %v", len(recs), tr, err)
+	}
+	again, err := Open(bytes.NewReader(container(t, r.st != nil, r.Header().StartPC, recs...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := readAll(again); err != nil || !slices.Equal(back, recs) || again.Header() != r.Header() {
+		t.Fatalf("accepted container does not round-trip: %v", err)
+	}
 }
 
 // readAll reads r to its checked end.
