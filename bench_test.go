@@ -10,6 +10,7 @@ import (
 	"context"
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	resim "repro"
@@ -587,6 +588,37 @@ func BenchmarkSweepUncached(b *testing.B) {
 // iteration, so each iteration pays one generation plus four replays.
 func BenchmarkSweepColdCache(b *testing.B) {
 	pts := benchSweepPoints()
+	for i := 0; i < b.N; i++ {
+		ses, err := resim.New(resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := ses.Sweep(context.Background(), "gzip", benchInstrs, pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pr := range res {
+			if pr.Err != nil {
+				b.Fatal(pr.Err)
+			}
+		}
+	}
+}
+
+// BenchmarkSweepColdRBGrid measures a first-ever sweep over the
+// benchmark's sweep_cold grid, RB{16,32,48,64} x LSQ{8,16,32,64} on gzip,
+// with a fresh cache per iteration. RB sets the wrong-path length, so the
+// grid is four trace keys of one family: each iteration generates the
+// RB-64 trace, derives the other three from it, and simulates the points
+// its LSQ ladders do not answer.
+func BenchmarkSweepColdRBGrid(b *testing.B) {
+	var pts []resim.SweepPoint
+	for _, rb := range []int{16, 32, 48, 64} {
+		base := resim.DefaultConfig()
+		base.RBSize = rb
+		pts = append(pts, resim.SweepGrid("rb="+strconv.Itoa(rb)+",lsq", base, []int{8, 16, 32, 64},
+			func(c *resim.Config, v int) { c.LSQSize = v })...)
+	}
 	for i := 0; i < b.N; i++ {
 		ses, err := resim.New(resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
 		if err != nil {

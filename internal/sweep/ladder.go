@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/tracecache"
 )
 
 // LSQ ladders. LSQSize enters the engine in three places only: the LSQ
@@ -20,9 +21,12 @@ import (
 // reads of LSQSize are pinned by TestLSQSizeReadsArePinned in
 // internal/core, which fails when one is added or moved.
 
-// ladders groups point indices into ladders, ordered by their first point,
-// each sorted smallest LSQ first (stably, so equal sizes keep point
-// order). Resumed points are ladders of one.
+// ladders groups point indices into ladders, each sorted smallest LSQ
+// first (stably, so equal sizes keep point order). Resumed points are
+// ladders of one. The ladders are in tracecache.ServeOrder of their trace
+// configurations, ties in order of their first point: each family's
+// longest trace is asked for first, so the rest derive from it rather
+// than generate.
 func ladders(points []Point, resume map[int]*core.Checkpoint) [][]int {
 	// A ladder's key is its points' shared Config with LSQSize zeroed.
 	byKey := map[core.Config]int{}
@@ -44,6 +48,9 @@ func ladders(points []Point, resume map[int]*core.Checkpoint) [][]int {
 			return cmp.Compare(points[a].Config.LSQSize, points[b].Config.LSQSize)
 		})
 	}
+	slices.SortStableFunc(out, func(a, b []int) int {
+		return tracecache.ServeOrder(points[a[0]].Config.TraceConfig(), points[b[0]].Config.TraceConfig())
+	})
 	return out
 }
 
@@ -63,6 +70,7 @@ func answerFrom(pt Point, src core.Result) core.Result {
 type run struct {
 	record  bool // a larger rung may be answered from this run
 	windows []core.IntervalSnapshot
+	sourced chan struct{} // closed once the run has its trace, when non-nil
 }
 
 // note records one of the run's telemetry windows. A recording run stops
@@ -87,6 +95,13 @@ type scheduler struct {
 	ladders [][]int
 	ladder  []int // each point's ladder
 	rung    []int // each point's position in its ladder
+	// head[l] is the first ladder whose trace serves ladder l's, or -1;
+	// sourced[l] closes once ladder l's first rung has its trace (nil
+	// without a trace cache). A ladder with a head starts its first rung
+	// once the head's has its trace, so it derives its trace rather than
+	// race its head to generate one.
+	head    []int
+	sourced []chan struct{}
 
 	mu   sync.Mutex
 	pend []int  // each ladder's first pending rung
@@ -118,6 +133,30 @@ func newScheduler(ctx context.Context, r Runner, points []Point) *scheduler {
 		}
 	}
 	s.skip[len(s.ladders)] = len(s.ladders)
+	s.head = make([]int, len(s.ladders))
+	s.sourced = make([]chan struct{}, len(s.ladders))
+	cached := r.Traces != nil && r.Traces.Cacheable(r.Instructions)
+	var keys []tracecache.Key // distinct, in ladder order
+	var firsts []int          // the first ladder of each
+	for l, lad := range s.ladders {
+		s.head[l] = -1
+		if !cached {
+			continue
+		}
+		s.sourced[l] = make(chan struct{})
+		k := tracecache.KeyFor(r.Workload, points[lad[0]].Config.TraceConfig(), r.Instructions)
+		i := slices.Index(keys, k)
+		if i < 0 {
+			i = len(keys)
+			keys, firsts = append(keys, k), append(firsts, l)
+		}
+		for h := range i {
+			if keys[h].Serves(k) {
+				s.head[l] = firsts[h]
+				break
+			}
+		}
+	}
 	return s
 }
 
@@ -132,7 +171,17 @@ func (s *scheduler) work() {
 		if idx < 0 {
 			return
 		}
-		rn := &run{record: s.r.OnTelemetry != nil && s.rung[idx] < len(s.ladders[s.ladder[idx]])-1}
+		l := s.ladder[idx]
+		rn := &run{record: s.r.OnTelemetry != nil && s.rung[idx] < len(s.ladders[l])-1}
+		if s.rung[idx] == 0 {
+			rn.sourced = s.sourced[l]
+			if h := s.head[l]; h >= 0 {
+				select {
+				case <-s.sourced[h]:
+				case <-s.ctx.Done():
+				}
+			}
+		}
 		res := s.r.runOne(s.ctx, idx, s.points[idx], rn)
 		s.mu.Lock()
 		answered := s.finish(idx, res)

@@ -119,9 +119,15 @@ func TestSweepMatchesDirectRuns(t *testing.T) {
 					}
 					// At any parallelism a sweep simulates each ladder up to
 					// its first rung whose LSQ never filled, and answers the
-					// rest.
-					if st := r.Traces.Stats(); st.Hits+st.Generations != simulated(want) {
-						t.Errorf("par=%d: simulated %d points, want %d", par, st.Hits+st.Generations, simulated(want))
+					// rest. Every point shares one predictor and PerfectBP,
+					// so the sweep is one trace family: its longest wrong
+					// path is generated and the shorter ones derived.
+					st := r.Traces.Stats()
+					if n := st.Hits + st.Generations + st.Derivations; n != simulated(want) {
+						t.Errorf("par=%d: simulated %d points, want %d", par, n, simulated(want))
+					}
+					if st.Generations != 1 || st.Derivations != 2 {
+						t.Errorf("par=%d: %d generations, %d derivations; want 1 per family and 2", par, st.Generations, st.Derivations)
 					}
 				}
 			})
@@ -243,6 +249,7 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var total, answered, answeredL2 int
+	var derivations uint64
 	for _, name := range workload.Names() {
 		p, err := workload.ByName(name)
 		if err != nil {
@@ -299,16 +306,20 @@ func TestRandomLaddersMatchDirectRuns(t *testing.T) {
 			}
 		}
 		st := r.Traces.Stats()
-		if n := len(pts) - int(st.Hits+st.Generations); n != wantAnswered {
+		if n := len(pts) - int(st.Hits+st.Generations+st.Derivations); n != wantAnswered {
 			t.Errorf("%s: answered %d points, want %d", name, n, wantAnswered)
 		}
+		derivations += st.Derivations
 		total += len(pts)
 		answered += wantAnswered
 	}
-	t.Logf("seed %d: %d of %d points answered from a smaller rung, %d of them with a D-side L2",
-		seed, answered, total, answeredL2)
+	t.Logf("seed %d: %d of %d points answered from a smaller rung, %d of them with a D-side L2; %d traces derived",
+		seed, answered, total, answeredL2, derivations)
 	if answered == 0 || answeredL2 == 0 {
 		t.Error("no point (or no point with a D-side L2) was answered, so that shortcut was not checked")
+	}
+	if derivations == 0 {
+		t.Error("no trace was derived from a longer one, so derived traces were not checked")
 	}
 }
 

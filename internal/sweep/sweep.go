@@ -9,7 +9,10 @@
 // share one single-flight generation, and every point replays an
 // independent snapshot. Most design-space sweeps vary only engine
 // parameters (width, queue depths, cache geometry), so a whole sweep
-// typically costs a single generation.
+// typically costs a single generation. An RB or IFQ grid varies the
+// wrong-path length, which is part of the key; the sweep asks for each
+// family's longest wrong path first and the cache derives the shorter
+// ones from it, so such a grid also costs one generation per family.
 package sweep
 
 import (
@@ -184,7 +187,7 @@ func PointProgress(index int, res core.Result, done, total int) core.Progress {
 }
 
 // runOne simulates one point as run rn; a window of its own telemetry is
-// also noted in rn.
+// also noted in rn, and rn.sourced closes once the point has its trace.
 func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 	out := Result{Point: pt}
 	cfg := pt.Config
@@ -206,6 +209,9 @@ func (r Runner) runOne(ctx context.Context, idx int, pt Point, rn *run) Result {
 		}
 	}
 	src, startPC, err := tracecache.SourceFor(ctx, r.Traces, r.Workload, cfg.TraceConfig(), r.Instructions)
+	if rn.sourced != nil {
+		close(rn.sourced)
+	}
 	if err != nil {
 		out.Err = err
 		return out

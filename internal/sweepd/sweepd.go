@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -273,9 +274,19 @@ func Run(ctx context.Context, job *Job, workers []Worker, emit func(res PointRes
 	results := make([]sweep.Result, total)
 
 	// Each group is either in the queue or held by exactly one worker, so
-	// capacity len(groups) makes every requeue send non-blocking.
-	queue := make(chan int, len(l.Groups()))
-	for g := range l.Groups() {
+	// capacity len(groups) makes every requeue send non-blocking. Groups
+	// queue in tracecache.ServeOrder, so workers sharing a trace cache
+	// generate each family's longest trace first and derive the rest.
+	groups := l.Groups()
+	queue := make(chan int, len(groups))
+	order := make([]int, len(groups))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return tracecache.ServeOrder(groups[a].Key.TC, groups[b].Key.TC)
+	})
+	for _, g := range order {
 		queue <- g
 	}
 

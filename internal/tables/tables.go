@@ -347,7 +347,7 @@ func (a *bitAccounting) Next() (trace.Record, error) {
 // one benchmark (extension to Table 3; see internal/trace/compress.go).
 type CompressionRow struct {
 	Benchmark string
-	RawBits   float64 // bits/instr, version-1 container
+	RawBits   float64 // bits/instr, raw-coded container
 	CompBits  float64 // bits/instr, delta-coded container
 	Ratio     float64
 	RawGbps   float64 // at the Virtex-4 Table 3 throughput

@@ -13,6 +13,9 @@ func RegisterMetrics(reg *obs.Registry, c *Cache) {
 	reg.CounterFunc("tracecache_generations_total",
 		"Traces generated (cache misses that did the work).",
 		func() float64 { return float64(c.gens.Load()) })
+	reg.CounterFunc("tracecache_derivations_total",
+		"Traces cut from a longer trace of their family instead of generated.",
+		func() float64 { return float64(c.derivations.Load()) })
 	reg.CounterFunc("tracecache_hits_total",
 		"Trace requests served from memory.",
 		func() float64 { return float64(c.hits.Load()) })

@@ -19,6 +19,16 @@
 // concurrent requests for the same key block on the first generator rather
 // than duplicating work.
 //
+// Keys of one profile and budget form a family, and a trace can serve
+// other keys of its family (Key.Serves). The tracer's wrong-path walk has
+// no architectural side effects, so a trace with a shorter wrong path, or
+// with none under a perfect predictor, is a longer one with every tagged
+// block cut short. A miss first looks for the longest resident or
+// in-flight trace of its family that serves it and derives its records
+// from that one; only a miss that nothing serves reads the spill directory
+// or generates. ServeOrder is the order in which to ask for a family's
+// keys so that one generation serves them all.
+//
 // Memory is bounded by an optional resident-byte budget. Over budget, the
 // least-recently-used entries are evicted. With a spill directory
 // configured, an evicted trace is first written there once, as a
@@ -33,6 +43,7 @@
 package tracecache
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -42,6 +53,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -76,6 +88,48 @@ func (k Key) ID() string {
 	return hex.EncodeToString(sum[:16])
 }
 
+// Serves reports whether s's trace serves k: whether k's trace is s's with
+// every tagged (wrong-path) block cut to its first k.TC.WrongPathLen
+// records. The tracer's wrong-path walk changes no architectural state and
+// the predictor writes nothing into correct-path records, so this holds
+// for two keys of one profile and budget when either
+//   - (a) every other trace-config field is equal and s's wrong path is
+//     longer, or
+//   - (b) k has a perfect predictor (no wrong path at all) and s does not.
+//
+// Both rules strictly climb ServeOrder, so derivations never wait in a
+// cycle.
+func (s Key) Serves(k Key) bool {
+	if s.family() != k.family() {
+		return false
+	}
+	if k.TC.PerfectBP && !s.TC.PerfectBP {
+		return true
+	}
+	same := s.TC
+	same.WrongPathLen = k.TC.WrongPathLen
+	return same == k.TC && s.TC.WrongPathLen > k.TC.WrongPathLen
+}
+
+// ServeOrder orders trace configurations so that every trace comes before
+// those it serves: predicted before a perfect predictor, then the longer
+// wrong path first. Ties compare equal, so a stable sort keeps their
+// order. Asking for a family's keys in this order generates its first
+// trace and derives the rest.
+func ServeOrder(a, b funcsim.TraceConfig) int {
+	if a.PerfectBP != b.PerfectBP {
+		if b.PerfectBP {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(b.WrongPathLen, a.WrongPathLen)
+}
+
+// family is k with its trace configuration zeroed: what the keys that
+// may serve one another share.
+func (k Key) family() Key { return Key{Profile: k.Profile, Limit: k.Limit} }
+
 // Trace is one cached, fully generated trace. It is immutable: once built
 // (or reloaded from the spill) its record slice is never written again, so
 // snapshots taken by concurrent readers never race. A Trace returned by Get
@@ -85,7 +139,7 @@ type Trace struct {
 	startPC uint32
 	recs    []trace.Record
 	tagged  uint64
-	bits    uint64 // raw (version-1) encoded payload bits, sum of BitLen
+	bits    uint64 // raw-coder payload bits, sum of BitLen
 }
 
 // Key returns the key the trace was generated under.
@@ -160,6 +214,39 @@ func newTrace(k Key, startPC uint32) *Trace {
 	return &Trace{key: k, startPC: startPC, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
 }
 
+// cut derives k's trace from src, the trace of a key that serves k: src's
+// records with every tagged block cut to its first k.TC.WrongPathLen
+// records, or to none under a perfect predictor. The first pass sizes the
+// copy and takes the records cut out of src's statistics.
+func cut(k Key, src *Trace) *Trace {
+	keep := max(k.TC.WrongPathLen, 0)
+	if k.TC.PerfectBP {
+		keep = 0
+	}
+	t := &Trace{key: k, startPC: src.startPC, tagged: src.tagged, bits: src.bits}
+	n, run := len(src.recs), 0 // run: the record's place in its tagged block
+	for _, r := range src.recs {
+		if !r.Tag {
+			run = 0
+		} else if run++; run > keep {
+			n--
+			t.tagged--
+			t.bits -= uint64(r.BitLen())
+		}
+	}
+	t.recs = make([]trace.Record, 0, n)
+	run = 0
+	for _, r := range src.recs {
+		if !r.Tag {
+			run = 0
+		} else if run++; run > keep {
+			continue
+		}
+		t.recs = append(t.recs, r)
+	}
+	return t
+}
+
 // Config bounds a Cache. The zero value means: no disk spill, the default
 // resident-byte budget and the default per-trace instruction cap.
 type Config struct {
@@ -189,6 +276,7 @@ const DefaultMaxInstructions = uint64(4_000_000)
 // Stats is a point-in-time snapshot of cache activity.
 type Stats struct {
 	Generations uint64 // traces generated (cache misses that did the work)
+	Derivations uint64 // traces cut from a longer trace of their family
 	Hits        uint64 // requests served from memory
 	Seeds       uint64 // entries installed from shipped containers (Seed)
 	SpillWrites uint64 // entries written to the spill directory
@@ -208,11 +296,13 @@ type Cache struct {
 	maxInstr uint64
 
 	mu       sync.Mutex
-	entries  map[Key]*entry // resident and in-flight keys
-	lru      *list.List     // resident entries, front = most recently used
+	entries  map[Key]*entry   // resident and in-flight keys
+	families map[Key][]*entry // the same entries, by Key.family
+	lru      *list.List       // resident entries, front = most recently used
 	resident int64
 
 	gens        atomic.Uint64
+	derivations atomic.Uint64
 	hits        atomic.Uint64
 	seeds       atomic.Uint64
 	spillWrites atomic.Uint64
@@ -247,6 +337,7 @@ func New(cfg Config) *Cache {
 		maxBytes: cfg.MaxResidentBytes,
 		maxInstr: cfg.MaxInstructions,
 		entries:  map[Key]*entry{},
+		families: map[Key][]*entry{},
 		lru:      list.New(),
 	}
 }
@@ -283,6 +374,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Unlock()
 	return Stats{
 		Generations: c.gens.Load(),
+		Derivations: c.derivations.Load(),
 		Hits:        c.hits.Load(),
 		Seeds:       c.seeds.Load(),
 		SpillWrites: c.spillWrites.Load(),
@@ -297,12 +389,13 @@ func (c *Cache) Stats() Stats {
 // ErrUncacheable reports a Get whose limit fails Cacheable.
 var ErrUncacheable = errors.New("tracecache: trace not cacheable (unbounded or over the instruction cap)")
 
-// Get returns the trace for (p, tc, limit), loading it from the spill
-// directory or generating it on the first request. Concurrent requests for
-// one key are single-flight: one caller fills the entry while the rest
-// wait. If the filling caller's context is cancelled mid-generation the
-// entry is discarded and a surviving waiter takes over, so one caller's
-// cancellation never poisons the key.
+// Get returns the trace for (p, tc, limit). On the first request it
+// derives the trace from the longest trace of its family that serves it,
+// resident or in flight, and otherwise loads it from the spill directory
+// or generates it. Concurrent requests for one key are single-flight: one
+// caller fills the entry while the rest wait. If the filling caller's
+// context is cancelled the entry is discarded and a surviving waiter takes
+// over, so one caller's cancellation never poisons the key.
 func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceConfig, limit uint64) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -318,10 +411,11 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 		c.mu.Lock()
 		e, ok := c.entries[k]
 		if !ok {
+			src := c.sourceLocked(k)
 			e = &entry{key: k, done: make(chan struct{})}
-			c.entries[k] = e
+			c.addLocked(e)
 			c.mu.Unlock()
-			return c.fill(ctx, e)
+			return c.fill(ctx, e, src)
 		}
 		c.mu.Unlock()
 
@@ -346,48 +440,95 @@ func (c *Cache) Get(ctx context.Context, p workload.Profile, tc funcsim.TraceCon
 	}
 }
 
-// fill is the one miss path: it loads e's key from the spill directory or
-// generates it, without the cache mutex held, then publishes the result.
-func (c *Cache) fill(ctx context.Context, e *entry) (*Trace, error) {
-	tr, spilled, err := c.load(ctx, e.key)
+// sourceLocked returns the entry, resident or in flight, whose trace best
+// serves k: the first under ServeOrder, so the one with the longest wrong
+// path. It returns nil when no entry serves k. Callers hold c.mu.
+func (c *Cache) sourceLocked(k Key) *entry {
+	var best *entry
+	for _, e := range c.families[k.family()] {
+		if e.key.Serves(k) && (best == nil || ServeOrder(e.key.TC, best.key.TC) < 0) {
+			best = e
+		}
+	}
+	return best
+}
+
+// addLocked enters e under its key and in its family. Callers hold c.mu.
+func (c *Cache) addLocked(e *entry) {
+	c.entries[e.key] = e
+	f := e.key.family()
+	c.families[f] = append(c.families[f], e)
+}
+
+// removeLocked takes e out of the map and its family. Callers hold c.mu.
+func (c *Cache) removeLocked(e *entry) {
+	delete(c.entries, e.key)
+	f := e.key.family()
+	fam := slices.DeleteFunc(c.families[f], func(o *entry) bool { return o == e })
+	if len(fam) == 0 {
+		delete(c.families, f)
+	} else {
+		c.families[f] = fam
+	}
+}
+
+// fill is the one miss path: without the cache mutex held, it derives e's
+// trace from src when src is non-nil and its fill succeeds, else loads it
+// from the spill directory or generates it, then publishes the result and
+// counts the way it was filled.
+func (c *Cache) fill(ctx context.Context, e *entry, src *entry) (*Trace, error) {
+	tr, way, err := c.derive(ctx, e.key, src)
 	e.tr, e.err = tr, err
 	c.mu.Lock()
 	if err != nil {
-		delete(c.entries, e.key)
+		c.removeLocked(e)
 	} else {
 		c.insertResidentLocked(e)
 	}
 	c.mu.Unlock()
 	close(e.done)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case spilled:
-		c.spillLoads.Add(1)
-	default:
-		c.gens.Add(1)
 	}
+	way.Add(1)
 	return tr, nil
 }
 
-// load reads k's container from the spill directory when there is one
-// (reporting true) and generates the trace otherwise. A spill file that
-// fails to decode is removed, so the key regenerates and a later eviction
-// rewrites it.
-func (c *Cache) load(ctx context.Context, k Key) (*Trace, bool, error) {
+// derive waits for src, an entry whose key serves k, and cuts k's trace
+// from it. When src is nil, or its fill failed or was cancelled, k falls
+// back to load under the caller's own ctx. Each fill reports the counter
+// of its way: derivations, spill loads or generations.
+func (c *Cache) derive(ctx context.Context, k Key, src *entry) (*Trace, *atomic.Uint64, error) {
+	if src != nil {
+		select {
+		case <-src.done:
+			if src.err == nil {
+				return cut(k, src.tr), &c.derivations, nil
+			}
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+	return c.load(ctx, k)
+}
+
+// load reads k's container from the spill directory when there is one and
+// generates the trace otherwise. A spill file that fails to decode is
+// removed, so the key regenerates and a later eviction rewrites it.
+func (c *Cache) load(ctx context.Context, k Key) (*Trace, *atomic.Uint64, error) {
 	if c.spillDir != "" {
 		path := c.spillFile(k)
 		if f, err := os.Open(path); err == nil {
 			tr, err := readContainer(k, f)
 			f.Close()
 			if err == nil {
-				return tr, true, nil
+				return tr, &c.spillLoads, nil
 			}
 			_ = os.Remove(path) // if it stays, the next miss refuses it again
 		}
 	}
 	tr, err := generate(ctx, k)
-	return tr, false, err
+	return tr, &c.gens, err
 }
 
 // spillFile is k's container path in the spill directory.
@@ -524,7 +665,7 @@ func (c *Cache) Seed(k Key, r io.Reader) (*Trace, error) {
 	}
 	e := &entry{key: k, done: make(chan struct{}), tr: t}
 	close(e.done)
-	c.entries[k] = e
+	c.addLocked(e)
 	c.insertResidentLocked(e)
 	c.mu.Unlock()
 	c.seeds.Add(1)
@@ -558,7 +699,7 @@ func (c *Cache) evictLocked(e *entry) {
 	if c.spillDir != "" {
 		_ = c.spill(e.key, e.tr) // unwritten, the key just regenerates on its next miss
 	}
-	delete(c.entries, e.key)
+	c.removeLocked(e)
 }
 
 // spill writes tr as k's container in the spill directory, atomically via

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -170,8 +172,10 @@ func TestDistinctKeysGenerateSeparately(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Generations(); got != 3 {
-		t.Errorf("generations = %d, want 3 (base==wide, perfect, bigRB)", got)
+	// Three keys, three fills: perfect has no wrong path, so base's trace
+	// serves it by derivation; bigRB's longer wrong path is generated.
+	if st := c.Stats(); st.Generations != 2 || st.Derivations != 1 {
+		t.Errorf("generations, derivations = %d, %d; want 2 (base==wide, bigRB), 1 (perfect)", st.Generations, st.Derivations)
 	}
 	if base.TraceConfig() != wide.TraceConfig() {
 		t.Error("width changed the trace config")
@@ -692,6 +696,285 @@ func FuzzSeed(f *testing.F) {
 		}
 		if again.StartPC() != tr.StartPC() || !reflect.DeepEqual(again.recs, tr.recs) {
 			t.Fatal("round trip changed the trace")
+		}
+	})
+}
+
+// direct returns the records of k's trace streamed straight from the
+// functional simulator, with no cache in between.
+func direct(t *testing.T, k Key) []trace.Record {
+	t.Helper()
+	src, err := k.Profile.NewSource(k.TC, k.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drain(t, src)
+}
+
+// checkTrace fails unless tr holds exactly want's records, with the
+// statistics they imply.
+func checkTrace(t *testing.T, tr *Trace, want []trace.Record) {
+	t.Helper()
+	var tagged, bits uint64
+	for _, r := range want {
+		if r.Tag {
+			tagged++
+		}
+		bits += uint64(r.BitLen())
+	}
+	if !reflect.DeepEqual(drain(t, tr.Source()), want) {
+		t.Fatalf("%d records differ from the %d of direct generation", tr.Records(), len(want))
+	}
+	if tr.Records() != len(want) || tr.WrongPath() != tagged || tr.Bits() != bits || tr.StartPC() != funcsim.CodeBase {
+		t.Fatalf("stats = %d records, %d wrong-path, %d bits, start %#x; want %d, %d, %d, %#x",
+			tr.Records(), tr.WrongPath(), tr.Bits(), tr.StartPC(), len(want), tagged, bits, funcsim.CodeBase)
+	}
+}
+
+// withWrongPath is tc with wrong-path length n and predictor mode perfect.
+func withWrongPath(tc funcsim.TraceConfig, n int, perfect bool) funcsim.TraceConfig {
+	tc.WrongPathLen, tc.PerfectBP = n, perfect
+	return tc
+}
+
+// TestDerivedTraceMatchesGeneration: on every profile, a trace derived
+// from a longer trace of its family equals direct generation record for
+// record, with its own Records, WrongPath and Bits. It covers rule (a)
+// with predicted and perfect-predictor families, down to a zero wrong
+// path, and rule (b): a perfect-predictor key (Table 1's FAST machine)
+// served by a predicted trace of another wrong-path length.
+func TestDerivedTraceMatchesGeneration(t *testing.T) {
+	const limit = 8000
+	tc := defaultTC()
+	cases := []struct {
+		name      string
+		from, key funcsim.TraceConfig
+	}{
+		{"a/80-to-24", withWrongPath(tc, 80, false), withWrongPath(tc, 24, false)},
+		{"a/24-to-8", withWrongPath(tc, 24, false), withWrongPath(tc, 8, false)},
+		{"a/80-to-0", withWrongPath(tc, 80, false), withWrongPath(tc, 0, false)},
+		{"a/perfect-80-to-24", withWrongPath(tc, 80, true), withWrongPath(tc, 24, true)},
+		{"b/rb64-to-fast", func() funcsim.TraceConfig {
+			c := core.DefaultConfig()
+			c.RBSize = 64
+			return c.TraceConfig()
+		}(), core.FASTComparisonConfig().TraceConfig()},
+		{"b/8-to-perfect-80", withWrongPath(tc, 8, false), withWrongPath(tc, 80, true)},
+	}
+	for _, name := range workload.Names() {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tt := range cases {
+			t.Run(name+"/"+tt.name, func(t *testing.T) {
+				from, k := KeyFor(p, tt.from, limit), KeyFor(p, tt.key, limit)
+				if !from.Serves(k) || k.Serves(from) {
+					t.Fatalf("Serves: %t forward, %t back; want true, false", from.Serves(k), k.Serves(from))
+				}
+				c := New(Config{})
+				long, err := c.Get(context.Background(), p, tt.from, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := c.Get(context.Background(), p, tt.key, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := c.Stats(); st.Generations != 1 || st.Derivations != 1 {
+					t.Fatalf("%d generations, %d derivations; want 1 and 1", st.Generations, st.Derivations)
+				}
+				checkTrace(t, tr, direct(t, k))
+				// Cutting a trace to its own length changes nothing.
+				checkTrace(t, cut(from, long), long.recs)
+			})
+		}
+	}
+}
+
+// TestServesRelation pins what serves what: the same profile and budget,
+// and then a strictly longer wrong path with every other field equal, or
+// a predicted trace for a perfect-predictor key.
+func TestServesRelation(t *testing.T) {
+	p := gzipProfile(t)
+	tc := defaultTC()
+	other := withWrongPath(tc, 80, false)
+	other.Predictor.PHTSize *= 2
+	k := KeyFor(p, withWrongPath(tc, 24, false), 1000)
+	for _, tt := range []struct {
+		name string
+		s    Key
+		want bool
+	}{
+		{"longer", KeyFor(p, withWrongPath(tc, 80, false), 1000), true},
+		{"itself", k, false},
+		{"shorter", KeyFor(p, withWrongPath(tc, 8, false), 1000), false},
+		{"other budget", KeyFor(p, withWrongPath(tc, 80, false), 2000), false},
+		{"other predictor", KeyFor(p, other, 1000), false},
+		{"perfect", KeyFor(p, withWrongPath(tc, 80, true), 1000), false},
+	} {
+		if got := tt.s.Serves(k); got != tt.want {
+			t.Errorf("%s: Serves = %t, want %t", tt.name, got, tt.want)
+		}
+	}
+	perfect := KeyFor(p, withWrongPath(tc, 80, true), 1000)
+	if !KeyFor(p, other, 1000).Serves(perfect) || perfect.Serves(k) {
+		t.Error("a predicted trace must serve any perfect-predictor key, and not the reverse")
+	}
+}
+
+// familyKeys is a whole family: DefaultConfig at RB 16, 32, 48 and 64,
+// predicted and perfect, longest first.
+func familyKeys(p workload.Profile, limit uint64) []Key {
+	var keys []Key
+	for _, perfect := range []bool{false, true} {
+		for _, rb := range []int{64, 48, 32, 16} {
+			c := core.DefaultConfig()
+			c.RBSize, c.PerfectBP = rb, perfect
+			keys = append(keys, KeyFor(p, c.TraceConfig(), limit))
+		}
+	}
+	return keys
+}
+
+// waitEntries polls until c holds n entries, resident or in flight.
+func waitEntries(t *testing.T, c *Cache, n int) {
+	t.Helper()
+	for c.Stats().Entries != n {
+		runtime.Gosched()
+	}
+}
+
+// TestFamilyRequestedConcurrently asks for a whole family three times per
+// key from concurrent goroutines in shuffled order (run under -race).
+// Every trace returned is exact, and each key is filled once. When the
+// longest key is asked first, the family costs one generation.
+func TestFamilyRequestedConcurrently(t *testing.T) {
+	const limit = 8000
+	p := gzipProfile(t)
+	keys := familyKeys(p, limit)
+	want := map[Key][]trace.Record{}
+	for _, k := range keys {
+		want[k] = direct(t, k)
+	}
+	for _, longestFirst := range []bool{false, true} {
+		c := New(Config{})
+		var reqs []Key
+		for range 3 {
+			reqs = append(reqs, keys...)
+		}
+		rng := rand.New(rand.NewSource(7))
+		rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		var wg sync.WaitGroup
+		get := func(k Key) {
+			defer wg.Done()
+			tr, err := c.Get(context.Background(), k.Profile, k.TC, k.Limit)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(tr.recs, want[k]) || tr.Key() != k {
+				t.Errorf("WrongPathLen %d, PerfectBP %t: trace differs from direct generation", k.TC.WrongPathLen, k.TC.PerfectBP)
+			}
+		}
+		if longestFirst {
+			wg.Add(1)
+			go get(keys[0])
+			waitEntries(t, c, 1) // in flight: the rest wait on it and derive
+		}
+		for _, k := range reqs {
+			wg.Add(1)
+			go get(k)
+		}
+		wg.Wait()
+		st := c.Stats()
+		t.Logf("longest first %t: %+v", longestFirst, st)
+		if st.Generations+st.Derivations != uint64(len(keys)) || st.Entries != len(keys) {
+			t.Errorf("longest first %t: %d generations and %d derivations over %d entries; want %d fills",
+				longestFirst, st.Generations, st.Derivations, st.Entries, len(keys))
+		}
+		if longestFirst && st.Generations != 1 {
+			t.Errorf("longest first: %d generations, want 1", st.Generations)
+		}
+	}
+}
+
+// TestCancelledFamilyLeader: a deriver waiting on its family's leader
+// still returns the exact trace when the leader is cancelled while it
+// generates, by loading its own key; and a deriver cancelled while it
+// waits removes its entry. Neither leaks an in-flight entry.
+func TestCancelledFamilyLeader(t *testing.T) {
+	const limit = 100_000
+	p := gzipProfile(t)
+	keys := familyKeys(p, limit)
+	long, short := keys[0], keys[3]
+
+	t.Run("leader", func(t *testing.T) {
+		c := New(Config{})
+		lctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		lerr := make(chan error, 1)
+		go func() {
+			_, err := c.Get(lctx, p, long.TC, limit)
+			lerr <- err
+		}()
+		waitEntries(t, c, 1)
+		var tr *Trace
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			tr, err = c.Get(context.Background(), p, short.TC, limit)
+		}()
+		waitEntries(t, c, 2) // the deriver chose the generating leader
+		cancel()
+		if err := <-lerr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("leader: err = %v, want context.Canceled mid-generation", err)
+		}
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrace(t, tr, direct(t, short))
+		st := c.Stats()
+		if st.Generations != 1 || st.Derivations != 0 || st.Entries != 1 || len(c.families[short.family()]) != 1 {
+			t.Fatalf("stats %+v, family index %d; want the deriver's own generation as the one entry",
+				st, len(c.families[short.family()]))
+		}
+	})
+
+	t.Run("deriver", func(t *testing.T) {
+		c := New(Config{})
+		lead := make(chan error, 1)
+		go func() {
+			_, err := c.Get(context.Background(), p, long.TC, limit)
+			lead <- err
+		}()
+		waitEntries(t, c, 1)
+		dctx, cancel := context.WithCancel(context.Background())
+		derr := make(chan error, 1)
+		go func() {
+			_, err := c.Get(dctx, p, short.TC, limit)
+			derr <- err
+		}()
+		waitEntries(t, c, 2)
+		cancel()
+		if err := <-derr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("deriver: err = %v, want context.Canceled", err)
+		}
+		if err := <-lead; err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Entries != 1 || len(c.families[long.family()]) != 1 {
+			t.Fatalf("cancelled deriver left %d entries, %d in the family index; want 1", st.Entries, len(c.families[long.family()]))
+		}
+		tr, err := c.Get(context.Background(), p, short.TC, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrace(t, tr, direct(t, short))
+		if st := c.Stats(); st.Generations != 1 || st.Derivations != 1 {
+			t.Fatalf("stats %+v; want 1 generation and 1 derivation", st)
 		}
 	})
 }

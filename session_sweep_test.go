@@ -3,7 +3,9 @@ package resim_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -190,5 +192,43 @@ func TestSweepLadderTelemetry(t *testing.T) {
 			t.Fatalf("goroutines: before %d, after %d (leak)", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestSweepColdGridDerivesShorterWrongPaths: the RB x LSQ grid of the
+// benchmark's sweep_cold workload, swept on a fresh trace cache, is one
+// trace family. RB sets the wrong-path length (RB + IFQ), so the sweep
+// generates the RB-64 trace once and derives the RB-16, 32 and 48 traces
+// from it, and every point equals a direct run that streams its own
+// trace.
+func TestSweepColdGridDerivesShorterWrongPaths(t *testing.T) {
+	const n = 20_000
+	var points []resim.SweepPoint
+	for _, rb := range []int{16, 32, 48, 64} {
+		base := resim.DefaultConfig()
+		base.RBSize = rb
+		points = append(points, resim.SweepGrid("rb="+strconv.Itoa(rb)+",lsq", base, []int{8, 16, 32, 64},
+			func(c *resim.Config, v int) { c.LSQSize = v })...)
+	}
+	traces := resim.NewTraceCache(resim.TraceCacheConfig{})
+	ctx := context.Background()
+	got, err := mustSession(t, resim.WithTraceCache(traces)).Sweep(ctx, "gzip", n, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := traces.Stats(); st.Generations != 1 || st.Derivations != 3 {
+		t.Errorf("%d generations, %d derivations; want 1 and 3", st.Generations, st.Derivations)
+	}
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		want, err := mustSession(t, resim.WithConfig(points[i].Config), resim.WithTraceCache(nil)).RunWorkload(ctx, "gzip", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Res, want) {
+			t.Errorf("%s: sweep result differs from the direct run", r.Name)
+		}
 	}
 }
