@@ -79,6 +79,21 @@ type Stats struct {
 	Writes, WriteHits uint64
 }
 
+// count records one access.
+func (s *Stats) count(write, hit bool) {
+	if write {
+		s.Writes++
+		if hit {
+			s.WriteHits++
+		}
+	} else {
+		s.Reads++
+		if hit {
+			s.ReadHits++
+		}
+	}
+}
+
 // Accesses returns total accesses.
 func (s Stats) Accesses() uint64 { return s.Reads + s.Writes }
 
@@ -97,7 +112,7 @@ func (s Stats) MissRate() float64 {
 }
 
 // Side is one side (instruction or data) of a memory system as a value:
-// the geometry the engine builds its own models from. Sides compare with
+// the geometry the engine builds its own memory from. Sides compare with
 // ==, so a configuration holding them does too.
 type Side struct {
 	// L1 is the level-1 cache; the zero Config selects perfect memory.
@@ -137,32 +152,67 @@ func (s Side) Validate() error {
 	return nil
 }
 
-// Build returns a cold model of s, which must be valid: perfect memory, an
-// L1, or an L1 in front of an L2. lower, when non-nil, is the L2 instance
+// Build returns a cold memory for s, which must be valid: perfect memory,
+// an L1, or an L1 in front of an L2. l2, when non-nil, is the L2 instance
 // to use instead of a private one built from s.L2 (a multicore cluster's
 // shared L2).
-func (s Side) Build(lower *Cache) Model {
+func (s Side) Build(l2 *Cache) *Memory {
 	switch {
 	case s.Perfect():
-		return NewPerfect(max(s.Latency, 1))
+		return &Memory{latency: max(s.Latency, 1)}
 	case s.L2 == Config{}:
-		return New(s.L1)
+		return &Memory{l1: New(s.L1)}
 	}
-	if lower == nil {
-		lower = New(s.L2)
+	if l2 == nil {
+		l2 = New(s.L2)
 	}
-	return &Hierarchy{l1: New(s.L1), lower: lower}
+	return &Memory{l1: New(s.L1), l2: l2}
 }
 
-// Model is the interface the engine uses: an access returns the hit/miss
-// indication and the access latency in simulated cycles.
-type Model interface {
-	// Access performs a timing access at addr. write selects the port type.
-	Access(addr uint32, write bool) (hit bool, latency int)
-	// Stats returns accumulated counters.
-	Stats() Stats
-	// Reset clears tag state and counters.
-	Reset()
+// Memory is one side of the memory system as the engine sees it: an access
+// returns the hit/miss indication and the access latency in simulated
+// cycles. Without an L1 it is perfect memory (Table 1, left portion): every
+// access hits at a fixed latency. Otherwise an access looks up the L1, and
+// an L1 miss with an L2 behind it pays the L1 lookup plus the L2's access
+// latency; fills are write-allocate at both levels. The L2 may be shared
+// by a multicore cluster's cores, which then interfere in its tags.
+type Memory struct {
+	l1, l2  *Cache // l1 nil: perfect memory; l2 nil: an L1 miss pays L1.MissLatency
+	latency int    // perfect-memory access latency
+	st      Stats  // perfect memory's counters (a cache keeps its own)
+}
+
+// Access performs a timing access at addr; write selects the port type.
+func (m *Memory) Access(addr uint32, write bool) (hit bool, latency int) {
+	if m.l1 == nil {
+		m.st.count(write, true)
+		return true, m.latency
+	}
+	if hit, lat := m.l1.Access(addr, write); hit || m.l2 == nil {
+		return hit, lat
+	}
+	_, lat := m.l2.Access(addr, write)
+	return false, m.l1.cfg.HitLatency + lat
+}
+
+// Stats returns the level-1 counters: the L1's, or perfect memory's.
+func (m *Memory) Stats() Stats {
+	if m.l1 == nil {
+		return m.st
+	}
+	return m.l1.st
+}
+
+// Reset clears tag state and counters at every level. A shared L2 is reset
+// too, so reset a cluster through one of its memories only.
+func (m *Memory) Reset() {
+	m.st = Stats{}
+	if m.l1 != nil {
+		m.l1.Reset()
+	}
+	if m.l2 != nil {
+		m.l2.Reset()
+	}
 }
 
 // Cache is a set-associative, true-LRU, write-allocate timing cache.
@@ -199,31 +249,23 @@ func New(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Access implements Model. Misses allocate (write-allocate for stores,
-// demand fill for loads) and evict the true-LRU way.
+// Access performs a timing access at addr, returning the hit/miss
+// indication and the access latency. Misses allocate (write-allocate for
+// stores, demand fill for loads) and evict the true-LRU way.
 func (c *Cache) Access(addr uint32, write bool) (bool, int) {
 	c.tick++
 	set := (addr >> c.setShift) & c.setMask
 	tag := addr >> c.setShift
 	base := int(set) * c.cfg.Assoc
 
-	if write {
-		c.st.Writes++
-	} else {
-		c.st.Reads++
-	}
-
 	for w := 0; w < c.cfg.Assoc; w++ {
 		if c.valid[base+w] && c.tags[base+w] == tag {
 			c.lastUsed[base+w] = c.tick
-			if write {
-				c.st.WriteHits++
-			} else {
-				c.st.ReadHits++
-			}
+			c.st.count(write, true)
 			return true, c.cfg.HitLatency
 		}
 	}
+	c.st.count(write, false)
 
 	// Miss: fill into an invalid way, else evict LRU.
 	victim := -1
@@ -249,12 +291,12 @@ func (c *Cache) Access(addr uint32, write bool) (bool, int) {
 	return false, c.cfg.MissLatency
 }
 
-// Stats implements Model.
+// Stats returns accumulated counters.
 func (c *Cache) Stats() Stats { return c.st }
 
-// Reset implements Model. Tags are cleared too (not just invalidated) so a
-// reset cache is bit-identical to a newly built one — the property the
-// engine's exhaustive per-run Reset and checkpoint tests pin.
+// Reset clears tag state and counters. Tags are cleared too (not just
+// invalidated) so a reset cache is bit-identical to a newly built one — the
+// property the engine's exhaustive per-run Reset and checkpoint tests pin.
 func (c *Cache) Reset() {
 	for i := range c.valid {
 		c.valid[i] = false
@@ -264,31 +306,3 @@ func (c *Cache) Reset() {
 	c.tick = 0
 	c.st = Stats{}
 }
-
-// Perfect is the perfect memory system: every access hits with a fixed
-// latency (Table 1, left portion).
-type Perfect struct {
-	Latency int
-	st      Stats
-}
-
-// NewPerfect returns a perfect memory model with the given access latency.
-func NewPerfect(latency int) *Perfect { return &Perfect{Latency: latency} }
-
-// Access implements Model; it always hits.
-func (p *Perfect) Access(addr uint32, write bool) (bool, int) {
-	if write {
-		p.st.Writes++
-		p.st.WriteHits++
-	} else {
-		p.st.Reads++
-		p.st.ReadHits++
-	}
-	return true, p.Latency
-}
-
-// Stats implements Model.
-func (p *Perfect) Stats() Stats { return p.st }
-
-// Reset implements Model.
-func (p *Perfect) Reset() { p.st = Stats{} }

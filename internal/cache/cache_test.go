@@ -122,7 +122,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestPerfect(t *testing.T) {
-	p := NewPerfect(1)
+	p := (Side{}).Build(nil)
 	for i := uint32(0); i < 100; i++ {
 		hit, lat := p.Access(i*4096, i%2 == 0)
 		if !hit || lat != 1 {

@@ -9,17 +9,17 @@ func twoLevel() Side {
 }
 
 func TestHierarchyHitDoesNotTouchLower(t *testing.T) {
-	h := twoLevel().Build(nil).(*Hierarchy)
+	h := twoLevel().Build(nil)
 	h.Access(0x100, false) // cold: L1 miss -> L2 access
-	if h.lower.Stats().Accesses() != 1 {
-		t.Fatalf("L2 accesses = %d, want 1", h.lower.Stats().Accesses())
+	if h.l2.Stats().Accesses() != 1 {
+		t.Fatalf("L2 accesses = %d, want 1", h.l2.Stats().Accesses())
 	}
 	hit, lat := h.Access(0x100, false) // L1 hit
 	if !hit || lat != 1 {
 		t.Errorf("L1 hit = %t/%d", hit, lat)
 	}
-	if h.lower.Stats().Accesses() != 1 {
-		t.Errorf("L1 hit leaked to L2: %d accesses", h.lower.Stats().Accesses())
+	if h.l2.Stats().Accesses() != 1 {
+		t.Errorf("L1 hit leaked to L2: %d accesses", h.l2.Stats().Accesses())
 	}
 }
 
@@ -54,13 +54,13 @@ func TestHierarchySharedLower(t *testing.T) {
 }
 
 func TestHierarchyStatsAndReset(t *testing.T) {
-	h := twoLevel().Build(nil).(*Hierarchy)
+	h := twoLevel().Build(nil)
 	h.Access(0x40, true)
 	if h.Stats().Writes != 1 {
 		t.Errorf("L1 stats = %+v", h.Stats())
 	}
 	h.Reset()
-	if h.Stats().Accesses() != 0 || h.lower.Stats().Accesses() != 0 {
+	if h.Stats().Accesses() != 0 || h.l2.Stats().Accesses() != 0 {
 		t.Error("Reset did not clear both levels")
 	}
 }
@@ -74,19 +74,24 @@ func TestHierarchyRejectsBadL1(t *testing.T) {
 }
 
 // TestSideBuildsEachKind: the zero L1 is perfect memory at Latency (0
-// means 1), an L1 alone is a Cache, and an L2 makes a Hierarchy.
+// means 1), an L1 alone is one cache, and an L2 puts a second level behind
+// it — a private one unless the caller passes a shared one.
 func TestSideBuildsEachKind(t *testing.T) {
-	if p, ok := (Side{}).Build(nil).(*Perfect); !ok || p.Latency != 1 {
-		t.Errorf("zero side built %#v, want 1-cycle perfect memory", p)
+	if m := (Side{}).Build(nil); m.l1 != nil || m.latency != 1 {
+		t.Errorf("zero side built %+v, want 1-cycle perfect memory", m)
 	}
-	if p, ok := (Side{Latency: 3}).Build(nil).(*Perfect); !ok || p.Latency != 3 {
-		t.Errorf("Latency 3 built %#v", p)
+	if m := (Side{Latency: 3}).Build(nil); m.l1 != nil || m.latency != 3 {
+		t.Errorf("Latency 3 built %+v", m)
 	}
-	if c, ok := (Side{L1: small()}).Build(nil).(*Cache); !ok || c.Config() != small() {
-		t.Errorf("L1 side built %T", c)
+	if m := (Side{L1: small()}).Build(nil); m.l1 == nil || m.l1.Config() != small() || m.l2 != nil {
+		t.Errorf("L1 side built %+v", m)
 	}
-	if _, ok := twoLevel().Build(nil).(*Hierarchy); !ok {
-		t.Error("L1+L2 side did not build a hierarchy")
+	if m := twoLevel().Build(nil); m.l1 == nil || m.l2 == nil || m.l2.Config() != twoLevel().L2 {
+		t.Errorf("L1+L2 side built %+v", m)
+	}
+	shared := New(twoLevel().L2)
+	if m := twoLevel().Build(shared); m.l2 != shared {
+		t.Error("L1+L2 side ignored the shared L2")
 	}
 }
 

@@ -6,41 +6,39 @@ import (
 	"testing"
 )
 
-// stateTestCache is a tiny 2-set / 2-way cache so the golden encoding stays
+// stateTestL1 is a tiny 2-set / 2-way cache so the golden encoding stays
 // reviewable.
-func stateTestCache() *Cache {
-	return New(Config{Name: "t", SizeBytes: 128, Assoc: 2, BlockBytes: 32,
-		HitLatency: 1, MissLatency: 9})
+func stateTestL1() Config {
+	return Config{Name: "t", SizeBytes: 128, Assoc: 2, BlockBytes: 32,
+		HitLatency: 1, MissLatency: 9}
 }
 
 // fillDeterministic drives a fixed access pattern with hits, misses and an
 // LRU eviction.
-func fillDeterministic(m Model) {
+func fillDeterministic(m *Memory) {
 	for _, a := range []uint32{0x000, 0x040, 0x100, 0x000, 0x200, 0x040} {
 		m.Access(a, false)
 	}
 	m.Access(0x80, true)
 }
 
-// TestCacheStateRoundTrip: CaptureState -> JSON -> RestoreState reproduces
-// bit-identical hit/miss behavior and counters for every built-in model.
+// TestCacheStateRoundTrip: State -> JSON -> SetState reproduces
+// bit-identical hit/miss behavior and counters for every kind of memory.
 func TestCacheStateRoundTrip(t *testing.T) {
-	hier := Side{
-		L1: Config{Name: "l1", SizeBytes: 128, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 9},
-		L2: Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32, HitLatency: 4, MissLatency: 30},
+	sides := map[string]Side{
+		"cache":   {L1: stateTestL1()},
+		"perfect": {Latency: 2},
+		"hierarchy": {
+			L1: Config{Name: "l1", SizeBytes: 128, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 9},
+			L2: Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32, HitLatency: 4, MissLatency: 30},
+		},
 	}
-	models := map[string]struct {
-		orig, fresh Model
-	}{
-		"cache":     {stateTestCache(), stateTestCache()},
-		"perfect":   {NewPerfect(2), NewPerfect(2)},
-		"hierarchy": {hier.Build(nil), hier.Build(nil)},
-	}
-	for name, mm := range models {
-		fillDeterministic(mm.orig)
-		st, err := CaptureState(mm.orig)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for name, side := range sides {
+		orig, fresh := side.Build(nil), side.Build(nil)
+		fillDeterministic(orig)
+		st := orig.State()
+		if st.Kind != name {
+			t.Errorf("%s: state kind %q", name, st.Kind)
 		}
 		data, err := json.Marshal(st)
 		if err != nil {
@@ -50,31 +48,23 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &decoded); err != nil {
 			t.Fatal(err)
 		}
-		if err := RestoreState(mm.fresh, &decoded); err != nil {
+		if err := fresh.SetState(&decoded); err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}
-		if mm.fresh.Stats() != mm.orig.Stats() {
-			t.Errorf("%s: restored counters differ: %+v vs %+v", name, mm.fresh.Stats(), mm.orig.Stats())
+		if fresh.Stats() != orig.Stats() {
+			t.Errorf("%s: restored counters differ: %+v vs %+v", name, fresh.Stats(), orig.Stats())
 		}
 		// Behavioral equivalence: the same subsequent accesses produce the
 		// same hits and latencies (tag state and LRU clocks restored).
 		for _, a := range []uint32{0x000, 0x040, 0x100, 0x200, 0x300, 0x80} {
-			hitA, latA := mm.orig.Access(a, false)
-			hitB, latB := mm.fresh.Access(a, false)
+			hitA, latA := orig.Access(a, false)
+			hitB, latB := fresh.Access(a, false)
 			if hitA != hitB || latA != latB {
 				t.Errorf("%s: access %#x diverged after restore: %t/%d vs %t/%d",
 					name, a, hitA, latA, hitB, latB)
 			}
 		}
-		rec, err := CaptureState(mm.orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec2, err := CaptureState(mm.fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rec, rec2) {
+		if !reflect.DeepEqual(orig.State(), fresh.State()) {
 			t.Errorf("%s: post-restore states diverged", name)
 		}
 	}
@@ -84,13 +74,9 @@ func TestCacheStateRoundTrip(t *testing.T) {
 // for byte: an accidental change breaks stored checkpoints and must fail
 // loudly here.
 func TestCacheStateGoldenEncoding(t *testing.T) {
-	c := stateTestCache()
+	c := Side{L1: stateTestL1()}.Build(nil)
 	fillDeterministic(c)
-	st, err := CaptureState(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(st)
+	data, err := json.Marshal(c.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,30 +86,36 @@ func TestCacheStateGoldenEncoding(t *testing.T) {
 	}
 }
 
-// TestCacheStateRejectsMismatches: wrong kinds and wrong geometry fail.
+// TestCacheStateRejectsMismatches: wrong kinds, wrong geometry, a wrong
+// latency and a missing state fail.
 func TestCacheStateRejectsMismatches(t *testing.T) {
-	c := stateTestCache()
-	st, err := CaptureState(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RestoreState(NewPerfect(1), st); err == nil {
+	l1 := Side{L1: stateTestL1()}
+	l2 := Config{Name: "l2", SizeBytes: 512, Assoc: 2, BlockBytes: 32, HitLatency: 4, MissLatency: 30}
+	hier := Side{L1: stateTestL1(), L2: l2}
+	st := l1.Build(nil).State()
+	if err := (Side{}).Build(nil).SetState(st); err == nil {
 		t.Error("cache state restored into perfect memory")
 	}
-	other := New(Config{Name: "t", SizeBytes: 256, Assoc: 2, BlockBytes: 32,
-		HitLatency: 1, MissLatency: 9})
-	if err := RestoreState(other, st); err == nil {
+	if err := hier.Build(nil).SetState(st); err == nil {
+		t.Error("cache state restored into a hierarchy")
+	}
+	other := Side{L1: Config{Name: "t", SizeBytes: 256, Assoc: 2, BlockBytes: 32,
+		HitLatency: 1, MissLatency: 9}}
+	if err := other.Build(nil).SetState(st); err == nil {
 		t.Error("cache state restored into different geometry")
 	}
-	pst, err := CaptureState(NewPerfect(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RestoreState(NewPerfect(1), pst); err == nil {
+	if err := (Side{}).Build(nil).SetState((Side{Latency: 3}).Build(nil).State()); err == nil {
 		t.Error("perfect state restored under a different latency")
 	}
-	type custom struct{ Model }
-	if _, err := CaptureState(custom{c}); err == nil {
-		t.Error("custom model captured without error")
+	hst := hier.Build(nil).State()
+	if err := l1.Build(nil).SetState(hst); err == nil {
+		t.Error("hierarchy state restored into an L1 alone")
+	}
+	hst.Lower = nil
+	if err := hier.Build(nil).SetState(hst); err == nil {
+		t.Error("hierarchy state without an L2 restored")
+	}
+	if err := l1.Build(nil).SetState(nil); err == nil {
+		t.Error("nil state restored")
 	}
 }

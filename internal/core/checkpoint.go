@@ -164,15 +164,7 @@ func (c Config) CheckpointDigest() string {
 // Checkpoint captures the engine's complete per-run state. It must be
 // called between major cycles (never from inside Cycle); RunHooks invokes
 // it at checkpoint-interval boundaries.
-func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	ic, err := cache.CaptureState(e.icache)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint instruction cache: %w", err)
-	}
-	dc, err := cache.CaptureState(e.dcache)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint data cache: %w", err)
-	}
+func (e *Engine) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:      CheckpointVersion,
 		ConfigDigest: e.cfg.CheckpointDigest(),
@@ -191,8 +183,8 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		Rename: e.rt.Producers(),
 		FUBusy: e.fus.BusyUntil(),
 
-		ICache: ic,
-		DCache: dc,
+		ICache: e.icache.State(),
+		DCache: e.dcache.State(),
 
 		IFQOcc: e.ifqOcc,
 		RBOcc:  e.rbOcc,
@@ -223,7 +215,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		st := e.bp.State()
 		cp.BPred = &st
 	}
-	return cp, nil
+	return cp
 }
 
 // Restore builds an engine from cfg over src and installs the checkpointed
@@ -311,10 +303,10 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 			return nil, fmt.Errorf("core: restore branch predictor: %w", err)
 		}
 	}
-	if err := cache.RestoreState(e.icache, cp.ICache); err != nil {
+	if err := e.icache.SetState(cp.ICache); err != nil {
 		return nil, fmt.Errorf("core: restore instruction cache: %w", err)
 	}
-	if err := cache.RestoreState(e.dcache, cp.DCache); err != nil {
+	if err := e.dcache.SetState(cp.DCache); err != nil {
 		return nil, fmt.Errorf("core: restore data cache: %w", err)
 	}
 

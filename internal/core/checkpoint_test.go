@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
@@ -106,10 +108,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if eng.Done() {
 				t.Fatalf("trace drained before cycle %d; pick a longer budget", stopAt)
 			}
-			cp, err := eng.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cp := eng.Checkpoint()
 
 			// Serialize and decode — the resumed engine must come from the
 			// encoded form, as it would after a process death.
@@ -152,10 +151,7 @@ func TestCheckpointEncodingSelfDescribing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cp, err := eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := eng.Checkpoint()
 	data, err := cp.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +185,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cp, err := eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := eng.Checkpoint()
 	other := core.DefaultConfig()
 	other.RBSize = 32
 	if _, err := core.Restore(other, trace.NewSliceSource(recs), cp); err == nil {
@@ -277,10 +270,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	// And the reset state is checkpoint-identical to a fresh engine's: the
 	// exhaustiveness guarantee restore depends on.
 	fresh.Reset(trace.NewSliceSource(recs), funcsim.CodeBase)
-	cpReset, err := fresh.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpReset := fresh.Checkpoint()
 	cfg2 := cfg
 	cfg2.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
 		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
@@ -290,10 +280,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpVirgin, err := virgin.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpVirgin := virgin.Checkpoint()
 	a, err := cpReset.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -406,5 +393,100 @@ func TestDriveTerminalSnapshotOnStepError(t *testing.T) {
 	}
 	if last.Final || last.Cycles != 42 {
 		t.Errorf("last callback = %+v, want non-Final at cycle 42", last)
+	}
+}
+
+// fixtureConfig is the machine the committed checkpoint fixture was captured
+// under: simulated branch prediction with small tables, perfect instruction
+// memory at latency 2, and a small data L1 in front of an L2 — one state of
+// each kind ("perfect", "hierarchy" and, inside it, "cache") in a file that
+// stays small.
+func fixtureConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Predictor = bpred.Config{Dir: bpred.DirTwoLevel, BHTSize: 4, HistLen: 4, PHTSize: 64,
+		BTBEntries: 16, BTBAssoc: 1, RASSize: 4}
+	cfg.ICache = cache.Side{Latency: 2}
+	cfg.DCache = cache.Side{
+		L1: cache.Config{Name: "dl1", SizeBytes: 256, Assoc: 2, BlockBytes: 32, HitLatency: 1, MissLatency: 12},
+		L2: cache.Config{Name: "dl2", SizeBytes: 1 << 10, Assoc: 4, BlockBytes: 32, HitLatency: 4, MissLatency: 30},
+	}
+	return cfg
+}
+
+// fixtureRecords and fixtureCycle fix the run the fixture interrupts: gzip's
+// first 2000 correct-path instructions, checkpointed at cycle 896, where
+// wrong-path instructions and a store are in flight and the D side has seen
+// writes.
+const (
+	fixtureRecords = 2000
+	fixtureCycle   = 896
+	fixturePath    = "testdata/checkpoint_v1.json"
+)
+
+// TestCheckpointFixture pins the checkpoint encoding against a file
+// captured by an earlier build: the stored checkpoint still restores, the
+// restored engine captures back to the stored bytes and finishes with the
+// uninterrupted run's statistics report, and a fresh capture at the same
+// cycle encodes to the stored bytes too. A change that
+// alters the encoding, or the state a checkpoint carries, fails here
+// instead of stranding checkpoints already written to job journals.
+func TestCheckpointFixture(t *testing.T) {
+	cfg := fixtureConfig()
+	recs := ckptRecords(t, "gzip", cfg, fixtureRecords)
+	stored, err := os.ReadFile(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cp, err := core.DecodeCheckpoint(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Now != fixtureCycle {
+		t.Fatalf("fixture taken at cycle %d, want %d", cp.Now, fixtureCycle)
+	}
+	resumed, err := core.Restore(cfg, trace.NewSliceSource(recs), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(e *core.Engine) []byte {
+		var buf bytes.Buffer
+		if err := e.Checkpoint().EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got := encode(resumed); !bytes.Equal(got, stored) {
+		t.Errorf("the restored engine captures other state than it was restored from:\ngot  %s\nwant %s", got, stored)
+	}
+	got, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra, rb := want.Registry().String(), got.Registry().String(); ra != rb {
+		t.Errorf("resumed from the fixture, the report differs:\n--- uninterrupted\n%s\n--- resumed\n%s", ra, rb)
+	}
+
+	fresh, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fresh.Now() < fixtureCycle {
+		if err := fresh.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := encode(fresh); !bytes.Equal(got, stored) {
+		t.Errorf("a fresh capture at cycle %d no longer encodes to %s:\ngot  %s\nwant %s",
+			fixtureCycle, fixturePath, got, stored)
 	}
 }

@@ -50,8 +50,8 @@ type Config struct {
 	PerfectBP bool
 	// Predictor configures the simulated branch predictor.
 	Predictor bpred.Config
-	// ICache and DCache describe the memory system; each engine builds its
-	// own cold models from them. The zero Side is perfect memory with
+	// ICache and DCache describe the memory system; each engine builds one
+	// cold cache.Memory per side from them. The zero Side is perfect memory with
 	// 1-cycle access (Table 1, left portion).
 	ICache cache.Side
 	DCache cache.Side

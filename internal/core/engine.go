@@ -173,8 +173,8 @@ type Engine struct {
 	startPC uint32
 
 	bp     *bpred.Predictor
-	icache cache.Model
-	dcache cache.Model
+	icache *cache.Memory
+	dcache *cache.Memory
 
 	ifq   *uarch.Ring[fetchedInst]
 	rob   *uarch.Ring[robEntry]
@@ -227,12 +227,6 @@ type Engine struct {
 	consMask  int64       //resim:ckpt-exempt sized by New to the next power of two >= RBSize; pure config
 	lsqLoads  int         //resim:derived resident LSQ loads; lsqRefresh is a no-op without any
 	lsqStores []*lsqEntry //resim:ckpt-exempt lsqRefresh per-cycle scratch: older stores seen so far
-	// icPerfect/dcPerfect devirtualize the dominant cache model: when the
-	// configured model is cache.Perfect the per-access interface dispatch
-	// becomes an inlinable direct call.
-	//resim:ckpt-exempt devirtualization mirrors installed by New; cache state restores through the Model interface
-	icPerfect *cache.Perfect
-	dcPerfect *cache.Perfect //resim:ckpt-exempt devirtualization mirror installed by New
 	// prodPtr mirrors the rename table with the producer's reorder-buffer
 	// entry, letting dispatch register a consumer without a search. Only
 	// meaningful for registers whose rename entry names a producer.
@@ -255,8 +249,8 @@ const watchdogCycles = 200_000
 
 // New builds an engine over the given trace source. startPC seeds the fetch
 // PC (trace.Header.StartPC for file traces; the program entry point for
-// on-the-fly sources). The engine builds its own cold cache models from
-// cfg.ICache and cfg.DCache.
+// on-the-fly sources). The engine builds one cold cache.Memory per side
+// from cfg.ICache and cfg.DCache.
 func New(cfg Config, src trace.Source, startPC uint32) (*Engine, error) {
 	return NewSharing(cfg, src, startPC, nil)
 }
@@ -305,8 +299,6 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 	e.wbNext = make([]*robEntry, 0, cfg.Width*2)
 	e.wbHeap = make([]wbItem, 0, cfg.RBSize)
 	e.lsqStores = make([]*lsqEntry, 0, cfg.LSQSize)
-	e.icPerfect, _ = e.icache.(*cache.Perfect)
-	e.dcPerfect, _ = e.dcache.(*cache.Perfect)
 	return e, nil
 }
 
@@ -542,11 +534,7 @@ func (e *Engine) RunHooks(ctx context.Context, h Hooks) (Result, error) {
 	var sinks []hook
 	if sink := h.Checkpoint; sink != nil {
 		sinks = append(sinks, hook{every: h.CheckpointEvery, fn: func(bool) error {
-			cp, err := e.Checkpoint()
-			if err != nil {
-				return err
-			}
-			return sink(cp)
+			return sink(e.Checkpoint())
 		}})
 	}
 	if h.Telemetry != nil {
@@ -767,11 +755,7 @@ func (e *Engine) commit() error {
 				e.c.StorePortStalls++
 				break
 			}
-			if p := e.dcPerfect; p != nil {
-				p.Access(en.rec.Addr, true)
-			} else {
-				e.dcache.Access(en.rec.Addr, true)
-			}
+			e.dcache.Access(en.rec.Addr, true)
 		}
 		if isMem {
 			if e.lsq.Empty() || e.lsq.Front().seq != en.seq {
@@ -1168,12 +1152,7 @@ func (e *Engine) issueOne(en *robEntry) bool {
 				if !e.ports.TryRead() {
 					return false
 				}
-				var lat int
-				if p := e.dcPerfect; p != nil {
-					_, lat = p.Access(en.rec.Addr, false)
-				} else {
-					_, lat = e.dcache.Access(en.rec.Addr, false)
-				}
+				_, lat := e.dcache.Access(en.rec.Addr, false)
 				en.completeAt = e.now + int64(lat)
 			}
 			en.state = stIssued
@@ -1431,11 +1410,8 @@ func (e *Engine) fetch() {
 			e.fetchPC = rec.PC
 		}
 
-		// Instruction cache access at the current fetch PC. The concrete
-		// Perfect call devirtualizes (and always hits).
-		if p := e.icPerfect; p != nil {
-			p.Access(e.fetchPC, false)
-		} else if hit, lat := e.icache.Access(e.fetchPC, false); !hit {
+		// Instruction cache access at the current fetch PC.
+		if hit, lat := e.icache.Access(e.fetchPC, false); !hit {
 			e.fetchResumeAt = e.now + int64(lat)
 			return
 		}

@@ -1,13 +1,17 @@
 package core_test
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -94,4 +98,113 @@ func TestMetamorphicInvariants(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestOccupancyObeysLittlesLaw checks Little's law exactly, per structure:
+// the engine samples each occupancy once per cycle after fetch, so an
+// instruction resident from cycle a up to (not including) cycle b adds b−a
+// to its structure's occupancy sum. The IFQ holds an instruction from fetch
+// to dispatch (or to a squash in the IFQ), the reorder buffer from dispatch
+// to commit or squash, and the LSQ the same span for memory instructions.
+// A PipeTracer gives the spans; the sums must equal the engine's
+// accumulators, read exactly through Occupancy's JSON "sum" field. The run
+// goes through RunHooks, so the idle fast-forward's bulk samples are held
+// to the same account.
+func TestOccupancyObeysLittlesLaw(t *testing.T) {
+	const limit = 20_000
+	predicted := func() core.Config {
+		c := core.FASTComparisonConfig()
+		c.PerfectBP = false
+		return c
+	}
+	configs := []struct {
+		name string
+		cfg  func() core.Config
+	}{
+		{"fast", core.FASTComparisonConfig},
+		{"fast-predicted", predicted},
+	}
+	for _, p := range workload.Profiles() {
+		for _, tc := range configs {
+			t.Run(fmt.Sprintf("%s/%s", p.Name, tc.name), func(t *testing.T) {
+				cfg := tc.cfg()
+				recs := ckptRecords(t, p.Name, cfg, limit)
+				eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := &residencyTracer{insts: map[int64]*residency{}}
+				res, err := eng.RunHooks(context.Background(), core.Hooks{PipeTracer: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ifq, rb, lsq uint64
+				for seq, in := range tr.insts {
+					if in.leave < 0 {
+						t.Fatalf("seq %d never committed or squashed", seq)
+					}
+					if in.dispatch < 0 {
+						ifq += uint64(in.leave - in.fetch)
+						continue
+					}
+					ifq += uint64(in.dispatch - in.fetch)
+					rb += uint64(in.leave - in.dispatch)
+					if in.mem {
+						lsq += uint64(in.leave - in.dispatch)
+					}
+				}
+				for _, c := range []struct {
+					name string
+					occ  stats.Occupancy
+					want uint64
+				}{{"IFQ", res.IFQ, ifq}, {"RB", res.RB, rb}, {"LSQ", res.LSQ, lsq}} {
+					if got := occupancySum(t, c.occ); got != c.want {
+						t.Errorf("%s occupancy sum %d, residencies sum to %d", c.name, got, c.want)
+					}
+				}
+				if rb == 0 || lsq == 0 {
+					t.Errorf("RB sum %d, LSQ sum %d: the check is vacuous", rb, lsq)
+				}
+			})
+		}
+	}
+}
+
+// residency is one instruction's stay in the pipeline: the cycles it was
+// fetched, dispatched (−1 if never) and committed or squashed (−1 until
+// then).
+type residency struct {
+	mem                    bool
+	fetch, dispatch, leave int64
+}
+
+// residencyTracer is a PipeTracer recording every instruction's residency.
+type residencyTracer struct{ insts map[int64]*residency }
+
+func (r *residencyTracer) Fetched(seq, cycle int64, _ uint32, desc string, _ bool) {
+	r.insts[seq] = &residency{mem: strings.HasPrefix(desc, "M{"), fetch: cycle, dispatch: -1, leave: -1}
+}
+
+func (r *residencyTracer) Stage(seq, cycle int64, stage string) {
+	switch stage {
+	case "dispatch":
+		r.insts[seq].dispatch = cycle
+	case "commit", "squash":
+		r.insts[seq].leave = cycle
+	}
+}
+
+// occupancySum returns o's accumulated sum, which only its JSON form
+// exposes.
+func occupancySum(t *testing.T, o stats.Occupancy) uint64 {
+	t.Helper()
+	data, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct{ Sum uint64 }
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Sum
 }

@@ -1,10 +1,11 @@
 // Package jobd is the multi-tenant sweep job platform: the control plane
 // that turns the sharded sweep service (internal/sweepd) into something that
-// can front sustained traffic from many users. Where a sweepd.Coordinator
-// runs exactly one job per client connection, a jobd.Platform accepts many
-// jobs from many tenants, persists every submission to a disk journal so a
-// restarted coordinator recovers queued *and* in-flight work, schedules all
-// admitted jobs' trace-key groups over one shared worker pool with strict
+// can front sustained traffic from many users. A sweepd.Coordinator holds
+// the pool of registered network workers and accepts no jobs itself; a
+// jobd.Platform is the door jobs enter by. It accepts many jobs from many
+// tenants, persists every submission to a disk journal so a restarted
+// coordinator recovers queued *and* in-flight work, schedules all admitted
+// jobs' trace-key groups over one shared worker pool with strict
 // priorities and weighted per-tenant fairness, and enforces admission
 // control so a submission burst degrades to queueing or 429, never to
 // dropped or corrupted work.

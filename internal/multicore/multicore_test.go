@@ -218,7 +218,7 @@ func TestClusterSharesCachedTrace(t *testing.T) {
 			Name: "fresh", Config: cfg, Source: src, StartPC: funcsim.CodeBase,
 		})
 	}
-	if got := traces.Generations(); got != 1 {
+	if got := traces.Stats().Generations; got != 1 {
 		t.Fatalf("generations = %d, want 1", got)
 	}
 

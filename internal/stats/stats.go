@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -165,12 +164,11 @@ func (o *Occupancy) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Registry holds an ordered collection of counters, occupancies and derived
-// formulas and can render a sim-outorder-like report.
+// Registry holds an ordered collection of counters and derived formulas and
+// can render a sim-outorder-like report.
 type Registry struct {
 	order    []string
 	counters map[string]*Counter
-	occs     map[string]*Occupancy
 	formulas []formula
 }
 
@@ -182,10 +180,7 @@ type formula struct {
 
 // NewRegistry returns an empty statistics registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		occs:     make(map[string]*Occupancy),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter registers (or returns the existing) counter with the given name.
@@ -199,31 +194,10 @@ func (r *Registry) Counter(name, desc string) *Counter {
 	return c
 }
 
-// Occupancy registers (or returns the existing) occupancy tracker.
-func (r *Registry) Occupancy(name, desc string, capacity int) *Occupancy {
-	if o, ok := r.occs[name]; ok {
-		return o
-	}
-	o := &Occupancy{Name: name, Desc: desc, Cap: capacity}
-	r.occs[name] = o
-	r.order = append(r.order, name)
-	return o
-}
-
 // Formula registers a derived statistic computed at report time.
 func (r *Registry) Formula(name, desc string, fn func() float64) {
 	r.formulas = append(r.formulas, formula{name, desc, fn})
 	r.order = append(r.order, name)
-}
-
-// Lookup returns the counter with the given name, or nil.
-func (r *Registry) Lookup(name string) *Counter { return r.counters[name] }
-
-// Names returns all registered statistic names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // Write renders the registry in a fixed-width, sim-outorder-like format.
@@ -236,15 +210,9 @@ func (r *Registry) Write(w io.Writer) error {
 	}
 	for _, name := range r.order {
 		var err error
-		switch {
-		case r.counters[name] != nil:
-			c := r.counters[name]
+		if c := r.counters[name]; c != nil {
 			_, err = fmt.Fprintf(w, "%-*s %16d # %s\n", width, c.Name, c.v, c.Desc)
-		case r.occs[name] != nil:
-			o := r.occs[name]
-			_, err = fmt.Fprintf(w, "%-*s %16.4f # %s (avg occupancy, cap %d, full %.2f%%)\n",
-				width, o.Name, o.Mean(), o.Desc, o.Cap, 100*o.FullFrac())
-		default:
+		} else {
 			for _, f := range r.formulas {
 				if f.name == name {
 					_, err = fmt.Fprintf(w, "%-*s %16.4f # %s\n", width, f.name, f.fn(), f.desc)
@@ -266,31 +234,10 @@ func (r *Registry) String() string {
 	return sb.String()
 }
 
-// Snapshot returns a sorted name→value copy of all plain counters, useful in
-// tests that compare two simulation runs.
-func (r *Registry) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters))
-	for n, c := range r.counters {
-		out[n] = c.v
-	}
-	return out
-}
-
 // Ratio is a convenience for x/y guarding against division by zero.
 func Ratio(x, y uint64) float64 {
 	if y == 0 {
 		return 0
 	}
 	return float64(x) / float64(y)
-}
-
-// SortedKeys returns the keys of m in sorted order (test helper).
-func SortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	//resim:nondeterministic-ok the collected keys are sorted on the next line
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

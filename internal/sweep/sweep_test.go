@@ -113,7 +113,7 @@ func TestSweepSharedTraceGeneratesOnce(t *testing.T) {
 			t.Fatalf("%s: %v", pr.Name, pr.Err)
 		}
 	}
-	if got := r.Traces.Generations(); got != 1 {
+	if got := r.Traces.Stats().Generations; got != 1 {
 		t.Errorf("generations = %d, want 1 for %d points sharing a trace config", got, len(pts))
 	}
 }
@@ -175,7 +175,7 @@ func TestSweepUncacheableBudgetFallsBack(t *testing.T) {
 			t.Fatalf("%s: %v", pr.Name, pr.Err)
 		}
 	}
-	if got := r.Traces.Generations(); got != 0 {
+	if got := r.Traces.Stats().Generations; got != 0 {
 		t.Errorf("generations = %d, want 0 (uncacheable budget must stream)", got)
 	}
 }

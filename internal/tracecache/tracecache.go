@@ -363,10 +363,6 @@ func (c *Cache) Cacheable(limit uint64) bool {
 	return limit != 0 && limit <= c.maxInstr
 }
 
-// Generations returns how many traces have been generated so far — the
-// quantity sweeps amortize. Tests assert on it.
-func (c *Cache) Generations() uint64 { return c.gens.Load() }
-
 // Stats snapshots cache activity.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -110,7 +110,7 @@ func TestConcurrentReadersSingleGeneration(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := c.Generations(); got != 1 {
+	if got := c.Stats().Generations; got != 1 {
 		t.Fatalf("generations = %d, want 1", got)
 	}
 	for i := 1; i < readers; i++ {
@@ -216,7 +216,7 @@ func TestSpillRoundTrip(t *testing.T) {
 	if got := drain(t, trA2.Source()); !reflect.DeepEqual(got, want) {
 		t.Fatal("reloaded trace differs from the original")
 	}
-	if got := c.Generations(); got != 2 {
+	if got := c.Stats().Generations; got != 2 {
 		t.Errorf("generations = %d, want 2 (reload must not regenerate)", got)
 	}
 	if st := c.Stats(); st.SpillLoads != 1 {
@@ -249,7 +249,7 @@ func TestEvictionWithoutSpillRegenerates(t *testing.T) {
 	if got := drain(t, trA2.Source()); !reflect.DeepEqual(got, want) {
 		t.Fatal("regenerated trace differs")
 	}
-	if got := c.Generations(); got != 3 {
+	if got := c.Stats().Generations; got != 3 {
 		t.Errorf("generations = %d, want 3", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestGenerationErrorPropagates(t *testing.T) {
 			t.Fatal("invalid profile generated a trace")
 		}
 	}
-	if got := c.Generations(); got != 0 {
+	if got := c.Stats().Generations; got != 0 {
 		t.Errorf("generations = %d, want 0", got)
 	}
 }
@@ -335,7 +335,7 @@ func TestLostSpillRegenerates(t *testing.T) {
 	if got := drain(t, trA2.Source()); !reflect.DeepEqual(got, want) {
 		t.Fatal("regenerated trace differs after lost spill")
 	}
-	if got := c.Generations(); got != 3 {
+	if got := c.Stats().Generations; got != 3 {
 		t.Errorf("generations = %d, want 3 (regenerate on lost spill)", got)
 	}
 }

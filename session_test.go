@@ -853,8 +853,8 @@ func TestRunWorkloadCacheGeneratesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if priv.Generations() != 1 {
-		t.Errorf("generations = %d, want 1", priv.Generations())
+	if priv.Stats().Generations != 1 {
+		t.Errorf("generations = %d, want 1", priv.Stats().Generations)
 	}
 	if a.Counters != b.Counters {
 		t.Error("repeated cached runs disagree")
@@ -898,8 +898,8 @@ func TestMulticoreHomogeneousSharesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if priv.Generations() != 1 {
-		t.Errorf("generations = %d, want 1 for a homogeneous cluster", priv.Generations())
+	if priv.Stats().Generations != 1 {
+		t.Errorf("generations = %d, want 1 for a homogeneous cluster", priv.Stats().Generations)
 	}
 	if len(res.PerCore) != 3 {
 		t.Fatalf("cores = %d", len(res.PerCore))
@@ -957,8 +957,8 @@ func TestWriteTraceCachedBytesIdentical(t *testing.T) {
 			t.Errorf("compress=%t: stats differ: %+v vs %+v", compress, sa, sb)
 		}
 	}
-	if priv.Generations() != 1 {
-		t.Errorf("generations = %d, want 1 across raw+compressed writes", priv.Generations())
+	if priv.Stats().Generations != 1 {
+		t.Errorf("generations = %d, want 1 across raw+compressed writes", priv.Stats().Generations)
 	}
 }
 
@@ -983,13 +983,13 @@ func TestSweepThroughSessionSharesCache(t *testing.T) {
 			t.Fatalf("%s: %v", pr.Name, pr.Err)
 		}
 	}
-	if priv.Generations() != 1 {
-		t.Errorf("generations = %d, want 1 after first sweep", priv.Generations())
+	if priv.Stats().Generations != 1 {
+		t.Errorf("generations = %d, want 1 after first sweep", priv.Stats().Generations)
 	}
 	if _, err := ses.Sweep(ctx, "gzip", 7000, pts[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if priv.Generations() != 1 {
-		t.Errorf("generations = %d, want still 1 after second sweep", priv.Generations())
+	if priv.Stats().Generations != 1 {
+		t.Errorf("generations = %d, want still 1 after second sweep", priv.Stats().Generations)
 	}
 }
