@@ -7,6 +7,7 @@
 package resim_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http/httptest"
@@ -360,8 +361,10 @@ func BenchmarkFunctionalSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCodec measures record encode+decode bandwidth.
-func BenchmarkTraceCodec(b *testing.B) {
+// codecRecords is the 10k-record vpr stream the trace codec benchmarks
+// encode and decode.
+func codecRecords(b *testing.B) []trace.Record {
+	b.Helper()
 	p, err := workload.ByName("vpr")
 	if err != nil {
 		b.Fatal(err)
@@ -374,15 +377,20 @@ func BenchmarkTraceCodec(b *testing.B) {
 	for {
 		r, err := src.Next()
 		if err == io.EOF {
-			break
+			return recs
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
 		recs = append(recs, r)
 	}
+}
+
+// BenchmarkTraceCodec measures raw container encode bandwidth.
+func BenchmarkTraceCodec(b *testing.B) {
+	recs := codecRecords(b)
 	b.ResetTimer()
-	var bytes int64
+	var size int64
 	for i := 0; i < b.N; i++ {
 		var sink countingWriter
 		w, err := trace.NewWriter(&sink, trace.Header{StartPC: funcsim.CodeBase}, false)
@@ -397,9 +405,57 @@ func BenchmarkTraceCodec(b *testing.B) {
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
-		bytes = sink.n
+		size = sink.n
 	}
-	b.SetBytes(bytes)
+	b.SetBytes(size)
+}
+
+// BenchmarkTraceDecode measures container decode bandwidth through
+// trace.Open to the checked trailer, for the raw and the delta coder: the
+// path every spill-tier load, Seed and trace-file run takes.
+func BenchmarkTraceDecode(b *testing.B) {
+	recs := codecRecords(b)
+	for _, mode := range []struct {
+		name     string
+		compress bool
+	}{{"raw", false}, {"delta", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			w, err := trace.NewWriter(&buf, trace.Header{StartPC: funcsim.CodeBase}, mode.compress)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := w.Write(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd, err := trace.Open(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					if _, err := rd.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+					n++
+				}
+				if n != len(recs) {
+					b.Fatalf("decoded %d records, want %d", n, len(recs))
+				}
+			}
+		})
+	}
 }
 
 type countingWriter struct{ n int64 }
@@ -786,19 +842,19 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 		recs = append(recs, r)
 	}
 	slice := trace.NewSliceSource(recs)
-	var ckpts, bytes int
+	var ckpts, size int
 	hooks := core.Hooks{CheckpointEvery: 8192, Checkpoint: func(cp *core.Checkpoint) error {
 		data, err := cp.Encode()
 		if err != nil {
 			return err
 		}
 		ckpts++
-		bytes += len(data)
+		size += len(data)
 		return nil
 	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ckpts, bytes = 0, 0
+		ckpts, size = 0, 0
 		slice.Reset()
 		eng, err := core.New(cfg, slice, funcsim.CodeBase)
 		if err != nil {
@@ -810,7 +866,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	}
 	b.ReportMetric(float64(ckpts), "checkpoints")
 	if ckpts > 0 {
-		b.ReportMetric(float64(bytes)/float64(ckpts), "bytes_per_ckpt")
+		b.ReportMetric(float64(size)/float64(ckpts), "bytes_per_ckpt")
 	}
 }
 

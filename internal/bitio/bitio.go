@@ -90,7 +90,6 @@ type Reader struct {
 	r    io.Reader
 	cur  byte
 	nCur uint // bits remaining in cur
-	bits uint64
 	err  error
 	buf  [1]byte
 }
@@ -118,7 +117,6 @@ func (br *Reader) ReadBits(width uint) (uint64, error) {
 		v = v<<1 | uint64(br.cur>>7)
 		br.cur <<= 1
 		br.nCur--
-		br.bits++
 	}
 	return v, nil
 }
@@ -128,15 +126,6 @@ func (br *Reader) ReadBool() (bool, error) {
 	v, err := br.ReadBits(1)
 	return v == 1, err
 }
-
-// AlignByte discards bits up to the next byte boundary.
-func (br *Reader) AlignByte() {
-	br.bits += uint64(br.nCur)
-	br.cur, br.nCur = 0, 0
-}
-
-// BitsRead reports the total number of bits consumed.
-func (br *Reader) BitsRead() uint64 { return br.bits }
 
 // Err returns the first error encountered, if any.
 func (br *Reader) Err() error { return br.err }

@@ -103,22 +103,6 @@ func TestEOFPropagates(t *testing.T) {
 	}
 }
 
-func TestAlignByte(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	_ = w.WriteBits(0b101, 3)
-	_ = w.Flush()
-	_, _ = w.w.Write([]byte{0xAB})
-	r := NewReader(&buf)
-	if v, _ := r.ReadBits(3); v != 0b101 {
-		t.Fatalf("prefix = %b", v)
-	}
-	r.AlignByte()
-	if v, _ := r.ReadBits(8); v != 0xAB {
-		t.Errorf("aligned byte = %x, want ab", v)
-	}
-}
-
 func TestFlushPadsWithZeros(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

@@ -409,37 +409,6 @@ func (p *Predictor) PopRAS() (uint32, bool) {
 // RASDepth returns the current stack depth.
 func (p *Predictor) RASDepth() int { return p.rasCnt }
 
-// Reset clears all predictor state to the power-on configuration.
-func (p *Predictor) Reset() {
-	for i := range p.bht {
-		p.bht[i] = 0
-	}
-	for i := range p.pht {
-		p.pht[i] = 2
-	}
-	for i := range p.bim {
-		p.bim[i] = 2
-	}
-	for i := range p.meta {
-		p.meta[i] = 2
-	}
-	for i := range p.btbValid {
-		// Tags and targets are cleared too (not just invalidated) so a reset
-		// predictor is bit-identical to a newly built one — the property the
-		// engine's exhaustive per-run Reset and checkpoint tests pin.
-		p.btbValid[i] = false
-		p.btbTags[i] = 0
-		p.btbTgts[i] = 0
-	}
-	for i := range p.btbLRU {
-		p.btbLRU[i] = 0
-	}
-	for i := range p.ras {
-		p.ras[i] = 0
-	}
-	p.rasTop, p.rasCnt = 0, 0
-}
-
 // State is the predictor's complete mutable state in a self-describing,
 // serializable form (every table the generated hardware would hold in BRAM).
 // Capture it with (*Predictor).State and reinstall it with SetState; the

@@ -235,20 +235,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New(Default())
-	p.UpdateDir(0x40, true)
-	p.UpdateBTB(0x40, 0x80)
-	p.PushRAS(0x44)
-	p.Reset()
-	if _, hit := p.LookupBTB(0x40); hit {
-		t.Error("BTB survived Reset")
-	}
-	if p.RASDepth() != 0 {
-		t.Error("RAS survived Reset")
-	}
-}
-
 func combined() Config {
 	c := Default()
 	c.Dir = DirCombined
@@ -315,14 +301,9 @@ func TestCombinedValidationAndStorage(t *testing.T) {
 			t.Errorf("Describe missing %s:\n%s", field, d)
 		}
 	}
-	// Reset restores meta counters.
-	p := New(c)
-	for i := 0; i < 10; i++ {
-		p.UpdateDir(0x40, true)
-	}
-	p.Reset()
-	if !p.PredictDir(0x40) {
-		t.Error("reset combined predictor should weakly predict taken")
+	// Power-on meta counters are weakly taken.
+	if !New(c).PredictDir(0x40) {
+		t.Error("fresh combined predictor should weakly predict taken")
 	}
 }
 

@@ -203,18 +203,6 @@ func (m *Memory) Stats() Stats {
 	return m.l1.st
 }
 
-// Reset clears tag state and counters at every level. A shared L2 is reset
-// too, so reset a cluster through one of its memories only.
-func (m *Memory) Reset() {
-	m.st = Stats{}
-	if m.l1 != nil {
-		m.l1.Reset()
-	}
-	if m.l2 != nil {
-		m.l2.Reset()
-	}
-}
-
 // Cache is a set-associative, true-LRU, write-allocate timing cache.
 type Cache struct {
 	cfg      Config
@@ -293,16 +281,3 @@ func (c *Cache) Access(addr uint32, write bool) (bool, int) {
 
 // Stats returns accumulated counters.
 func (c *Cache) Stats() Stats { return c.st }
-
-// Reset clears tag state and counters. Tags are cleared too (not just
-// invalidated) so a reset cache is bit-identical to a newly built one — the
-// property the engine's exhaustive per-run Reset and checkpoint tests pin.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.tags[i] = 0
-		c.lastUsed[i] = 0
-	}
-	c.tick = 0
-	c.st = Stats{}
-}

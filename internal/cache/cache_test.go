@@ -109,18 +109,6 @@ func TestMissRate(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(small())
-	c.Access(0x40, false)
-	c.Reset()
-	if hit, _ := c.Access(0x40, false); hit {
-		t.Error("hit after Reset")
-	}
-	if c.Stats().Accesses() != 1 {
-		t.Error("stats not reset")
-	}
-}
-
 func TestPerfect(t *testing.T) {
 	p := (Side{}).Build(nil)
 	for i := uint32(0); i < 100; i++ {
@@ -132,10 +120,6 @@ func TestPerfect(t *testing.T) {
 	st := p.Stats()
 	if st.Misses() != 0 || st.Accesses() != 100 {
 		t.Errorf("stats: %+v", st)
-	}
-	p.Reset()
-	if p.Stats().Accesses() != 0 {
-		t.Error("Reset did not clear stats")
 	}
 }
 

@@ -56,10 +56,29 @@ func resultsEqual(t *testing.T, a, b core.Result, what string) {
 	}
 }
 
+// statesEqual requires two engines' whole serialized states to be equal:
+// predictor tables, every cache level's tags, queues and counters, beyond
+// what a Result reports (a private D-side L2 appears in no Result).
+func statesEqual(t *testing.T, a, b *core.Engine, what string) {
+	t.Helper()
+	ea, err := a.Checkpoint().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := b.Checkpoint().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ea, eb) {
+		t.Errorf("%s: final engine states differ (%d vs %d bytes)", what, len(ea), len(eb))
+	}
+}
+
 // TestCheckpointResumeBitIdentical is the core acceptance property: a run
 // checkpointed mid-flight, torn down, and restored over an identical record
-// stream finishes with byte-identical statistics — across perfect memory,
-// real caches, and perfect branch prediction.
+// stream finishes with byte-identical statistics and engine state — across
+// perfect memory, real caches, a two-level D side, and perfect branch
+// prediction.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,6 +91,16 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
 			cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 4 << 10, Assoc: 2,
 				BlockBytes: 32, HitLatency: 1, MissLatency: 12}}
+			return cfg
+		}},
+		{"l1-l2", func() core.Config {
+			cfg := core.DefaultConfig()
+			cfg.DCache = cache.Side{
+				L1: cache.Config{Name: "dl1", SizeBytes: 1 << 10, Assoc: 2,
+					BlockBytes: 32, HitLatency: 1, MissLatency: 12},
+				L2: cache.Config{Name: "ul2", SizeBytes: 4 << 10, Assoc: 4,
+					BlockBytes: 64, HitLatency: 6, MissLatency: 40},
+			}
 			return cfg
 		}},
 		{"perfect-bp", func() core.Config {
@@ -133,6 +162,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			resultsEqual(t, want, got, tc.name)
+			statesEqual(t, ref, resumed, tc.name)
 		})
 	}
 }
@@ -235,62 +265,7 @@ func TestRunContextCheckpointSink(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsEqual(t, want, got, "resume from sink checkpoint")
-	}
-}
-
-// TestEngineResetEquivalence pins the Reset contract the restore path
-// relies on: a second run on a reset engine is bit-identical to a run on a
-// fresh engine, for every serialized subsystem.
-func TestEngineResetEquivalence(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
-	cfg.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
-	recs := ckptRecords(t, "vpr", cfg, 10_000)
-
-	fresh, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same engine, second run after Reset: no leaked fetchResumeAt, mode,
-	// counters, predictor or cache state from the first run.
-	fresh.Reset(trace.NewSliceSource(recs), funcsim.CodeBase)
-	got, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, want, got, "reset engine rerun")
-
-	// And the reset state is checkpoint-identical to a fresh engine's: the
-	// exhaustiveness guarantee restore depends on.
-	fresh.Reset(trace.NewSliceSource(recs), funcsim.CodeBase)
-	cpReset := fresh.Checkpoint()
-	cfg2 := cfg
-	cfg2.ICache = cache.Side{L1: cache.Config{Name: "il1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
-	cfg2.DCache = cache.Side{L1: cache.Config{Name: "dl1", SizeBytes: 2 << 10, Assoc: 2,
-		BlockBytes: 32, HitLatency: 1, MissLatency: 9}}
-	virgin, err := core.New(cfg2, trace.NewSliceSource(recs), funcsim.CodeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpVirgin := virgin.Checkpoint()
-	a, err := cpReset.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cpVirgin.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("reset engine state differs from a fresh engine's:\nreset  %s\nvirgin %s", a, b)
+		statesEqual(t, eng, resumed, "resume from sink checkpoint")
 	}
 }
 

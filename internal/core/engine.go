@@ -168,9 +168,6 @@ type Engine struct {
 	//resim:ckpt-exempt per-run hook, not simulated state
 	tracer PipeTracer
 	src    *trace.Buffered
-	// startPC is the fetch PC a fresh run starts at (Reset re-arms to it).
-	//resim:ckpt-exempt set by New; a restored engine re-arms at the checkpoint's fetch PC
-	startPC uint32
 
 	bp     *bpred.Predictor
 	icache *cache.Memory
@@ -198,7 +195,7 @@ type Engine struct {
 
 	// Event-aware scheduling state. All of it is derived — rebuilt from the
 	// architectural state by rebuildDerived (checkpoint restore) and cleared
-	// wholesale on Reset and mis-speculation recovery — so the serialized
+	// wholesale on mis-speculation recovery — so the serialized
 	// checkpoint format does not carry it. Entries are referenced by
 	// pointer: ring slots are stable for an entry's whole residence.
 	// Invariants:
@@ -268,7 +265,6 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 	e := &Engine{
 		cfg:     cfg,
 		src:     trace.NewBuffered(src),
-		startPC: startPC,
 		icache:  cfg.ICache.Build(nil),
 		dcache:  cfg.DCache.Build(l2),
 		ifq:     uarch.NewRing[fetchedInst](cfg.IFQSize),
@@ -679,49 +675,10 @@ func (e *Engine) progress(final bool) Progress {
 // drive Cycle directly (e.g. the multicore cluster).
 func (e *Engine) Result() Result { return e.result() }
 
-// Reset re-arms the engine for a fresh run over src starting at startPC,
-// clearing every per-run field: cycle/sequence counters, fetch state
-// (including fetchResumeAt and the fetch mode), queue contents, rename and
-// functional-unit occupancy, predictor tables, cache arrays (a shared L2
-// too — engines sharing one must not Reset concurrently with its other
-// users), event counters and occupancy accumulators. A second run on a
-// reset engine is bit-identical to a run on a newly built one. This enumeration is the
-// explicit statement of what "per-run state" means; the checkpoint test
-// comparing a reset engine's serialized state against a virgin engine's
-// keeps it in lockstep with Checkpoint/Restore, so a new per-run field
-// missed here (or there) fails that test instead of drifting silently.
-func (e *Engine) Reset(src trace.Source, startPC uint32) {
-	e.src = trace.NewBuffered(src)
-	e.startPC = startPC
-	e.now = 0
-	e.seq = 0
-	e.fetchPC = startPC
-	e.fetchResumeAt = 0
-	e.mode = fmNormal
-	e.srcDone = false
-	e.lastCommitAt = 0
-	e.c = Counters{}
-	e.ifq.Clear()
-	e.rob.Clear()
-	e.lsq.Clear()
-	e.rt.Reset()
-	e.fus.Reset()
-	e.ports.NewCycle()
-	if e.bp != nil {
-		e.bp.Reset()
-	}
-	e.icache.Reset()
-	e.dcache.Reset()
-	e.ifqOcc.Reset()
-	e.rbOcc.Reset()
-	e.lsqOcc.Reset()
-	e.clearDerived()
-}
-
 // clearDerived empties the event-scheduling structures (ready queue,
 // writeback heap and overflow queue, consumer lists), retaining their
 // backing storage. Called whenever the in-flight window empties wholesale:
-// Reset, mis-speculation recovery, and as the first step of rebuildDerived.
+// mis-speculation recovery, and as the first step of rebuildDerived.
 func (e *Engine) clearDerived() {
 	e.readyQ = e.readyQ[:0]
 	e.wbReady = e.wbReady[:0]

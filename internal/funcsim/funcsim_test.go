@@ -301,14 +301,11 @@ func TestTracerEmitsWrongPathBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || tr.Branches() == 0 {
-		t.Fatalf("traced %d instructions, %d branches", n, tr.Branches())
-	}
-	if tr.Mispredicts() == 0 {
-		t.Fatal("expected cold-start mispredictions")
+	if n == 0 {
+		t.Fatal("traced no instructions")
 	}
 	// Tagged records appear only in runs immediately following an untagged
-	// branch record; the number of runs equals Mispredicts().
+	// branch record.
 	runs := 0
 	for i, r := range recs {
 		if !r.Tag {
@@ -325,8 +322,8 @@ func TestTracerEmitsWrongPathBlocks(t *testing.T) {
 			runs++
 		}
 	}
-	if runs != int(tr.Mispredicts()) {
-		t.Errorf("wrong-path runs = %d, mispredicts = %d", runs, tr.Mispredicts())
+	if runs == 0 {
+		t.Fatal("expected wrong-path runs after cold-start mispredictions")
 	}
 	// Run lengths are bounded by WrongPathLen.
 	runLen := 0
@@ -339,16 +336,6 @@ func TestTracerEmitsWrongPathBlocks(t *testing.T) {
 		} else {
 			runLen = 0
 		}
-	}
-	// Total tagged records match the tracer's own accounting.
-	var tagged uint64
-	for _, r := range recs {
-		if r.Tag {
-			tagged++
-		}
-	}
-	if tagged != tr.WrongPathRecords() {
-		t.Errorf("tagged = %d, WrongPathRecords = %d", tagged, tr.WrongPathRecords())
 	}
 }
 
@@ -366,9 +353,6 @@ func TestTracerPerfectBPHasNoWrongPath(t *testing.T) {
 	}
 	if tagged != 0 {
 		t.Errorf("perfect BP emitted %d tagged records", tagged)
-	}
-	if tr.Mispredicts() != 0 {
-		t.Errorf("perfect BP counted %d mispredicts", tr.Mispredicts())
 	}
 }
 

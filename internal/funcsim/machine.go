@@ -69,7 +69,6 @@ type Machine struct {
 	regs   [isa.NumRegs]uint32
 	pc     uint32
 	halted bool
-	icount uint64
 }
 
 // NewMachine loads prog into a fresh machine with a 1<<memBits arena.
@@ -103,9 +102,6 @@ func (m *Machine) PC() uint32 { return m.pc }
 
 // Halted reports whether the program has executed HALT.
 func (m *Machine) Halted() bool { return m.halted }
-
-// InstCount returns the number of instructions executed.
-func (m *Machine) InstCount() uint64 { return m.icount }
 
 // Reg returns the value of architectural register r.
 func (m *Machine) Reg(r isa.Reg) uint32 {
@@ -277,7 +273,6 @@ func (m *Machine) Step() (StepInfo, error) {
 		}
 	}
 	m.pc = info.NextPC
-	m.icount++
 	return info, nil
 }
 

@@ -31,11 +31,6 @@ type Tracer struct {
 	m   *Machine
 	cfg TraceConfig
 	bp  *bpred.Predictor
-
-	// Statistics.
-	branches    uint64
-	mispredicts uint64
-	wrongPath   uint64 // tagged records emitted
 }
 
 // NewTracer builds a tracer over m.
@@ -49,16 +44,6 @@ func NewTracer(m *Machine, cfg TraceConfig) *Tracer {
 
 // Machine returns the underlying functional machine.
 func (t *Tracer) Machine() *Machine { return t.m }
-
-// Branches returns the number of control-flow instructions traced.
-func (t *Tracer) Branches() uint64 { return t.branches }
-
-// Mispredicts returns how many traced branches the trace-generation
-// predictor mispredicted (these are the wrong-path insertion points).
-func (t *Tracer) Mispredicts() uint64 { return t.mispredicts }
-
-// WrongPathRecords returns the number of tagged records emitted.
-func (t *Tracer) WrongPathRecords() uint64 { return t.wrongPath }
 
 // Step executes one instruction, emitting its record plus any wrong-path
 // block. It returns io.EOF once the machine has halted.
@@ -82,7 +67,6 @@ func (t *Tracer) Step(emit func(trace.Record) error) error {
 	if info.Inst.Class() != isa.ClassCtrl {
 		return nil
 	}
-	t.branches++
 	if t.cfg.PerfectBP {
 		return nil
 	}
@@ -90,7 +74,6 @@ func (t *Tracer) Step(emit func(trace.Record) error) error {
 	if !mispred {
 		return nil
 	}
-	t.mispredicts++
 	return t.emitWrongPath(wrongPC, emit)
 }
 
@@ -192,7 +175,6 @@ func (t *Tracer) emitWrongPath(wrongPC uint32, emit func(trace.Record) error) er
 		if err := emit(rec); err != nil {
 			return err
 		}
-		t.wrongPath++
 		if taken {
 			pc = target
 		} else {

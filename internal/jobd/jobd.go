@@ -290,7 +290,6 @@ type job struct {
 	priority  int
 	seq       uint64
 	submitted time.Time
-	wire      *sweepd.WireJob
 	sj        *sweepd.Job
 	// ledger holds the job's group bookkeeping (which points have a result,
 	// resume checkpoints); assigned marks the groups a worker holds.
@@ -599,7 +598,7 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 			Err: fmt.Errorf("%w (%d in flight, cap %d)", ErrTenantBusy, t.queued+t.running, cap), Seconds: secs}
 	}
 	p.seq++
-	j := p.newJobLocked(id, tenant, req.Priority, p.seq, time.Now(), wj, sj)
+	j := p.newJobLocked(id, tenant, req.Priority, p.seq, time.Now(), sj)
 	p.spanLocked(j, TraceSpan{Event: SpanSubmit, State: StateQueued, Point: -1,
 		Points: len(sj.Points),
 		Detail: fmt.Sprintf("%s n=%d groups=%d", sj.Profile.Name, sj.Instructions, len(j.assigned))})
@@ -627,12 +626,12 @@ func (p *Platform) Submit(tenant string, req SubmitRequest) (JobStatus, error) {
 }
 
 // newJobLocked builds the in-memory job structure (not yet registered).
-func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, submitted time.Time, wj *sweepd.WireJob, sj *sweepd.Job) *job {
+func (p *Platform) newJobLocked(id, tenant string, priority int, seq uint64, submitted time.Time, sj *sweepd.Job) *job {
 	jctx, jcancel := context.WithCancel(p.ctx)
 	ledger := sweepd.NewLedger(sj)
 	return &job{
 		id: id, tenant: tenant, priority: priority, seq: seq, submitted: submitted,
-		wire: wj, sj: sj,
+		sj:        sj,
 		ledger:    ledger,
 		assigned:  make([]bool, len(ledger.Groups())),
 		state:     StateQueued,
@@ -1117,7 +1116,7 @@ func (p *Platform) recover() error {
 		sj.CheckpointBudget = p.opts.CheckpointBudget
 		sj.TelemetryEvery = p.opts.TelemetryEvery
 		j := p.newJobLocked(rec.spec.ID, rec.spec.Tenant, rec.spec.Priority,
-			rec.spec.Seq, rec.spec.Submitted, rec.spec.Job, sj)
+			rec.spec.Seq, rec.spec.Submitted, sj)
 		for _, wr := range rec.results {
 			if !j.ledger.Record(wr.Index) {
 				continue

@@ -124,12 +124,6 @@ func (o Occupancy) Add(d Occupancy) Occupancy {
 	return o
 }
 
-// Reset clears the accumulator while keeping the identity fields (Name,
-// Desc, Cap) — the per-run reset engines perform between runs.
-func (o *Occupancy) Reset() {
-	o.samples, o.sum, o.full, o.empty = 0, 0, 0, 0
-}
-
 // occupancyJSON is the wire form of an Occupancy: the accumulator state is
 // unexported to keep Sample the only mutation path in-process, but a
 // distributed sweep has to ship completed occupancy statistics between

@@ -107,21 +107,6 @@ func TestOccupancyJSONGolden(t *testing.T) {
 	}
 }
 
-// TestOccupancyReset: the per-run reset clears the accumulator but keeps
-// the identity fields.
-func TestOccupancyReset(t *testing.T) {
-	o := Occupancy{Name: "IFQ_occupancy", Desc: "ifq", Cap: 4}
-	o.Sample(4)
-	o.Sample(0)
-	o.Reset()
-	if o.Samples() != 0 || o.Mean() != 0 || o.FullFrac() != 0 || o.EmptyFrac() != 0 {
-		t.Errorf("Reset left accumulator state: %+v", o)
-	}
-	if o.Name != "IFQ_occupancy" || o.Desc != "ifq" || o.Cap != 4 {
-		t.Errorf("Reset clobbered identity fields: %+v", o)
-	}
-}
-
 // TestOccupancySampleN: the bulk form must leave the accumulator
 // byte-identical to the equivalent sequence of single samples — the
 // contract the engine's idle-cycle fast-forward rests on.

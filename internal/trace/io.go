@@ -298,7 +298,6 @@ type Buffered struct {
 	have   bool
 	head   Record
 	err    error
-	count  uint64 // records handed out via Next
 	pulled uint64 // records pulled from the underlying source (incl. lookahead)
 
 	// slice, when the underlying source is a SliceSource, short-circuits
@@ -357,7 +356,6 @@ func (b *Buffered) Next() (Record, error) {
 		}
 		r := s.recs[s.pos]
 		s.pos++
-		b.count++
 		return r, nil
 	}
 	b.fill()
@@ -365,7 +363,6 @@ func (b *Buffered) Next() (Record, error) {
 		return Record{}, b.err
 	}
 	b.have = false
-	b.count++
 	return b.head, nil
 }
 
@@ -377,14 +374,10 @@ func (b *Buffered) Advance() {
 	if s := b.slice; s != nil {
 		if s.pos < len(s.recs) {
 			s.pos++
-			b.count++
 		}
 		return
 	}
-	if b.have {
-		b.have = false
-		b.count++
-	}
+	b.have = false
 }
 
 // PeekRef is Peek without the value copy: the returned pointer aliases the
@@ -427,7 +420,6 @@ func (b *Buffered) SkipTagged() int {
 			return n
 		}
 		_, _ = b.Next()
-		b.count-- // discarded records are not "consumed instructions"
 		n++
 	}
 }
@@ -441,10 +433,6 @@ func (b *Buffered) Err() error {
 	}
 	return b.err
 }
-
-// Consumed returns the number of records handed to the caller via Next,
-// excluding records discarded by SkipTagged.
-func (b *Buffered) Consumed() uint64 { return b.count }
 
 // Pos returns the stream position: how many records of the underlying
 // source have been irrevocably taken (consumed or discarded), excluding the

@@ -257,8 +257,8 @@ func TestBufferedPeekNext(t *testing.T) {
 	if n1 != p1 {
 		t.Error("Next did not return peeked record")
 	}
-	if b.Consumed() != 1 {
-		t.Errorf("Consumed = %d, want 1", b.Consumed())
+	if b.Pos() != 1 {
+		t.Errorf("Pos = %d, want 1", b.Pos())
 	}
 }
 
@@ -273,8 +273,8 @@ func TestBufferedSkipTagged(t *testing.T) {
 	if n := b.SkipTagged(); n != 3 {
 		t.Errorf("SkipTagged = %d, want 3", n)
 	}
-	if b.Consumed() != 0 {
-		t.Errorf("Consumed after skip = %d, want 0", b.Consumed())
+	if b.Pos() != 3 {
+		t.Errorf("Pos after skip = %d, want 3", b.Pos())
 	}
 	r, err := b.Next()
 	if err != nil || r.Tag {

@@ -135,15 +135,9 @@ func (k Key) family() Key { return Key{Profile: k.Profile, Limit: k.Limit} }
 // snapshots taken by concurrent readers never race. A Trace returned by Get
 // stays valid even after the cache evicts the entry behind it.
 type Trace struct {
-	key     Key
 	startPC uint32
 	recs    []trace.Record
-	tagged  uint64
-	bits    uint64 // raw-coder payload bits, sum of BitLen
 }
-
-// Key returns the key the trace was generated under.
-func (t *Trace) Key() Key { return t.key }
 
 // StartPC is where execution starts (the workload program's entry point).
 func (t *Trace) StartPC() uint32 { return t.startPC }
@@ -151,22 +145,6 @@ func (t *Trace) StartPC() uint32 { return t.startPC }
 // Records returns the number of records in the trace (correct-path plus
 // tagged wrong-path).
 func (t *Trace) Records() int { return len(t.recs) }
-
-// WrongPath returns the number of tagged (mis-speculated) records.
-func (t *Trace) WrongPath() uint64 { return t.tagged }
-
-// Bits returns the trace's raw encoded size in bits (the raw container's
-// payload, the quantity Table 3 reports per instruction).
-func (t *Trace) Bits() uint64 { return t.bits }
-
-// add appends one record and its share of the trace statistics.
-func (t *Trace) add(r trace.Record) {
-	if r.Tag {
-		t.tagged++
-	}
-	t.bits += uint64(r.BitLen())
-	t.recs = append(t.recs, r)
-}
 
 // residentBytes is the trace's in-memory record footprint.
 func (t *Trace) residentBytes() int64 { return int64(len(t.recs)) * recordBytes }
@@ -211,30 +189,27 @@ const maxReserve = 1 << 20
 // newTrace starts k's trace at startPC, reserving room for k's budget plus
 // typical wrong-path inflation, up to maxReserve records.
 func newTrace(k Key, startPC uint32) *Trace {
-	return &Trace{key: k, startPC: startPC, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
+	return &Trace{startPC: startPC, recs: make([]trace.Record, 0, min(k.Limit+k.Limit/4, maxReserve))}
 }
 
 // cut derives k's trace from src, the trace of a key that serves k: src's
 // records with every tagged block cut to its first k.TC.WrongPathLen
 // records, or to none under a perfect predictor. The first pass sizes the
-// copy and takes the records cut out of src's statistics.
+// copy.
 func cut(k Key, src *Trace) *Trace {
 	keep := max(k.TC.WrongPathLen, 0)
 	if k.TC.PerfectBP {
 		keep = 0
 	}
-	t := &Trace{key: k, startPC: src.startPC, tagged: src.tagged, bits: src.bits}
 	n, run := len(src.recs), 0 // run: the record's place in its tagged block
 	for _, r := range src.recs {
 		if !r.Tag {
 			run = 0
 		} else if run++; run > keep {
 			n--
-			t.tagged--
-			t.bits -= uint64(r.BitLen())
 		}
 	}
-	t.recs = make([]trace.Record, 0, n)
+	t := &Trace{startPC: src.startPC, recs: make([]trace.Record, 0, n)}
 	run = 0
 	for _, r := range src.recs {
 		if !r.Tag {
@@ -566,7 +541,7 @@ func generate(ctx context.Context, k Key) (*Trace, error) {
 				return nil, err
 			}
 		}
-		t.add(r)
+		t.recs = append(t.recs, r)
 	}
 }
 
@@ -589,7 +564,7 @@ func readContainer(k Key, r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.add(rec)
+		t.recs = append(t.recs, rec)
 	}
 }
 

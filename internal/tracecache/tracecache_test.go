@@ -73,17 +73,6 @@ func TestCachedMatchesUncached(t *testing.T) {
 	if tr.StartPC() != funcsim.CodeBase {
 		t.Errorf("StartPC = %#x, want %#x", tr.StartPC(), funcsim.CodeBase)
 	}
-	var tagged uint64
-	var bits uint64
-	for _, r := range fresh {
-		if r.Tag {
-			tagged++
-		}
-		bits += uint64(r.BitLen())
-	}
-	if tr.WrongPath() != tagged || tr.Bits() != bits {
-		t.Errorf("stats = (%d wp, %d bits), want (%d, %d)", tr.WrongPath(), tr.Bits(), tagged, bits)
-	}
 }
 
 // TestConcurrentReadersSingleGeneration hammers one key from many
@@ -222,8 +211,8 @@ func TestSpillRoundTrip(t *testing.T) {
 	if st := c.Stats(); st.SpillLoads != 1 {
 		t.Errorf("spill loads = %d, want 1", st.SpillLoads)
 	}
-	if trA2.StartPC() != trA.StartPC() || trA2.WrongPath() != trA.WrongPath() || trA2.Bits() != trA.Bits() {
-		t.Error("reloaded trace lost its metadata")
+	if trA2.StartPC() != trA.StartPC() {
+		t.Error("reloaded trace lost its start PC")
 	}
 }
 
@@ -409,11 +398,9 @@ func TestExportSeedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seeded.StartPC() != tr.StartPC() || seeded.Records() != tr.Records() ||
-		seeded.WrongPath() != tr.WrongPath() || seeded.Bits() != tr.Bits() {
-		t.Fatalf("seeded trace metadata differs: %d/%d/%d/%d vs %d/%d/%d/%d",
-			seeded.StartPC(), seeded.Records(), seeded.WrongPath(), seeded.Bits(),
-			tr.StartPC(), tr.Records(), tr.WrongPath(), tr.Bits())
+	if seeded.StartPC() != tr.StartPC() || seeded.Records() != tr.Records() {
+		t.Fatalf("seeded trace metadata differs: %d/%d vs %d/%d",
+			seeded.StartPC(), seeded.Records(), tr.StartPC(), tr.Records())
 	}
 	if !reflect.DeepEqual(drain(t, seeded.Source()), drain(t, tr.Source())) {
 		t.Fatal("seeded records differ from the generated originals")
@@ -711,23 +698,15 @@ func direct(t *testing.T, k Key) []trace.Record {
 	return drain(t, src)
 }
 
-// checkTrace fails unless tr holds exactly want's records, with the
-// statistics they imply.
+// checkTrace fails unless tr holds exactly want's records from the
+// program's entry point.
 func checkTrace(t *testing.T, tr *Trace, want []trace.Record) {
 	t.Helper()
-	var tagged, bits uint64
-	for _, r := range want {
-		if r.Tag {
-			tagged++
-		}
-		bits += uint64(r.BitLen())
-	}
 	if !reflect.DeepEqual(drain(t, tr.Source()), want) {
 		t.Fatalf("%d records differ from the %d of direct generation", tr.Records(), len(want))
 	}
-	if tr.Records() != len(want) || tr.WrongPath() != tagged || tr.Bits() != bits || tr.StartPC() != funcsim.CodeBase {
-		t.Fatalf("stats = %d records, %d wrong-path, %d bits, start %#x; want %d, %d, %d, %#x",
-			tr.Records(), tr.WrongPath(), tr.Bits(), tr.StartPC(), len(want), tagged, bits, funcsim.CodeBase)
+	if tr.Records() != len(want) || tr.StartPC() != funcsim.CodeBase {
+		t.Fatalf("%d records from %#x; want %d from %#x", tr.Records(), tr.StartPC(), len(want), funcsim.CodeBase)
 	}
 }
 
@@ -873,7 +852,7 @@ func TestFamilyRequestedConcurrently(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !reflect.DeepEqual(tr.recs, want[k]) || tr.Key() != k {
+			if !reflect.DeepEqual(tr.recs, want[k]) {
 				t.Errorf("WrongPathLen %d, PerfectBP %t: trace differs from direct generation", k.TC.WrongPathLen, k.TC.PerfectBP)
 			}
 		}

@@ -130,15 +130,6 @@ func (p *FUPool) SetBusyUntil(busy [][]int64) error {
 	return nil
 }
 
-// Reset makes every unit immediately available.
-func (p *FUPool) Reset() {
-	for cls := range p.busy {
-		for i := range p.busy[cls] {
-			p.busy[cls][i] = 0
-		}
-	}
-}
-
 // MemPorts tracks per-major-cycle memory port usage. "Loads ... a read port
 // is allocated if their value has not been forwarded in the LSQ" and
 // "Commit commits the oldest RB entry releasing Store Operations to memory,
@@ -175,9 +166,3 @@ func (m *MemPorts) TryWrite() bool {
 	m.writesUsed++
 	return true
 }
-
-// ReadsUsed returns reads allocated this cycle.
-func (m *MemPorts) ReadsUsed() int { return m.readsUsed }
-
-// WritesUsed returns writes allocated this cycle.
-func (m *MemPorts) WritesUsed() int { return m.writesUsed }

@@ -76,14 +76,3 @@ func (t *RenameTable) SetProducers(prod []int64) error {
 	copy(t.prod[:], prod)
 	return nil
 }
-
-// SquashYoungerThan removes producers with sequence numbers above seq
-// (mis-speculation recovery); the engine then re-installs producers for the
-// surviving in-flight instructions by walking the reorder buffer.
-func (t *RenameTable) SquashYoungerThan(seq int64) {
-	for i := range t.prod {
-		if t.prod[i] > seq {
-			t.prod[i] = NoProducer
-		}
-	}
-}

@@ -14,7 +14,7 @@ import "fmt"
 // Beyond relative age indexing, every entry also has a stable absolute
 // index: the ring counts entries ever removed from the front in base, so an
 // entry pushed as the base+count-th lives at absolute index base+count for
-// its whole residence, unmoved by PopFront. Absolute indices are the O(1)
+// its whole residence, unmoved by DropFront. Absolute indices are the O(1)
 // handles the engine stores across structures (a reorder-buffer entry
 // holding its LSQ slot, consumer lists naming dependent entries) instead of
 // re-searching by sequence number.
@@ -46,12 +46,12 @@ func (r *Ring[T]) Full() bool { return r.count == len(r.buf) }
 func (r *Ring[T]) Empty() bool { return r.count == 0 }
 
 // Base returns the absolute index of the oldest entry — the number of
-// entries ever removed from the front. It is monotonic across PushBack,
-// PopFront, TruncateFrom and Clear, and resets to zero only on SetContents
+// entries ever removed from the front. It is monotonic across PushSlot,
+// DropFront, TruncateFrom and Clear, and resets to zero only on SetContents
 // (whose callers rebuild any stored absolute handles).
 func (r *Ring[T]) Base() int64 { return r.base }
 
-// NextAbs returns the absolute index the next PushBack will assign.
+// NextAbs returns the absolute index the next PushSlot will assign.
 func (r *Ring[T]) NextAbs() int64 { return r.base + int64(r.count) }
 
 // slot maps a logical age offset onto the backing array. head+i never
@@ -65,21 +65,11 @@ func (r *Ring[T]) slot(i int) int {
 	return s
 }
 
-// PushBack appends v as the youngest entry; it reports false when full.
-func (r *Ring[T]) PushBack(v T) bool {
-	if r.Full() {
-		return false
-	}
-	r.buf[r.slot(r.count)] = v
-	r.count++
-	return true
-}
-
 // PushSlot appends a new youngest entry and returns a pointer for the
-// caller to initialize in place — the copy-free PushBack for large entry
-// types on the engine's fetch/dispatch path. The slot may hold stale bytes
-// from a previous resident (DropFront does not clear), so the caller must
-// assign a complete value. It panics when full; callers gate on Full.
+// caller to initialize in place, the copy-free push for the engine's
+// fetch/dispatch path. The slot may hold stale bytes from a previous
+// resident (DropFront does not clear), so the caller must assign a complete
+// value. It panics when full; callers gate on Full.
 func (r *Ring[T]) PushSlot() *T {
 	if r.Full() {
 		panic("uarch: PushSlot on full ring")
@@ -89,28 +79,10 @@ func (r *Ring[T]) PushSlot() *T {
 	return &r.buf[s]
 }
 
-// PopFront removes and returns the oldest entry.
-func (r *Ring[T]) PopFront() (T, bool) {
-	var zero T
-	if r.count == 0 {
-		return zero, false
-	}
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.count--
-	r.base++
-	return v, true
-}
-
-// DropFront removes the oldest entry without returning or clearing it —
-// the copy-free pop for pointer-free element types on the engine's commit
-// path. The slot's contents are dead but uncollected until overwritten, so
-// element types holding pointers should use PopFront instead. It panics on
-// an empty ring, as that is always an engine bug.
+// DropFront removes the oldest entry without returning or clearing it, the
+// copy-free pop for the engine's commit path. The slot's contents are dead
+// but uncollected until overwritten. It panics on an empty ring, as that is
+// always an engine bug.
 func (r *Ring[T]) DropFront() {
 	if r.count == 0 {
 		panic("uarch: DropFront on empty ring")
@@ -140,17 +112,6 @@ func (r *Ring[T]) At(i int) *T {
 		panic(fmt.Sprintf("uarch: ring index %d out of %d", i, r.count))
 	}
 	return &r.buf[r.slot(i)]
-}
-
-// AtAbs returns a pointer to the entry with absolute index abs (Base() is
-// the oldest resident entry, NextAbs()-1 the youngest). It panics when abs
-// is not resident, as a stale handle is always an engine bug.
-func (r *Ring[T]) AtAbs(abs int64) *T {
-	i := abs - r.base
-	if i < 0 || i >= int64(r.count) {
-		panic(fmt.Sprintf("uarch: absolute ring index %d outside [%d,%d)", abs, r.base, r.base+int64(r.count)))
-	}
-	return &r.buf[r.slot(int(i))]
 }
 
 // Views returns the resident entries as at most two backing-array slices in

@@ -14,34 +14,29 @@ func TestRingFIFO(t *testing.T) {
 		t.Fatalf("fresh ring state wrong")
 	}
 	for i := 1; i <= 4; i++ {
-		if !r.PushBack(i) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if r.PushBack(5) {
-		t.Error("push into full ring succeeded")
+		*r.PushSlot() = i
 	}
 	if !r.Full() {
 		t.Error("ring should be full")
 	}
 	for i := 1; i <= 4; i++ {
-		v, ok := r.PopFront()
-		if !ok || v != i {
-			t.Errorf("pop = %d,%t want %d", v, ok, i)
+		if v := *r.Front(); v != i {
+			t.Errorf("front = %d want %d", v, i)
 		}
+		r.DropFront()
 	}
-	if _, ok := r.PopFront(); ok {
-		t.Error("pop from empty succeeded")
+	if !r.Empty() {
+		t.Error("ring should be empty")
 	}
 }
 
 func TestRingWrapsAndIndexes(t *testing.T) {
 	r := NewRing[int](3)
-	r.PushBack(1)
-	r.PushBack(2)
-	r.PopFront()
-	r.PushBack(3)
-	r.PushBack(4) // buffer has wrapped
+	*r.PushSlot() = 1
+	*r.PushSlot() = 2
+	r.DropFront()
+	*r.PushSlot() = 3
+	*r.PushSlot() = 4 // buffer has wrapped
 	want := []int{2, 3, 4}
 	for i, w := range want {
 		if got := *r.At(i); got != w {
@@ -58,7 +53,7 @@ func TestRingWrapsAndIndexes(t *testing.T) {
 func TestRingTruncate(t *testing.T) {
 	r := NewRing[int](8)
 	for i := 0; i < 6; i++ {
-		r.PushBack(i)
+		*r.PushSlot() = i
 	}
 	r.TruncateFrom(2) // keep entries 0,1
 	if r.Len() != 2 {
@@ -67,7 +62,7 @@ func TestRingTruncate(t *testing.T) {
 	if *r.At(0) != 0 || *r.At(1) != 1 {
 		t.Error("surviving entries wrong")
 	}
-	r.PushBack(99)
+	*r.PushSlot() = 99
 	if *r.At(2) != 99 {
 		t.Error("push after truncate landed wrong")
 	}
@@ -83,11 +78,14 @@ func TestRingTruncate(t *testing.T) {
 
 func TestRingPanicsOnBadIndex(t *testing.T) {
 	r := NewRing[int](2)
-	r.PushBack(1)
+	*r.PushSlot() = 1
 	for _, f := range []func(){
 		func() { r.At(1) },
 		func() { r.At(-1) },
 		func() { r.TruncateFrom(5) },
+		func() { NewRing[int](1).Front() },
+		func() { NewRing[int](1).DropFront() },
+		func() { r.PushSlot(); r.PushSlot() },
 	} {
 		func() {
 			defer func() {
@@ -100,42 +98,44 @@ func TestRingPanicsOnBadIndex(t *testing.T) {
 	}
 }
 
-// Property: Ring matches a slice model under random push/pop/truncate.
+// Property: Ring matches a slice model under random push/pop/truncate, and
+// its absolute indices count the entries ever popped.
 func TestQuickRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	f := func() bool {
 		capacity := 1 + rng.Intn(8)
 		r := NewRing[int](capacity)
 		var model []int
-		next := 0
+		next, popped := 0, int64(0)
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(3) {
 			case 0:
-				ok := r.PushBack(next)
-				if ok != (len(model) < capacity) {
+				if r.Full() != (len(model) == capacity) {
 					return false
 				}
-				if ok {
+				if !r.Full() {
+					*r.PushSlot() = next
 					model = append(model, next)
 				}
 				next++
 			case 1:
-				v, ok := r.PopFront()
-				if ok != (len(model) > 0) {
+				if r.Empty() != (len(model) == 0) {
 					return false
 				}
-				if ok {
-					if v != model[0] {
+				if !r.Empty() {
+					if *r.Front() != model[0] {
 						return false
 					}
+					r.DropFront()
 					model = model[1:]
+					popped++
 				}
 			default:
 				i := rng.Intn(len(model) + 1)
 				r.TruncateFrom(i)
 				model = model[:i]
 			}
-			if r.Len() != len(model) {
+			if r.Len() != len(model) || r.Base() != popped || r.NextAbs() != popped+int64(len(model)) {
 				return false
 			}
 			for i, v := range model {
@@ -180,21 +180,23 @@ func TestRenameTable(t *testing.T) {
 	}
 }
 
+// TestRenameSquash: mis-speculation recovery resets the table and
+// re-installs the producers of the surviving in-flight instructions.
 func TestRenameSquash(t *testing.T) {
 	rt := NewRenameTable()
 	rt.SetProducer(1, 5)
 	rt.SetProducer(2, 9)
 	rt.SetProducer(3, 15)
-	rt.SquashYoungerThan(9)
-	if rt.Producer(1) != 5 || rt.Producer(2) != 9 {
-		t.Error("squash removed surviving producers")
-	}
-	if rt.Producer(3) != NoProducer {
-		t.Error("squash kept younger producer")
-	}
 	rt.Reset()
-	if rt.Producer(1) != NoProducer {
-		t.Error("Reset failed")
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if rt.Producer(r) != NoProducer {
+			t.Fatalf("r%d still has producer %d after Reset", r, rt.Producer(r))
+		}
+	}
+	rt.SetProducer(1, 5)
+	rt.SetProducer(2, 9)
+	if rt.Producer(1) != 5 || rt.Producer(2) != 9 || rt.Producer(3) != NoProducer {
+		t.Error("re-installed producers wrong")
 	}
 }
 
@@ -262,15 +264,6 @@ func TestFUPoolMultPipelined(t *testing.T) {
 	}
 }
 
-func TestFUPoolReset(t *testing.T) {
-	p := NewFUPool(DefaultFUConfig())
-	p.TryIssue(FUDiv, 0)
-	p.Reset()
-	if _, ok := p.TryIssue(FUDiv, 0); !ok {
-		t.Error("div busy after Reset")
-	}
-}
-
 func TestFUConfigValidate(t *testing.T) {
 	var c FUConfig
 	c[FUALU] = FUSpec{Count: -1, Latency: 1}
@@ -298,9 +291,6 @@ func TestMemPorts(t *testing.T) {
 	if m.TryWrite() {
 		t.Error("second write port granted")
 	}
-	if m.ReadsUsed() != 2 || m.WritesUsed() != 1 {
-		t.Errorf("usage = %d/%d", m.ReadsUsed(), m.WritesUsed())
-	}
 	m.NewCycle()
 	if !m.TryRead() || !m.TryWrite() {
 		t.Error("ports not refreshed by NewCycle")
@@ -312,12 +302,12 @@ func TestMemPorts(t *testing.T) {
 func TestRingSnapshotSetContents(t *testing.T) {
 	r := NewRing[int](4)
 	// Rotate the head so the physical layout wraps.
-	r.PushBack(9)
-	r.PushBack(8)
-	r.PopFront()
-	r.PopFront()
+	*r.PushSlot() = 9
+	*r.PushSlot() = 8
+	r.DropFront()
+	r.DropFront()
 	for _, v := range []int{1, 2, 3} {
-		r.PushBack(v)
+		*r.PushSlot() = v
 	}
 	snap := r.Snapshot()
 	if len(snap) != 3 || snap[0] != 1 || snap[2] != 3 {
@@ -330,8 +320,8 @@ func TestRingSnapshotSetContents(t *testing.T) {
 	if fresh.Len() != 3 || *fresh.At(0) != 1 || *fresh.At(2) != 3 {
 		t.Fatalf("restored ring content wrong: %v", fresh.Snapshot())
 	}
-	if got, _ := fresh.PopFront(); got != 1 {
-		t.Fatalf("restored ring pops %d first, want 1", got)
+	if got := *fresh.Front(); got != 1 {
+		t.Fatalf("restored ring's front is %d, want 1", got)
 	}
 	if err := fresh.SetContents([]int{1, 2, 3, 4, 5}); err == nil {
 		t.Error("SetContents accepted more entries than capacity")
@@ -388,8 +378,8 @@ func TestFUPoolBusyUntilRoundTrip(t *testing.T) {
 
 // TestRingAbsoluteIndexing covers the stable-handle surface the engine's
 // event structures rely on: Base advances with every front removal,
-// NextAbs names the slot a push will take, AtAbs resolves a resident
-// handle for its whole residence, and stale handles panic.
+// NextAbs names the slot a push will take, and a handle resolves through
+// At(abs-Base()) to the same entry for its whole residence.
 func TestRingAbsoluteIndexing(t *testing.T) {
 	r := NewRing[int](3)
 	if r.Base() != 0 || r.NextAbs() != 0 {
@@ -399,11 +389,12 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 		if abs := r.NextAbs(); abs != int64(v) {
 			t.Fatalf("NextAbs before push %d = %d", v, abs)
 		}
-		r.PushBack(v * 10)
+		*r.PushSlot() = v * 10
 	}
 	r.DropFront() // abs 0 gone
-	if r.Base() != 1 || *r.AtAbs(1) != 10 || *r.AtAbs(2) != 20 {
-		t.Fatalf("after DropFront: base=%d at1=%d at2=%d", r.Base(), *r.AtAbs(1), *r.AtAbs(2))
+	at := func(abs int64) int { return *r.At(int(abs - r.Base())) }
+	if r.Base() != 1 || at(1) != 10 || at(2) != 20 {
+		t.Fatalf("after DropFront: base=%d at1=%d at2=%d", r.Base(), at(1), at(2))
 	}
 	if *r.Front() != 10 {
 		t.Fatalf("Front = %d, want 10", *r.Front())
@@ -411,8 +402,8 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 	// Wrapped push reuses the freed slot but gets a fresh absolute index.
 	p := r.PushSlot()
 	*p = 30
-	if r.Base() != 1 || *r.AtAbs(3) != 30 || r.NextAbs() != 4 {
-		t.Fatalf("after wrapped PushSlot: base=%d at3=%d next=%d", r.Base(), *r.AtAbs(3), r.NextAbs())
+	if r.Base() != 1 || at(3) != 30 || r.NextAbs() != 4 {
+		t.Fatalf("after wrapped PushSlot: base=%d at3=%d next=%d", r.Base(), at(3), r.NextAbs())
 	}
 	// Views: wrapped content comes back as two age-ordered spans.
 	s1, s2 := r.Views()
@@ -433,17 +424,17 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("AtAbs(%d) did not panic", abs)
+					t.Errorf("handle %d did not panic", abs)
 				}
 			}()
-			r.AtAbs(abs)
+			at(abs)
 		}()
 	}
 	// SetContents restarts absolute indexing from zero.
 	if err := r.SetContents([]int{7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Base() != 0 || *r.AtAbs(0) != 7 || *r.AtAbs(1) != 8 {
+	if r.Base() != 0 || at(0) != 7 || at(1) != 8 {
 		t.Fatalf("after SetContents: base=%d", r.Base())
 	}
 }
