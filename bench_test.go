@@ -573,6 +573,28 @@ func BenchmarkExtensionMulticore(b *testing.B) {
 	b.ReportMetric(resim.AggregateMIPS(resim.Virtex5, cfg, res), "aggregate_V5_MIPS")
 }
 
+// BenchmarkMulticoreColdStart measures a first-ever cluster run: a fresh
+// trace cache per iteration, so each iteration generates four traces and
+// then steps the bench `multicore` machine (private 16 KiB L1 data caches
+// over one shared 512 KiB L2) in lockstep. Gated in CI: it is the cold
+// cluster path, trace generation fanned out over the cores included.
+func BenchmarkMulticoreColdStart(b *testing.B) {
+	opts := resim.MulticoreOptions{
+		Workloads: []string{"gzip", "bzip2", "parser", "vpr"},
+		Limit:     benchInstrs,
+		L1: &resim.CacheConfig{Name: "dl1", SizeBytes: 16 << 10, Assoc: 4,
+			BlockBytes: 64, HitLatency: 1, MissLatency: 20},
+		SharedL2: &resim.CacheConfig{Name: "l2", SizeBytes: 512 << 10, Assoc: 8,
+			BlockBytes: 64, HitLatency: 6, MissLatency: 40},
+	}
+	for i := 0; i < b.N; i++ {
+		ses := mustSession(b, resim.WithTraceCache(resim.NewTraceCache(resim.TraceCacheConfig{})))
+		if _, err := ses.Multicore(context.Background(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInOrderBaseline measures the scalar in-order comparison model.
 func BenchmarkInOrderBaseline(b *testing.B) {
 	p, err := workload.ByName("gzip")

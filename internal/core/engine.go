@@ -301,10 +301,6 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Predictor returns the simulated branch predictor, or nil under perfect
-// branch prediction. Exposed for inspection and tests.
-func (e *Engine) Predictor() *bpred.Predictor { return e.bp }
-
 // Now returns the current major-cycle number.
 func (e *Engine) Now() int64 { return e.now }
 

@@ -42,39 +42,43 @@ func NewTracer(m *Machine, cfg TraceConfig) *Tracer {
 	return t
 }
 
-// Machine returns the underlying functional machine.
-func (t *Tracer) Machine() *Machine { return t.m }
-
-// Step executes one instruction, emitting its record plus any wrong-path
-// block. It returns io.EOF once the machine has halted.
-func (t *Tracer) Step(emit func(trace.Record) error) error {
-	if t.m.Halted() {
-		return io.EOF
+// Step executes one instruction and appends its record, plus any
+// wrong-path block, to recs. It returns io.EOF once the machine has halted.
+// Each record is a copy of its instruction's predecoded template with only
+// the per-execution fields set: the address of a memory access, the
+// outcome of a branch.
+func (t *Tracer) Step(recs []trace.Record) ([]trace.Record, error) {
+	if t.m.halted {
+		return recs, io.EOF
 	}
-	info, err := t.m.Step()
-	if err != nil {
-		return err
-	}
+	info, d := t.m.step()
 	if info.Inst.Op == isa.OpHalt {
 		// HALT marks end of program; it does not appear in the trace
 		// (SimpleScalar ends the trace at the exit syscall).
-		return io.EOF
+		return recs, io.EOF
 	}
-	rec := trace.FromInst(info.Inst, info.PC, info.Addr, info.Taken, info.Target)
-	if err := emit(rec); err != nil {
-		return err
-	}
-	if info.Inst.Class() != isa.ClassCtrl {
-		return nil
-	}
-	if t.cfg.PerfectBP {
-		return nil
+	recs = append(recs, dynamic(d, info.Addr, info.Taken, info.Target))
+	if d.class != isa.ClassCtrl || t.cfg.PerfectBP {
+		return recs, nil
 	}
 	mispred, wrongPC := t.predictAndUpdate(info)
 	if !mispred {
-		return nil
+		return recs, nil
 	}
-	return t.emitWrongPath(wrongPC, emit)
+	return t.appendWrongPath(recs, wrongPC), nil
+}
+
+// dynamic is d's record template with its per-execution fields set, the
+// record trace.FromInst builds for the same arguments.
+func dynamic(d *decoded, addr uint32, taken bool, target uint32) trace.Record {
+	r := d.rec
+	switch r.Kind {
+	case trace.KindMem:
+		r.Addr = addr
+	case trace.KindBranch:
+		r.Taken, r.Target = taken, target
+	}
+	return r
 }
 
 // predictAndUpdate runs the sim-bpred predictor over one resolved branch,
@@ -137,18 +141,19 @@ func (t *Tracer) predictAndUpdate(info StepInfo) (mispred bool, wrongPC uint32) 
 	return mispred, wrongPC
 }
 
-// emitWrongPath walks the mis-speculated path starting at wrongPC for up to
-// WrongPathLen instructions, emitting tagged records. The walk decodes real
-// bytes from the machine's memory without architectural side effects:
+// appendWrongPath walks the mis-speculated path starting at wrongPC for up
+// to WrongPathLen instructions, appending tagged records. The walk decodes
+// real bytes from the machine's memory without architectural side effects:
 // conditionals are assumed not-taken, direct jumps and calls are followed,
 // indirect targets come from the current register file, and memory
 // addresses are computed from the current register file (the paper: ReSim
 // "will fetch the instructions from the wrong path and model their effects
 // in instruction processing, caches, etc").
-func (t *Tracer) emitWrongPath(wrongPC uint32, emit func(trace.Record) error) error {
+func (t *Tracer) appendWrongPath(recs []trace.Record, wrongPC uint32) []trace.Record {
 	pc := wrongPC
 	for i := 0; i < t.cfg.WrongPathLen; i++ {
-		in := t.m.FetchInst(pc)
+		d := t.m.fetch(pc)
+		in := &d.inst
 		if in.Op == isa.OpHalt {
 			break
 		}
@@ -157,11 +162,11 @@ func (t *Tracer) emitWrongPath(wrongPC uint32, emit func(trace.Record) error) er
 			taken  bool
 			target uint32
 		)
-		switch in.Class() {
+		switch d.class {
 		case isa.ClassLoad, isa.ClassStore:
 			addr = t.m.Reg(in.B) + uint32(in.Imm)
 		case isa.ClassCtrl:
-			switch in.Ctrl() {
+			switch d.rec.Ctrl {
 			case isa.CtrlJump, isa.CtrlCall:
 				taken, target = true, in.Target
 			case isa.CtrlRet, isa.CtrlIndirect, isa.CtrlIndCall:
@@ -170,30 +175,37 @@ func (t *Tracer) emitWrongPath(wrongPC uint32, emit func(trace.Record) error) er
 				taken, target = false, in.Target
 			}
 		}
-		rec := trace.FromInst(in, pc, addr, taken, target)
+		rec := dynamic(d, addr, taken, target)
 		rec.Tag = true
-		if err := emit(rec); err != nil {
-			return err
-		}
+		recs = append(recs, rec)
 		if taken {
 			pc = target
 		} else {
 			pc += 4
 		}
 	}
-	return nil
+	return recs
 }
 
 // Run traces up to limit correct-path instructions (0 = until HALT).
 // It returns the number of correct-path instructions traced.
 func (t *Tracer) Run(limit uint64, emit func(trace.Record) error) (uint64, error) {
-	var n uint64
+	var (
+		n    uint64
+		recs []trace.Record
+		err  error
+	)
 	for limit == 0 || n < limit {
-		if err := t.Step(emit); err != nil {
+		if recs, err = t.Step(recs[:0]); err != nil {
 			if err == io.EOF {
 				return n, nil
 			}
 			return n, err
+		}
+		for _, r := range recs {
+			if err := emit(r); err != nil {
+				return n, err
+			}
 		}
 		n++
 	}
@@ -218,9 +230,6 @@ func NewSource(m *Machine, cfg TraceConfig, limit uint64) *Source {
 	return &Source{t: NewTracer(m, cfg), limit: limit}
 }
 
-// Tracer exposes the underlying tracer (for statistics).
-func (s *Source) Tracer() *Tracer { return s.t }
-
 // Next implements trace.Source.
 func (s *Source) Next() (trace.Record, error) {
 	for s.head >= len(s.queue) {
@@ -229,11 +238,8 @@ func (s *Source) Next() (trace.Record, error) {
 		if s.limit != 0 && s.done >= s.limit {
 			return trace.Record{}, io.EOF
 		}
-		err := s.t.Step(func(r trace.Record) error {
-			s.queue = append(s.queue, r)
-			return nil
-		})
-		if err != nil {
+		var err error
+		if s.queue, err = s.t.Step(s.queue); err != nil {
 			return trace.Record{}, err
 		}
 		s.done++

@@ -969,7 +969,7 @@ func (p *Platform) startGroupLocked(j *job, g int, w sweepd.Worker, ws *workerSt
 	gr := j.ledger.Assign(g)
 	gr.OnCheckpoint = func(index int, data []byte) { p.onCheckpoint(j, index, data) }
 	gr.OnTelemetry = func(index int, snap core.IntervalSnapshot) { p.onTelemetry(j, index, snap) }
-	key := j.ledger.Groups()[g].KeyID
+	key := j.ledger.Groups()[g].Key.ID()
 	wl := workerLabel(w)
 	p.spanLocked(j, TraceSpan{Event: SpanDispatch, State: j.state, Point: -1,
 		Group: key, Worker: wl, Points: len(gr.Indices)})
@@ -1073,7 +1073,7 @@ func (p *Platform) groupDone(j *job, g int, w sweepd.Worker, err error) {
 			ws.dead = true
 		}
 		if left > 0 {
-			key := j.ledger.Groups()[g].KeyID
+			key := j.ledger.Groups()[g].Key.ID()
 			p.requeues++
 			p.spanLocked(j, TraceSpan{Event: SpanRequeue, Point: -1,
 				Group: key, Worker: workerLabel(w), Points: left, Detail: err.Error()})

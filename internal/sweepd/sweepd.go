@@ -83,25 +83,24 @@ const DefaultCheckpointBudget = 64 << 20
 // the trace is produced once per host and replayed by the rest.
 type Group struct {
 	Key     tracecache.Key
-	KeyID   string
 	Indices []int
 }
 
 // Groups shards the job's points by trace key, preserving first-seen order.
-// The key is a stable content address (tracecache.Key.ID()), so a
-// coordinator and its workers — potentially different processes — agree on
-// the routing unit by construction.
+// Points group by key equality, so a coordinator and its workers —
+// potentially different processes — agree on the routing unit by
+// construction; a caller that names a group outside the process uses its
+// key's stable content address, Key.ID().
 func (j *Job) Groups() []Group {
-	byID := make(map[string]int, len(j.Points))
+	byKey := make(map[tracecache.Key]int, len(j.Points))
 	var gs []Group
 	for i := range j.Points {
 		k := tracecache.KeyFor(j.Profile, j.Points[i].Config.TraceConfig(), j.Instructions)
-		id := k.ID()
-		gi, ok := byID[id]
+		gi, ok := byKey[k]
 		if !ok {
 			gi = len(gs)
-			byID[id] = gi
-			gs = append(gs, Group{Key: k, KeyID: id})
+			byKey[k] = gi
+			gs = append(gs, Group{Key: k})
 		}
 		gs[gi].Indices = append(gs[gi].Indices, i)
 	}

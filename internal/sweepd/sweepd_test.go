@@ -82,8 +82,8 @@ func TestGroupsShardByTraceKey(t *testing.T) {
 	if !reflect.DeepEqual(gs[0].Indices, []int{0, 1}) || !reflect.DeepEqual(gs[1].Indices, []int{2, 3}) {
 		t.Fatalf("group indices = %v / %v, want [0 1] / [2 3]", gs[0].Indices, gs[1].Indices)
 	}
-	if gs[0].KeyID == gs[1].KeyID || gs[0].KeyID == "" {
-		t.Fatalf("key IDs not distinct content addresses: %q vs %q", gs[0].KeyID, gs[1].KeyID)
+	if id0, id1 := gs[0].Key.ID(), gs[1].Key.ID(); id0 == id1 || id0 == "" {
+		t.Fatalf("key IDs not distinct content addresses: %q vs %q", id0, id1)
 	}
 }
 

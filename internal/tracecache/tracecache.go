@@ -508,41 +508,33 @@ func (c *Cache) spillFile(k Key) string {
 }
 
 // generate materializes the full record stream for k, polling ctx every
-// core.CtxCheckInterval records. It drives the exact funcsim pipeline the
-// lazy per-run sources use (Profile.Build -> NewMachine -> Source), so a
-// cached replay is record-for-record identical to an uncached run.
+// core.CtxCheckInterval steps. It drives the tracer the lazy per-run
+// sources use, from the machine Profile.NewMachine loads, appending
+// straight into the trace, so a cached replay is record-for-record
+// identical to an uncached run.
 func generate(ctx context.Context, k Key) (*Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prog, err := k.Profile.Build()
+	m, err := k.Profile.NewMachine()
 	if err != nil {
 		return nil, err
 	}
-	m, err := funcsim.NewMachine(prog, 0)
-	if err != nil {
-		return nil, err
-	}
-	src := funcsim.NewSource(m, k.TC, k.Limit)
-
-	t := newTrace(k, prog.Entry)
-	sinceCheck := 0
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if sinceCheck++; sinceCheck >= core.CtxCheckInterval {
-			sinceCheck = 0
+	t := newTrace(k, m.PC())
+	tr := funcsim.NewTracer(m, k.TC)
+	for n := uint64(0); n < k.Limit; n++ {
+		if n%core.CtxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		t.recs = append(t.recs, r)
+		if t.recs, err = tr.Step(t.recs); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
 	}
+	return t, nil
 }
 
 // readContainer decodes one container as k's trace. It is the only way a

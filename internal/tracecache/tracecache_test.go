@@ -877,83 +877,3 @@ func TestFamilyRequestedConcurrently(t *testing.T) {
 		}
 	}
 }
-
-// TestCancelledFamilyLeader: a deriver waiting on its family's leader
-// still returns the exact trace when the leader is cancelled while it
-// generates, by loading its own key; and a deriver cancelled while it
-// waits removes its entry. Neither leaks an in-flight entry.
-func TestCancelledFamilyLeader(t *testing.T) {
-	const limit = 100_000
-	p := gzipProfile(t)
-	keys := familyKeys(p, limit)
-	long, short := keys[0], keys[3]
-
-	t.Run("leader", func(t *testing.T) {
-		c := New(Config{})
-		lctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		lerr := make(chan error, 1)
-		go func() {
-			_, err := c.Get(lctx, p, long.TC, limit)
-			lerr <- err
-		}()
-		waitEntries(t, c, 1)
-		var tr *Trace
-		var err error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			tr, err = c.Get(context.Background(), p, short.TC, limit)
-		}()
-		waitEntries(t, c, 2) // the deriver chose the generating leader
-		cancel()
-		if err := <-lerr; !errors.Is(err, context.Canceled) {
-			t.Fatalf("leader: err = %v, want context.Canceled mid-generation", err)
-		}
-		<-done
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTrace(t, tr, direct(t, short))
-		st := c.Stats()
-		if st.Generations != 1 || st.Derivations != 0 || st.Entries != 1 || len(c.families[short.family()]) != 1 {
-			t.Fatalf("stats %+v, family index %d; want the deriver's own generation as the one entry",
-				st, len(c.families[short.family()]))
-		}
-	})
-
-	t.Run("deriver", func(t *testing.T) {
-		c := New(Config{})
-		lead := make(chan error, 1)
-		go func() {
-			_, err := c.Get(context.Background(), p, long.TC, limit)
-			lead <- err
-		}()
-		waitEntries(t, c, 1)
-		dctx, cancel := context.WithCancel(context.Background())
-		derr := make(chan error, 1)
-		go func() {
-			_, err := c.Get(dctx, p, short.TC, limit)
-			derr <- err
-		}()
-		waitEntries(t, c, 2)
-		cancel()
-		if err := <-derr; !errors.Is(err, context.Canceled) {
-			t.Fatalf("deriver: err = %v, want context.Canceled", err)
-		}
-		if err := <-lead; err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.Entries != 1 || len(c.families[long.family()]) != 1 {
-			t.Fatalf("cancelled deriver left %d entries, %d in the family index; want 1", st.Entries, len(c.families[long.family()]))
-		}
-		tr, err := c.Get(context.Background(), p, short.TC, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTrace(t, tr, direct(t, short))
-		if st := c.Stats(); st.Generations != 1 || st.Derivations != 1 {
-			t.Fatalf("stats %+v; want 1 generation and 1 derivation", st)
-		}
-	})
-}

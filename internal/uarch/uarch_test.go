@@ -50,29 +50,39 @@ func TestRingWrapsAndIndexes(t *testing.T) {
 	}
 }
 
-func TestRingTruncate(t *testing.T) {
-	r := NewRing[int](8)
-	for i := 0; i < 6; i++ {
-		*r.PushSlot() = i
+func TestRingClear(t *testing.T) {
+	r := NewRing[*int](4)
+	vals := make([]int, 6)
+	for i := range vals {
+		*r.PushSlot() = &vals[i]
+		if i%2 == 1 {
+			r.DropFront() // wrap the live entries around the backing array
+		}
 	}
-	r.TruncateFrom(2) // keep entries 0,1
-	if r.Len() != 2 {
-		t.Fatalf("len = %d, want 2", r.Len())
+	a, b := r.Views() // the live entries, aliasing the backing array
+	if len(b) == 0 {
+		t.Fatal("live entries do not wrap")
 	}
-	if *r.At(0) != 0 || *r.At(1) != 1 {
-		t.Error("surviving entries wrong")
+	base := r.Base()
+	r.Clear()
+	if !r.Empty() || r.Base() != base || r.NextAbs() != base {
+		t.Fatalf("after Clear: len %d, base %d, next %d; want empty at base %d", r.Len(), r.Base(), r.NextAbs(), base)
 	}
-	*r.PushSlot() = 99
-	if *r.At(2) != 99 {
-		t.Error("push after truncate landed wrong")
+	for _, v := range [][]*int{a, b} {
+		for _, p := range v {
+			if p != nil {
+				t.Fatal("Clear left a discarded entry live in the backing array")
+			}
+		}
 	}
-	r.TruncateFrom(r.Len()) // no-op
-	if r.Len() != 3 {
-		t.Error("TruncateFrom(Len) changed length")
+	*r.PushSlot() = &vals[0]
+	if r.Len() != 1 || *r.Front() != &vals[0] || r.NextAbs() != base+1 {
+		t.Error("push after Clear landed wrong")
 	}
 	r.Clear()
-	if !r.Empty() {
-		t.Error("Clear left entries")
+	r.Clear() // clearing an empty ring is a no-op
+	if !r.Empty() || r.NextAbs() != base {
+		t.Error("Clear of an empty ring changed it")
 	}
 }
 
@@ -82,7 +92,6 @@ func TestRingPanicsOnBadIndex(t *testing.T) {
 	for _, f := range []func(){
 		func() { r.At(1) },
 		func() { r.At(-1) },
-		func() { r.TruncateFrom(5) },
 		func() { NewRing[int](1).Front() },
 		func() { NewRing[int](1).DropFront() },
 		func() { r.PushSlot(); r.PushSlot() },
@@ -98,7 +107,7 @@ func TestRingPanicsOnBadIndex(t *testing.T) {
 	}
 }
 
-// Property: Ring matches a slice model under random push/pop/truncate, and
+// Property: Ring matches a slice model under random push/pop/clear, and
 // its absolute indices count the entries ever popped.
 func TestQuickRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -131,9 +140,10 @@ func TestQuickRingMatchesSlice(t *testing.T) {
 					popped++
 				}
 			default:
-				i := rng.Intn(len(model) + 1)
-				r.TruncateFrom(i)
-				model = model[:i]
+				if rng.Intn(4) == 0 { // rarely, so the ring also fills
+					r.Clear()
+					model = model[:0]
+				}
 			}
 			if r.Len() != len(model) || r.Base() != popped || r.NextAbs() != popped+int64(len(model)) {
 				return false

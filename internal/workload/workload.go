@@ -278,14 +278,21 @@ func (p Profile) Build() (*funcsim.Program, error) {
 	return prog, nil
 }
 
-// NewSource builds the program, loads it and returns an on-the-fly trace
-// source over it (limit bounds correct-path instructions; 0 = run free).
-func (p Profile) NewSource(tc funcsim.TraceConfig, limit uint64) (*funcsim.Source, error) {
+// NewMachine builds the program and loads it into a fresh functional
+// machine with the default arena, ready to run from the program's entry
+// point. Every trace of the profile, streamed or cached, starts here.
+func (p Profile) NewMachine() (*funcsim.Machine, error) {
 	prog, err := p.Build()
 	if err != nil {
 		return nil, err
 	}
-	m, err := funcsim.NewMachine(prog, 0)
+	return funcsim.NewMachine(prog, 0)
+}
+
+// NewSource returns an on-the-fly trace source over a fresh machine (limit
+// bounds correct-path instructions; 0 = run free).
+func (p Profile) NewSource(tc funcsim.TraceConfig, limit uint64) (*funcsim.Source, error) {
+	m, err := p.NewMachine()
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -559,22 +561,17 @@ func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (Multico
 		}
 		coreCfg.DCache = cache.Side{L1: *opts.L1, L2: *opts.SharedL2}
 	}
-	var specs []multicore.CoreSpec
-	for _, name := range opts.Workloads {
+	profiles := make([]workload.Profile, len(opts.Workloads))
+	for i, name := range opts.Workloads {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return MulticoreResult{}, err
 		}
-		// Homogeneous clusters (the same workload on several cores, all
-		// under the session's one configuration) share a single generated
-		// trace: every core replays its own snapshot from the cache.
-		src, startPC, err := tracecache.SourceFor(ctx, s.traces, p, coreCfg.TraceConfig(), opts.Limit)
-		if err != nil {
-			return MulticoreResult{}, err
-		}
-		specs = append(specs, multicore.CoreSpec{
-			Name: name, Config: coreCfg, Source: src, StartPC: startPC,
-		})
+		profiles[i] = p
+	}
+	specs, err := clusterSpecs(ctx, s.traces, profiles, coreCfg, opts.Limit)
+	if err != nil {
+		return MulticoreResult{}, err
 	}
 	cl, err := multicore.New(specs)
 	if err != nil {
@@ -585,4 +582,36 @@ func (s *Session) Multicore(ctx context.Context, opts MulticoreOptions) (Multico
 	}
 	// WithMaxCycles bounds the lockstep cycle count, same as single runs.
 	return cl.Run(ctx, s.cfg.MaxCycles)
+}
+
+// clusterSpecs builds one core per profile, in order, fetching the
+// cores' traces concurrently on at most GOMAXPROCS goroutines: a cold
+// cluster generates its traces side by side instead of one after another.
+// Homogeneous clusters (the same workload on several cores, all under one
+// configuration) share a single generated trace, as the cache collapses
+// concurrent requests for one key and every core replays its own
+// snapshot. It returns the error of the lowest-indexed core that failed.
+func clusterSpecs(ctx context.Context, traces *tracecache.Cache, profiles []workload.Profile, cfg Config, limit uint64) ([]multicore.CoreSpec, error) {
+	specs := make([]multicore.CoreSpec, len(profiles))
+	errs := make([]error, len(profiles))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(profiles), runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(profiles); i = int(next.Add(1) - 1) {
+				src, startPC, err := tracecache.SourceFor(ctx, traces, profiles[i], cfg.TraceConfig(), limit)
+				specs[i] = multicore.CoreSpec{Name: profiles[i].Name, Config: cfg, Source: src, StartPC: startPC}
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return specs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -357,6 +358,29 @@ func TestMulticoreCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMulticoreColdClusterMatchesStreaming: a cold cluster fetches its
+// cores' traces concurrently from a fresh cache, two cores sharing one
+// key; its result, core order included, must equal the same cluster fed
+// by streaming sources (run under -race).
+func TestMulticoreColdClusterMatchesStreaming(t *testing.T) {
+	opts := resim.MulticoreOptions{Workloads: []string{"vpr", "gzip", "vpr", "bzip2"}, Limit: 8_000}
+	streamed, err := mustSession(t, resim.WithTraceCache(nil)).Multicore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := resim.NewTraceCache(resim.TraceCacheConfig{})
+	cold, err := mustSession(t, resim.WithTraceCache(cache)).Multicore(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, streamed) {
+		t.Fatalf("cold cached cluster differs from the streaming one:\n%+v\nvs\n%+v", cold.Names, streamed.Names)
+	}
+	if st := cache.Stats(); st.Generations != 3 || st.Entries != 3 {
+		t.Fatalf("cache stats %+v; want the three distinct traces generated once each", st)
 	}
 }
 
