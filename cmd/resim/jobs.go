@@ -34,6 +34,7 @@ import (
 	resim "repro"
 	"repro/internal/configfile"
 	"repro/internal/jobd"
+	"repro/internal/stats"
 	"repro/internal/sweepd"
 )
 
@@ -192,12 +193,8 @@ func streamResults(ctx context.Context, c *jobd.Client, id string) (jobd.State, 
 		case wr.Err != "":
 			fmt.Printf("%-24s ERROR %s\n", wr.Name, wr.Err)
 		case wr.Res != nil:
-			ipc := 0.0
-			if wr.Res.Counters.Cycles > 0 {
-				ipc = float64(wr.Res.Counters.Committed) / float64(wr.Res.Counters.Cycles)
-			}
 			fmt.Printf("%-24s %12d cycles %12d committed  IPC %.4f\n",
-				wr.Name, wr.Res.Counters.Cycles, wr.Res.Counters.Committed, ipc)
+				wr.Name, wr.Res.Cycles, wr.Res.Committed, stats.Ratio(wr.Res.Committed, wr.Res.Cycles))
 		}
 		return nil
 	})
@@ -224,7 +221,7 @@ func watchTelemetry(ctx context.Context, c *jobd.Client, id string) error {
 			mark = " *"
 		}
 		fmt.Fprintf(tw, "%d\t[%d,%d)%s\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.1f\n",
-			s.Core, s.StartCycle, s.EndCycle, mark, s.Cycles(),
+			s.Core, s.StartCycle, s.EndCycle, mark, s.Cycles,
 			s.IPC, s.MispredictRate, s.ICacheMissRate, s.DCacheMissRate, s.RB.Mean())
 		rows++
 		// Flush per line: watch is a live view, not a report.

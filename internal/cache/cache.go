@@ -103,6 +103,16 @@ func (s Stats) Hits() uint64 { return s.ReadHits + s.WriteHits }
 // Misses returns total misses.
 func (s Stats) Misses() uint64 { return s.Accesses() - s.Hits() }
 
+// Add returns the field-wise sum s + d.
+func (s Stats) Add(d Stats) Stats {
+	return Stats{s.Reads + d.Reads, s.ReadHits + d.ReadHits, s.Writes + d.Writes, s.WriteHits + d.WriteHits}
+}
+
+// Sub returns the field-wise difference s − prev.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{s.Reads - prev.Reads, s.ReadHits - prev.ReadHits, s.Writes - prev.Writes, s.WriteHits - prev.WriteHits}
+}
+
 // MissRate returns misses per access.
 func (s Stats) MissRate() float64 {
 	if s.Accesses() == 0 {
@@ -163,10 +173,11 @@ func (s Side) Build(l2 *Cache) *Memory {
 	case s.L2 == Config{}:
 		return &Memory{l1: New(s.L1)}
 	}
-	if l2 == nil {
-		l2 = New(s.L2)
+	m := &Memory{l1: New(s.L1), l2: l2, privateL2: l2 == nil}
+	if m.privateL2 {
+		m.l2 = New(s.L2)
 	}
-	return &Memory{l1: New(s.L1), l2: l2}
+	return m
 }
 
 // Memory is one side of the memory system as the engine sees it: an access
@@ -177,9 +188,10 @@ func (s Side) Build(l2 *Cache) *Memory {
 // latency; fills are write-allocate at both levels. The L2 may be shared
 // by a multicore cluster's cores, which then interfere in its tags.
 type Memory struct {
-	l1, l2  *Cache // l1 nil: perfect memory; l2 nil: an L1 miss pays L1.MissLatency
-	latency int    // perfect-memory access latency
-	st      Stats  // perfect memory's counters (a cache keeps its own)
+	l1, l2    *Cache // l1 nil: perfect memory; l2 nil: an L1 miss pays L1.MissLatency
+	privateL2 bool   //resim:ckpt-exempt Build sets it: l2 is this memory's own, not a cluster's shared one
+	latency   int    // perfect-memory access latency
+	st        Stats  // perfect memory's counters (a cache keeps its own)
 }
 
 // Access performs a timing access at addr; write selects the port type.
@@ -195,12 +207,17 @@ func (m *Memory) Access(addr uint32, write bool) (hit bool, latency int) {
 	return false, m.l1.cfg.HitLatency + lat
 }
 
-// Stats returns the level-1 counters: the L1's, or perfect memory's.
-func (m *Memory) Stats() Stats {
+// Stats returns the level-1 counters (the L1's, or perfect memory's) and a
+// private L2's. A shared L2 yields zero l2: its counters mix every core's
+// accesses, so only its cluster reports them.
+func (m *Memory) Stats() (l1, l2 Stats) {
 	if m.l1 == nil {
-		return m.st
+		return m.st, Stats{}
 	}
-	return m.l1.st
+	if m.privateL2 {
+		l2 = m.l2.st
+	}
+	return m.l1.st, l2
 }
 
 // Cache is a set-associative, true-LRU, write-allocate timing cache.

@@ -117,9 +117,9 @@ func TestPerfect(t *testing.T) {
 			t.Fatalf("perfect access missed: hit=%t lat=%d", hit, lat)
 		}
 	}
-	st := p.Stats()
-	if st.Misses() != 0 || st.Accesses() != 100 {
-		t.Errorf("stats: %+v", st)
+	st, l2 := p.Stats()
+	if st.Misses() != 0 || st.Accesses() != 100 || l2 != (Stats{}) {
+		t.Errorf("stats: %+v, L2 %+v", st, l2)
 	}
 }
 
@@ -202,5 +202,13 @@ func TestQuickDirectMappedMatchesModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestStatsAddSub(t *testing.T) {
+	a, d := Stats{5, 3, 2, 1}, Stats{9, 4, 7, 6}
+	sum := a.Add(d)
+	if sum != (Stats{14, 7, 9, 7}) || sum.Sub(d) != a {
+		t.Errorf("%+v + %+v = %+v, minus %+v = %+v", a, d, sum, d, sum.Sub(d))
 	}
 }

@@ -51,16 +51,20 @@ func TestHierarchySharedLower(t *testing.T) {
 	if l2.Stats().Accesses() != 2 {
 		t.Errorf("shared L2 saw %d accesses, want 2", l2.Stats().Accesses())
 	}
+	if _, st := ha.Stats(); st != (Stats{}) {
+		t.Errorf("a core reported the shared L2's counters %+v", st)
+	}
 }
 
 func TestHierarchyStats(t *testing.T) {
 	h := twoLevel().Build(nil)
 	h.Access(0x40, true)
-	if h.Stats().Writes != 1 {
-		t.Errorf("L1 stats = %+v", h.Stats())
+	l1, l2 := h.Stats()
+	if l1.Writes != 1 {
+		t.Errorf("L1 stats = %+v", l1)
 	}
-	if h.l2.Stats().Accesses() != 1 {
-		t.Errorf("L2 saw %d accesses after an L1 miss, want 1", h.l2.Stats().Accesses())
+	if l2 != h.l2.Stats() || l2.Accesses() != 1 {
+		t.Errorf("private L2 reported %+v after an L1 miss, want the L2's one access", l2)
 	}
 }
 

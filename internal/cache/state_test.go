@@ -51,8 +51,10 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		if err := fresh.SetState(&decoded); err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}
-		if fresh.Stats() != orig.Stats() {
-			t.Errorf("%s: restored counters differ: %+v vs %+v", name, fresh.Stats(), orig.Stats())
+		f1, f2 := fresh.Stats()
+		o1, o2 := orig.Stats()
+		if f1 != o1 || f2 != o2 {
+			t.Errorf("%s: restored counters differ: %+v/%+v vs %+v/%+v", name, f1, f2, o1, o2)
 		}
 		// Behavioral equivalence: the same subsequent accesses produce the
 		// same hits and latencies (tag state and LRU clocks restored).

@@ -45,11 +45,8 @@ func ckptRecords(t testing.TB, name string, cfg core.Config, limit uint64) []tra
 // statistics registry (the "byte-identical stats" acceptance property).
 func resultsEqual(t *testing.T, a, b core.Result, what string) {
 	t.Helper()
-	if a.Counters != b.Counters {
-		t.Errorf("%s: counters differ:\n%+v\n%+v", what, a.Counters, b.Counters)
-	}
-	if a.ICache != b.ICache || a.DCache != b.DCache {
-		t.Errorf("%s: cache stats differ", what)
+	if a.Stats != b.Stats {
+		t.Errorf("%s: statistics differ:\n%+v\n%+v", what, a.Stats, b.Stats)
 	}
 	if ra, rb := a.Registry().String(), b.Registry().String(); ra != rb {
 		t.Errorf("%s: statistics reports differ:\n--- uninterrupted\n%s\n--- resumed\n%s", what, ra, rb)
@@ -58,7 +55,8 @@ func resultsEqual(t *testing.T, a, b core.Result, what string) {
 
 // statesEqual requires two engines' whole serialized states to be equal:
 // predictor tables, every cache level's tags, queues and counters, beyond
-// what a Result reports (a private D-side L2 appears in no Result).
+// what a Result reports (a Result holds each cache level's counters, not
+// its tags).
 func statesEqual(t *testing.T, a, b *core.Engine, what string) {
 	t.Helper()
 	ea, err := a.Checkpoint().Encode()

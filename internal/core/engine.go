@@ -542,7 +542,7 @@ func (e *Engine) RunHooks(ctx context.Context, h Hooks) (Result, error) {
 			},
 			func() error { return e.stepFast(hooks) })
 	}
-	return e.result(), err
+	return e.Result(), err
 }
 
 // Drive is the run loop shared by Engine.RunHooks and the multicore
@@ -669,7 +669,7 @@ func (e *Engine) progress(final bool) Progress {
 
 // Result snapshots the current statistics; usable mid-run by callers that
 // drive Cycle directly (e.g. the multicore cluster).
-func (e *Engine) Result() Result { return e.result() }
+func (e *Engine) Result() Result { return Result{e.stats(), e.cfg} }
 
 // clearDerived empties the event-scheduling structures (ready queue,
 // writeback heap and overflow queue, consumer lists), retaining their
@@ -1458,14 +1458,10 @@ func (e *Engine) fetch() {
 
 // ---------------------------------------------------------------------------
 
-func (e *Engine) result() Result {
-	return Result{
-		Counters: e.c,
-		ICache:   e.icache.Stats(),
-		DCache:   e.dcache.Stats(),
-		IFQ:      e.ifqOcc,
-		RB:       e.rbOcc,
-		LSQ:      e.lsqOcc,
-		Config:   e.cfg,
-	}
+// stats gathers the run's statistics so far.
+func (e *Engine) stats() Stats {
+	s := Stats{Counters: e.c, IFQ: e.ifqOcc, RB: e.rbOcc, LSQ: e.lsqOcc}
+	s.ICache, s.IL2 = e.icache.Stats()
+	s.DCache, s.DL2 = e.dcache.Stats()
+	return s
 }

@@ -94,9 +94,9 @@ func TestHookErrorSemantics(t *testing.T) {
 				for _, s := range snaps {
 					s.Accumulate(&sum)
 				}
-				if sum.Counters != res.Counters {
+				if sum.Stats != res.Stats {
 					t.Fatalf("accumulated windows differ from the returned result:\n%+v\n%+v",
-						sum.Counters, res.Counters)
+						sum.Stats, res.Stats)
 				}
 			}
 		})

@@ -1,19 +1,83 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+
 	"repro/internal/cache"
 	"repro/internal/stats"
 )
 
-// Result is the outcome of a simulation run: the engine counters plus cache
-// statistics and structure occupancies.
-type Result struct {
+// Stats is the one record of a run's statistics: the engine counters, each
+// side's cache statistics and the structure occupancies. A Result carries
+// it beside the configuration, the sweep service's wire and journal carry
+// it alone, and a telemetry window is the difference of two of them.
+type Stats struct {
 	Counters
-	ICache cache.Stats
-	DCache cache.Stats
-	IFQ    stats.Occupancy
-	RB     stats.Occupancy
-	LSQ    stats.Occupancy
+	ICache cache.Stats     `json:"icache"`
+	DCache cache.Stats     `json:"dcache"`
+	IFQ    stats.Occupancy `json:"ifq"`
+	RB     stats.Occupancy `json:"rb"`
+	LSQ    stats.Occupancy `json:"lsq"`
+	// IL2 and DL2 count a private L2's accesses. They stay zero for a side
+	// without an L2 and for a cluster's shared L2, which only
+	// multicore.Result.SharedL2 reports.
+	IL2 cache.Stats `json:"il2,omitzero"`
+	DL2 cache.Stats `json:"dl2,omitzero"`
+}
+
+// Sub returns the statistics of the cycles since prev, an earlier snapshot
+// of the same run: every counter and cache statistic as a delta, every
+// occupancy as a window accumulator.
+func (s Stats) Sub(prev Stats) Stats {
+	combineCounters(&s.Counters, prev.Counters, func(a, b uint64) uint64 { return a - b })
+	s.ICache, s.DCache = s.ICache.Sub(prev.ICache), s.DCache.Sub(prev.DCache)
+	s.IL2, s.DL2 = s.IL2.Sub(prev.IL2), s.DL2.Sub(prev.DL2)
+	s.IFQ, s.RB, s.LSQ = s.IFQ.Sub(prev.IFQ), s.RB.Sub(prev.RB), s.LSQ.Sub(prev.LSQ)
+	return s
+}
+
+// Add returns s + d, the inverse of Sub: adding a run's windows in order to
+// the zero Stats reconstructs the run's final statistics exactly.
+func (s Stats) Add(d Stats) Stats {
+	combineCounters(&s.Counters, d.Counters, func(a, b uint64) uint64 { return a + b })
+	s.ICache, s.DCache = s.ICache.Add(d.ICache), s.DCache.Add(d.DCache)
+	s.IL2, s.DL2 = s.IL2.Add(d.IL2), s.DL2.Add(d.DL2)
+	s.IFQ, s.RB, s.LSQ = s.IFQ.Add(d.IFQ), s.RB.Add(d.RB), s.LSQ.Add(d.LSQ)
+	return s
+}
+
+// Result rebuilds a run's result around cfg. Only bench/ calls it, through
+// sweepd.WireRunResult; it goes with the benchmark harness's next change.
+func (s Stats) Result(cfg Config) Result { return Result{s, cfg} }
+
+// combineCounters applies op field-wise to dst and src. It walks the struct
+// reflectively, so a counter added to Counters is windowed and summed
+// automatically; it runs only at telemetry boundaries, never on the cycle
+// path.
+func combineCounters(dst *Counters, src Counters, op func(a, b uint64) uint64) {
+	dv := reflect.ValueOf(dst).Elem()
+	sv := reflect.ValueOf(src)
+	for i := 0; i < dv.NumField(); i++ {
+		df, sf := dv.Field(i), sv.Field(i)
+		switch df.Kind() {
+		case reflect.Uint64:
+			df.SetUint(op(df.Uint(), sf.Uint()))
+		case reflect.Array:
+			for j := 0; j < df.Len(); j++ {
+				df.Index(j).SetUint(op(df.Index(j).Uint(), sf.Index(j).Uint()))
+			}
+		default:
+			panic(fmt.Sprintf("core: Counters field %s has unsupported kind %v",
+				dv.Type().Field(i).Name, df.Kind()))
+		}
+	}
+}
+
+// Result is the outcome of a simulation run: its statistics and the
+// configuration that produced them.
+type Result struct {
+	Stats
 	Config Config
 }
 
@@ -98,6 +162,15 @@ func (r Result) Registry() *stats.Registry {
 	set("il1_misses", "I-cache misses", r.ICache.Misses())
 	set("dl1_accesses", "D-cache accesses", r.DCache.Accesses())
 	set("dl1_misses", "D-cache misses", r.DCache.Misses())
+	// Only a private L2 that saw an access reports, as on the wire.
+	if r.IL2 != (cache.Stats{}) {
+		set("il2_accesses", "I-side private L2 accesses", r.IL2.Accesses())
+		set("il2_misses", "I-side private L2 misses", r.IL2.Misses())
+	}
+	if r.DL2 != (cache.Stats{}) {
+		set("dl2_accesses", "D-side private L2 accesses", r.DL2.Accesses())
+		set("dl2_misses", "D-side private L2 misses", r.DL2.Misses())
+	}
 
 	ifq, rb, lsq := r.IFQ, r.RB, r.LSQ
 	reg.Formula("IFQ_occ_avg", "average IFQ occupancy", ifq.Mean)

@@ -143,9 +143,9 @@ func TestTelemetryCancelFlushesPartialWindow(t *testing.T) {
 	for _, s := range snaps {
 		s.Accumulate(&sum)
 	}
-	if sum.Counters != res.Counters {
+	if sum.Stats != res.Stats {
 		t.Errorf("accumulated snapshots differ from cancelled result:\n%+v\n%+v",
-			sum.Counters, res.Counters)
+			sum.Stats, res.Stats)
 	}
 }
 

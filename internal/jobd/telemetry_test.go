@@ -50,11 +50,8 @@ func verifyFullSequence(t *testing.T, who string, snaps []core.IntervalSnapshot,
 			t.Fatalf("%s: point %d windows span [%d,%d) final=%v, want [0,%d) final",
 				who, idx, ss[0].StartCycle, last.EndCycle, last.Final, res.Cycles)
 		}
-		if !reflect.DeepEqual(sum.Counters, res.Counters) {
-			t.Fatalf("%s: point %d accumulated counters differ from final result", who, idx)
-		}
-		if !reflect.DeepEqual(sum.ICache, res.ICache) || !reflect.DeepEqual(sum.DCache, res.DCache) {
-			t.Fatalf("%s: point %d accumulated cache stats differ from final result", who, idx)
+		if sum.Stats != res.Stats {
+			t.Fatalf("%s: point %d accumulated statistics differ from final result", who, idx)
 		}
 	}
 }
@@ -125,7 +122,7 @@ func TestHTTPTelemetryFanOut(t *testing.T) {
 		if wrs[idx] == nil || wrs[idx].Err != "" {
 			t.Fatalf("point %d: missing or failed result", idx)
 		}
-		return wrs[idx].Res.Result(sj.Points[idx].Config)
+		return core.Result{Stats: *wrs[idx].Res, Config: sj.Points[idx].Config}
 	}
 	for i, snaps := range streams {
 		verifyFullSequence(t, fmt.Sprintf("watcher %d", i), snaps, wrs, resOf)

@@ -105,6 +105,13 @@ func TestSharedL2Interference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The shared L2 cannot be split per core, so only the cluster
+		// reports it.
+		for i, pc := range res.PerCore {
+			if pc.DL2 != (cache.Stats{}) {
+				t.Errorf("core %d reports the shared L2's counters %+v", i, pc.DL2)
+			}
+		}
 		return res.SharedL2.Misses()
 	}
 	soloMisses := l2Misses("bzip2")

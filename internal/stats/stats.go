@@ -86,17 +86,6 @@ func (o *Occupancy) FullFrac() float64 {
 	return float64(o.full) / float64(o.samples)
 }
 
-// EmptyFrac returns the fraction of sampled cycles the structure was empty.
-func (o *Occupancy) EmptyFrac() float64 {
-	if o.samples == 0 {
-		return 0
-	}
-	return float64(o.empty) / float64(o.samples)
-}
-
-// Samples returns the number of recorded samples.
-func (o *Occupancy) Samples() uint64 { return o.samples }
-
 // Sub returns the accumulator delta o − prev, keeping o's identity fields
 // (Name, Desc, Cap). With prev a snapshot of the same accumulator taken
 // earlier in the run, the difference describes exactly the cycles sampled
@@ -139,7 +128,8 @@ type occupancyJSON struct {
 }
 
 // MarshalJSON encodes the complete accumulator state, so a decoded
-// Occupancy reports the same Mean/FullFrac/EmptyFrac as the original.
+// Occupancy holds the same accumulator, so it reports the same Mean and
+// FullFrac as the original.
 func (o Occupancy) MarshalJSON() ([]byte, error) {
 	return json.Marshal(occupancyJSON{
 		Name: o.Name, Desc: o.Desc, Cap: o.Cap,

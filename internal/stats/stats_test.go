@@ -31,17 +31,14 @@ func TestOccupancyStats(t *testing.T) {
 	if got := o.FullFrac(); got != 0.4 {
 		t.Errorf("full = %v, want 0.4", got)
 	}
-	if got := o.EmptyFrac(); got != 0.2 {
-		t.Errorf("empty = %v, want 0.2", got)
-	}
-	if o.Samples() != 5 {
-		t.Errorf("samples = %d, want 5", o.Samples())
+	if o.empty != 1 || o.samples != 5 {
+		t.Errorf("empty = %d of %d samples, want 1 of 5", o.empty, o.samples)
 	}
 }
 
 func TestOccupancyEmpty(t *testing.T) {
 	o := &Occupancy{Name: "x", Cap: 8}
-	if o.Mean() != 0 || o.FullFrac() != 0 || o.EmptyFrac() != 0 {
+	if o.Mean() != 0 || o.FullFrac() != 0 {
 		t.Error("zero-sample occupancy should report zeros")
 	}
 }
@@ -102,7 +99,7 @@ func TestOccupancyJSONGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Mean() != o.Mean() || back.FullFrac() != o.FullFrac() || back.EmptyFrac() != o.EmptyFrac() || back.Samples() != o.Samples() {
+	if back != o {
 		t.Errorf("occupancy round trip lost accumulator state: %+v vs %+v", back, o)
 	}
 }

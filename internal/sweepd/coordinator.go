@@ -73,8 +73,7 @@ type Coordinator struct {
 	loopWg  sync.WaitGroup // accept loops (Serve calls)
 }
 
-// NewCoordinator builds an idle coordinator; start it with Serve or
-// ListenAndServe.
+// NewCoordinator builds an idle coordinator; start it with Serve or Start.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		workers: make(map[*remoteWorker]struct{}),
@@ -98,15 +97,6 @@ func (c *Coordinator) Addr() string {
 		return ""
 	}
 	return c.ln.Addr().String()
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (c *Coordinator) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ln)
 }
 
 // Start listens on addr (":0" for an ephemeral port), serves in the

@@ -27,7 +27,6 @@ import (
 	"repro/internal/configfile"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/uarch"
 	"repro/internal/workload"
@@ -45,7 +44,10 @@ import (
 // heartbeat frames and arm read/write deadlines, so a hung peer — TCP
 // established, nothing flowing — is detected within the heartbeat timeout
 // and treated as dead instead of stalling a job forever.
-const protoVersion = 4
+// Version 5 flattened telemetry snapshots: a window's counters moved from a
+// nested "counters" object to the snapshot's top level, beside a private
+// L2's "il2"/"dl2" statistics, which result frames carry too.
+const protoVersion = 5
 
 // Liveness defaults for protocol v4 connections. Any received frame
 // (pings included) feeds the read deadline, so the timeout only fires
@@ -290,39 +292,21 @@ type TelemetryShip struct {
 	Snap  core.IntervalSnapshot `json:"snap"`
 }
 
-// WireRunResult is core.Result without the live Config (reconstructed from
-// the point's spec on the receiving side).
-type WireRunResult struct {
-	core.Counters
-	ICache cache.Stats     `json:"icache"`
-	DCache cache.Stats     `json:"dcache"`
-	IFQ    stats.Occupancy `json:"ifq"`
-	RB     stats.Occupancy `json:"rb"`
-	LSQ    stats.Occupancy `json:"lsq"`
-}
+// WireRunResult and WireRunResultOf are the benchmark harness's names for
+// core.Stats and a result's statistics; both go with its next change.
+type WireRunResult = core.Stats
 
-// WireRunResultOf strips a result to its wire form (the configuration is
-// reattached receiver-side via Result). Shared with the job platform.
-func WireRunResultOf(r core.Result) *WireRunResult {
-	return &WireRunResult{Counters: r.Counters,
-		ICache: r.ICache, DCache: r.DCache, IFQ: r.IFQ, RB: r.RB, LSQ: r.LSQ}
-}
-
-// Result rebuilds the engine result around the receiver-side configuration.
-func (w *WireRunResult) Result(cfg core.Config) core.Result {
-	return core.Result{Counters: w.Counters,
-		ICache: w.ICache, DCache: w.DCache, IFQ: w.IFQ, RB: w.RB, LSQ: w.LSQ,
-		Config: cfg}
-}
+// WireRunResultOf returns r's statistics.
+func WireRunResultOf(r core.Result) *WireRunResult { return &r.Stats }
 
 // WireResult reports one completed point. Worker -> coordinator it carries
 // Call; the job service's result stream and journal carry it without.
 type WireResult struct {
-	Call  uint64         `json:"call,omitempty"`
-	Index int            `json:"index"`
-	Name  string         `json:"name,omitempty"`
-	Err   string         `json:"err,omitempty"`
-	Res   *WireRunResult `json:"res,omitempty"`
+	Call  uint64      `json:"call,omitempty"`
+	Index int         `json:"index"`
+	Name  string      `json:"name,omitempty"`
+	Err   string      `json:"err,omitempty"`
+	Res   *core.Stats `json:"res,omitempty"`
 }
 
 // WireResultOf is the wire form of point index's result.
@@ -331,7 +315,7 @@ func WireResultOf(index int, res sweep.Result) *WireResult {
 	if res.Err != nil {
 		wr.Err = res.Err.Error()
 	} else {
-		wr.Res = WireRunResultOf(res.Res)
+		wr.Res = &res.Res.Stats
 	}
 	return wr
 }
@@ -343,7 +327,7 @@ func (r *WireResult) Result(pt sweep.Point) sweep.Result {
 	if r.Err != "" {
 		res.Err = errors.New(r.Err)
 	} else if r.Res != nil {
-		res.Res = r.Res.Result(pt.Config)
+		res.Res = core.Result{Stats: *r.Res, Config: pt.Config}
 	}
 	return res
 }

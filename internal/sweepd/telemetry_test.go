@@ -71,15 +71,8 @@ func (c *telemetryCollector) verify(t *testing.T, every uint64, results []sweep.
 			t.Fatalf("point %d: windows span [%d,%d), want [0,%d)",
 				idx, snaps[0].StartCycle, last.EndCycle, res.Res.Cycles)
 		}
-		if !reflect.DeepEqual(sum.Counters, res.Res.Counters) {
-			t.Fatalf("point %d: accumulated counters differ from final result", idx)
-		}
-		if !reflect.DeepEqual(sum.ICache, res.Res.ICache) || !reflect.DeepEqual(sum.DCache, res.Res.DCache) {
-			t.Fatalf("point %d: accumulated cache stats differ from final result", idx)
-		}
-		if !reflect.DeepEqual(sum.IFQ, res.Res.IFQ) || !reflect.DeepEqual(sum.RB, res.Res.RB) ||
-			!reflect.DeepEqual(sum.LSQ, res.Res.LSQ) {
-			t.Fatalf("point %d: accumulated occupancies differ from final result", idx)
+		if sum.Stats != res.Res.Stats {
+			t.Fatalf("point %d: accumulated statistics differ from final result", idx)
 		}
 	}
 }

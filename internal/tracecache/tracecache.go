@@ -146,8 +146,9 @@ func (t *Trace) StartPC() uint32 { return t.startPC }
 // tagged wrong-path).
 func (t *Trace) Records() int { return len(t.recs) }
 
-// residentBytes is the trace's in-memory record footprint.
-func (t *Trace) residentBytes() int64 { return int64(len(t.recs)) * recordBytes }
+// residentBytes is the trace's in-memory record footprint: its whole
+// backing array, the room newTrace reserved included.
+func (t *Trace) residentBytes() int64 { return int64(cap(t.recs)) * recordBytes }
 
 // Source returns a fresh replayable snapshot: an independent cursor over
 // the shared record slice. Each engine must consume its own snapshot;

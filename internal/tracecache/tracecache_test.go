@@ -73,6 +73,10 @@ func TestCachedMatchesUncached(t *testing.T) {
 	if tr.StartPC() != funcsim.CodeBase {
 		t.Errorf("StartPC = %#x, want %#x", tr.StartPC(), funcsim.CodeBase)
 	}
+	// The budget counts the whole reservation, not only the records.
+	if got, want := c.Stats().Resident, int64(cap(tr.recs))*recordBytes; got != want {
+		t.Errorf("resident %d bytes, want %d for %d reserved records (%d used)", got, want, cap(tr.recs), len(tr.recs))
+	}
 }
 
 // TestConcurrentReadersSingleGeneration hammers one key from many

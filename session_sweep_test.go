@@ -28,14 +28,13 @@ func (l *telemetryLog) sink(s resim.IntervalSnapshot) error {
 }
 
 // sumsTo reports whether the given snapshots, folded with Accumulate,
-// reproduce res's counters, cache statistics and occupancies exactly.
+// reproduce res's statistics exactly.
 func sumsTo(snaps []resim.IntervalSnapshot, res resim.Result) bool {
 	var sum resim.Result
 	for _, s := range snaps {
 		s.Accumulate(&sum)
 	}
-	return sum.Counters == res.Counters && sum.ICache == res.ICache && sum.DCache == res.DCache &&
-		sum.IFQ == res.IFQ && sum.RB == res.RB && sum.LSQ == res.LSQ
+	return sum.Stats == res.Stats
 }
 
 // TestSweepTelemetrySumsToResults: a telemetry session's sweep over two
