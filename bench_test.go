@@ -334,6 +334,16 @@ func BenchmarkEngineMemHeavy(b *testing.B) {
 	benchStreamEngine(b, core.DefaultConfig(), sp)
 }
 
+// BenchmarkEngineMispredictHeavy stresses mis-speculation recovery: a
+// quarter of the stream are branches, half of them mispredicted, so commit
+// keeps squashing the instruction window and fetch keeps waiting out
+// penalties. Gated in CI.
+func BenchmarkEngineMispredictHeavy(b *testing.B) {
+	sp := workload.DefaultStreamProfile(0x5B)
+	sp.BranchFrac, sp.TakenProb, sp.MispredProb = 0.25, 0.7, 0.5
+	benchStreamEngine(b, core.DefaultConfig(), sp)
+}
+
 // BenchmarkFunctionalSimulator measures the trace-generation substrate.
 func BenchmarkFunctionalSimulator(b *testing.B) {
 	p, err := workload.ByName("bzip2")

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -190,19 +191,20 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		RBOcc:  e.rbOcc,
 		LSQOcc: e.lsqOcc,
 	}
-	for _, fi := range e.ifq.Snapshot() {
-		cp.IFQ = append(cp.IFQ, CheckpointedInst{
-			Seq: fi.seq, Rec: fi.rec, PC: fi.pc, ActualNext: fi.actualNext,
-			WrongPath: fi.wrongPath, Mispred: fi.mispred,
-		})
-	}
-	for _, en := range e.rob.Snapshot() {
-		cp.ROB = append(cp.ROB, CheckpointedInst{
+	for i := 0; i < e.win.Len(); i++ {
+		en := e.win.At(i)
+		ci := CheckpointedInst{
 			Seq: en.seq, Rec: en.rec, PC: en.pc, ActualNext: en.actualNext,
 			WrongPath: en.wrongPath, Mispred: en.mispred,
-			State: uint8(en.state), Src1Seq: en.src1Seq, Src2Seq: en.src2Seq,
-			Src1Rdy: en.src1Rdy, Src2Rdy: en.src2Rdy, CompleteAt: en.completeAt,
-		})
+		}
+		if i >= e.nROB {
+			cp.IFQ = append(cp.IFQ, ci)
+			continue
+		}
+		ci.State, ci.CompleteAt = uint8(en.state), en.completeAt
+		ci.Src1Seq, ci.Src2Seq = en.src1Seq, en.src2Seq
+		ci.Src1Rdy, ci.Src2Rdy = en.src1Rdy, en.src2Rdy
+		cp.ROB = append(cp.ROB, ci)
 	}
 	for _, lq := range e.lsq.Snapshot() {
 		cp.LSQ = append(cp.LSQ, CheckpointedInst{
@@ -255,26 +257,31 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 	e.lastCommitAt = cp.LastCommitAt
 	e.c = cp.Counters
 
-	ifq := make([]fetchedInst, len(cp.IFQ))
-	for i, ci := range cp.IFQ {
-		ifq[i] = fetchedInst{seq: ci.Seq, rec: ci.Rec, pc: ci.PC,
+	// The window ring holds RBSize+IFQSize entries in all, so its own
+	// capacity check cannot see either part overflowing.
+	if len(cp.ROB) > cfg.RBSize || len(cp.IFQ) > cfg.IFQSize {
+		return nil, fmt.Errorf("core: checkpoint holds %d reorder-buffer and %d IFQ entries, the machine has %d and %d",
+			len(cp.ROB), len(cp.IFQ), cfg.RBSize, cfg.IFQSize)
+	}
+	// The window is the reorder buffer followed by the IFQ.
+	e.nROB = len(cp.ROB)
+	win := make([]robEntry, e.nROB+len(cp.IFQ))
+	for i, ci := range slices.Concat(cp.ROB, cp.IFQ) {
+		win[i] = robEntry{seq: ci.Seq, rec: ci.Rec, pc: ci.PC,
 			actualNext: ci.ActualNext, wrongPath: ci.WrongPath, mispred: ci.Mispred}
-	}
-	if err := e.ifq.SetContents(ifq); err != nil {
-		return nil, fmt.Errorf("core: restore IFQ: %w", err)
-	}
-	rob := make([]robEntry, len(cp.ROB))
-	for i, ci := range cp.ROB {
+		if i >= e.nROB {
+			continue
+		}
 		if ci.State > uint8(stCompleted) {
 			return nil, fmt.Errorf("core: restore ROB seq %d: instruction state %d unknown", ci.Seq, ci.State)
 		}
-		rob[i] = robEntry{seq: ci.Seq, rec: ci.Rec, pc: ci.PC,
-			actualNext: ci.ActualNext, wrongPath: ci.WrongPath, mispred: ci.Mispred,
-			state: instState(ci.State), src1Seq: ci.Src1Seq, src2Seq: ci.Src2Seq,
-			src1Rdy: ci.Src1Rdy, src2Rdy: ci.Src2Rdy, completeAt: ci.CompleteAt}
+		en := &win[i]
+		en.state, en.completeAt = instState(ci.State), ci.CompleteAt
+		en.src1Seq, en.src2Seq = ci.Src1Seq, ci.Src2Seq
+		en.src1Rdy, en.src2Rdy = ci.Src1Rdy, ci.Src2Rdy
 	}
-	if err := e.rob.SetContents(rob); err != nil {
-		return nil, fmt.Errorf("core: restore reorder buffer: %w", err)
+	if err := e.win.SetContents(win); err != nil {
+		return nil, fmt.Errorf("core: restore instruction window: %w", err)
 	}
 	lsq := make([]lsqEntry, len(cp.LSQ))
 	for i, ci := range cp.LSQ {
@@ -337,14 +344,14 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 func (e *Engine) rebuildDerived() error {
 	e.clearDerived()
 	var headSeq int64
-	if !e.rob.Empty() {
-		headSeq = e.rob.At(0).seq
+	if e.nROB > 0 {
+		headSeq = e.win.At(0).seq
 	}
-	robBase := e.rob.Base()
-	n := int64(e.rob.Len())
+	robBase := e.win.Base()
+	n := int64(e.nROB)
 	li := 0
-	for i := 0; i < e.rob.Len(); i++ {
-		en := e.rob.At(i)
+	for i := 0; i < e.nROB; i++ {
+		en := e.win.At(i)
 		abs := robBase + int64(i)
 		en.lsq = nil
 		en.slot = int32(abs & e.consMask)
@@ -373,7 +380,7 @@ func (e *Engine) rebuildDerived() error {
 				// Resident seqs are contiguous in a well-formed checkpoint;
 				// verify rather than assume, so a malformed one fails restore
 				// instead of silently mis-wiring the wakeup graph.
-				prod := e.rob.At(int(pending.srcSeq - headSeq))
+				prod := e.win.At(int(pending.srcSeq - headSeq))
 				if prod.seq != pending.srcSeq {
 					return fmt.Errorf("core: reorder-buffer seqs not contiguous: found %d looking for producer %d", prod.seq, pending.srcSeq)
 				}

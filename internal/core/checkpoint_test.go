@@ -12,7 +12,9 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/funcsim"
+	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/uarch"
 	"repro/internal/workload"
 )
 
@@ -221,6 +223,103 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 	if _, err := core.Restore(cfg, trace.NewSliceSource(recs), cp); err != nil {
 		t.Errorf("Restore rejected the matching configuration: %v", err)
+	}
+}
+
+// TestRestoreRejectsOverfullWindow: Restore refuses a checkpoint whose
+// reorder buffer or IFQ holds more entries than the machine has, and
+// returns an error rather than panicking. Each overfull variant fits the
+// instruction window's total capacity, so only the per-structure check can
+// refuse it; the same variant one entry shorter restores, as does a window
+// with both structures full.
+func TestRestoreRejectsOverfullWindow(t *testing.T) {
+	cfg := core.DefaultConfig()
+	recs := ckptRecords(t, "gzip", cfg, 4000)
+	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full []byte
+	for full == nil && eng.Now() < 2000 {
+		if err := eng.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+		if cp := eng.Checkpoint(); len(cp.ROB) == cfg.RBSize && len(cp.IFQ) == cfg.IFQSize {
+			if full, err = cp.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if full == nil {
+		t.Fatal("the window never filled in 2000 cycles")
+	}
+	restore := func(cp *core.Checkpoint) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Restore panicked: %v", r)
+			}
+		}()
+		_, err = core.Restore(cfg, trace.NewSliceSource(recs), cp)
+		return err
+	}
+	clone := func() *core.Checkpoint {
+		cp, err := core.DecodeCheckpoint(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+
+	// The legal full window restores and captures back to the same bytes.
+	e2, err := core.Restore(cfg, trace.NewSliceSource(recs), clone())
+	if err != nil {
+		t.Fatalf("Restore rejected a full window: %v", err)
+	}
+	if got, err := e2.Checkpoint().Encode(); err != nil || !bytes.Equal(got, full) {
+		t.Errorf("a restored full window captures other state (err %v)", err)
+	}
+
+	// A full reorder buffer alone, then one entry more: a ready ALU op
+	// that names no registers.
+	robOnly := func(extra int) *core.Checkpoint {
+		cp := clone()
+		cp.IFQ = nil
+		last := cp.ROB[len(cp.ROB)-1].Seq
+		for i := 1; i <= extra; i++ {
+			cp.ROB = append(cp.ROB, core.CheckpointedInst{Seq: last + int64(i),
+				Rec: trace.Record{Kind: trace.KindOther, Class: trace.OpALU,
+					Dest: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg},
+				Src1Rdy: true, Src2Rdy: true})
+		}
+		return cp
+	}
+	if err := restore(robOnly(0)); err != nil {
+		t.Errorf("Restore rejected a full reorder buffer with an empty IFQ: %v", err)
+	}
+	if err := restore(robOnly(1)); err == nil {
+		t.Errorf("Restore accepted %d reorder-buffer entries on a %d-entry reorder buffer", cfg.RBSize+1, cfg.RBSize)
+	}
+
+	// An empty reorder buffer (so no LSQ entries and no pending producers)
+	// under a full IFQ, then one entry more.
+	ifqOnly := func(extra int) *core.Checkpoint {
+		cp := clone()
+		cp.ROB, cp.LSQ = nil, nil
+		for r := range cp.Rename {
+			cp.Rename[r] = uarch.NoProducer
+		}
+		for i := 1; i <= extra; i++ {
+			next := cp.IFQ[len(cp.IFQ)-1]
+			next.Seq++
+			cp.IFQ = append(cp.IFQ, next)
+		}
+		return cp
+	}
+	if err := restore(ifqOnly(0)); err != nil {
+		t.Errorf("Restore rejected a full IFQ with an empty reorder buffer: %v", err)
+	}
+	if err := restore(ifqOnly(1)); err == nil {
+		t.Errorf("Restore accepted %d IFQ entries on a %d-entry IFQ", cfg.IFQSize+1, cfg.IFQSize)
 	}
 }
 

@@ -23,19 +23,11 @@ const (
 	stCompleted                   // result broadcast by Writeback
 )
 
-// fetchedInst is an IFQ entry: a trace record plus the fetch-time annotations
-// the engine attaches (instruction PC, wrong-path flag and, for branches the
-// engine mispredicted, the correct-path resume PC).
-type fetchedInst struct {
-	seq        int64
-	rec        trace.Record
-	pc         uint32
-	actualNext uint32
-	wrongPath  bool
-	mispred    bool
-}
-
-// robEntry is a reorder-buffer entry.
+// robEntry is an instruction-window entry. Fetch writes the first six
+// fields when the instruction enters the IFQ: the trace record plus the
+// fetch-time annotations (instruction PC, wrong-path flag and, for branches
+// the engine mispredicted, the correct-path resume PC). Dispatch writes the
+// rest in place when the entry joins the reorder buffer.
 type robEntry struct {
 	seq        int64
 	rec        trace.Record
@@ -43,6 +35,8 @@ type robEntry struct {
 	actualNext uint32
 	wrongPath  bool
 	mispred    bool
+
+	// Reorder-buffer fields, written by dispatch.
 	state      instState
 	src1Seq    int64
 	src2Seq    int64
@@ -173,8 +167,11 @@ type Engine struct {
 	icache *cache.Memory
 	dcache *cache.Memory
 
-	ifq   *uarch.Ring[fetchedInst]
-	rob   *uarch.Ring[robEntry]
+	// win is the instruction window in age order: its oldest nROB entries
+	// are the reorder buffer, the rest the IFQ. Dispatch moves an entry
+	// from the IFQ into the reorder buffer by counting it into nROB.
+	win   *uarch.Ring[robEntry]
+	nROB  int
 	lsq   *uarch.Ring[lsqEntry]
 	rt    *uarch.RenameTable
 	fus   *uarch.FUPool
@@ -210,9 +207,9 @@ type Engine struct {
 	//     order. writeback drains the lane and the heap instead of
 	//     scanning the reorder buffer.
 	//   - cons[en.slot] lists the operands waiting on producer en (slot =
-	//     dispatch-time absolute index & consMask; cons is sized to the
-	//     next power of two ≥ RBSize, and resident entries span fewer
-	//     absolute indices than that, so live entries never collide). wake
+	//     dispatch-time absolute window index & consMask; cons is sized to
+	//     the next power of two ≥ RBSize, and reorder-buffer entries span at
+	//     most RBSize absolute indices, so live entries never collide). wake
 	//     walks the producer's list instead of scanning the reorder
 	//     buffer; the list is emptied at broadcast, so a slot is always
 	//     clean when a future entry reuses it.
@@ -267,8 +264,7 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 		src:     trace.NewBuffered(src),
 		icache:  cfg.ICache.Build(nil),
 		dcache:  cfg.DCache.Build(l2),
-		ifq:     uarch.NewRing[fetchedInst](cfg.IFQSize),
-		rob:     uarch.NewRing[robEntry](cfg.RBSize),
+		win:     uarch.NewRing[robEntry](cfg.RBSize + cfg.IFQSize),
 		lsq:     uarch.NewRing[lsqEntry](cfg.LSQSize),
 		rt:      uarch.NewRenameTable(),
 		fus:     uarch.NewFUPool(cfg.FUs),
@@ -307,8 +303,11 @@ func (e *Engine) Now() int64 { return e.now }
 // Done reports whether the simulation has drained: trace exhausted and no
 // in-flight instructions.
 func (e *Engine) Done() bool {
-	return e.srcDone && e.ifq.Empty() && e.rob.Empty()
+	return e.srcDone && e.win.Empty()
 }
+
+// ifqLen returns the number of fetched instructions not yet dispatched.
+func (e *Engine) ifqLen() int { return e.win.Len() - e.nROB }
 
 // Cycle advances one major cycle. The simulated architecture's semantics are
 // enforced between major cycles; stages evaluate in the reference order
@@ -324,8 +323,8 @@ func (e *Engine) Cycle() error {
 	e.dispatch()
 	e.fetch()
 
-	e.ifqOcc.Sample(e.ifq.Len())
-	e.rbOcc.Sample(e.rob.Len())
+	e.ifqOcc.Sample(e.ifqLen())
+	e.rbOcc.Sample(e.nROB)
 	e.lsqOcc.Sample(e.lsq.Len())
 
 	e.now++
@@ -337,7 +336,7 @@ func (e *Engine) Cycle() error {
 // skip) has been accounted.
 func (e *Engine) checkWatchdog() error {
 	if e.now-e.lastCommitAt > watchdogCycles {
-		return fmt.Errorf("%w at cycle %d: rob=%d ifq=%d mode=%v", ErrNoProgress, e.now, e.rob.Len(), e.ifq.Len(), e.mode)
+		return fmt.Errorf("%w at cycle %d: rob=%d ifq=%d mode=%v", ErrNoProgress, e.now, e.nROB, e.ifqLen(), e.mode)
 	}
 	return nil
 }
@@ -395,10 +394,10 @@ func (e *Engine) stepLimit(hooks []hook) uint64 {
 // cycle must execute normally.
 func (e *Engine) idleCycles(limit uint64) int64 {
 	// Any queued work means the next cycle can act.
-	if !e.ifq.Empty() || len(e.readyQ) > 0 || len(e.wbReady) > 0 || len(e.wbNext) > 0 {
+	if e.ifqLen() > 0 || len(e.readyQ) > 0 || len(e.wbReady) > 0 || len(e.wbNext) > 0 {
 		return 0
 	}
-	if !e.rob.Empty() && e.rob.Front().state == stCompleted {
+	if e.nROB > 0 && e.win.Front().state == stCompleted {
 		return 0 // commit would retire the head
 	}
 	// Fetch: inert for good when starved or out of records; otherwise idle
@@ -453,7 +452,7 @@ func (e *Engine) skipIdle(n int64) {
 		e.c.FetchStarved += uint64(n - idle)
 	}
 	e.ifqOcc.SampleN(0, uint64(n)) // idle regions require an empty IFQ
-	e.rbOcc.SampleN(e.rob.Len(), uint64(n))
+	e.rbOcc.SampleN(e.nROB, uint64(n))
 	e.lsqOcc.SampleN(e.lsq.Len(), uint64(n))
 	e.now += n
 	e.c.Cycles += uint64(n)
@@ -691,8 +690,8 @@ func (e *Engine) clearDerived() {
 
 func (e *Engine) commit() error {
 	width := e.cfg.Width
-	for committed := 0; committed < width && !e.rob.Empty(); committed++ {
-		en := e.rob.Front()
+	for committed := 0; committed < width && e.nROB > 0; committed++ {
+		en := e.win.Front()
 		if en.state != stCompleted {
 			break
 		}
@@ -746,9 +745,10 @@ func (e *Engine) commit() error {
 		}
 
 		// en points into the ring; capture the recovery inputs before the
-		// slot is released (recover clears the whole buffer).
+		// slot is released (recover clears the whole window).
 		mispred, resumePC := en.mispred, en.actualNext
-		e.rob.DropFront()
+		e.win.DropFront()
+		e.nROB--
 		if mispred {
 			e.recover(resumePC)
 			break
@@ -780,15 +780,13 @@ func (e *Engine) trainPredictor(en *robEntry) {
 func (e *Engine) recover(resumePC uint32) {
 	e.c.MispredResolved++
 	if e.tracer != nil {
-		for i := 0; i < e.rob.Len(); i++ {
-			e.tracer.Stage(e.rob.At(i).seq, e.now, "squash")
-		}
-		for i := 0; i < e.ifq.Len(); i++ {
-			e.tracer.Stage(e.ifq.At(i).seq, e.now, "squash")
+		// Oldest first: the reorder buffer, then the IFQ.
+		for i := 0; i < e.win.Len(); i++ {
+			e.tracer.Stage(e.win.At(i).seq, e.now, "squash")
 		}
 	}
-	e.ifq.Clear()
-	e.rob.Clear()
+	e.win.Clear()
+	e.nROB = 0
 	e.lsq.Clear()
 	e.rt.Reset()
 	e.clearDerived()
@@ -1154,40 +1152,33 @@ func (e *Engine) issueOne(en *robEntry) bool {
 
 // dispatch moves up to Width instructions from the IFQ into the reorder
 // buffer (and LSQ for memory operations), reading and updating the rename
-// table (§III).
+// table (§III). The oldest IFQ entry joins the reorder buffer where it
+// stands in the window: dispatch fills in its reorder-buffer fields and
+// counts it into nROB.
 func (e *Engine) dispatch() {
 	width := e.cfg.Width
-	for n := 0; n < width && !e.ifq.Empty(); n++ {
-		fi := e.ifq.Front()
-		if e.rob.Full() {
+	for n := 0; n < width && e.nROB < e.win.Len(); n++ {
+		if e.nROB == e.cfg.RBSize {
 			e.c.RBFullStalls++
 			break
 		}
-		isMem := fi.rec.Kind == trace.KindMem
+		en := e.win.At(e.nROB)
+		isMem := en.rec.Kind == trace.KindMem
 		if isMem && e.lsq.Full() {
 			e.c.LSQFullStalls++
 			break
 		}
 
-		abs := e.rob.NextAbs()
-		// Construct the reorder-buffer entry in place (rob.Full was checked
-		// above) with per-field writes — a composite literal here compiles
-		// to a stack temporary plus a bulk copy. The slot may hold stale
-		// bytes, so every field is written; the IFQ slot fi aliases stays
-		// untouched until DropFront.
-		en := e.rob.PushSlot()
-		en.seq = fi.seq
-		en.rec = fi.rec
-		en.pc = fi.pc
-		en.actualNext = fi.actualNext
-		en.wrongPath = fi.wrongPath
-		en.mispred = fi.mispred
+		// The slot may hold stale bytes from an earlier resident, so every
+		// reorder-buffer field is written. Reorder-buffer entries occupy at
+		// most RBSize consecutive absolute indices, so their consumer slots
+		// never collide.
 		en.state = stDispatched
-		en.src1Seq = e.rt.Producer(fi.rec.Src1)
-		en.src2Seq = e.rt.Producer(fi.rec.Src2)
+		en.src1Seq = e.rt.Producer(en.rec.Src1)
+		en.src2Seq = e.rt.Producer(en.rec.Src2)
 		en.completeAt = 0
 		en.lsq = nil
-		en.slot = int32(abs & e.consMask)
+		en.slot = int32((e.win.Base() + int64(e.nROB)) & e.consMask)
 		if e.tracer != nil {
 			e.tracer.Stage(en.seq, e.now, "dispatch")
 		}
@@ -1200,12 +1191,12 @@ func (e *Engine) dispatch() {
 		// queue, which stays age-ordered because dispatch appends the
 		// youngest entries.
 		if !en.src1Rdy {
-			e.addConsumer(e.prodPtr[fi.rec.Src1], en, 0)
+			e.addConsumer(e.prodPtr[en.rec.Src1], en, 0)
 		}
 		if !en.src2Rdy {
-			e.addConsumer(e.prodPtr[fi.rec.Src2], en, 1)
+			e.addConsumer(e.prodPtr[en.rec.Src2], en, 1)
 		}
-		if d := fi.rec.Dest; d != isa.NoReg {
+		if d := en.rec.Dest; d != isa.NoReg {
 			e.rt.SetProducer(d, en.seq)
 			if d != isa.RegZero && d < isa.NumRegs {
 				e.prodPtr[d] = en
@@ -1214,9 +1205,9 @@ func (e *Engine) dispatch() {
 		if isMem {
 			lq := e.lsq.PushSlot()
 			lq.seq = en.seq
-			lq.store = fi.rec.Store
-			lq.addr = fi.rec.Addr
-			lq.size = fi.rec.MemBytes()
+			lq.store = en.rec.Store
+			lq.addr = en.rec.Addr
+			lq.size = en.rec.MemBytes()
 			lq.eaKnownAt = eaUnknown
 			lq.memReady = false
 			lq.forwarded = false
@@ -1230,7 +1221,7 @@ func (e *Engine) dispatch() {
 			}
 			en.lsq = lq
 		}
-		e.ifq.DropFront()
+		e.nROB++
 		if en.src1Rdy && en.src2Rdy {
 			e.readyQ = append(e.readyQ, en)
 		}
@@ -1334,7 +1325,7 @@ func (e *Engine) fetch() {
 		return
 	}
 	width := e.cfg.Width
-	for fetched := 0; fetched < width && !e.ifq.Full(); {
+	for fetched := 0; fetched < width && e.ifqLen() < e.cfg.IFQSize; {
 		rec, err := e.src.PeekRef()
 		if err != nil {
 			if e.mode == fmWrongPath {
@@ -1374,9 +1365,9 @@ func (e *Engine) fetch() {
 		// Construct the IFQ entry in place (the loop guard holds a free
 		// slot) with per-field writes — a composite literal here compiles
 		// to a stack temporary plus a bulk copy. The slot may hold stale
-		// bytes, so every field is written; every path below keeps mutating
-		// the entry in the ring.
-		fi := e.ifq.PushSlot()
+		// bytes, so every fetch-time field is written (dispatch writes the
+		// rest); every path below keeps mutating the entry in the ring.
+		fi := e.win.PushSlot()
 		fi.seq = e.seq
 		fi.rec = *rec
 		fi.pc = e.fetchPC

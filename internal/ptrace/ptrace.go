@@ -138,25 +138,3 @@ func (c *Collector) Render() string {
 	}
 	return sb.String()
 }
-
-// StageCycle returns the cycle at which instruction seq performed the given
-// stage ("fetch" included), or -1 if not captured. Test helper.
-func (c *Collector) StageCycle(seq int64, stage string) int64 {
-	it, ok := c.bySeq[seq]
-	if !ok {
-		return -1
-	}
-	if stage == "fetch" {
-		return it.fetchAt
-	}
-	ch, ok := stageLetter[stage]
-	if !ok {
-		return -1
-	}
-	for _, ev := range it.events {
-		if ev.ch == ch {
-			return ev.cycle
-		}
-	}
-	return -1
-}

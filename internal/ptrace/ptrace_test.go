@@ -69,12 +69,14 @@ func TestSquashRecorded(t *testing.T) {
 		{Kind: trace.KindBranch, Ctrl: isa.CtrlCond, Taken: true, Target: 0x2000,
 			Dest: isa.NoReg, Src1: 1, Src2: isa.NoReg},
 	}
-	for i := 0; i < 4; i++ {
+	// Enough wrong-path records that the squash finds some in the reorder
+	// buffer and some still in the IFQ.
+	for i := 0; i < 12; i++ {
 		r := alu(3)
 		r.Tag = true
 		recs = append(recs, r)
 	}
-	col := New(10)
+	col := New(len(recs))
 	cfg := core.DefaultConfig()
 	cfg.Predictor.Dir = bpred.DirNotTaken
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), 0x1000)
@@ -84,20 +86,28 @@ func TestSquashRecorded(t *testing.T) {
 	if _, err := eng.RunHooks(context.Background(), core.Hooks{PipeTracer: col}); err != nil {
 		t.Fatal(err)
 	}
-	// The wrong-path instructions (seq 1..4) must record a squash at the
-	// branch's commit cycle.
+	// Every wrong-path instruction fetched must record a squash at the
+	// branch's commit cycle, dispatched or not.
 	commitCycle := col.StageCycle(0, "commit")
 	if commitCycle < 0 {
 		t.Fatal("branch commit not captured")
 	}
-	squashed := 0
-	for seq := int64(1); seq <= 4; seq++ {
-		if c := col.StageCycle(seq, "squash"); c == commitCycle {
-			squashed++
+	var inROB, inIFQ int
+	for _, it := range col.insts {
+		if !it.wrongPath {
+			continue
+		}
+		if c := col.StageCycle(it.seq, "squash"); c != commitCycle {
+			t.Errorf("wrong-path seq %d squashed at cycle %d, want the branch's commit cycle %d", it.seq, c, commitCycle)
+		}
+		if col.StageCycle(it.seq, "dispatch") >= 0 {
+			inROB++
+		} else {
+			inIFQ++
 		}
 	}
-	if squashed == 0 {
-		t.Error("no wrong-path squashes recorded")
+	if inROB == 0 || inIFQ == 0 {
+		t.Errorf("squashed %d dispatched and %d undispatched wrong-path instructions; want some of each", inROB, inIFQ)
 	}
 	out := col.Render()
 	if !strings.Contains(out, "x") {
@@ -141,4 +151,26 @@ func TestStageCycleUnknowns(t *testing.T) {
 	if col.StageCycle(0, "retire") != -1 {
 		t.Error("unknown stage should be -1")
 	}
+}
+
+// StageCycle returns the cycle at which instruction seq performed the given
+// stage ("fetch" included), or -1 if not captured.
+func (c *Collector) StageCycle(seq int64, stage string) int64 {
+	it, ok := c.bySeq[seq]
+	if !ok {
+		return -1
+	}
+	if stage == "fetch" {
+		return it.fetchAt
+	}
+	ch, ok := stageLetter[stage]
+	if !ok {
+		return -1
+	}
+	for _, ev := range it.events {
+		if ev.ch == ch {
+			return ev.cycle
+		}
+	}
+	return -1
 }

@@ -1,20 +1,21 @@
 // Package uarch provides the simulated micro-architectural structures ReSim
-// models (paper Figure 1): the instruction fetch queue and decouple buffer
-// (bounded rings), the reorder buffer and load/store queue (age-ordered
-// rings with squash), the rename table, the functional-unit pool (4×ALU,
-// 1×MUL, 1×DIV in the evaluated configuration) and memory-port accounting.
+// models (paper Figure 1): the age-ordered ring with squash that holds the
+// engine's instruction window (its oldest entries the reorder buffer, the
+// rest the instruction fetch queue) and its load/store queue, the rename
+// table, the functional-unit pool (4×ALU, 1×MUL, 1×DIV in the evaluated
+// configuration) and memory-port accounting.
 package uarch
 
 import "fmt"
 
-// Ring is a bounded FIFO with age-indexed access and clearing, the common
-// shape of the IFQ, decouple buffer, reorder buffer and LSQ. Index 0 is the
-// oldest entry.
+// Ring is a bounded FIFO with age-indexed access and clearing. The engine
+// keeps two: the instruction window, whose oldest entries are the reorder
+// buffer and the rest the IFQ, and the LSQ. Index 0 is the oldest entry.
 //
 // Beyond relative age indexing, every entry also has a stable absolute
 // index: the ring counts entries ever removed from the front in base, so an
-// entry pushed as the base+count-th lives at absolute index base+count for
-// its whole residence, unmoved by DropFront. Absolute indices are the O(1)
+// entry at age offset i lives at absolute index Base()+i for its whole
+// residence, unmoved by DropFront. Absolute indices are the O(1)
 // handles the engine stores across structures (a reorder-buffer entry
 // holding its LSQ slot, consumer lists naming dependent entries) instead of
 // re-searching by sequence number.
@@ -36,9 +37,6 @@ func NewRing[T any](capacity int) *Ring[T] {
 // Len returns the number of entries.
 func (r *Ring[T]) Len() int { return r.count }
 
-// Cap returns the capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Full reports whether the ring is at capacity.
 func (r *Ring[T]) Full() bool { return r.count == len(r.buf) }
 
@@ -50,9 +48,6 @@ func (r *Ring[T]) Empty() bool { return r.count == 0 }
 // DropFront and Clear, and resets to zero only on SetContents
 // (whose callers rebuild any stored absolute handles).
 func (r *Ring[T]) Base() int64 { return r.base }
-
-// NextAbs returns the absolute index the next PushSlot will assign.
-func (r *Ring[T]) NextAbs() int64 { return r.base + int64(r.count) }
 
 // slot maps a logical age offset onto the backing array. head+i never
 // reaches twice the capacity, so a conditional subtract replaces the

@@ -10,14 +10,14 @@ import (
 
 func TestRingFIFO(t *testing.T) {
 	r := NewRing[int](4)
-	if !r.Empty() || r.Full() || r.Cap() != 4 {
+	if !r.Empty() || r.Full() || r.Len() != 0 {
 		t.Fatalf("fresh ring state wrong")
 	}
 	for i := 1; i <= 4; i++ {
 		*r.PushSlot() = i
-	}
-	if !r.Full() {
-		t.Error("ring should be full")
+		if r.Full() != (i == 4) {
+			t.Errorf("after %d pushes into capacity 4: Full = %t", i, r.Full())
+		}
 	}
 	for i := 1; i <= 4; i++ {
 		if v := *r.Front(); v != i {
@@ -65,8 +65,8 @@ func TestRingClear(t *testing.T) {
 	}
 	base := r.Base()
 	r.Clear()
-	if !r.Empty() || r.Base() != base || r.NextAbs() != base {
-		t.Fatalf("after Clear: len %d, base %d, next %d; want empty at base %d", r.Len(), r.Base(), r.NextAbs(), base)
+	if !r.Empty() || r.Base() != base {
+		t.Fatalf("after Clear: len %d, base %d; want empty at base %d", r.Len(), r.Base(), base)
 	}
 	for _, v := range [][]*int{a, b} {
 		for _, p := range v {
@@ -76,12 +76,12 @@ func TestRingClear(t *testing.T) {
 		}
 	}
 	*r.PushSlot() = &vals[0]
-	if r.Len() != 1 || *r.Front() != &vals[0] || r.NextAbs() != base+1 {
+	if r.Len() != 1 || *r.Front() != &vals[0] || r.Base() != base {
 		t.Error("push after Clear landed wrong")
 	}
 	r.Clear()
 	r.Clear() // clearing an empty ring is a no-op
-	if !r.Empty() || r.NextAbs() != base {
+	if !r.Empty() || r.Base() != base {
 		t.Error("Clear of an empty ring changed it")
 	}
 }
@@ -145,7 +145,7 @@ func TestQuickRingMatchesSlice(t *testing.T) {
 					model = model[:0]
 				}
 			}
-			if r.Len() != len(model) || r.Base() != popped || r.NextAbs() != popped+int64(len(model)) {
+			if r.Len() != len(model) || r.Base() != popped {
 				return false
 			}
 			for i, v := range model {
@@ -387,17 +387,17 @@ func TestFUPoolBusyUntilRoundTrip(t *testing.T) {
 }
 
 // TestRingAbsoluteIndexing covers the stable-handle surface the engine's
-// event structures rely on: Base advances with every front removal,
-// NextAbs names the slot a push will take, and a handle resolves through
+// event structures rely on: Base advances with every front removal, a push
+// takes absolute index Base()+Len(), and a handle resolves through
 // At(abs-Base()) to the same entry for its whole residence.
 func TestRingAbsoluteIndexing(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Base() != 0 || r.NextAbs() != 0 {
-		t.Fatalf("fresh ring: base=%d nextAbs=%d", r.Base(), r.NextAbs())
+	if r.Base() != 0 || r.Len() != 0 {
+		t.Fatalf("fresh ring: base=%d len=%d", r.Base(), r.Len())
 	}
 	for v := 0; v < 3; v++ {
-		if abs := r.NextAbs(); abs != int64(v) {
-			t.Fatalf("NextAbs before push %d = %d", v, abs)
+		if abs := r.Base() + int64(r.Len()); abs != int64(v) {
+			t.Fatalf("absolute index before push %d = %d", v, abs)
 		}
 		*r.PushSlot() = v * 10
 	}
@@ -412,8 +412,8 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 	// Wrapped push reuses the freed slot but gets a fresh absolute index.
 	p := r.PushSlot()
 	*p = 30
-	if r.Base() != 1 || at(3) != 30 || r.NextAbs() != 4 {
-		t.Fatalf("after wrapped PushSlot: base=%d at3=%d next=%d", r.Base(), at(3), r.NextAbs())
+	if r.Base() != 1 || at(3) != 30 || r.Base()+int64(r.Len()) != 4 {
+		t.Fatalf("after wrapped PushSlot: base=%d at3=%d len=%d", r.Base(), at(3), r.Len())
 	}
 	// Views: wrapped content comes back as two age-ordered spans.
 	s1, s2 := r.Views()
