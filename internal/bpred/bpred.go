@@ -224,9 +224,6 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 func (p *Predictor) phtIndex(pc uint32) int {
 	h := p.bht[(pc>>2)&uint32(p.cfg.BHTSize-1)]
 	mask := uint32(p.cfg.PHTSize - 1)

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/uarch"
@@ -191,13 +190,14 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		RBOcc:  e.rbOcc,
 		LSQOcc: e.lsqOcc,
 	}
-	for i := 0; i < e.win.Len(); i++ {
-		en := e.win.At(i)
+	rob := e.head + int64(e.nROB) // the first IFQ seq
+	for s := e.head; s < e.seq; s++ {
+		en := &e.win[s&int64(len(e.win)-1)]
 		ci := CheckpointedInst{
 			Seq: en.seq, Rec: en.rec, PC: en.pc, ActualNext: en.actualNext,
 			WrongPath: en.wrongPath, Mispred: en.mispred,
 		}
-		if i >= e.nROB {
+		if s >= rob {
 			cp.IFQ = append(cp.IFQ, ci)
 			continue
 		}
@@ -257,17 +257,21 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 	e.lastCommitAt = cp.LastCommitAt
 	e.c = cp.Counters
 
-	// The window ring holds RBSize+IFQSize entries in all, so its own
-	// capacity check cannot see either part overflowing.
 	if len(cp.ROB) > cfg.RBSize || len(cp.IFQ) > cfg.IFQSize {
 		return nil, fmt.Errorf("core: checkpoint holds %d reorder-buffer and %d IFQ entries, the machine has %d and %d",
 			len(cp.ROB), len(cp.IFQ), cfg.RBSize, cfg.IFQSize)
 	}
-	// The window is the reorder buffer followed by the IFQ.
+	// The window is the reorder buffer followed by the IFQ, and holds the
+	// seqs fetched last, oldest first: the engine addresses it by seq.
 	e.nROB = len(cp.ROB)
-	win := make([]robEntry, e.nROB+len(cp.IFQ))
+	e.head = cp.Seq - int64(e.nROB+len(cp.IFQ))
 	for i, ci := range slices.Concat(cp.ROB, cp.IFQ) {
-		win[i] = robEntry{seq: ci.Seq, rec: ci.Rec, pc: ci.PC,
+		if want := e.head + int64(i); ci.Seq != want {
+			return nil, fmt.Errorf("core: restore instruction window: seq %d where %d belongs (the window must hold seqs %d to %d)",
+				ci.Seq, want, e.head, cp.Seq-1)
+		}
+		en := &e.win[ci.Seq&int64(len(e.win)-1)]
+		*en = robEntry{seq: ci.Seq, rec: ci.Rec, pc: ci.PC,
 			actualNext: ci.ActualNext, wrongPath: ci.WrongPath, mispred: ci.Mispred}
 		if i >= e.nROB {
 			continue
@@ -275,13 +279,9 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 		if ci.State > uint8(stCompleted) {
 			return nil, fmt.Errorf("core: restore ROB seq %d: instruction state %d unknown", ci.Seq, ci.State)
 		}
-		en := &win[i]
 		en.state, en.completeAt = instState(ci.State), ci.CompleteAt
 		en.src1Seq, en.src2Seq = ci.Src1Seq, ci.Src2Seq
 		en.src1Rdy, en.src2Rdy = ci.Src1Rdy, ci.Src2Rdy
-	}
-	if err := e.win.SetContents(win); err != nil {
-		return nil, fmt.Errorf("core: restore instruction window: %w", err)
 	}
 	lsq := make([]lsqEntry, len(cp.LSQ))
 	for i, ci := range cp.LSQ {
@@ -333,28 +333,22 @@ func Restore(cfg Config, src trace.Source, cp *Checkpoint) (*Engine, error) {
 // function of the reorder-buffer, LSQ and rename contents:
 //
 //   - memory instructions pair with LSQ entries in age order, giving each
-//     its lsqAbs handle;
+//     its lsq handle;
 //   - a dispatched entry with a pending operand registers it on the
-//     producer named by its src seq (resident and not yet broadcast, or the
-//     operand would be ready);
+//     producer named by its src seq (in the reorder buffer and not yet
+//     broadcast, or the operand would be ready);
 //   - dispatched entries with all operands ready form the ready queue;
 //   - issued entries form the completion heap, or the broadcast-overflow
 //     queue when their completeAt has already passed (a Width-saturated
 //     writeback deferred them).
 func (e *Engine) rebuildDerived() error {
 	e.clearDerived()
-	var headSeq int64
-	if e.nROB > 0 {
-		headSeq = e.win.At(0).seq
-	}
-	robBase := e.win.Base()
-	n := int64(e.nROB)
+	// inROB reports whether seq s is a reorder-buffer resident.
+	inROB := func(s int64) bool { return s >= e.head && s < e.head+int64(e.nROB) }
 	li := 0
-	for i := 0; i < e.nROB; i++ {
-		en := e.win.At(i)
-		abs := robBase + int64(i)
+	for s := e.head; inROB(s); s++ {
+		en := e.at(s)
 		en.lsq = nil
-		en.slot = int32(abs & e.consMask)
 		if en.rec.Kind == trace.KindMem {
 			if li >= e.lsq.Len() || e.lsq.At(li).seq != en.seq {
 				return fmt.Errorf("core: LSQ out of sync with reorder buffer at seq %d", en.seq)
@@ -374,45 +368,34 @@ func (e *Engine) rebuildDerived() error {
 				if pending.rdy {
 					continue
 				}
-				if pending.srcSeq < headSeq || pending.srcSeq >= headSeq+n {
-					return fmt.Errorf("core: seq %d waits on producer %d outside the reorder buffer", en.seq, pending.srcSeq)
+				if !inROB(pending.srcSeq) {
+					return fmt.Errorf("core: seq %d waits on producer %d outside the reorder buffer", s, pending.srcSeq)
 				}
-				// Resident seqs are contiguous in a well-formed checkpoint;
-				// verify rather than assume, so a malformed one fails restore
-				// instead of silently mis-wiring the wakeup graph.
-				prod := e.win.At(int(pending.srcSeq - headSeq))
-				if prod.seq != pending.srcSeq {
-					return fmt.Errorf("core: reorder-buffer seqs not contiguous: found %d looking for producer %d", prod.seq, pending.srcSeq)
-				}
-				e.addConsumer(prod, en, uint8(op))
+				e.addConsumer(pending.srcSeq, s, uint8(op))
 			}
 			if en.src1Rdy && en.src2Rdy {
-				e.readyQ = append(e.readyQ, en)
+				e.readyQ = append(e.readyQ, s)
 			}
 		case stIssued:
 			if en.completeAt <= e.now {
-				e.wbReady = append(e.wbReady, en)
+				e.wbReady = append(e.wbReady, s)
 			} else {
-				e.heapPush(en.completeAt, en)
+				e.heapPush(en.completeAt, s)
 			}
-		}
-		// Re-point the producer mirror at entries the rename table still
-		// names.
-		if d := en.rec.Dest; d != isa.NoReg && e.rt.Producer(d) == en.seq {
-			e.prodPtr[d] = en
 		}
 	}
 	if li != e.lsq.Len() {
 		return fmt.Errorf("core: %d LSQ entries unmatched by reorder-buffer memory instructions", e.lsq.Len()-li)
 	}
-	// Every producer the restored rename table names must be resident (the
-	// prodPtr mirror above found it), or the first dispatch reading that
-	// register would chase a nil producer mid-run; fail restore instead.
+	// Every producer the restored rename table names must be a
+	// reorder-buffer resident writing that register, or the first dispatch
+	// reading it would register on a producer that never broadcasts it;
+	// fail restore instead.
 	for r, seq := range e.rt.Producers() {
 		if seq == uarch.NoProducer {
 			continue
 		}
-		if p := e.prodPtr[r]; p == nil || p.seq != seq {
+		if !inROB(seq) || int(e.at(seq).rec.Dest) != r {
 			return fmt.Errorf("core: rename table names seq %d as r%d's producer, but no resident instruction writes it", seq, r)
 		}
 	}

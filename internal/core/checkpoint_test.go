@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -226,20 +227,20 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOverfullWindow: Restore refuses a checkpoint whose
-// reorder buffer or IFQ holds more entries than the machine has, and
-// returns an error rather than panicking. Each overfull variant fits the
-// instruction window's total capacity, so only the per-structure check can
-// refuse it; the same variant one entry shorter restores, as does a window
-// with both structures full.
-func TestRestoreRejectsOverfullWindow(t *testing.T) {
-	cfg := core.DefaultConfig()
+// fullWindow captures gzip on DefaultConfig at the first cycle boundary
+// where both the reorder buffer and the IFQ are full. It returns the
+// encoded checkpoint, clone (a fresh decoded copy per call) and restore
+// (Restore over a fresh source of the same records, failing the test if
+// Restore panics).
+func fullWindow(t *testing.T) (cfg core.Config, full []byte, clone func() *core.Checkpoint,
+	restore func(*core.Checkpoint) (*core.Engine, error)) {
+	t.Helper()
+	cfg = core.DefaultConfig()
 	recs := ckptRecords(t, "gzip", cfg, 4000)
 	eng, err := core.New(cfg, trace.NewSliceSource(recs), funcsim.CodeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var full []byte
 	for full == nil && eng.Now() < 2000 {
 		if err := eng.Cycle(); err != nil {
 			t.Fatal(err)
@@ -253,25 +254,35 @@ func TestRestoreRejectsOverfullWindow(t *testing.T) {
 	if full == nil {
 		t.Fatal("the window never filled in 2000 cycles")
 	}
-	restore := func(cp *core.Checkpoint) (err error) {
+	restore = func(cp *core.Checkpoint) (_ *core.Engine, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("Restore panicked: %v", r)
 			}
 		}()
-		_, err = core.Restore(cfg, trace.NewSliceSource(recs), cp)
-		return err
+		return core.Restore(cfg, trace.NewSliceSource(recs), cp)
 	}
-	clone := func() *core.Checkpoint {
+	clone = func() *core.Checkpoint {
 		cp, err := core.DecodeCheckpoint(full)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cp
 	}
+	return cfg, full, clone, restore
+}
+
+// TestRestoreRejectsOverfullWindow: Restore refuses a checkpoint whose
+// reorder buffer or IFQ holds more entries than the machine has, and
+// returns an error rather than panicking. Each overfull variant fits the
+// instruction window's total capacity and holds consecutive seqs ending at
+// cp.Seq-1, so only the per-structure check can refuse it; the same variant
+// one entry shorter restores, as does a window with both structures full.
+func TestRestoreRejectsOverfullWindow(t *testing.T) {
+	cfg, full, clone, restore := fullWindow(t)
 
 	// The legal full window restores and captures back to the same bytes.
-	e2, err := core.Restore(cfg, trace.NewSliceSource(recs), clone())
+	e2, err := restore(clone())
 	if err != nil {
 		t.Fatalf("Restore rejected a full window: %v", err)
 	}
@@ -291,12 +302,13 @@ func TestRestoreRejectsOverfullWindow(t *testing.T) {
 					Dest: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg},
 				Src1Rdy: true, Src2Rdy: true})
 		}
+		cp.Seq = cp.ROB[len(cp.ROB)-1].Seq + 1
 		return cp
 	}
-	if err := restore(robOnly(0)); err != nil {
+	if _, err := restore(robOnly(0)); err != nil {
 		t.Errorf("Restore rejected a full reorder buffer with an empty IFQ: %v", err)
 	}
-	if err := restore(robOnly(1)); err == nil {
+	if _, err := restore(robOnly(1)); err == nil {
 		t.Errorf("Restore accepted %d reorder-buffer entries on a %d-entry reorder buffer", cfg.RBSize+1, cfg.RBSize)
 	}
 
@@ -313,13 +325,47 @@ func TestRestoreRejectsOverfullWindow(t *testing.T) {
 			next.Seq++
 			cp.IFQ = append(cp.IFQ, next)
 		}
+		cp.Seq = cp.IFQ[len(cp.IFQ)-1].Seq + 1
 		return cp
 	}
-	if err := restore(ifqOnly(0)); err != nil {
+	if _, err := restore(ifqOnly(0)); err != nil {
 		t.Errorf("Restore rejected a full IFQ with an empty reorder buffer: %v", err)
 	}
-	if err := restore(ifqOnly(1)); err == nil {
+	if _, err := restore(ifqOnly(1)); err == nil {
 		t.Errorf("Restore accepted %d IFQ entries on a %d-entry IFQ", cfg.IFQSize+1, cfg.IFQSize)
+	}
+}
+
+// TestRestoreRejectsWindowSeqGaps: the engine addresses its instruction
+// window by seq, so Restore refuses, with an error and no panic, a window
+// whose seqs are not exactly cp.Seq-len … cp.Seq-1 in reorder-buffer-then-
+// IFQ order. Each case starts from a real full window and breaks only
+// that.
+func TestRestoreRejectsWindowSeqGaps(t *testing.T) {
+	_, _, clone, restore := fullWindow(t)
+	for _, tc := range []struct {
+		name   string
+		mutate func(cp *core.Checkpoint)
+	}{
+		{"gap in the reorder buffer", func(cp *core.Checkpoint) {
+			cp.ROB = slices.Delete(cp.ROB, len(cp.ROB)/2, len(cp.ROB)/2+1)
+		}},
+		{"IFQ does not follow the reorder buffer", func(cp *core.Checkpoint) {
+			for i := range cp.IFQ {
+				cp.IFQ[i].Seq++
+			}
+			cp.Seq++
+		}},
+		{"window does not end at Seq-1", func(cp *core.Checkpoint) {
+			cp.Seq++
+		}},
+	} {
+		cp := clone()
+		tc.mutate(cp)
+		_, err := restore(cp)
+		if err == nil || !strings.Contains(err.Error(), "instruction window") {
+			t.Errorf("%s: Restore returned %v, want the instruction-window refusal", tc.name, err)
+		}
 	}
 }
 

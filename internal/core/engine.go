@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -44,25 +45,20 @@ type robEntry struct {
 	src2Rdy    bool
 	completeAt int64
 
-	// Derived scheduling handles — never serialized, rebuilt by
-	// rebuildDerived after a checkpoint restore. Ring slots are stable for
-	// an entry's whole residence, so pointers are safe exactly as long as
-	// the engine's structural invariants hold (pinned by the randomized
-	// equivalence harness).
-	//
 	// lsq is this instruction's load/store queue entry (memory operations
 	// only) — the O(1) handle that replaces searching the LSQ by sequence
-	// number. slot indexes the engine's consumer-list table.
-	lsq  *lsqEntry
-	slot int32
+	// number. Never serialized: rebuildDerived re-pairs it after a
+	// checkpoint restore. LSQ ring slots are stable for an entry's whole
+	// residence, so the pointer stays valid until the entry commits.
+	lsq *lsqEntry
 }
 
 // consRef is one pending operand registered on a producer's consumer list:
-// the dependent entry and which of its operands (0 = src1, 1 = src2) the
-// producer supplies.
+// the dependent instruction's seq and which of its operands (0 = src1,
+// 1 = src2) the producer supplies.
 type consRef struct {
-	en *robEntry
-	op uint8
+	seq int64
+	op  uint8
 }
 
 // lsqEntry is a load/store queue entry.
@@ -167,10 +163,16 @@ type Engine struct {
 	icache *cache.Memory
 	dcache *cache.Memory
 
-	// win is the instruction window in age order: its oldest nROB entries
-	// are the reorder buffer, the rest the IFQ. Dispatch moves an entry
-	// from the IFQ into the reorder buffer by counting it into nROB.
-	win   *uarch.Ring[robEntry]
+	// win is the instruction window, addressed by seq: the entry of seq s
+	// lives at win[s & (len(win)-1)] (see at), and the resident seqs are
+	// head … seq-1. Fetch is the only place seq grows and recovery empties
+	// the whole window, so residents are always contiguous, and len(win),
+	// a power of two ≥ RBSize+IFQSize, keeps them from colliding. The
+	// oldest nROB residents are the reorder buffer, the rest the IFQ;
+	// dispatch moves an entry from the IFQ into the reorder buffer by
+	// counting it into nROB.
+	win   []robEntry
+	head  int64
 	nROB  int
 	lsq   *uarch.Ring[lsqEntry]
 	rt    *uarch.RenameTable
@@ -193,44 +195,37 @@ type Engine struct {
 	// Event-aware scheduling state. All of it is derived — rebuilt from the
 	// architectural state by rebuildDerived (checkpoint restore) and cleared
 	// wholesale on mis-speculation recovery — so the serialized
-	// checkpoint format does not carry it. Entries are referenced by
-	// pointer: ring slots are stable for an entry's whole residence.
+	// checkpoint format does not carry it. Instructions are named by seq.
 	// Invariants:
 	//
-	//   - readyQ holds every dispatched entry whose register operands are
-	//     all ready, in age order. issue consumes it instead of scanning
-	//     the reorder buffer.
-	//   - wbNext holds entries completing exactly next cycle (the 1-cycle
-	//     fast lane), age-ordered; wbHeap is a min-heap on (completeAt,
-	//     seq) of the rest still executing; wbReady holds
-	//     completed-but-not-yet-broadcast entries (Width overflow), in age
-	//     order. writeback drains the lane and the heap instead of
+	//   - readyQ holds every dispatched instruction whose register operands
+	//     are all ready, in age order. issue consumes it instead of
 	//     scanning the reorder buffer.
-	//   - cons[en.slot] lists the operands waiting on producer en (slot =
-	//     dispatch-time absolute window index & consMask; cons is sized to
-	//     the next power of two ≥ RBSize, and reorder-buffer entries span at
-	//     most RBSize absolute indices, so live entries never collide). wake
-	//     walks the producer's list instead of scanning the reorder
-	//     buffer; the list is emptied at broadcast, so a slot is always
-	//     clean when a future entry reuses it.
-	readyQ    []*robEntry //resim:derived
-	wbReady   []*robEntry //resim:derived
+	//   - wbNext holds instructions completing exactly next cycle (the
+	//     1-cycle fast lane), age-ordered; wbHeap is a min-heap on
+	//     (completeAt, seq) of the rest still executing; wbReady holds
+	//     completed-but-not-yet-broadcast instructions (Width overflow), in
+	//     age order. writeback drains the lane and the heap instead of
+	//     scanning the reorder buffer.
+	//   - cons[s & (len(cons)-1)] lists the operands waiting on producer s
+	//     (cons is sized to the next power of two ≥ RBSize, and
+	//     reorder-buffer seqs span at most RBSize, so live producers never
+	//     collide). wake walks the producer's list instead of scanning the
+	//     reorder buffer; the list is emptied at broadcast, so a list is
+	//     always clean when a younger producer reuses it.
+	readyQ    []int64     //resim:derived
+	wbReady   []int64     //resim:derived
 	wbHeap    []wbItem    //resim:derived
-	wbNext    []*robEntry //resim:derived completions due exactly next cycle (the 1-cycle-latency fast lane)
+	wbNext    []int64     //resim:derived completions due exactly next cycle (the 1-cycle-latency fast lane)
 	cons      [][]consRef //resim:derived
-	consMask  int64       //resim:ckpt-exempt sized by New to the next power of two >= RBSize; pure config
 	lsqLoads  int         //resim:derived resident LSQ loads; lsqRefresh is a no-op without any
 	lsqStores []*lsqEntry //resim:ckpt-exempt lsqRefresh per-cycle scratch: older stores seen so far
-	// prodPtr mirrors the rename table with the producer's reorder-buffer
-	// entry, letting dispatch register a consumer without a search. Only
-	// meaningful for registers whose rename entry names a producer.
-	prodPtr [isa.NumRegs]*robEntry //resim:derived
 }
 
 // wbItem schedules one issued instruction's completion broadcast.
 type wbItem struct {
-	at int64 // completeAt
-	en *robEntry
+	at  int64 // completeAt
+	seq int64
 }
 
 // ErrNoProgress reports a wedged simulation (an engine bug or a malformed
@@ -264,7 +259,7 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 		src:     trace.NewBuffered(src),
 		icache:  cfg.ICache.Build(nil),
 		dcache:  cfg.DCache.Build(l2),
-		win:     uarch.NewRing[robEntry](cfg.RBSize + cfg.IFQSize),
+		win:     make([]robEntry, pow2AtLeast(cfg.RBSize+cfg.IFQSize)),
 		lsq:     uarch.NewRing[lsqEntry](cfg.LSQSize),
 		rt:      uarch.NewRenameTable(),
 		fus:     uarch.NewFUPool(cfg.FUs),
@@ -277,22 +272,26 @@ func NewSharing(cfg Config, src trace.Source, startPC uint32, l2 *cache.Cache) (
 	e.ifqOcc = stats.Occupancy{Name: "IFQ_occupancy", Desc: "instruction fetch queue", Cap: cfg.IFQSize}
 	e.rbOcc = stats.Occupancy{Name: "RB_occupancy", Desc: "reorder buffer", Cap: cfg.RBSize}
 	e.lsqOcc = stats.Occupancy{Name: "LSQ_occupancy", Desc: "load/store queue", Cap: cfg.LSQSize}
-	consSlots := 1
-	for consSlots < cfg.RBSize {
-		consSlots <<= 1
-	}
-	e.cons = make([][]consRef, consSlots)
+	e.cons = make([][]consRef, pow2AtLeast(cfg.RBSize))
 	for i := range e.cons {
 		e.cons[i] = make([]consRef, 0, 4)
 	}
-	e.consMask = int64(consSlots - 1)
-	e.readyQ = make([]*robEntry, 0, cfg.RBSize)
-	e.wbReady = make([]*robEntry, 0, cfg.RBSize)
-	e.wbNext = make([]*robEntry, 0, cfg.Width*2)
+	e.readyQ = make([]int64, 0, cfg.RBSize)
+	e.wbReady = make([]int64, 0, cfg.RBSize)
+	e.wbNext = make([]int64, 0, cfg.Width*2)
 	e.wbHeap = make([]wbItem, 0, cfg.RBSize)
 	e.lsqStores = make([]*lsqEntry, 0, cfg.LSQSize)
 	return e, nil
 }
+
+// pow2AtLeast returns the smallest power of two ≥ n (n ≥ 1).
+func pow2AtLeast(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// at returns the window entry of resident seq s.
+func (e *Engine) at(s int64) *robEntry { return &e.win[s&int64(len(e.win)-1)] }
+
+// consOf returns the consumer list of reorder-buffer producer s.
+func (e *Engine) consOf(s int64) *[]consRef { return &e.cons[s&int64(len(e.cons)-1)] }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -303,11 +302,11 @@ func (e *Engine) Now() int64 { return e.now }
 // Done reports whether the simulation has drained: trace exhausted and no
 // in-flight instructions.
 func (e *Engine) Done() bool {
-	return e.srcDone && e.win.Empty()
+	return e.srcDone && e.seq == e.head
 }
 
 // ifqLen returns the number of fetched instructions not yet dispatched.
-func (e *Engine) ifqLen() int { return e.win.Len() - e.nROB }
+func (e *Engine) ifqLen() int { return int(e.seq-e.head) - e.nROB }
 
 // Cycle advances one major cycle. The simulated architecture's semantics are
 // enforced between major cycles; stages evaluate in the reference order
@@ -397,7 +396,7 @@ func (e *Engine) idleCycles(limit uint64) int64 {
 	if e.ifqLen() > 0 || len(e.readyQ) > 0 || len(e.wbReady) > 0 || len(e.wbNext) > 0 {
 		return 0
 	}
-	if e.nROB > 0 && e.win.Front().state == stCompleted {
+	if e.nROB > 0 && e.at(e.head).state == stCompleted {
 		return 0 // commit would retire the head
 	}
 	// Fetch: inert for good when starved or out of records; otherwise idle
@@ -691,7 +690,7 @@ func (e *Engine) clearDerived() {
 func (e *Engine) commit() error {
 	width := e.cfg.Width
 	for committed := 0; committed < width && e.nROB > 0; committed++ {
-		en := e.win.Front()
+		en := e.at(e.head)
 		if en.state != stCompleted {
 			break
 		}
@@ -744,13 +743,10 @@ func (e *Engine) commit() error {
 			}
 		}
 
-		// en points into the ring; capture the recovery inputs before the
-		// slot is released (recover clears the whole window).
-		mispred, resumePC := en.mispred, en.actualNext
-		e.win.DropFront()
+		e.head++
 		e.nROB--
-		if mispred {
-			e.recover(resumePC)
+		if en.mispred {
+			e.recover(en.actualNext)
 			break
 		}
 	}
@@ -781,11 +777,11 @@ func (e *Engine) recover(resumePC uint32) {
 	e.c.MispredResolved++
 	if e.tracer != nil {
 		// Oldest first: the reorder buffer, then the IFQ.
-		for i := 0; i < e.win.Len(); i++ {
-			e.tracer.Stage(e.win.At(i).seq, e.now, "squash")
+		for s := e.head; s < e.seq; s++ {
+			e.tracer.Stage(s, e.now, "squash")
 		}
 	}
-	e.win.Clear()
+	e.head = e.seq
 	e.nROB = 0
 	e.lsq.Clear()
 	e.rt.Reset()
@@ -817,8 +813,8 @@ func (e *Engine) writeback() {
 		if broadcasts > e.cfg.Width {
 			broadcasts = e.cfg.Width
 		}
-		for _, en := range due[:broadcasts] {
-			e.broadcast(en)
+		for _, s := range due[:broadcasts] {
+			e.broadcast(s)
 		}
 		// Width overflow (rare): the remainder waits in wbReady.
 		e.wbReady = append(e.wbReady, due[broadcasts:]...)
@@ -827,12 +823,12 @@ func (e *Engine) writeback() {
 	}
 	// General case: merge the fast lane and due heap completions into the
 	// age-ordered overflow queue, then broadcast its oldest Width.
-	for _, en := range e.wbNext {
-		e.wbReadyInsert(en)
+	for _, s := range e.wbNext {
+		e.wbReady = insertBySeq(e.wbReady, s)
 	}
 	e.wbNext = e.wbNext[:0]
 	for len(e.wbHeap) > 0 && e.wbHeap[0].at <= e.now {
-		e.wbReadyInsert(e.heapPop())
+		e.wbReady = insertBySeq(e.wbReady, e.heapPop())
 	}
 	if len(e.wbReady) == 0 {
 		return
@@ -841,36 +837,38 @@ func (e *Engine) writeback() {
 	if broadcasts > e.cfg.Width {
 		broadcasts = e.cfg.Width
 	}
-	for _, en := range e.wbReady[:broadcasts] {
-		e.broadcast(en)
+	for _, s := range e.wbReady[:broadcasts] {
+		e.broadcast(s)
 	}
 	e.wbReady = append(e.wbReady[:0], e.wbReady[broadcasts:]...)
 }
 
-// broadcast completes en: result broadcast, rename release, dependent
+// broadcast completes seq s: result broadcast, rename release, dependent
 // wakeup.
-func (e *Engine) broadcast(en *robEntry) {
+func (e *Engine) broadcast(s int64) {
+	en := e.at(s)
 	en.state = stCompleted
 	if e.tracer != nil {
-		e.tracer.Stage(en.seq, e.now, "writeback")
+		e.tracer.Stage(s, e.now, "writeback")
 	}
 	if en.rec.Dest != isa.NoReg {
-		e.rt.ClearIfProducer(en.rec.Dest, en.seq)
-		e.wake(en)
+		e.rt.ClearIfProducer(en.rec.Dest, s)
+		e.wake(s)
 	}
 }
 
-// wake marks ready every source operand registered on the broadcasting
-// entry's consumer list, starts address generation for loads whose base
-// register just arrived, and moves now-fully-ready instructions into the
-// ready queue. The list is consumed: a producer broadcasts exactly once.
-func (e *Engine) wake(prod *robEntry) {
-	refs := e.cons[prod.slot]
+// wake marks ready every source operand registered on producer prod's
+// consumer list, starts address generation for loads whose base register
+// just arrived, and moves now-fully-ready instructions into the ready
+// queue. The list is consumed: a producer broadcasts exactly once.
+func (e *Engine) wake(prod int64) {
+	list := e.consOf(prod)
+	refs := *list
 	if len(refs) == 0 {
 		return
 	}
 	for _, ref := range refs {
-		en := ref.en
+		en := e.at(ref.seq)
 		if ref.op == 0 {
 			en.src1Rdy = true
 			if en.rec.Kind == trace.KindMem && !en.rec.Store {
@@ -883,47 +881,38 @@ func (e *Engine) wake(prod *robEntry) {
 			en.src2Rdy = true
 		}
 		if en.src1Rdy && en.src2Rdy {
-			e.readyInsert(en)
+			e.readyQ = insertBySeq(e.readyQ, ref.seq)
 		}
 	}
-	e.cons[prod.slot] = refs[:0]
+	*list = refs[:0]
 }
 
-// addConsumer registers one of en's pending operands on producer prod's
-// consumer list; op is 0 for src1, 1 for src2.
-func (e *Engine) addConsumer(prod, en *robEntry, op uint8) {
-	e.cons[prod.slot] = append(e.cons[prod.slot], consRef{en, op})
+// addConsumer registers operand op (0 = src1, 1 = src2) of seq s on
+// producer prod's consumer list.
+func (e *Engine) addConsumer(prod, s int64, op uint8) {
+	list := e.consOf(prod)
+	*list = append(*list, consRef{s, op})
 }
 
-// insertBySeq inserts en into the age-ordered (by seq) queue q and returns
-// it — the one insertion discipline every age-ordered engine queue (ready
-// queue, broadcast overflow, 1-cycle completion lane) shares. Arrivals are
-// nearly in age order, so the insertion point is almost always the tail.
-func insertBySeq(q []*robEntry, en *robEntry) []*robEntry {
-	q = append(q, en)
+// insertBySeq inserts seq s into the age-ordered queue q and returns it —
+// the one insertion discipline every age-ordered engine queue (ready queue,
+// broadcast overflow, 1-cycle completion lane) shares. Arrivals are nearly
+// in age order, so the insertion point is almost always the tail.
+func insertBySeq(q []int64, s int64) []int64 {
+	q = append(q, s)
 	i := len(q) - 1
-	for i > 0 && q[i-1].seq > en.seq {
+	for i > 0 && q[i-1] > s {
 		q[i] = q[i-1]
 		i--
 	}
-	q[i] = en
+	q[i] = s
 	return q
 }
 
-// readyInsert adds en to the age-ordered ready queue.
-func (e *Engine) readyInsert(en *robEntry) {
-	e.readyQ = insertBySeq(e.readyQ, en)
-}
-
-// wbReadyInsert adds en to the age-ordered broadcast-overflow queue.
-func (e *Engine) wbReadyInsert(en *robEntry) {
-	e.wbReady = insertBySeq(e.wbReady, en)
-}
-
-// heapPush schedules a completion broadcast; the heap orders by
-// (completeAt, seq) so same-cycle completions drain oldest first.
-func (e *Engine) heapPush(at int64, en *robEntry) {
-	h := append(e.wbHeap, wbItem{at, en})
+// heapPush schedules seq s's completion broadcast at cycle at; the heap
+// orders by (completeAt, seq) so same-cycle completions drain oldest first.
+func (e *Engine) heapPush(at, s int64) {
+	h := append(e.wbHeap, wbItem{at, s})
 	i := len(h) - 1
 	it := h[i]
 	for i > 0 {
@@ -940,13 +929,13 @@ func (e *Engine) heapPush(at int64, en *robEntry) {
 
 // wbLess orders the completion heap by (completeAt, seq).
 func wbLess(a, b wbItem) bool {
-	return a.at < b.at || (a.at == b.at && a.en.seq < b.en.seq)
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// heapPop removes and returns the entry with the earliest completion.
-func (e *Engine) heapPop() *robEntry {
+// heapPop removes and returns the seq with the earliest completion.
+func (e *Engine) heapPop() int64 {
 	h := e.wbHeap
-	top := h[0].en
+	top := h[0].seq
 	last := h[len(h)-1]
 	h = h[:len(h)-1]
 	e.wbHeap = h
@@ -1048,7 +1037,8 @@ func (e *Engine) issue() {
 		// never reduces the number of instructions issued per cycle, which
 		// is why the paper can claim the N+3 organization does not affect
 		// timing results (§IV.B); tests verify the equivalence empirically.
-		for qi, en := range e.readyQ {
+		for qi, s := range e.readyQ {
+			en := e.at(s)
 			if en.rec.Kind == trace.KindMem && !en.rec.Store {
 				if en.lsq.memReady {
 					e.c.LoadFirstSlotDeferred++
@@ -1066,7 +1056,7 @@ func (e *Engine) issue() {
 	out := 0
 	for qi := 0; qi < len(q); qi++ {
 		if slotsLeft > 0 {
-			if e.issueOne(q[qi]) {
+			if e.issueOne(e.at(q[qi])) {
 				slotsLeft--
 				continue
 			}
@@ -1136,9 +1126,9 @@ func (e *Engine) issueOne(en *robEntry) bool {
 		// hits) skips the heap. The lane is kept age-sorted on insert —
 		// only the Optimized organization's slot-0 pick can arrive out of
 		// order, so this is almost always a plain append.
-		e.wbNext = insertBySeq(e.wbNext, en)
+		e.wbNext = insertBySeq(e.wbNext, en.seq)
 	} else {
-		e.heapPush(en.completeAt, en)
+		e.heapPush(en.completeAt, en.seq)
 	}
 	e.c.Issued++
 	if e.tracer != nil {
@@ -1157,12 +1147,12 @@ func (e *Engine) issueOne(en *robEntry) bool {
 // counts it into nROB.
 func (e *Engine) dispatch() {
 	width := e.cfg.Width
-	for n := 0; n < width && e.nROB < e.win.Len(); n++ {
+	for n := 0; n < width && e.ifqLen() > 0; n++ {
 		if e.nROB == e.cfg.RBSize {
 			e.c.RBFullStalls++
 			break
 		}
-		en := e.win.At(e.nROB)
+		en := e.at(e.head + int64(e.nROB))
 		isMem := en.rec.Kind == trace.KindMem
 		if isMem && e.lsq.Full() {
 			e.c.LSQFullStalls++
@@ -1170,15 +1160,12 @@ func (e *Engine) dispatch() {
 		}
 
 		// The slot may hold stale bytes from an earlier resident, so every
-		// reorder-buffer field is written. Reorder-buffer entries occupy at
-		// most RBSize consecutive absolute indices, so their consumer slots
-		// never collide.
+		// reorder-buffer field is written.
 		en.state = stDispatched
 		en.src1Seq = e.rt.Producer(en.rec.Src1)
 		en.src2Seq = e.rt.Producer(en.rec.Src2)
 		en.completeAt = 0
 		en.lsq = nil
-		en.slot = int32((e.win.Base() + int64(e.nROB)) & e.consMask)
 		if e.tracer != nil {
 			e.tracer.Stage(en.seq, e.now, "dispatch")
 		}
@@ -1186,21 +1173,18 @@ func (e *Engine) dispatch() {
 		en.src2Rdy = en.src2Seq == uarch.NoProducer
 		// Register pending operands on their producers' consumer lists (the
 		// rename table only ever names in-flight, not-yet-broadcast
-		// entries, so the producer — at prodPtr[reg] — is resident by
+		// instructions, so the producer is in the reorder buffer by
 		// construction); fully ready instructions go straight to the ready
 		// queue, which stays age-ordered because dispatch appends the
 		// youngest entries.
 		if !en.src1Rdy {
-			e.addConsumer(e.prodPtr[en.rec.Src1], en, 0)
+			e.addConsumer(en.src1Seq, en.seq, 0)
 		}
 		if !en.src2Rdy {
-			e.addConsumer(e.prodPtr[en.rec.Src2], en, 1)
+			e.addConsumer(en.src2Seq, en.seq, 1)
 		}
 		if d := en.rec.Dest; d != isa.NoReg {
 			e.rt.SetProducer(d, en.seq)
-			if d != isa.RegZero && d < isa.NumRegs {
-				e.prodPtr[d] = en
-			}
 		}
 		if isMem {
 			lq := e.lsq.PushSlot()
@@ -1223,7 +1207,7 @@ func (e *Engine) dispatch() {
 		}
 		e.nROB++
 		if en.src1Rdy && en.src2Rdy {
-			e.readyQ = append(e.readyQ, en)
+			e.readyQ = append(e.readyQ, en.seq)
 		}
 	}
 }
@@ -1366,8 +1350,8 @@ func (e *Engine) fetch() {
 		// slot) with per-field writes — a composite literal here compiles
 		// to a stack temporary plus a bulk copy. The slot may hold stale
 		// bytes, so every fetch-time field is written (dispatch writes the
-		// rest); every path below keeps mutating the entry in the ring.
-		fi := e.win.PushSlot()
+		// rest); every path below keeps mutating the entry in the window.
+		fi := e.at(e.seq)
 		fi.seq = e.seq
 		fi.rec = *rec
 		fi.pc = e.fetchPC

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -450,5 +451,76 @@ func TestBimodalEngineConfig(t *testing.T) {
 	res := run(t, cfg, randomTrace(2000, 37))
 	if res.BPLookups == 0 {
 		t.Error("bimodal predictor never consulted")
+	}
+}
+
+// TestCycleAllocatesNothing pins the steady-state cycle as allocation-free:
+// once a warm-up has grown every queue to its working size, Cycle allocates
+// nothing, on DefaultConfig over the mispredict-heavy and wake-heavy stream
+// shapes the engine benchmarks use, and on Table 1's cache machine over
+// gzip.
+func TestCycleAllocatesNothing(t *testing.T) {
+	mispredict := workload.DefaultStreamProfile(0x5B)
+	mispredict.BranchFrac, mispredict.TakenProb, mispredict.MispredProb = 0.25, 0.7, 0.5
+	wake := workload.DefaultStreamProfile(0xAE)
+	wake.LoadFrac, wake.StoreFrac = 0.05, 0.03
+	wake.BranchFrac = 0.02
+	wake.MulFrac, wake.DivFrac = 0.10, 0.02
+	wake.DepWindow = 2
+	const n = 100_000
+	gzip := func(cfg Config) ([]trace.Record, error) {
+		p, err := workload.ByName("gzip")
+		if err != nil {
+			return nil, err
+		}
+		src, err := p.NewSource(cfg.TraceConfig(), n)
+		if err != nil {
+			return nil, err
+		}
+		var recs []trace.Record
+		for {
+			r, err := src.Next()
+			if err == io.EOF {
+				return recs, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			recs = append(recs, r)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		startPC uint32
+		records func(Config) ([]trace.Record, error)
+	}{
+		{"mispredict-heavy", DefaultConfig(), 0x1000, func(Config) ([]trace.Record, error) { return mispredict.Records(n) }},
+		{"wake-heavy", DefaultConfig(), 0x1000, func(Config) ([]trace.Record, error) { return wake.Records(n) }},
+		{"table1-cache/gzip", FASTComparisonConfig(), funcsim.CodeBase, gzip},
+	} {
+		recs, err := tc.records(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(tc.cfg, trace.NewSliceSource(recs), tc.startPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			if err := eng.Cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 5000 {
+			cycle()
+		}
+		allocs := testing.AllocsPerRun(20000, cycle)
+		if eng.Done() {
+			t.Fatalf("%s: the engine drained before the measurement ended", tc.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Cycle allocates %v times per call, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -80,9 +80,6 @@ func NewFUPool(cfg FUConfig) *FUPool {
 	return p
 }
 
-// Config returns the pool configuration.
-func (p *FUPool) Config() FUConfig { return p.cfg }
-
 // TryIssue allocates a unit of class cls at cycle now. On success it returns
 // the operation latency. Pipelined units accept one operation per cycle;
 // unpipelined units are busy for the full latency.

@@ -51,37 +51,27 @@ func TestRingWrapsAndIndexes(t *testing.T) {
 }
 
 func TestRingClear(t *testing.T) {
-	r := NewRing[*int](4)
-	vals := make([]int, 6)
-	for i := range vals {
-		*r.PushSlot() = &vals[i]
+	r := NewRing[int](4)
+	for i := range 6 {
+		*r.PushSlot() = i
 		if i%2 == 1 {
 			r.DropFront() // wrap the live entries around the backing array
 		}
 	}
-	a, b := r.Views() // the live entries, aliasing the backing array
-	if len(b) == 0 {
+	if _, b := r.Views(); len(b) == 0 {
 		t.Fatal("live entries do not wrap")
 	}
-	base := r.Base()
 	r.Clear()
-	if !r.Empty() || r.Base() != base {
-		t.Fatalf("after Clear: len %d, base %d; want empty at base %d", r.Len(), r.Base(), base)
+	if !r.Empty() || r.Len() != 0 {
+		t.Fatalf("after Clear: len %d; want empty", r.Len())
 	}
-	for _, v := range [][]*int{a, b} {
-		for _, p := range v {
-			if p != nil {
-				t.Fatal("Clear left a discarded entry live in the backing array")
-			}
-		}
-	}
-	*r.PushSlot() = &vals[0]
-	if r.Len() != 1 || *r.Front() != &vals[0] || r.Base() != base {
+	*r.PushSlot() = 42
+	if r.Len() != 1 || *r.Front() != 42 || *r.At(0) != 42 {
 		t.Error("push after Clear landed wrong")
 	}
 	r.Clear()
 	r.Clear() // clearing an empty ring is a no-op
-	if !r.Empty() || r.Base() != base {
+	if !r.Empty() {
 		t.Error("Clear of an empty ring changed it")
 	}
 }
@@ -107,15 +97,14 @@ func TestRingPanicsOnBadIndex(t *testing.T) {
 	}
 }
 
-// Property: Ring matches a slice model under random push/pop/clear, and
-// its absolute indices count the entries ever popped.
+// Property: Ring matches a slice model under random push/pop/clear.
 func TestQuickRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	f := func() bool {
 		capacity := 1 + rng.Intn(8)
 		r := NewRing[int](capacity)
 		var model []int
-		next, popped := 0, int64(0)
+		next := 0
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(3) {
 			case 0:
@@ -137,7 +126,6 @@ func TestQuickRingMatchesSlice(t *testing.T) {
 					}
 					r.DropFront()
 					model = model[1:]
-					popped++
 				}
 			default:
 				if rng.Intn(4) == 0 { // rarely, so the ring also fills
@@ -145,7 +133,7 @@ func TestQuickRingMatchesSlice(t *testing.T) {
 					model = model[:0]
 				}
 			}
-			if r.Len() != len(model) || r.Base() != popped {
+			if r.Len() != len(model) {
 				return false
 			}
 			for i, v := range model {
@@ -386,34 +374,29 @@ func TestFUPoolBusyUntilRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRingAbsoluteIndexing covers the stable-handle surface the engine's
-// event structures rely on: Base advances with every front removal, a push
-// takes absolute index Base()+Len(), and a handle resolves through
-// At(abs-Base()) to the same entry for its whole residence.
-func TestRingAbsoluteIndexing(t *testing.T) {
+// TestRingStableSlots covers what the engine's LSQ handles rely on: an
+// entry stays in its backing slot for its whole residence, so the pointer
+// PushSlot returned still reads it after older entries leave and a younger
+// push wraps around the backing array; wrapped content comes back from
+// Views as two age-ordered spans; and At refuses indices outside the
+// resident entries.
+func TestRingStableSlots(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Base() != 0 || r.Len() != 0 {
-		t.Fatalf("fresh ring: base=%d len=%d", r.Base(), r.Len())
-	}
+	var slots []*int
 	for v := 0; v < 3; v++ {
-		if abs := r.Base() + int64(r.Len()); abs != int64(v) {
-			t.Fatalf("absolute index before push %d = %d", v, abs)
-		}
-		*r.PushSlot() = v * 10
+		p := r.PushSlot()
+		*p = v * 10
+		slots = append(slots, p)
 	}
-	r.DropFront() // abs 0 gone
-	at := func(abs int64) int { return *r.At(int(abs - r.Base())) }
-	if r.Base() != 1 || at(1) != 10 || at(2) != 20 {
-		t.Fatalf("after DropFront: base=%d at1=%d at2=%d", r.Base(), at(1), at(2))
+	r.DropFront() // 0 gone
+	if *r.Front() != 10 || r.At(0) != slots[1] || r.At(1) != slots[2] {
+		t.Fatalf("after DropFront: front=%d, or an entry moved", *r.Front())
 	}
-	if *r.Front() != 10 {
-		t.Fatalf("Front = %d, want 10", *r.Front())
-	}
-	// Wrapped push reuses the freed slot but gets a fresh absolute index.
+	// A wrapped push reuses the freed slot; the older entries stay put.
 	p := r.PushSlot()
 	*p = 30
-	if r.Base() != 1 || at(3) != 30 || r.Base()+int64(r.Len()) != 4 {
-		t.Fatalf("after wrapped PushSlot: base=%d at3=%d len=%d", r.Base(), at(3), r.Len())
+	if p != slots[0] || r.At(2) != p || *slots[1] != 10 || *slots[2] != 20 || r.Len() != 3 {
+		t.Fatalf("after wrapped PushSlot: len=%d, or an entry moved", r.Len())
 	}
 	// Views: wrapped content comes back as two age-ordered spans.
 	s1, s2 := r.Views()
@@ -429,22 +412,23 @@ func TestRingAbsoluteIndexing(t *testing.T) {
 			t.Fatalf("Views content %v, want %v", got, want)
 		}
 	}
-	// Stale and out-of-range handles are engine bugs: they must panic.
-	for _, abs := range []int64{0, 4} {
+	// Indices before the oldest or past the youngest are engine bugs: they
+	// must panic.
+	for _, i := range []int{-1, 3} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("handle %d did not panic", abs)
+					t.Errorf("At(%d) did not panic", i)
 				}
 			}()
-			at(abs)
+			r.At(i)
 		}()
 	}
-	// SetContents restarts absolute indexing from zero.
+	// SetContents makes its first value the oldest.
 	if err := r.SetContents([]int{7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Base() != 0 || at(0) != 7 || at(1) != 8 {
-		t.Fatalf("after SetContents: base=%d", r.Base())
+	if *r.Front() != 7 || *r.At(0) != 7 || *r.At(1) != 8 || r.Len() != 2 {
+		t.Fatalf("after SetContents: %v", r.Snapshot())
 	}
 }
